@@ -28,7 +28,7 @@ from .corpus import (
     tokenize,
 )
 from .npzio import deterministic_savez
-from .results import CandidateItem, CandidateList, top_k_order
+from .results import CandidateItem, CandidateList, id_rank, top_k_order
 
 # term-id -> weight, no explicit zero entries
 SparseVector = dict[int, float]
@@ -76,15 +76,20 @@ def _passage_counts(passage: Passage, vocab_size: int, max_length: int) -> Count
 def compute_stats(corpus: Corpus, vocab_size: int = DEFAULT_VOCAB_SIZE,
                   max_length: int = DEFAULT_PASSAGE_LENGTH) -> Bm25Stats:
     """IDF, average length and per-passage lengths over a nonempty corpus."""
-    if len(corpus) == 0:
+    counts = [_passage_counts(p, vocab_size, max_length) for p in corpus]
+    return _stats_from_counts(corpus.ids(), counts, vocab_size, max_length)
+
+
+def _stats_from_counts(ids: list[str], counts: list[Counter], vocab_size: int,
+                       max_length: int) -> Bm25Stats:
+    if not counts:
         raise ValueError("cannot compute BM25 statistics over an empty corpus")
-    n = len(corpus)
+    n = len(counts)
     df: Counter = Counter()
     lengths: dict[str, int] = {}
-    for p in corpus:
-        counts = _passage_counts(p, vocab_size, max_length)
-        lengths[p.id] = sum(counts.values())
-        df.update(counts.keys())
+    for pid, c in zip(ids, counts):
+        lengths[pid] = sum(c.values())
+        df.update(c.keys())
     idf = {t: log((n - d + 0.5) / (d + 0.5) + 1.0) for t, d in df.items()}
     avg_length = sum(lengths.values()) / n
     return Bm25Stats(doc_count=n, idf=idf, avg_length=avg_length, lengths=lengths,
@@ -93,7 +98,11 @@ def compute_stats(corpus: Corpus, vocab_size: int = DEFAULT_VOCAB_SIZE,
 
 def encode_passage(passage: Passage, stats: Bm25Stats, params: Bm25Params) -> SparseVector:
     """Sparse passage vector whose dot product with a query vector is BM25."""
-    counts = _passage_counts(passage, stats.vocab_size, stats.max_length)
+    return _passage_vector(_passage_counts(passage, stats.vocab_size, stats.max_length),
+                           stats, params)
+
+
+def _passage_vector(counts: Counter, stats: Bm25Stats, params: Bm25Params) -> SparseVector:
     m = sum(counts.values())
     if m == 0:
         return {}
@@ -130,10 +139,12 @@ class Bm25Index:
                  max_length: int = DEFAULT_PASSAGE_LENGTH,
                  query_max_length: int = DEFAULT_QUERY_LENGTH):
         params = params or Bm25Params()
-        stats = compute_stats(corpus, vocab_size, max_length)
+        # each passage is tokenized once, for both the statistics and its vector
+        counts = [_passage_counts(p, vocab_size, max_length) for p in corpus]
+        stats = _stats_from_counts(corpus.ids(), counts, vocab_size, max_length)
         postings: dict[int, tuple[list[int], list[float]]] = {}
-        for pos, p in enumerate(corpus):
-            vec = encode_passage(p, stats, params)
+        for pos, c in enumerate(counts):
+            vec = _passage_vector(c, stats, params)
             for t, w in vec.items():
                 slot = postings.setdefault(t, ([], []))
                 slot[0].append(pos)
@@ -144,10 +155,7 @@ class Bm25Index:
         self.ids = corpus.ids()
         self.postings = {t: (np.asarray(ps, dtype=np.int64), np.asarray(ws, dtype=np.float64))
                          for t, (ps, ws) in postings.items()}
-        order = sorted(range(len(self.ids)), key=lambda i: self.ids[i])
-        self.id_rank = np.empty(len(self.ids), dtype=np.int64)
-        for rank, pos in enumerate(order):
-            self.id_rank[pos] = rank
+        self.id_rank = corpus.id_rank
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -240,8 +248,5 @@ def load_index(path) -> Bm25Index:
             t: (positions[indptr[i]:indptr[i + 1]].copy(), weights[indptr[i]:indptr[i + 1]].copy())
             for i, t in enumerate(terms)
         }
-    order = sorted(range(len(index.ids)), key=lambda i: index.ids[i])
-    index.id_rank = np.empty(len(index.ids), dtype=np.int64)
-    for rank, pos in enumerate(order):
-        index.id_rank[pos] = rank
+    index.id_rank = id_rank(index.ids)
     return index

@@ -196,10 +196,10 @@ def _cmd_retrieve(args) -> int:
         lists = [retrieve(index, q, args.depth) for q in queries]
     elif args.method == "de":
         encoder = load_params(args.de_params)
-        matrix = encode_corpus(encoder, corpus, args.passage_max_length)
+        rows = normalize_rows(encode_corpus(encoder, corpus, args.passage_max_length))
         lists = [de_retrieve(encoder, corpus, q, args.depth,
                              query_max_length=args.query_max_length,
-                             passage_matrix=matrix)
+                             passage_matrix=rows)
                  for q in queries]
     else:
         encoder = load_params(args.de_params)

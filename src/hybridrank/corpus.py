@@ -12,6 +12,11 @@ import hashlib
 import json
 import re
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
+
+from .results import id_rank
 
 DEFAULT_VOCAB_SIZE = 32768
 DEFAULT_QUERY_LENGTH = 64
@@ -120,6 +125,13 @@ class Corpus:
 
     def ids(self) -> list[str]:
         return [p.id for p in self.passages]
+
+    @cached_property
+    def id_rank(self) -> np.ndarray:
+        """Read-only ``results.id_rank`` of the passage ids, by position."""
+        rank = id_rank(self.ids())
+        rank.flags.writeable = False
+        return rank
 
 
 class QrelSet:

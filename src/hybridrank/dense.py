@@ -13,6 +13,7 @@ Gradients flow through the cosine normalization (full quotient rule).
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -226,8 +227,9 @@ def train_de(pairs: list[TrainPair], config: DeTrainConfig,
     """Mini-batch SGD on the in-batch softmax loss.
 
     Deterministic for fixed (pairs order, config, init). Fresh initialization
-    draws from config.seed; warns if the final epoch's mean loss did not
-    improve on the first epoch's.
+    draws from config.seed; warns if the final epoch's mean loss is worse than
+    the first epoch's by more than 1e-3 nats and more than a relative 1e-3, so
+    batch-order noise at a converged loss does not warn.
     """
     if not pairs:
         raise ValueError("pairs must be nonempty")
@@ -258,7 +260,8 @@ def train_de(pairs: list[TrainPair], config: DeTrainConfig,
         if first_epoch_loss is None:
             first_epoch_loss = epoch_loss
         last_epoch_loss = epoch_loss
-    if last_epoch_loss > first_epoch_loss:
+    if last_epoch_loss > first_epoch_loss and not math.isclose(
+            last_epoch_loss, first_epoch_loss, rel_tol=1e-3, abs_tol=1e-3):
         warnings.warn(
             f"dual encoder training did not improve: first epoch loss "
             f"{first_epoch_loss:.6f}, final {last_epoch_loss:.6f}",
@@ -272,26 +275,22 @@ def de_retrieve(params: EncoderParams, corpus: Corpus, query: Query, k_results: 
                 passage_matrix: np.ndarray | None = None) -> CandidateList:
     """Exhaustive top-k by cosine similarity, ties broken by ascending passage id.
 
-    ``passage_matrix`` may carry precomputed encode_corpus output to avoid
-    re-encoding in batch loops.
+    ``passage_matrix`` may carry the L2-normalized passage rows,
+    ``normalize_rows(encode_corpus(params, corpus))``, so that batch loops
+    encode and normalize the corpus once.
     """
     if k_results < 1:
         raise ValueError(f"k_results must be >= 1, got {k_results}")
     if passage_matrix is None:
-        passage_matrix = encode_corpus(params, corpus)
+        passage_matrix = normalize_rows(encode_corpus(params, corpus))
     qvec = encode_text(params, query.text, query_max_length)
     qn = np.linalg.norm(qvec)
     if qn == 0.0:
         scores = np.zeros(len(corpus), dtype=np.float64)
     else:
-        scores = normalize_rows(passage_matrix) @ (qvec / qn)
-    ids = corpus.ids()
-    order_ids = sorted(range(len(ids)), key=lambda i: ids[i])
-    id_rank = np.empty(len(ids), dtype=np.int64)
-    for rank, pos in enumerate(order_ids):
-        id_rank[pos] = rank
-    order = top_k_order(scores, id_rank, k_results)
-    items = [CandidateItem(passage_id=ids[pos], score=float(scores[pos]), rank=r)
+        scores = passage_matrix @ (qvec / qn)
+    order = top_k_order(scores, corpus.id_rank, k_results)
+    items = [CandidateItem(passage_id=corpus[pos].id, score=float(scores[pos]), rank=r)
              for r, pos in enumerate(order, start=1)]
     return CandidateList(query_id=query.id, items=items)
 

@@ -123,7 +123,8 @@ def tune_lambda(index_or_builder: HybridIndex | Callable[[float], HybridIndex],
 
     Evaluates each candidate weight on the given queries and returns the best;
     exact ties go to the smallest weight.  Accepts either a prebuilt index
-    (re-weighted cheaply per candidate) or a builder callable lam -> index.
+    (scored once per query and re-weighted per candidate, keeping only each
+    weight's top-``cutoff`` lists) or a builder callable lam -> index.
     """
     values = sorted({float(g) for g in (grid if grid is not None else DEFAULT_LAMBDA_GRID)})
     if not values:
@@ -134,31 +135,31 @@ def tune_lambda(index_or_builder: HybridIndex | Callable[[float], HybridIndex],
         raise ValueError("tune_lambda needs at least one query")
     subset = _restrict_qrels(qrels, queries)
 
-    best_lam = None
-    best_mean = -1.0
+    # lam -> {query id: top-cutoff (passage id, score)}
+    rankings: dict[float, dict[str, list[tuple[str, float]]]] = {lam: {} for lam in values}
     if isinstance(index_or_builder, HybridIndex):
+        # one query's components at a time, re-weighted for every lam
         index = index_or_builder
-        components = [(q.id, *index.score_components(q)) for q in queries]
-        id_rank = index.bm25.id_rank
-        for lam in values:
-            rankings = {}
-            for qid, bm25_scores, cos in components:
+        for q in queries:
+            bm25_scores, cos = index.score_components(q)
+            for lam in values:
                 total = bm25_scores + lam * cos
-                order = top_k_order(total, id_rank, cutoff)
-                rankings[qid] = [(index.ids[pos], float(total[pos])) for pos in order]
-            mean = compute_metric(RunFile("tune", rankings), subset, metric, cutoff).mean
-            if best_lam is None or mean > best_mean:
-                best_lam, best_mean = lam, mean
+                order = top_k_order(total, index.bm25.id_rank, cutoff)
+                rankings[lam][q.id] = [(index.ids[pos], float(total[pos])) for pos in order]
     else:
         for lam in values:
             index = index_or_builder(lam)
-            rankings = {
+            rankings[lam] = {
                 q.id: [(it.passage_id, it.score)
                        for it in hybrid_retrieve(index, q, cutoff).items]
                 for q in queries}
-            mean = compute_metric(RunFile("tune", rankings), subset, metric, cutoff).mean
-            if best_lam is None or mean > best_mean:
-                best_lam, best_mean = lam, mean
+
+    best_lam = None
+    best_mean = -1.0
+    for lam in values:
+        mean = compute_metric(RunFile("tune", rankings[lam]), subset, metric, cutoff).mean
+        if best_lam is None or mean > best_mean:
+            best_lam, best_mean = lam, mean
     return best_lam
 
 

@@ -226,6 +226,7 @@ class _Experiment:
         self._rerank_runs: dict[tuple[str, str], RunFile] = {}
         self.qgen_report: dict | None = None
         self.encoder: EncoderParams | None = None
+        self._dense_rows: np.ndarray | None = None
         self.bm25_index: Bm25Index | None = None
         self.hybrid_index: HybridIndex | None = None
 
@@ -290,15 +291,21 @@ class _Experiment:
                 save_params(self.encoder, self._out("de_params.npz"))
         return self.encoder
 
+    def dense_rows(self) -> np.ndarray:
+        """L2-normalized passage encodings, computed once for the de and hybrid
+        runs (inside whichever stage asks first)."""
+        if self._dense_rows is None:
+            self._dense_rows = normalize_rows(encode_corpus(
+                self.train_encoder(), self.corpus, self.config.passage_max_length))
+        return self._dense_rows
+
     def build_hybrid(self) -> HybridIndex:
         if self.hybrid_index is None:
             bm25_index = self.build_bm25()
             encoder = self.train_encoder()
             with _stage("tune-lambda"):
                 c = self.config
-                rows = normalize_rows(
-                    encode_corpus(encoder, self.corpus, c.passage_max_length))
-                index = HybridIndex(bm25_index, encoder, rows, lam=0.0)
+                index = HybridIndex(bm25_index, encoder, self.dense_rows(), lam=0.0)
                 grid = c.lambda_grid if c.lambda_grid is not None else DEFAULT_LAMBDA_GRID
                 if c.fixed_lambda is not None:
                     lam = float(c.fixed_lambda)
@@ -327,10 +334,10 @@ class _Experiment:
                     lists = [retrieve(index, q, c.run_depth) for q in queries]
                 elif first_stage == "de":
                     encoder = self.train_encoder()
-                    matrix = encode_corpus(encoder, self.corpus, c.passage_max_length)
+                    rows = self.dense_rows()
                     lists = [de_retrieve(encoder, self.corpus, q, c.run_depth,
                                          query_max_length=c.query_max_length,
-                                         passage_matrix=matrix)
+                                         passage_matrix=rows)
                              for q in queries]
                 else:
                     index = self.build_hybrid()

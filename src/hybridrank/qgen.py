@@ -17,9 +17,8 @@ import numpy as np
 
 from .corpus import DEFAULT_PASSAGE_LENGTH, DEFAULT_QUERY_LENGTH, _WORD_RE, \
     Corpus, Query
-from .dense import DeTrainConfig, EncoderParams, encode_corpus, encode_text, \
+from .dense import DeTrainConfig, EncoderParams, de_retrieve, encode_corpus, \
     normalize_rows, train_de, TrainPair
-from .results import top_k_order
 
 GEN_MODES = ("sentence", "crop")
 CROP_MIN_TOKENS = 4
@@ -119,21 +118,9 @@ def round_trip_filter(pairs: list[SyntheticPair], de0: EncoderParams,
     qmax = query_max_length if query_max_length is not None else DEFAULT_QUERY_LENGTH
     pmax = passage_max_length if passage_max_length is not None else DEFAULT_PASSAGE_LENGTH
     rows = normalize_rows(encode_corpus(de0, corpus, pmax))
-    ids = corpus.ids()
-    order_ids = sorted(range(len(ids)), key=lambda i: ids[i])
-    id_rank = np.empty(len(ids), dtype=np.int64)
-    for rank, pos in enumerate(order_ids):
-        id_rank[pos] = rank
-    kept = []
-    for pair in pairs:
-        source_pos = corpus.position(pair.source_passage_id)
-        q = encode_text(de0, pair.query.text, qmax)
-        qn = float(np.linalg.norm(q))
-        scores = rows @ (q / qn) if qn > 0.0 else np.zeros(len(ids))
-        top = int(top_k_order(scores, id_rank, 1)[0])
-        if top == source_pos:
-            kept.append(pair)
-    return kept
+    return [pair for pair in pairs
+            if de_retrieve(de0, corpus, pair.query, 1, qmax, passage_matrix=rows)
+            .items[0].passage_id == pair.source_passage_id]
 
 
 def _as_train_pairs(pairs: list[SyntheticPair], corpus: Corpus) -> list[TrainPair]:

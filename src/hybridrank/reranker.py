@@ -419,19 +419,16 @@ def train_reranker(lists: list[CandidateList], queries: list[Query], corpus: Cor
         raise ValueError("lists must be nonempty")
     if init is None:
         init = init_reranker(config.vocab_size, config.dim, config.seed)
-    params = init.copy()
     if config.steps == 0:
-        return params
+        return init.copy()
     batches = _prepare_lists(lists, queries, corpus, config.query_max_length,
-                             config.passage_max_length, params.vocab_size)
+                             config.passage_max_length, init.vocab_size)
     rng = np.random.default_rng(config.seed)
     order = rng.permutation(len(batches))
     cursor = 0
     lr = config.learning_rate
     # training runs in float32 (≈2x faster, deterministic); stored params stay float64
-    work = params.copy()
-    for name in ("embeddings", "w_q", "w_k", "w_v", "readout"):
-        setattr(work, name, getattr(work, name).astype(np.float32))
+    work = _with_dtype(init, np.float32)
     for step in range(config.steps):
         if cursor + config.batch_size > len(batches):
             order = rng.permutation(len(batches))
@@ -454,10 +451,14 @@ def train_reranker(lists: list[CandidateList], queries: list[Query], corpus: Cor
         if config.update_embeddings:
             _scatter_subtract(work.embeddings, grads["emb_idx"],
                               frac * grads["emb_rows"])
-    for name in ("embeddings", "w_q", "w_k", "w_v", "readout"):
-        setattr(params, name, getattr(work, name).astype(np.float64))
-    params.bias = float(work.bias)
-    return params
+    return _with_dtype(work, np.float64)
+
+
+def _with_dtype(params: RerankerParams, dtype) -> RerankerParams:
+    """A copy of ``params`` with every array in ``dtype`` and a float bias."""
+    return RerankerParams(*(getattr(params, name).astype(dtype) for name in
+                            ("embeddings", "w_q", "w_k", "w_v", "readout")),
+                          float(params.bias), params.seed)
 
 
 def _scatter_subtract(table: np.ndarray, idx: np.ndarray, rows: np.ndarray) -> None:

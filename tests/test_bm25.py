@@ -254,6 +254,22 @@ def test_params_validation():
         Bm25Params(b=1.5)
 
 
+def test_index_postings_equal_passage_vectors():
+    rng = random.Random(12)
+    # "..." has no tokens, so its vector is empty and it posts nowhere
+    corpus = _corpus(["...", "w1 w1 w1"] + [" ".join(rng.choices(WORDS, k=rng.randint(1, 30)))
+                                           for _ in range(30)])
+    params = Bm25Params(k=1.2, b=0.6)
+    index = Bm25Index(corpus, params=params, vocab_size=VOCAB)
+    stats = compute_stats(corpus, VOCAB)
+    assert index.stats == stats
+    from_postings = [dict() for _ in corpus]
+    for t, (positions, weights) in index.postings.items():
+        for pos, w in zip(positions.tolist(), weights.tolist()):
+            from_postings[pos][t] = w
+    assert from_postings == [encode_passage(p, stats, params) for p in corpus]
+
+
 # ---------------------------------------------------------------- persistence
 
 def test_index_save_load_bitwise_scores(tmp_path):
@@ -272,6 +288,7 @@ def test_index_save_load_bitwise_scores(tmp_path):
         rb = retrieve(loaded, q, 10)
         assert [(x.passage_id, x.score) for x in ra.items] == \
                [(x.passage_id, x.score) for x in rb.items]
+    assert loaded.id_rank.tolist() == corpus.id_rank.tolist()
 
 
 def test_index_save_deterministic_bytes(tmp_path):

@@ -1,6 +1,7 @@
 """Tests for the embedding-bag dual encoder: pooling, cosine, loss, training."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -217,6 +218,36 @@ def test_train_de_improves_loss():
     assert after < before
 
 
+def test_train_de_converged_run_does_not_warn():
+    # continuing a converged run leaves the loss at its floor, where batch
+    # order alone moves the epoch mean (here up to ~4e-4 nats either way)
+    _, pairs = _toy_training_pairs(12)
+    converged = train_de(pairs, DeTrainConfig(epochs=20, batch_size=4,
+                                              vocab_size=VOCAB, dim=8, seed=3))
+    for seed in range(4):
+        cfg = DeTrainConfig(epochs=3, batch_size=4, vocab_size=VOCAB, dim=8, seed=seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            train_de(pairs, cfg, init=converged)
+
+
+def test_train_de_worse_run_still_warns():
+    # Each pair listed twice, in batches of two.  A batch holding a pair and its
+    # copy has two identical rows, so its loss is ln 2 whatever the weights; a
+    # batch of the two distinct pairs is near 0 for an encoder fit to them.
+    # Under seed 0 the first epoch mixes the pairs and the second does not.
+    a, b, c, d = distinct_words(4)
+    corpus = Corpus([Passage("da", "", a), Passage("db", "", b)])
+    pa = TrainPair(Query("qa", c), corpus.get("da"))
+    pb = TrainPair(Query("qb", d), corpus.get("db"))
+    fit = train_de([pa, pb], DeTrainConfig(epochs=50, batch_size=2, vocab_size=VOCAB,
+                                           dim=8, seed=0))
+    cfg = DeTrainConfig(epochs=2, batch_size=2, learning_rate=1e-9, vocab_size=VOCAB,
+                        dim=8, seed=0)
+    with pytest.warns(UserWarning, match=r"did not improve.*final 0\.693147"):
+        train_de([pa, pa, pb, pb], cfg, init=fit)
+
+
 def test_train_de_empty_pairs_rejected():
     with pytest.raises(ValueError):
         train_de([], DeTrainConfig())
@@ -269,10 +300,10 @@ def test_de_retrieve_tie_broken_by_id():
 def test_de_retrieve_precomputed_matrix_matches():
     corpus, _ = _toy_training_pairs(10)
     p = init_params(VOCAB, 8, seed=4)
-    matrix = encode_corpus(p, corpus)
+    rows = normalize_rows(encode_corpus(p, corpus))
     q = Query("q", "tok3 tok5")
     direct = de_retrieve(p, corpus, q, 5)
-    cached = de_retrieve(p, corpus, q, 5, passage_matrix=matrix)
+    cached = de_retrieve(p, corpus, q, 5, passage_matrix=rows)
     assert [(it.passage_id, it.score) for it in direct.items] == \
            [(it.passage_id, it.score) for it in cached.items]
 

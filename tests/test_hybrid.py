@@ -5,8 +5,8 @@ import pytest
 
 from hybridrank.bm25 import Bm25Index, dot, encode_passage, encode_query, retrieve
 from hybridrank.corpus import Corpus, Passage, QrelSet, Query, tokenize
-from hybridrank.dense import EncoderParams, cosine, encode_corpus, encode_text, \
-    init_params, normalize_rows
+from hybridrank.dense import EncoderParams, cosine, de_retrieve, encode_corpus, \
+    encode_text, init_params, normalize_rows
 from hybridrank.hybrid import (
     DEFAULT_LAMBDA,
     DEFAULT_LAMBDA_GRID,
@@ -262,6 +262,32 @@ def test_tune_lambda_builder_callable_agrees_with_index_path():
     assert fast == slow
 
 
+def test_tune_lambda_streamed_agrees_with_builder_on_tie_heavy_grid():
+    # Passages repeat four texts and most embedding rows are zero, so fused
+    # scores tie within a query and metrics tie across grid points.  Ids are
+    # shuffled, so the id tie-break is not corpus order.
+    words = _distinct_words(8)
+    texts = [" ".join(words[i:i + 3]) for i in (0, 2, 4, 5)]
+    grid = (0.0, 1e-9, 0.5, 1.0, 1.0, 2.0, 4.0, 1e6)
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        corpus = Corpus([Passage(f"d{j:03d}", "", texts[int(rng.integers(4))])
+                         for j in rng.permutation(40)])
+        emb = np.zeros((VOCAB, 4))
+        for w in rng.choice(words, size=3, replace=False):
+            emb[tokenize(w, VOCAB, 4).tokens[0]] = rng.choice([-1.0, 1.0], size=4)
+        encoder = EncoderParams(embeddings=emb, dim=4, seed=0)
+        index = HybridIndex.from_corpus(corpus, encoder, lam=0.0, vocab_size=VOCAB)
+        queries = [Query(f"q{i}", " ".join(rng.choice(words, size=2))) for i in range(8)]
+        ids = corpus.ids()
+        qrels = QrelSet({(q.id, ids[int(rng.integers(len(ids)))]): 1 for q in queries})
+        for cutoff in (1, 3, 10):
+            fast = tune_lambda(index, queries, qrels, grid=grid, cutoff=cutoff)
+            slow = tune_lambda(lambda lam: index.with_lambda(lam), queries, qrels,
+                               grid=grid, cutoff=cutoff)
+            assert fast == slow, (seed, cutoff)
+
+
 def test_tune_lambda_no_judged_queries_rejected():
     _, _, index, queries = _random_setup(10)
     with pytest.raises(ValueError):
@@ -302,3 +328,16 @@ def test_hybrid_save_load_bit_exact_scores(tmp_path):
         b = hybrid_retrieve(loaded, q, 5)
         assert [(it.passage_id, it.score) for it in a.items] == \
                [(it.passage_id, it.score) for it in b.items]
+
+
+def test_de_retrieve_scores_equal_hybrid_cosines_bit_for_bit():
+    corpus, encoder, index, queries = _random_setup(14)
+    queries = queries + [Query("empty", "zzzunseen")]
+    for q in queries:
+        _, cos = index.score_components(q)
+        got = de_retrieve(encoder, corpus, q, len(corpus),
+                          query_max_length=index.bm25.query_max_length,
+                          passage_matrix=index.dense_rows)
+        pos = [corpus.position(it.passage_id) for it in got.items]
+        assert sorted(pos) == list(range(len(corpus)))
+        assert [it.score for it in got.items] == [float(c) for c in cos[pos]]
