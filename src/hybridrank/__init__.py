@@ -6,30 +6,4 @@ reranker.  Everything is seeded, exhaustive and numpy-only, so experiments
 reproduce bit for bit.
 """
 
-from .bm25 import Bm25Index, Bm25Params, Bm25Stats, PARAM_PRESETS, compute_stats, \
-    dot, encode_passage, encode_query, load_index, retrieve, save_index
-from .corpus import Corpus, Passage, QrelSet, Query, TokenSequence, load_corpus, \
-    load_qrels, load_queries, save_corpus, save_qrels, save_queries, tokenize
-from .dense import DeTrainConfig, EncoderParams, TrainPair, cosine, de_retrieve, \
-    encode, encode_corpus, encode_text, in_batch_loss, in_batch_loss_grad, \
-    init_params, load_encodings, load_params, normalize_rows, save_encodings, \
-    save_params, train_de
-from .evaluation import MetricReport, RunFile, compute_metric, \
-    format_metric_table, mrr_at_k, ndcg_at_k, read_run, recall_at_k, write_run
-from .hybrid import DEFAULT_LAMBDA, DEFAULT_LAMBDA_GRID, HybridIndex, \
-    hybrid_retrieve, hybrid_score, load_hybrid_index, save_hybrid_index, \
-    tune_lambda
-from .pipeline import ExperimentConfig, StageError, ablation_matrix, \
-    config_from_dict, config_to_dict, load_config, mix_training_data, \
-    run_experiment, save_config
-from .qgen import QgenConfig, SyntheticPair, generate_queries, iterative_train, \
-    load_pairs, round_trip_filter, sample_corpus, save_pairs, split_sentences
-from .reranker import RerankTrainConfig, RerankerParams, SamplingWindow, \
-    build_candidate_lists, evaluate_loss, init_reranker, listwise_loss, \
-    listwise_loss_grad, load_candidate_lists, load_reranker, rerank, \
-    save_candidate_lists, save_reranker, score_list, score_pair, train_reranker
-from .results import CandidateItem, CandidateList
-from .synthetic import SyntheticCorpusSpec, SyntheticData, make_synthetic_corpus, \
-    save_synthetic_data
-
 __version__ = "0.1.0"

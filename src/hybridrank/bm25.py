@@ -11,7 +11,6 @@ ln((N - df + 0.5) / (df + 0.5) + 1).
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass
 from math import log
@@ -27,7 +26,7 @@ from .corpus import (
     Query,
     tokenize,
 )
-from .npzio import deterministic_savez
+from .npzio import deterministic_savez, load_npz
 from .results import CandidateItem, CandidateList, id_rank, top_k_order
 
 # term-id -> weight, no explicit zero entries
@@ -212,8 +211,7 @@ def save_index(index: Bm25Index, path) -> None:
         "lengths": [index.stats.lengths[i] for i in index.ids],
     }
     deterministic_savez(
-        path,
-        header=np.frombuffer(json.dumps(header, sort_keys=True).encode("utf-8"), dtype=np.uint8),
+        path, header,
         terms=np.asarray(terms, dtype=np.int64),
         indptr=np.asarray(indptr, dtype=np.int64),
         positions=(np.concatenate(positions) if positions else np.empty(0, dtype=np.int64)),
@@ -224,29 +222,26 @@ def save_index(index: Bm25Index, path) -> None:
 
 
 def load_index(path) -> Bm25Index:
-    with np.load(path) as data:
-        header = json.loads(bytes(data["header"]).decode("utf-8"))
-        if header.get("format") != INDEX_FORMAT:
-            raise ValueError(f"{path}: not a BM25 index file (format {header.get('format')!r})")
-        index = Bm25Index.__new__(Bm25Index)
-        index.params = Bm25Params(k=header["k"], b=header["b"])
-        index.stats = Bm25Stats(
-            doc_count=header["doc_count"],
-            idf=dict(zip(data["idf_terms"].tolist(), data["idf_values"].tolist())),
-            avg_length=header["avg_length"],
-            lengths=dict(zip(header["ids"], header["lengths"])),
-            vocab_size=header["vocab_size"],
-            max_length=header["max_length"],
-        )
-        index.query_max_length = header["query_max_length"]
-        index.ids = list(header["ids"])
-        terms = data["terms"].tolist()
-        indptr = data["indptr"]
-        positions = data["positions"]
-        weights = data["weights"]
-        index.postings = {
-            t: (positions[indptr[i]:indptr[i + 1]].copy(), weights[indptr[i]:indptr[i + 1]].copy())
-            for i, t in enumerate(terms)
-        }
+    header, data = load_npz(path, INDEX_FORMAT)
+    index = Bm25Index.__new__(Bm25Index)
+    index.params = Bm25Params(k=header["k"], b=header["b"])
+    index.stats = Bm25Stats(
+        doc_count=header["doc_count"],
+        idf=dict(zip(data["idf_terms"].tolist(), data["idf_values"].tolist())),
+        avg_length=header["avg_length"],
+        lengths=dict(zip(header["ids"], header["lengths"])),
+        vocab_size=header["vocab_size"],
+        max_length=header["max_length"],
+    )
+    index.query_max_length = header["query_max_length"]
+    index.ids = list(header["ids"])
+    terms = data["terms"].tolist()
+    indptr = data["indptr"]
+    positions = data["positions"]
+    weights = data["weights"]
+    index.postings = {
+        t: (positions[indptr[i]:indptr[i + 1]].copy(), weights[indptr[i]:indptr[i + 1]].copy())
+        for i, t in enumerate(terms)
+    }
     index.id_rank = id_rank(index.ids)
     return index

@@ -12,7 +12,6 @@ Gradients flow through the cosine normalization (full quotient rule).
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -29,7 +28,7 @@ from .corpus import (
     TokenSequence,
     tokenize,
 )
-from .npzio import deterministic_savez
+from .npzio import deterministic_savez, load_npz
 from .results import CandidateItem, CandidateList, top_k_order
 
 PARAMS_FORMAT = "hybridrank-dense-v1"
@@ -139,16 +138,6 @@ def _pooled(emb: np.ndarray, toks: list[np.ndarray]) -> np.ndarray:
     return out
 
 
-def _batch_loss(emb: np.ndarray, qtoks: list[np.ndarray], ptoks: list[np.ndarray],
-                tau: float) -> float:
-    u = _pooled(emb, qtoks)
-    v = _pooled(emb, ptoks)
-    s = normalize_rows(u) @ normalize_rows(v).T / tau
-    m = s.max(axis=1, keepdims=True)
-    lse = m[:, 0] + np.log(np.exp(s - m).sum(axis=1))
-    return float(np.mean(lse - np.diag(s)))
-
-
 def _batch_loss_grad(emb: np.ndarray, qtoks: list[np.ndarray], ptoks: list[np.ndarray],
                      tau: float) -> tuple[float, np.ndarray, np.ndarray]:
     """Loss plus the scatter update (token index array, per-row gradients)."""
@@ -201,7 +190,7 @@ def in_batch_loss(params: EncoderParams, batch: list[TrainPair], tau: float,
         raise ValueError("batch must be nonempty")
     cfg = config or DeTrainConfig(vocab_size=params.vocab_size, dim=params.dim)
     qtoks, ptoks = _tokenize_pairs(batch, cfg, params.vocab_size)
-    return _batch_loss(params.embeddings, qtoks, ptoks, tau)
+    return _batch_loss_grad(params.embeddings, qtoks, ptoks, tau)[0]
 
 
 def in_batch_loss_grad(params: EncoderParams, batch: list[TrainPair], tau: float,
@@ -227,7 +216,8 @@ def train_de(pairs: list[TrainPair], config: DeTrainConfig,
     """Mini-batch SGD on the in-batch softmax loss.
 
     Deterministic for fixed (pairs order, config, init). Fresh initialization
-    draws from config.seed; warns if the final epoch's mean loss is worse than
+    draws from config.seed; raises ValueError naming the epoch whose mean loss
+    is not finite; warns if the final epoch's mean loss is worse than
     the first epoch's by more than 1e-3 nats and more than a relative 1e-3, so
     batch-order noise at a converged loss does not warn.
     """
@@ -245,7 +235,7 @@ def train_de(pairs: list[TrainPair], config: DeTrainConfig,
     n = len(pairs)
     first_epoch_loss = None
     last_epoch_loss = None
-    for _ in range(config.epochs):
+    for epoch in range(config.epochs):
         perm = rng.permutation(n)
         losses = []
         for start in range(0, n, config.batch_size):
@@ -257,6 +247,8 @@ def train_de(pairs: list[TrainPair], config: DeTrainConfig,
                 np.subtract.at(emb, idx, config.learning_rate * rows)
             losses.append(loss)
         epoch_loss = float(np.mean(losses))
+        if not math.isfinite(epoch_loss):
+            raise ValueError(f"dual encoder loss is {epoch_loss} at epoch {epoch + 1}")
         if first_epoch_loss is None:
             first_epoch_loss = epoch_loss
         last_epoch_loss = epoch_loss
@@ -295,36 +287,23 @@ def de_retrieve(params: EncoderParams, corpus: Corpus, query: Query, k_results: 
     return CandidateList(query_id=query.id, items=items)
 
 
-def save_params(params: EncoderParams, path, format_tag: str = PARAMS_FORMAT) -> None:
-    header = {"format": format_tag, "vocab_size": params.vocab_size,
+def save_params(params: EncoderParams, path) -> None:
+    header = {"format": PARAMS_FORMAT, "vocab_size": params.vocab_size,
               "dim": params.dim, "seed": params.seed}
-    deterministic_savez(path,
-             header=np.frombuffer(json.dumps(header, sort_keys=True).encode("utf-8"),
-                                  dtype=np.uint8),
-             embeddings=params.embeddings)
+    deterministic_savez(path, header, embeddings=params.embeddings)
 
 
-def load_params(path, format_tag: str = PARAMS_FORMAT) -> EncoderParams:
-    with np.load(path) as data:
-        header = json.loads(bytes(data["header"]).decode("utf-8"))
-        if header.get("format") != format_tag:
-            raise ValueError(f"{path}: unexpected format {header.get('format')!r}")
-        return EncoderParams(embeddings=data["embeddings"].copy(), dim=header["dim"],
-                             seed=header["seed"])
+def load_params(path) -> EncoderParams:
+    header, data = load_npz(path, PARAMS_FORMAT)
+    return EncoderParams(embeddings=data["embeddings"], dim=header["dim"],
+                         seed=header["seed"])
 
 
 def save_encodings(ids: list[str], matrix: np.ndarray, path) -> None:
     """Persist (passage id, vector) records for a corpus."""
-    header = {"format": ENCODINGS_FORMAT, "ids": ids}
-    deterministic_savez(path,
-             header=np.frombuffer(json.dumps(header, sort_keys=True).encode("utf-8"),
-                                  dtype=np.uint8),
-             matrix=matrix)
+    deterministic_savez(path, {"format": ENCODINGS_FORMAT, "ids": ids}, matrix=matrix)
 
 
 def load_encodings(path) -> tuple[list[str], np.ndarray]:
-    with np.load(path) as data:
-        header = json.loads(bytes(data["header"]).decode("utf-8"))
-        if header.get("format") != ENCODINGS_FORMAT:
-            raise ValueError(f"{path}: unexpected format {header.get('format')!r}")
-        return list(header["ids"]), data["matrix"].copy()
+    header, data = load_npz(path, ENCODINGS_FORMAT)
+    return list(header["ids"]), data["matrix"]

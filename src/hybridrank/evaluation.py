@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from math import log2
+from math import isfinite, log2
 
 from .corpus import QrelSet
 from .results import CandidateList
@@ -120,7 +120,10 @@ def compute_metric(run: RunFile, qrels: QrelSet, metric_id: str, cutoff: int) ->
 
 
 def write_run(run: RunFile, path) -> None:
-    """TREC format: "qid Q0 docid rank score runtag", rank from 1, full precision."""
+    """TREC format: "qid Q0 docid rank score runtag", rank from 1, full precision.
+
+    Scores must be finite and non-increasing within each query.
+    """
     if not run.run_tag or any(c.isspace() for c in run.run_tag):
         raise ValueError(f"run_tag must be nonempty without whitespace: {run.run_tag!r}")
     with open(path, "w", encoding="utf-8") as f:
@@ -132,6 +135,9 @@ def write_run(run: RunFile, path) -> None:
                 if pid in seen:
                     raise ValueError(f"duplicate passage {pid!r} in query {qid!r}")
                 seen.add(pid)
+                if not isfinite(score):
+                    raise ValueError(
+                        f"score {score!r} at rank {rank} of query {qid!r} is not finite")
                 if prev is not None and score > prev:
                     raise ValueError(
                         f"scores increase at rank {rank} of query {qid!r}")

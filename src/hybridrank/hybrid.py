@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Callable
 
 import numpy as np
 
@@ -21,6 +20,7 @@ from .corpus import DEFAULT_PASSAGE_LENGTH, DEFAULT_QUERY_LENGTH, DEFAULT_VOCAB_
 from .dense import EncoderParams, encode_corpus, encode_text, load_encodings, \
     load_params, normalize_rows, save_encodings, save_params
 from .evaluation import RunFile, compute_metric
+from .npzio import write_json
 from .results import CandidateItem, CandidateList, top_k_order
 
 HYBRID_FORMAT = "hybridrank-hybrid-v1"
@@ -115,16 +115,14 @@ def _restrict_qrels(qrels: QrelSet, queries: list[Query]) -> QrelSet:
     return subset
 
 
-def tune_lambda(index_or_builder: HybridIndex | Callable[[float], HybridIndex],
-                queries: list[Query], qrels: QrelSet,
+def tune_lambda(index: HybridIndex, queries: list[Query], qrels: QrelSet,
                 grid: tuple[float, ...] | None = None, metric: str = "mrr",
                 cutoff: int = 10) -> float:
     """Pick the fusion weight from a grid by mean retrieval quality.
 
     Evaluates each candidate weight on the given queries and returns the best;
-    exact ties go to the smallest weight.  Accepts either a prebuilt index
-    (scored once per query and re-weighted per candidate, keeping only each
-    weight's top-``cutoff`` lists) or a builder callable lam -> index.
+    exact ties go to the smallest weight.  Each query is scored once and
+    re-weighted per candidate, keeping only each weight's top-``cutoff`` list.
     """
     values = sorted({float(g) for g in (grid if grid is not None else DEFAULT_LAMBDA_GRID)})
     if not values:
@@ -137,22 +135,12 @@ def tune_lambda(index_or_builder: HybridIndex | Callable[[float], HybridIndex],
 
     # lam -> {query id: top-cutoff (passage id, score)}
     rankings: dict[float, dict[str, list[tuple[str, float]]]] = {lam: {} for lam in values}
-    if isinstance(index_or_builder, HybridIndex):
-        # one query's components at a time, re-weighted for every lam
-        index = index_or_builder
-        for q in queries:
-            bm25_scores, cos = index.score_components(q)
-            for lam in values:
-                total = bm25_scores + lam * cos
-                order = top_k_order(total, index.bm25.id_rank, cutoff)
-                rankings[lam][q.id] = [(index.ids[pos], float(total[pos])) for pos in order]
-    else:
+    for q in queries:
+        bm25_scores, cos = index.score_components(q)
         for lam in values:
-            index = index_or_builder(lam)
-            rankings[lam] = {
-                q.id: [(it.passage_id, it.score)
-                       for it in hybrid_retrieve(index, q, cutoff).items]
-                for q in queries}
+            total = bm25_scores + lam * cos
+            order = top_k_order(total, index.bm25.id_rank, cutoff)
+            rankings[lam][q.id] = [(index.ids[pos], float(total[pos])) for pos in order]
 
     best_lam = None
     best_mean = -1.0
@@ -178,9 +166,7 @@ def save_hybrid_index(index: HybridIndex, prefix) -> None:
             "encodings": os.path.basename(prefix) + ".encodings.npz",
         },
     }
-    with open(prefix + ".json", "w", encoding="utf-8") as f:
-        json.dump(meta, f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_json(meta, prefix + ".json")
 
 
 def load_hybrid_index(prefix) -> HybridIndex:

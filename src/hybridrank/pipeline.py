@@ -28,7 +28,8 @@ from .evaluation import METRIC_IDS, RunFile, compute_metric, format_metric_table
     write_run
 from .hybrid import DEFAULT_LAMBDA_GRID, HybridIndex, hybrid_retrieve, \
     save_hybrid_index, tune_lambda
-from .qgen import QgenConfig, iterative_train, save_filter_report
+from .npzio import write_json
+from .qgen import QgenConfig, iterative_train
 from .reranker import RerankerParams, RerankTrainConfig, SamplingWindow, \
     build_candidate_lists, init_reranker, rerank, save_candidate_lists, \
     save_reranker, train_reranker
@@ -176,13 +177,7 @@ def load_config(path) -> ExperimentConfig:
 
 
 def save_config(config: ExperimentConfig, path) -> None:
-    _write_json(config_to_dict(config), path)
-
-
-def _write_json(obj, path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(obj, f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_json(config_to_dict(config), path)
 
 
 def _sha256(path) -> str:
@@ -274,7 +269,7 @@ class _Experiment:
                     gen_cfg = replace(c.qgen, seed=_seeded(c.seed, _SEED_QGEN))
                     de0, de1, report = iterative_train(self.corpus, gen_cfg, de_cfg)
                     save_params(de0, self._out("de0_params.npz"))
-                    save_filter_report(report, self._out("qgen_filter.json"))
+                    write_json(report, self._out("qgen_filter.json"))
                     self.qgen_report = report
                     self.encoder = de1
                 else:
@@ -318,9 +313,9 @@ class _Experiment:
                 for part in ("hybrid.json", "hybrid.bm25.npz",
                              "hybrid.encoder.npz", "hybrid.encodings.npz"):
                     self._out(part)
-                _write_json({"lambda": lam, "grid": list(grid),
-                             "metric": c.tune_metric, "tuned": c.fixed_lambda is None},
-                            self._out("lambda.json"))
+                write_json({"lambda": lam, "grid": list(grid),
+                            "metric": c.tune_metric, "tuned": c.fixed_lambda is None},
+                           self._out("lambda.json"))
         return self.hybrid_index
 
     def run(self, first_stage: str, split: str) -> RunFile:
@@ -366,7 +361,7 @@ class _Experiment:
                             f"no training lists from source {source!r}: no train "
                             "query has a judged-relevant passage")
                 save_candidate_lists(lists, self._out(f"lists_{source}.jsonl"))
-                _write_json(report, self._out(f"lists_{source}_report.json"))
+                write_json(report, self._out(f"lists_{source}_report.json"))
                 self._lists[source] = lists
                 self._list_reports[source] = report
         return self._lists[source]
@@ -423,7 +418,7 @@ class _Experiment:
                 rel = os.path.relpath(os.path.abspath(path), workdir)
                 files[rel.replace(os.sep, "/")] = _sha256(path)
             manifest = {"files": files}
-            _write_json(manifest, os.path.join(workdir, "manifest.json"))
+            write_json(manifest, os.path.join(workdir, "manifest.json"))
             return manifest
 
 
@@ -451,10 +446,10 @@ def run_experiment(config: ExperimentConfig) -> dict:
         "flagged_lists": {s: r.get("short_pool", [])
                           for s, r in exp._list_reports.items()},
     }
-    _write_json(metrics, exp._out("metrics.json"))
+    write_json(metrics, exp._out("metrics.json"))
     with open(exp._out("metrics_table.txt"), "w", encoding="utf-8") as f:
         f.write(format_metric_table(metrics) + "\n")
-    _write_json(report, exp._out("report.json"))
+    write_json(report, exp._out("report.json"))
     report["manifest"] = exp.write_manifest()
     return report
 
@@ -490,7 +485,7 @@ def ablation_matrix(config: ExperimentConfig, include_mixed: bool = True) -> dic
         for col in FIRST_STAGES:
             mixed[col] = exp.evaluate(exp.reranked_run("mixed", col))
     report = {"lambda": exp.hybrid_index.lam, "matrix": matrix, "mixed": mixed}
-    _write_json(report, exp._out("ablation.json"))
+    write_json(report, exp._out("ablation.json"))
     with open(exp._out("ablation_table.txt"), "w", encoding="utf-8") as f:
         for metric in ("mrr", "ndcg"):
             f.write(f"{metric}@10\n")

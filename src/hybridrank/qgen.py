@@ -9,7 +9,6 @@ fine-tuned from the first on the survivors.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, replace
 
@@ -195,8 +194,3 @@ def load_pairs(path, corpus: Corpus | None = None) -> list[SyntheticPair]:
                                        source_passage_id=pid))
     return pairs
 
-
-def save_filter_report(report: dict, path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(report, f, indent=2, sort_keys=True)
-        f.write("\n")

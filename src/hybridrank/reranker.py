@@ -19,7 +19,7 @@ from .corpus import DEFAULT_PASSAGE_LENGTH, DEFAULT_QUERY_LENGTH, DEFAULT_VOCAB_
     Corpus, QrelSet, Query, TokenSequence, tokenize
 from .dense import DEFAULT_DIM, INIT_SCALE
 from .evaluation import RunFile
-from .npzio import deterministic_savez
+from .npzio import deterministic_savez, load_npz
 from .results import CandidateItem, CandidateList
 
 RERANKER_FORMAT = "hybridrank-reranker-v1"
@@ -414,7 +414,10 @@ def evaluate_loss(params: RerankerParams, lists: list[CandidateList],
 def train_reranker(lists: list[CandidateList], queries: list[Query], corpus: Corpus,
                    config: RerankTrainConfig,
                    init: RerankerParams | None = None) -> RerankerParams:
-    """Mini-batch SGD over candidate lists; deterministic under the seed."""
+    """Mini-batch SGD over candidate lists; deterministic under the seed.
+
+    Raises ValueError naming the step whose batch loss is not finite.
+    """
     if not lists:
         raise ValueError("lists must be nonempty")
     if init is None:
@@ -436,8 +439,10 @@ def train_reranker(lists: list[CandidateList], queries: list[Query], corpus: Cor
         take = order[cursor:cursor + config.batch_size]
         cursor += config.batch_size
         stacked = _stack_lists([batches[i] for i in take])
-        _, grads = _batch_loss_grad(
+        loss, grads = _batch_loss_grad(
             work, *stacked, need_embedding_grads=config.update_embeddings)
+        if not math.isfinite(loss):
+            raise ValueError(f"reranker loss is {loss} at step {step + 1}")
         if config.lr_schedule == "linear":
             step_lr = lr * (1.0 - step / config.steps)
         else:
@@ -607,19 +612,13 @@ def load_candidate_lists(path) -> list[CandidateList]:
 def save_reranker(params: RerankerParams, path) -> None:
     header = {"format": RERANKER_FORMAT, "vocab_size": params.vocab_size,
               "dim": params.dim, "seed": params.seed, "bias": params.bias}
-    deterministic_savez(path,
-             header=np.frombuffer(json.dumps(header, sort_keys=True).encode("utf-8"),
-                                  dtype=np.uint8),
-             embeddings=params.embeddings, w_q=params.w_q, w_k=params.w_k,
-             w_v=params.w_v, readout=params.readout)
+    deterministic_savez(path, header, embeddings=params.embeddings, w_q=params.w_q,
+                        w_k=params.w_k, w_v=params.w_v, readout=params.readout)
 
 
 def load_reranker(path) -> RerankerParams:
-    with np.load(path) as data:
-        header = json.loads(bytes(data["header"]).decode("utf-8"))
-        if header.get("format") != RERANKER_FORMAT:
-            raise ValueError(f"{path}: unexpected format {header.get('format')!r}")
-        return RerankerParams(embeddings=data["embeddings"], w_q=data["w_q"],
-                              w_k=data["w_k"], w_v=data["w_v"],
-                              readout=data["readout"], bias=float(header["bias"]),
-                              seed=int(header["seed"]))
+    header, data = load_npz(path, RERANKER_FORMAT)
+    return RerankerParams(embeddings=data["embeddings"], w_q=data["w_q"],
+                          w_k=data["w_k"], w_v=data["w_v"],
+                          readout=data["readout"], bias=float(header["bias"]),
+                          seed=int(header["seed"]))

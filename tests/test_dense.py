@@ -218,6 +218,15 @@ def test_train_de_improves_loss():
     assert after < before
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_train_de_stops_on_non_finite_loss():
+    _, pairs = _toy_training_pairs(8)
+    init = init_params(VOCAB, 8, seed=5)
+    init.embeddings[:] = np.inf
+    with pytest.raises(ValueError, match="epoch 1"):
+        train_de(pairs, DeTrainConfig(epochs=2, vocab_size=VOCAB, dim=8), init=init)
+
+
 def test_train_de_converged_run_does_not_warn():
     # continuing a converged run leaves the loss at its floor, where batch
     # order alone moves the epoch mean (here up to ~4e-4 nats either way)
@@ -328,11 +337,11 @@ def test_params_deterministic_bytes(tmp_path):
 
 
 def test_params_format_tag_checked(tmp_path):
-    p = init_params(VOCAB, 4, seed=0)
-    path = tmp_path / "de.npz"
-    save_params(p, path, format_tag="hybridrank-dense-v1")
+    from hybridrank.reranker import init_reranker, save_reranker
+    path = tmp_path / "reranker.npz"
+    save_reranker(init_reranker(VOCAB, 4, seed=0), path)
     with pytest.raises(ValueError, match="format"):
-        load_params(path, format_tag="something-else")
+        load_params(path)
 
 
 def test_encodings_roundtrip(tmp_path):

@@ -220,6 +220,14 @@ def test_write_run_rejects_duplicates_and_increasing_scores(tmp_path):
         write_run(RunFile("bad tag", {"q": [("a", 1.0)]}), tmp_path / "z.trec")
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_write_run_rejects_non_finite_scores(tmp_path, bad):
+    with pytest.raises(ValueError, match="not finite"):
+        write_run(RunFile("t", {"q": [("a", 1.0), ("b", bad)]}), tmp_path / "x.trec")
+    with pytest.raises(ValueError, match="not finite"):
+        write_run(RunFile("t", {"q": [("a", bad)]}), tmp_path / "y.trec")
+
+
 def test_read_run_validates(tmp_path):
     bad_rank = tmp_path / "r1.trec"
     bad_rank.write_text("q1 Q0 d1 2 1.0 t\n")

@@ -253,16 +253,33 @@ def test_tune_lambda_beats_endpoints_when_both_channels_matter():
     assert mean_mrr(best) >= mean_mrr(grid[-1]) - 1e-12
 
 
-def test_tune_lambda_builder_callable_agrees_with_index_path():
+def _tune_lambda_per_lambda(index, queries, qrels, grid, cutoff=10):
+    """Oracle for tune_lambda: a full hybrid_retrieve per weight, mean MRR on
+    the tuned queries' judgments, exact ties to the smallest weight."""
+    from hybridrank.evaluation import RunFile, mrr_at_k
+    wanted = {q.id for q in queries}
+    subset = QrelSet({key: g for key, g in qrels.judgments.items() if key[0] in wanted})
+    best_lam, best_mean = None, -1.0
+    for lam in sorted(set(grid)):
+        rankings = {q.id: [(it.passage_id, it.score) for it in
+                           hybrid_retrieve(index.with_lambda(lam), q, cutoff).items]
+                    for q in queries}
+        mean = mrr_at_k(RunFile("t", rankings), subset, cutoff).mean
+        if best_lam is None or mean > best_mean:
+            best_lam, best_mean = lam, mean
+    return best_lam
+
+
+def test_tune_lambda_agrees_with_per_lambda_retrieval():
     corpus, encoder, index, queries = _random_setup(9)
     qrels = QrelSet({(q.id, corpus.ids()[i]): 1 for i, q in enumerate(queries)})
     grid = (0.0, 1.0, 5.0)
     fast = tune_lambda(index, queries, qrels, grid=grid)
-    slow = tune_lambda(lambda lam: index.with_lambda(lam), queries, qrels, grid=grid)
+    slow = _tune_lambda_per_lambda(index, queries, qrels, grid)
     assert fast == slow
 
 
-def test_tune_lambda_streamed_agrees_with_builder_on_tie_heavy_grid():
+def test_tune_lambda_streamed_agrees_with_per_lambda_retrieval_on_tie_heavy_grid():
     # Passages repeat four texts and most embedding rows are zero, so fused
     # scores tie within a query and metrics tie across grid points.  Ids are
     # shuffled, so the id tie-break is not corpus order.
@@ -283,8 +300,7 @@ def test_tune_lambda_streamed_agrees_with_builder_on_tie_heavy_grid():
         qrels = QrelSet({(q.id, ids[int(rng.integers(len(ids)))]): 1 for q in queries})
         for cutoff in (1, 3, 10):
             fast = tune_lambda(index, queries, qrels, grid=grid, cutoff=cutoff)
-            slow = tune_lambda(lambda lam: index.with_lambda(lam), queries, qrels,
-                               grid=grid, cutoff=cutoff)
+            slow = _tune_lambda_per_lambda(index, queries, qrels, grid, cutoff=cutoff)
             assert fast == slow, (seed, cutoff)
 
 

@@ -206,6 +206,17 @@ def test_stage_error_names_failing_stage(data_dir, tmp_path):
     assert err.value.stage == "load-data"
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_divergent_reranker_stops_at_its_stage(data_dir, tmp_path):
+    # on this corpus lr 5.0 overflows the attention logits within ten steps
+    cfg = _config(data_dir, tmp_path / "w", training_source="bm25",
+                  reranker=RerankTrainConfig(steps=20, batch_size=4, learning_rate=5.0))
+    with pytest.raises(StageError, match=r"loss is (nan|-?inf) at step") as err:
+        run_experiment(cfg)
+    assert err.value.stage == "train-reranker"
+    assert not (tmp_path / "w" / "reranker_bm25.npz").exists()
+
+
 def test_supervised_training_needs_matching_qrels(data_dir, tmp_path):
     orphan = tmp_path / "orphan_qrels.txt"
     orphan.write_text("qzzz 0 p00000 1\n")

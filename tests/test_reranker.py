@@ -442,6 +442,15 @@ def test_train_output_is_float64():
         assert getattr(out, name).dtype == np.float64
 
 
+def test_train_stops_on_non_finite_loss():
+    corpus, queries, lists = _toy_corpus_and_lists()
+    init = init_reranker(VOCAB, DIM, seed=2)
+    init.readout[0] = np.nan
+    cfg = RerankTrainConfig(steps=5, vocab_size=VOCAB, dim=DIM, seed=2)
+    with pytest.raises(ValueError, match="step 1"):
+        train_reranker(lists, queries, corpus, cfg, init=init)
+
+
 def test_train_empty_lists_rejected():
     corpus, queries, _ = _toy_corpus_and_lists()
     with pytest.raises(ValueError):
