@@ -11,10 +11,9 @@ from hybridrank.reranker import (
     RerankTrainConfig,
     RerankerParams,
     SamplingWindow,
+    _ListBatch,
     _batch_loss_grad,
-    _list_loss_grad,
     _prepare_lists,
-    _scatter_subtract,
     _stack_lists,
     build_candidate_lists,
     evaluate_loss,
@@ -294,18 +293,72 @@ def _toy_corpus_and_lists(n_lists=5, n_items=4, seed=0):
     return corpus, queries, lists
 
 
+def _dense_forward_list(params, qtok, pidx, pmask):
+    """Per-position reference forward pass for one list: V and A V are formed
+    for every token position, as the model is written."""
+    e_q = params.embeddings[qtok]                     # (Lq, d)
+    q = e_q @ params.w_q
+    e_p = params.embeddings[pidx]                     # (n, P, d)
+    k = e_p @ params.w_k
+    v = e_p @ params.w_v
+    z = np.einsum("qd,npd->nqp", q, k) / math.sqrt(params.dim)
+    z = np.where(pmask[:, None, :], z, -1e30)
+    z -= z.max(axis=2, keepdims=True)
+    a = np.exp(z)
+    a /= a.sum(axis=2, keepdims=True)                 # (n, Lq, P)
+    pooled = np.einsum("nqp,npd->nd", a, v) / qtok.size
+    scores = pooled @ params.readout + params.bias
+    return scores, (e_q, q, e_p, k, v, a, pooled)
+
+
+def _dense_list_loss_grad(params, qtok, pidx, pmask, labels):
+    """Per-position reference loss and gradients for one list; the embedding
+    gradient is dense, (vocab, d)."""
+    scores, (e_q, q, e_p, k, v, a, pooled) = _dense_forward_list(
+        params, qtok, pidx, pmask)
+    loss, g = listwise_loss_grad(scores, labels)
+    lq = qtok.size
+    scale = math.sqrt(params.dim)
+    dpooled = g[:, None] * params.readout[None, :] / lq          # (n, d)
+    da = np.einsum("nd,npd->np", dpooled, v)                     # (n, P)
+    dv = a.sum(axis=1)[:, :, None] * dpooled[:, None, :]         # (n, P, d)
+    inner = np.einsum("nqp,np->nq", a, da)
+    dz = a * (da[:, None, :] - inner[:, :, None])                # (n, Lq, P)
+    dq = np.einsum("nqp,npd->qd", dz, k) / scale
+    dk = np.einsum("nqp,qd->npd", dz, q) / scale
+    emb = np.zeros_like(params.embeddings)
+    np.add.at(emb, qtok, dq @ params.w_q.T)
+    de_p = dk @ params.w_k.T + dv @ params.w_v.T
+    np.add.at(emb, pidx[pmask], de_p[pmask])
+    grads = {"w_q": e_q.T @ dq,
+             "w_k": np.einsum("npd,npe->de", e_p, dk),
+             "w_v": np.einsum("npd,npe->de", e_p, dv),
+             "readout": pooled.T @ g, "bias": float(g.sum()), "emb": emb}
+    return loss, grads
+
+
+def _dense_embedding_grad(params, grads):
+    emb = np.zeros_like(params.embeddings)
+    np.add.at(emb, grads["emb_idx"], grads["emb_rows"])
+    return emb
+
+
 def test_full_objective_gradient_matches_finite_differences():
-    corpus, queries, lists = _toy_corpus_and_lists(n_lists=2, seed=3)
+    # one list, then a stack of three
+    for n_lists in (1, 3):
+        _check_gradient_by_finite_differences(n_lists)
+
+
+def _check_gradient_by_finite_differences(n_lists):
+    corpus, queries, lists = _toy_corpus_and_lists(n_lists=max(2, n_lists), seed=3)
     params = _random_params(7)
-    batches = _prepare_lists(lists, queries, corpus, 64, 512, VOCAB)
-    b = batches[0]
-    loss, grads = _list_loss_grad(params, b.qtok, b.pidx, b.pmask, b.labels)
+    batches = _prepare_lists(lists, queries, corpus, 64, 512, VOCAB)[:n_lists]
+    stacked = _stack_lists(batches)
+    _, grads = _batch_loss_grad(params, *stacked)
     h = 1e-4
 
-    def loss_at(p):
-        from hybridrank.reranker import _forward_list
-        scores, _ = _forward_list(p, b.qtok, b.pidx, b.pmask)
-        return listwise_loss(scores, b.labels)
+    def loss_at(p):  # summed over lists, as the gradients are
+        return _batch_loss_grad(p, *stacked, need_embedding_grads=False)[0] * n_lists
 
     for name in ("w_q", "w_k", "w_v"):
         g = grads[name]
@@ -332,10 +385,11 @@ def test_full_objective_gradient_matches_finite_differences():
         denom = max(abs(fd), abs(grads["readout"][j]), 1e-8)
         assert abs(fd - grads["readout"][j]) / denom <= 1e-3
 
-    # embedding rows, via the sparse (idx, rows) representation
-    dense = np.zeros_like(params.embeddings)
-    np.add.at(dense, grads["emb_idx"], grads["emb_rows"])
-    touched = np.unique(grads["emb_idx"])[:4]
+    # embedding rows, via the sparse (idx, rows) representation; probe the
+    # smallest ids among the batch's real query and passage tokens
+    dense = _dense_embedding_grad(params, grads)
+    touched = np.unique(np.concatenate(
+        [t for b in batches for t in (b.qtok, b.pidx[b.pmask])]))[:4]
     for t in touched:
         for j in range(0, DIM, 3):
             p2 = params.copy()
@@ -352,43 +406,76 @@ def test_full_objective_gradient_matches_finite_differences():
     assert grads["bias"] == pytest.approx(0.0, abs=1e-12)
 
 
-def test_batched_gradient_equals_per_list_sum():
+def _token_sharing_batches():
+    """Hand-built lists over ids 0..11 (0 is also the padding id): a token
+    repeated within a passage, tokens shared across passages and lists, query
+    tokens that also occur in passages, a real id 0, lists of unequal item
+    count and width, queries of unequal length and a one-item list."""
+    spec = [
+        ([3, 0, 5], [[3, 3, 7, 0], [1, 2], [0, 5, 9, 9, 11]], [1, 0, 0]),
+        ([7], [[4, 7, 4]], [1]),
+        ([2, 8, 8, 1, 0], [[8], [2, 3], [6, 0, 6], [10, 1, 5, 2, 2, 4]], [0, 2, 1, 0]),
+    ]
+    batches = []
+    for qtok, ptoks, labels in spec:
+        width = max(len(t) for t in ptoks)
+        pidx = np.zeros((len(ptoks), width), dtype=np.int64)
+        pmask = np.zeros((len(ptoks), width), dtype=bool)
+        for i, t in enumerate(ptoks):
+            pidx[i, :len(t)] = t
+            pmask[i, :len(t)] = True
+        batches.append(_ListBatch(np.asarray(qtok, dtype=np.int64), pidx, pmask,
+                                  np.asarray(labels, dtype=np.float64)))
+    return batches
+
+
+def _toy_batches():
     corpus, queries, lists = _toy_corpus_and_lists(n_lists=6, n_items=5, seed=5)
+    return _prepare_lists(lists, queries, corpus, 64, 512, VOCAB)
+
+
+def test_batched_gradient_equals_per_list_sum():
+    for batches in (_toy_batches(), _token_sharing_batches()):
+        _check_batch_equals_dense_reference(batches)
+
+
+def _check_batch_equals_dense_reference(batches):
     params = _random_params(8)
-    batches = _prepare_lists(lists, queries, corpus, 64, 512, VOCAB)
 
     losses = []
     acc = None
     for b in batches:
-        loss, g = _list_loss_grad(params, b.qtok, b.pidx, b.pmask, b.labels)
+        loss, g = _dense_list_loss_grad(params, b.qtok, b.pidx, b.pmask, b.labels)
         losses.append(loss)
-        dense = np.zeros_like(params.embeddings)
-        np.add.at(dense, g["emb_idx"], g["emb_rows"])
-        cur = {k: np.array(g[k]) for k in ("w_q", "w_k", "w_v", "readout")}
-        cur["emb"] = dense
+        cur = {k: np.array(g[k]) for k in ("w_q", "w_k", "w_v", "readout", "emb")}
         acc = cur if acc is None else {k: acc[k] + cur[k] for k in cur}
 
-    fused_loss, fused = _batch_loss_grad(params, *_stack_lists(batches))
+    stacked = _stack_lists(batches)
+    fused_loss, fused = _batch_loss_grad(params, *stacked)
     assert fused_loss == pytest.approx(np.mean(losses), rel=1e-12)
-    femb = np.zeros_like(params.embeddings)
-    np.add.at(femb, fused["emb_idx"], fused["emb_rows"])
-    for k in ("w_q", "w_k", "w_v", "readout"):
+    fused["emb"] = _dense_embedding_grad(params, fused)
+    for k in ("w_q", "w_k", "w_v", "readout", "emb"):
         scale = max(np.max(np.abs(acc[k])), 1e-12)
         assert np.max(np.abs(acc[k] - fused[k])) / scale <= 1e-12
-    scale = max(np.max(np.abs(acc["emb"])), 1e-12)
-    assert np.max(np.abs(acc["emb"] - femb)) / scale <= 1e-12
+    # one row per distinct token id of the batch, so a fancy-indexed update is exact
+    qidx, _, pidx = stacked[:3]
+    assert np.array_equal(fused["emb_idx"],
+                          np.unique(np.concatenate([qidx.ravel(), pidx.ravel()])))
+
+    _, no_emb = _batch_loss_grad(params, *stacked, need_embedding_grads=False)
+    assert "emb_idx" not in no_emb and "emb_rows" not in no_emb
+    for k in ("w_q", "w_k", "w_v", "readout"):
+        assert np.array_equal(no_emb[k], fused[k])
+    assert no_emb["bias"] == fused["bias"]
 
 
-def test_scatter_subtract_accumulates_duplicates():
-    rng = np.random.default_rng(0)
-    for _ in range(5):
-        table = rng.normal(size=(30, 4))
-        expect = table.copy()
-        idx = rng.integers(0, 30, size=50)
-        rows = rng.normal(size=(50, 4))
-        np.subtract.at(expect, idx, rows)
-        _scatter_subtract(table, idx, rows)
-        assert np.allclose(table, expect, atol=1e-12)
+def test_scores_equal_dense_reference():
+    params = _random_params(9)
+    for b in _token_sharing_batches() + _toy_batches():
+        dense, _ = _dense_forward_list(params, b.qtok, b.pidx, b.pmask)
+        ptoks = [row[m] for row, m in zip(b.pidx, b.pmask)]
+        fused = score_list(params, b.qtok, ptoks)
+        assert np.max(np.abs(fused - dense)) <= 1e-12 * max(np.max(np.abs(dense)), 1.0)
 
 
 # ---------------------------------------------------------------- training
@@ -401,6 +488,29 @@ def test_train_zero_steps_returns_init_unchanged():
     assert np.array_equal(out.embeddings, init.embeddings)
     assert np.array_equal(out.w_q, init.w_q)
     assert out.bias == init.bias
+
+
+def test_one_training_step_is_sgd_on_the_reference_gradient():
+    # one step over all lists with a constant rate: every parameter, each
+    # embedding row included, moves by -lr/B times the summed dense gradient
+    corpus, queries, lists = _toy_corpus_and_lists(n_lists=4, seed=6)
+    init = _random_params(5)
+    lr = 1.0
+    cfg = RerankTrainConfig(steps=1, batch_size=4, learning_rate=lr,
+                            lr_schedule="constant", vocab_size=VOCAB, dim=DIM, seed=5)
+    out = train_reranker(lists, queries, corpus, cfg, init=init)
+    acc = None
+    for b in _prepare_lists(lists, queries, corpus, 64, 512, VOCAB):
+        _, g = _dense_list_loss_grad(init, b.qtok, b.pidx, b.pmask, b.labels)
+        acc = g if acc is None else {k: acc[k] + g[k] for k in acc}
+    for name, key in (("embeddings", "emb"), ("w_q", "w_q"), ("w_k", "w_k"),
+                      ("w_v", "w_v"), ("readout", "readout")):
+        step = lr / 4 * acc[key]
+        assert np.max(np.abs(step)) > 1e-4
+        # training runs in float32
+        assert np.allclose(getattr(out, name), getattr(init, name) - step,
+                           rtol=0, atol=1e-6)
+    assert out.bias == pytest.approx(init.bias - lr / 4 * acc["bias"], abs=1e-6)
 
 
 def test_train_deterministic():
