@@ -47,15 +47,6 @@ class Bm25Params:
             raise ValueError(f"b must be in [0, 1], got {self.b}")
 
 
-# "default" matches the hybrid configuration; the anserini presets are the
-# conventional standalone-baseline settings for the two benchmark families.
-PARAM_PRESETS = {
-    "default": Bm25Params(k=0.9, b=0.8),
-    "msmarco-anserini": Bm25Params(k=0.82, b=0.68),
-    "beir-anserini": Bm25Params(k=0.9, b=0.4),
-}
-
-
 @dataclass
 class Bm25Stats:
     """Collection statistics: document count, per-term IDF and length info."""
@@ -75,19 +66,14 @@ def _passage_counts(passage: Passage, vocab_size: int, max_length: int) -> Count
 def compute_stats(corpus: Corpus, vocab_size: int = DEFAULT_VOCAB_SIZE,
                   max_length: int = DEFAULT_PASSAGE_LENGTH) -> Bm25Stats:
     """IDF, average length and per-passage lengths over a nonempty corpus."""
-    counts = [_passage_counts(p, vocab_size, max_length) for p in corpus]
-    return _stats_from_counts(corpus.ids(), counts, vocab_size, max_length)
-
-
-def _stats_from_counts(ids: list[str], counts: list[Counter], vocab_size: int,
-                       max_length: int) -> Bm25Stats:
-    if not counts:
+    n = len(corpus)
+    if n == 0:
         raise ValueError("cannot compute BM25 statistics over an empty corpus")
-    n = len(counts)
     df: Counter = Counter()
     lengths: dict[str, int] = {}
-    for pid, c in zip(ids, counts):
-        lengths[pid] = sum(c.values())
+    for p in corpus:
+        c = _passage_counts(p, vocab_size, max_length)
+        lengths[p.id] = sum(c.values())
         df.update(c.keys())
     idf = {t: log((n - d + 0.5) / (d + 0.5) + 1.0) for t, d in df.items()}
     avg_length = sum(lengths.values()) / n
@@ -97,11 +83,7 @@ def _stats_from_counts(ids: list[str], counts: list[Counter], vocab_size: int,
 
 def encode_passage(passage: Passage, stats: Bm25Stats, params: Bm25Params) -> SparseVector:
     """Sparse passage vector whose dot product with a query vector is BM25."""
-    return _passage_vector(_passage_counts(passage, stats.vocab_size, stats.max_length),
-                           stats, params)
-
-
-def _passage_vector(counts: Counter, stats: Bm25Stats, params: Bm25Params) -> SparseVector:
+    counts = _passage_counts(passage, stats.vocab_size, stats.max_length)
     m = sum(counts.values())
     if m == 0:
         return {}
@@ -131,29 +113,50 @@ def dot(a: SparseVector, b: SparseVector) -> float:
 
 
 class Bm25Index:
-    """Inverted index over BM25 passage vectors."""
+    """Inverted index over BM25 passage vectors, in the CSR form ``save_index`` writes.
+
+    Term ``terms[i]`` (ascending) posts to the passages at corpus positions
+    ``positions[indptr[i]:indptr[i + 1]]`` (ascending) with the matching
+    ``weights``; the weights are ``encode_passage``'s, bit for bit.
+    """
 
     def __init__(self, corpus: Corpus, params: Bm25Params | None = None,
                  vocab_size: int = DEFAULT_VOCAB_SIZE,
                  max_length: int = DEFAULT_PASSAGE_LENGTH,
                  query_max_length: int = DEFAULT_QUERY_LENGTH):
         params = params or Bm25Params()
-        # each passage is tokenized once, for both the statistics and its vector
-        counts = [_passage_counts(p, vocab_size, max_length) for p in corpus]
-        stats = _stats_from_counts(corpus.ids(), counts, vocab_size, max_length)
-        postings: dict[int, tuple[list[int], list[float]]] = {}
-        for pos, c in enumerate(counts):
-            vec = _passage_vector(c, stats, params)
-            for t, w in vec.items():
-                slot = postings.setdefault(t, ([], []))
-                slot[0].append(pos)
-                slot[1].append(w)
+        n = len(corpus)
+        if n == 0:
+            raise ValueError("cannot compute BM25 statistics over an empty corpus")
+        store = corpus.token_store(vocab_size, max_length)
+        lengths = np.diff(store.indptr)
+        # one (passage, term, count) per distinct term of a passage, by passage
+        keys, cnt = np.unique(np.repeat(np.arange(n), lengths) * vocab_size + store.ids,
+                              return_counts=True)
+        doc, term = np.divmod(keys, vocab_size)
+        df = np.bincount(term, minlength=vocab_size)
+        present = np.flatnonzero(df)
+        idf = [log((n - d + 0.5) / (d + 0.5) + 1.0) for d in df[present].tolist()]
+        stats = Bm25Stats(doc_count=n, idf=dict(zip(present.tolist(), idf)),
+                          avg_length=int(lengths.sum()) / n,
+                          lengths=dict(zip(corpus.ids(), lengths.tolist())),
+                          vocab_size=vocab_size, max_length=max_length)
+        # encode_passage's operations in its order, so the weights are its bits
+        idf_of = np.zeros(vocab_size, dtype=np.float64)
+        idf_of[present] = idf
+        norm = params.k * (1.0 - params.b + params.b * lengths / stats.avg_length)
+        cnt = cnt.astype(np.float64)
+        w = idf_of[term] * cnt * (params.k + 1.0) / (cnt + norm[doc])
+        keep = w != 0.0
+        order = np.argsort(term[keep], kind="stable")  # by term, then passage
+        self.terms, per_term = np.unique(term[keep], return_counts=True)
+        self.indptr = np.concatenate([[0], np.cumsum(per_term)]).astype(np.int64)
+        self.positions = doc[keep][order]
+        self.weights = w[keep][order]
         self.params = params
         self.stats = stats
         self.query_max_length = query_max_length
         self.ids = corpus.ids()
-        self.postings = {t: (np.asarray(ps, dtype=np.int64), np.asarray(ws, dtype=np.float64))
-                         for t, (ps, ws) in postings.items()}
         self.id_rank = corpus.id_rank
 
     def __len__(self) -> int:
@@ -164,13 +167,14 @@ class Bm25Index:
         qvec = encode_query(query, self.stats.vocab_size, self.query_max_length)
         scores = np.zeros(len(self.ids), dtype=np.float64)
         matched = np.zeros(len(self.ids), dtype=bool)
-        for t in sorted(qvec):
-            slot = self.postings.get(t)
-            if slot is None:
+        # ascending term order, so scores do not depend on the query's word order
+        terms = sorted(qvec)
+        for t, i in zip(terms, np.searchsorted(self.terms, terms).tolist()):
+            if i == len(self.terms) or self.terms[i] != t:
                 continue
-            positions, weights = slot
-            scores[positions] += qvec[t] * weights
-            matched[positions] = True
+            row = slice(self.indptr[i], self.indptr[i + 1])
+            scores[self.positions[row]] += qvec[t] * self.weights[row]
+            matched[self.positions[row]] = True
         return scores, matched
 
 
@@ -188,15 +192,6 @@ def retrieve(index: Bm25Index, query: Query, k_results: int) -> CandidateList:
 
 def save_index(index: Bm25Index, path) -> None:
     """Persist the index so reloaded scoring is bit-for-bit identical."""
-    terms = sorted(index.postings)
-    indptr = [0]
-    positions: list[np.ndarray] = []
-    weights: list[np.ndarray] = []
-    for t in terms:
-        ps, ws = index.postings[t]
-        positions.append(ps)
-        weights.append(ws)
-        indptr.append(indptr[-1] + len(ps))
     idf_terms = sorted(index.stats.idf)
     header = {
         "format": INDEX_FORMAT,
@@ -211,11 +206,8 @@ def save_index(index: Bm25Index, path) -> None:
         "lengths": [index.stats.lengths[i] for i in index.ids],
     }
     deterministic_savez(
-        path, header,
-        terms=np.asarray(terms, dtype=np.int64),
-        indptr=np.asarray(indptr, dtype=np.int64),
-        positions=(np.concatenate(positions) if positions else np.empty(0, dtype=np.int64)),
-        weights=(np.concatenate(weights) if weights else np.empty(0, dtype=np.float64)),
+        path, header, terms=index.terms, indptr=index.indptr,
+        positions=index.positions, weights=index.weights,
         idf_terms=np.asarray(idf_terms, dtype=np.int64),
         idf_values=np.asarray([index.stats.idf[t] for t in idf_terms], dtype=np.float64),
     )
@@ -235,13 +227,9 @@ def load_index(path) -> Bm25Index:
     )
     index.query_max_length = header["query_max_length"]
     index.ids = list(header["ids"])
-    terms = data["terms"].tolist()
-    indptr = data["indptr"]
-    positions = data["positions"]
-    weights = data["weights"]
-    index.postings = {
-        t: (positions[indptr[i]:indptr[i + 1]].copy(), weights[indptr[i]:indptr[i + 1]].copy())
-        for i, t in enumerate(terms)
-    }
+    index.terms = data["terms"]
+    index.indptr = data["indptr"]
+    index.positions = data["positions"]
+    index.weights = data["weights"]
     index.id_rank = id_rank(index.ids)
     return index

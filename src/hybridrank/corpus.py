@@ -4,6 +4,14 @@ Formats:
     corpus   JSONL, one object per line: {"id": ..., "title": ..., "text": ...}
     queries  TSV: id<TAB>text
     qrels    TREC style, whitespace separated: qid 0 docid grade
+
+Passage tokens live in one place.  ``Corpus.token_store(vocab_size,
+max_length)`` tokenizes every passage's ``encoding_text()`` with ``tokenize``
+on the first call for that (vocab_size, max_length) key and caches the
+result: one read-only CSR store per key and corpus.  The BM25 index, the dual
+encoder's ``encode_corpus`` and the reranker read slices of it.  Text outside
+a corpus is tokenized where it is used: queries, the dual encoder's training
+pairs, and the reference ``bm25.compute_stats``/``encode_passage``.
 """
 
 from __future__ import annotations
@@ -13,6 +21,7 @@ import json
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -83,6 +92,22 @@ def tokenize(text: str, vocab_size: int = DEFAULT_VOCAB_SIZE,
     return TokenSequence(tokens=tokens, original_length=len(words))
 
 
+@dataclass(frozen=True, eq=False)
+class TokenStore:
+    """Token ids of every passage of a corpus, CSR by corpus position.
+
+    ``store[i]``, that is ``ids[indptr[i]:indptr[i + 1]]``, holds
+    ``tokenize(corpus[i].encoding_text(), vocab_size, max_length).tokens``.
+    Both arrays are read-only.
+    """
+
+    indptr: np.ndarray  # (n_passages + 1,) int64
+    ids: np.ndarray     # (total tokens,) int32
+
+    def __getitem__(self, pos: int) -> np.ndarray:
+        return self.ids[self.indptr[pos]:self.indptr[pos + 1]]
+
+
 class Corpus:
     """Ordered passage collection with unique, nonempty ids.
 
@@ -101,6 +126,7 @@ class Corpus:
                 raise ValueError(f"duplicate passage id {p.id!r}")
             self._index[p.id] = pos
         self.passages = list(passages)
+        self._token_stores: dict[tuple[int, int], TokenStore] = {}
 
     def __len__(self) -> int:
         return len(self.passages)
@@ -115,13 +141,13 @@ class Corpus:
         return passage_id in self._index
 
     def get(self, passage_id: str) -> Passage:
-        try:
-            return self.passages[self._index[passage_id]]
-        except KeyError:
-            raise KeyError(f"unknown passage id {passage_id!r}") from None
+        return self.passages[self.position(passage_id)]
 
     def position(self, passage_id: str) -> int:
-        return self._index[passage_id]
+        try:
+            return self._index[passage_id]
+        except KeyError:
+            raise KeyError(f"unknown passage id {passage_id!r}") from None
 
     def ids(self) -> list[str]:
         return [p.id for p in self.passages]
@@ -132,6 +158,22 @@ class Corpus:
         rank = id_rank(self.ids())
         rank.flags.writeable = False
         return rank
+
+    def token_store(self, vocab_size: int, max_length: int) -> TokenStore:
+        """Every passage tokenized once per (vocab_size, max_length), then cached."""
+        key = (vocab_size, max_length)
+        store = self._token_stores.get(key)
+        if store is None:
+            seqs = [tokenize(p.encoding_text(), vocab_size, max_length).tokens
+                    for p in self.passages]
+            indptr = np.zeros(len(seqs) + 1, dtype=np.int64)
+            indptr[1:] = np.cumsum([len(s) for s in seqs], dtype=np.int64)
+            ids = np.fromiter(chain.from_iterable(seqs), dtype=np.int32,
+                              count=int(indptr[-1]))
+            indptr.flags.writeable = False
+            ids.flags.writeable = False
+            store = self._token_stores[key] = TokenStore(indptr, ids)
+        return store
 
 
 class QrelSet:

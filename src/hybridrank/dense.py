@@ -114,9 +114,12 @@ def normalize_rows(matrix: np.ndarray) -> np.ndarray:
 def encode_corpus(params: EncoderParams, corpus: Corpus,
                   max_length: int = DEFAULT_PASSAGE_LENGTH) -> np.ndarray:
     """(n_passages, dim) matrix of mean-pooled passage encodings, corpus order."""
+    store = corpus.token_store(params.vocab_size, max_length)
     out = np.zeros((len(corpus), params.dim), dtype=np.float64)
-    for i, p in enumerate(corpus):
-        out[i] = encode(params, tokenize(p.encoding_text(), params.vocab_size, max_length))
+    for i in range(len(corpus)):
+        row = store[i]
+        if row.size:
+            out[i] = params.embeddings[row].mean(axis=0)
     return out
 
 

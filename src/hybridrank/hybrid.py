@@ -52,7 +52,6 @@ class HybridIndex:
         self.dense_rows = dense_rows
         self.lam = float(lam)
         self.ids = bm25_index.ids
-        self._pos = {pid: i for i, pid in enumerate(self.ids)}
 
     @classmethod
     def from_corpus(cls, corpus: Corpus, encoder: EncoderParams,
@@ -82,16 +81,6 @@ class HybridIndex:
         bm25_scores, _ = self.bm25.scores(query)
         cos = self.dense_rows @ self.query_direction(query)
         return bm25_scores, cos
-
-
-def hybrid_score(index: HybridIndex, query: Query, passage_id: str) -> float:
-    """bm25 + lam * cosine for one passage; unknown ids raise KeyError."""
-    if passage_id not in index._pos:
-        raise KeyError(f"unknown passage id {passage_id!r}")
-    pos = index._pos[passage_id]
-    bm25_scores, _ = index.bm25.scores(query)
-    cos = float(index.dense_rows[pos] @ index.query_direction(query))
-    return float(bm25_scores[pos]) + index.lam * cos
 
 
 def hybrid_retrieve(index: HybridIndex, query: Query, k_results: int) -> CandidateList:

@@ -159,38 +159,3 @@ def iterative_train(corpus: Corpus, gen_config: QgenConfig,
     report = {"before": len(pairs), "after": len(survivors),
               "kept_ratio": len(survivors) / len(pairs)}
     return de0, de1, report
-
-
-def save_pairs(pairs: list[SyntheticPair], path) -> None:
-    """TSV rows "query_text<TAB>source_passage_id"."""
-    with open(path, "w", encoding="utf-8") as f:
-        for p in pairs:
-            if "\t" in p.query.text or "\n" in p.query.text:
-                raise ValueError(f"query text may not contain tabs/newlines: "
-                                 f"{p.query.text!r}")
-            f.write(f"{p.query.text}\t{p.source_passage_id}\n")
-
-
-def load_pairs(path, corpus: Corpus | None = None) -> list[SyntheticPair]:
-    """Read the TSV pair format; query ids are regenerated per source passage."""
-    pairs: list[SyntheticPair] = []
-    counts: dict[str, int] = {}
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            if "\t" not in line:
-                raise ValueError(f"{path}: line {lineno}: expected TAB-separated "
-                                 f"query and passage id")
-            text, pid = line.split("\t", 1)
-            if not text.strip():
-                raise ValueError(f"{path}: line {lineno}: empty query text")
-            if corpus is not None and pid not in corpus:
-                raise ValueError(f"{path}: line {lineno}: unknown passage id {pid!r}")
-            j = counts.get(pid, 0)
-            counts[pid] = j + 1
-            pairs.append(SyntheticPair(query=Query(id=f"{pid}-q{j}", text=text),
-                                       source_passage_id=pid))
-    return pairs
-

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import DEFAULT_PASSAGE_LENGTH, DEFAULT_QUERY_LENGTH, DEFAULT_VOCAB_SIZE, \
-    Corpus, QrelSet, Query, TokenSequence, tokenize
+    Corpus, QrelSet, Query, TokenSequence, TokenStore, tokenize
 from .dense import DEFAULT_DIM, INIT_SCALE
 from .evaluation import RunFile
 from .npzio import deterministic_savez, load_npz
@@ -84,8 +84,6 @@ class RerankTrainConfig:
     steps: int = 2000
     batch_size: int = 8
     learning_rate: float = 0.05
-    lr_schedule: str = "linear"
-    update_embeddings: bool = True
     seed: int = 0
     vocab_size: int = DEFAULT_VOCAB_SIZE
     dim: int = DEFAULT_DIM
@@ -99,10 +97,6 @@ class RerankTrainConfig:
             raise ValueError("batch_size must be >= 1")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be > 0")
-        if self.lr_schedule not in ("constant", "linear"):
-            raise ValueError(
-                f"lr_schedule must be 'constant' or 'linear', got "
-                f"{self.lr_schedule!r}")
 
 
 def init_reranker(vocab_size: int = DEFAULT_VOCAB_SIZE, dim: int = DEFAULT_DIM,
@@ -282,7 +276,7 @@ def _forward(params: RerankerParams, qidx, qmask, pidx, pmask):
 
 
 def _batch_loss_grad(params: RerankerParams, qidx, qmask, pidx, pmask, imask,
-                     labels, need_embedding_grads: bool = True):
+                     labels):
     """Mean loss over a stacked batch of lists plus summed gradients.
 
     Works per distinct token of the batch (see the module docstring):
@@ -330,52 +324,42 @@ def _batch_loss_grad(params: RerankerParams, qidx, qmask, pidx, pmask, imask,
     dw_q = e_q.T @ dq
     dw_k = e_u.T @ dk_u
 
-    grads = {"w_q": dw_q, "w_k": dw_k, "w_v": dw_v,
-             "readout": dreadout, "bias": float(g.sum())}
-    if need_embedding_grads:
-        de_u = dk_u @ params.w_k.T + np.outer(c, w)
-        real = qmask.ravel()
-        np.add.at(de_u, inv_q[real], dq[real] @ params.w_q.T)
-        grads["emb_idx"] = uniq
-        grads["emb_rows"] = de_u
+    de_u = dk_u @ params.w_k.T + np.outer(c, w)
+    real = qmask.ravel()
+    np.add.at(de_u, inv_q[real], dq[real] @ params.w_q.T)
+    grads = {"w_q": dw_q, "w_k": dw_k, "w_v": dw_v, "readout": dreadout,
+             "bias": float(g.sum()), "emb_idx": uniq, "emb_rows": de_u}
     return float(losses.mean()), grads
 
 
-def _token_ids(text: str, vocab_size: int, max_length: int, what: str) -> np.ndarray:
-    """int64 token ids of ``text``; ValueError naming ``what`` when empty."""
-    tok = np.asarray(tokenize(text, vocab_size, max_length).tokens, dtype=np.int64)
+def _token_ids(query: Query, vocab_size: int, max_length: int) -> np.ndarray:
+    """int64 token ids of a query; ValueError naming it when empty."""
+    tok = np.asarray(tokenize(query.text, vocab_size, max_length).tokens, dtype=np.int64)
     if tok.size == 0:
-        raise ValueError(f"{what} has no tokens")
+        raise ValueError(f"query {query.id!r} has no tokens")
     return tok
 
 
-def _passage_token_ids(corpus: Corpus, passage_ids, cache: dict[str, np.ndarray],
-                       vocab_size: int, max_length: int) -> list[np.ndarray]:
-    """Token ids per passage id, tokenized once per ``cache``."""
-    out = []
-    for pid in passage_ids:
-        tok = cache.get(pid)
-        if tok is None:
-            tok = cache[pid] = _token_ids(corpus.get(pid).encoding_text(), vocab_size,
-                                          max_length, f"passage {pid!r}")
-        out.append(tok)
-    return out
+def _passage_rows(store: TokenStore, corpus: Corpus, passage_ids) -> list[np.ndarray]:
+    """Each passage's token ids, sliced from ``store``; ValueError naming an empty one."""
+    rows = [store[corpus.position(pid)] for pid in passage_ids]
+    for pid, row in zip(passage_ids, rows):
+        if row.size == 0:
+            raise ValueError(f"passage {pid!r} has no tokens")
+    return rows
 
 
 def _prepare_lists(lists: list[CandidateList], queries: list[Query], corpus: Corpus,
                    query_max_length: int, passage_max_length: int,
                    vocab_size: int) -> list[_ListBatch]:
     by_id = {q.id: q for q in queries}
-    ptok_cache: dict[str, np.ndarray] = {}
+    store = corpus.token_store(vocab_size, passage_max_length)
     out = []
     for cl in lists:
         if cl.query_id not in by_id:
             raise KeyError(f"no query text for query id {cl.query_id!r}")
-        qtok = _token_ids(by_id[cl.query_id].text, vocab_size, query_max_length,
-                          f"query {cl.query_id!r}")
-        ptoks = _passage_token_ids(corpus, cl.passage_ids(), ptok_cache, vocab_size,
-                                   passage_max_length)
-        pidx, pmask = _pad_passages(ptoks)
+        qtok = _token_ids(by_id[cl.query_id], vocab_size, query_max_length)
+        pidx, pmask = _pad_passages(_passage_rows(store, corpus, cl.passage_ids()))
         labels = np.asarray([it.label for it in cl.items], dtype=np.float64)
         out.append(_ListBatch(qtok, pidx, pmask, labels))
     return out
@@ -427,22 +411,17 @@ def train_reranker(lists: list[CandidateList], queries: list[Query], corpus: Cor
         take = order[cursor:cursor + config.batch_size]
         cursor += config.batch_size
         stacked = _stack_lists([batches[i] for i in take])
-        loss, grads = _batch_loss_grad(
-            work, *stacked, need_embedding_grads=config.update_embeddings)
+        loss, grads = _batch_loss_grad(work, *stacked)
         if not math.isfinite(loss):
             raise ValueError(f"reranker loss is {loss} at step {step + 1}")
-        if config.lr_schedule == "linear":
-            step_lr = lr * (1.0 - step / config.steps)
-        else:
-            step_lr = lr
+        step_lr = lr * (1.0 - step / config.steps)
         frac = np.float32(step_lr / take.size)  # grads are sums over the batch
         work.w_q -= frac * grads["w_q"]
         work.w_k -= frac * grads["w_k"]
         work.w_v -= frac * grads["w_v"]
         work.readout -= frac * grads["readout"]
         work.bias -= float(frac * grads["bias"])
-        if config.update_embeddings:
-            work.embeddings[grads["emb_idx"]] -= frac * grads["emb_rows"]
+        work.embeddings[grads["emb_idx"]] -= frac * grads["emb_rows"]
     return _with_dtype(work, np.float64)
 
 
@@ -519,7 +498,7 @@ def rerank(params: RerankerParams, run: RunFile, queries: list[Query],
     if top_k < 1:
         raise ValueError(f"top_k must be >= 1, got {top_k}")
     by_id = {q.id: q for q in queries}
-    ptok_cache: dict[str, np.ndarray] = {}
+    store = corpus.token_store(params.vocab_size, passage_max_length)
     rankings: dict[str, list[tuple[str, float]]] = {}
     for qid, ranking in run.rankings.items():
         if qid not in by_id:
@@ -529,11 +508,9 @@ def rerank(params: RerankerParams, run: RunFile, queries: list[Query],
         if not block:  # nothing retrieved, nothing to rescore
             rankings[qid] = []
             continue
-        qtok = _token_ids(by_id[qid].text, params.vocab_size, query_max_length,
-                          f"query {qid!r}")
-        ptoks = _passage_token_ids(corpus, [pid for pid, _ in block], ptok_cache,
-                                   params.vocab_size, passage_max_length)
-        scores = score_list(params, qtok, ptoks)
+        qtok = _token_ids(by_id[qid], params.vocab_size, query_max_length)
+        scores = score_list(params, qtok,
+                            _passage_rows(store, corpus, [pid for pid, _ in block]))
         order = sorted(range(len(block)),
                        key=lambda i: (-scores[i], i, block[i][0]))
         new_ranking = [(block[i][0], float(scores[i])) for i in order]

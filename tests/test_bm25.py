@@ -3,10 +3,10 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from hybridrank.bm25 import (
-    PARAM_PRESETS,
     Bm25Index,
     Bm25Params,
     Bm25Stats,
@@ -225,6 +225,8 @@ def test_retrieve_matches_bruteforce_oracle():
         assert [it.passage_id for it in got.items] == [pid for pid, _ in brute[:25]]
         for it, (_, s) in zip(got.items, brute):
             assert it.score == s  # bitwise: same summation order
+        scores, _ = index.scores(q)
+        assert scores.tolist() == [dot(qvec, vecs[p.id]) for p in corpus]
 
 
 def test_retrieve_fewer_matches_than_k():
@@ -241,12 +243,6 @@ def test_retrieve_rejects_bad_k():
 
 # ---------------------------------------------------------------- params
 
-def test_param_presets():
-    assert PARAM_PRESETS["default"] == Bm25Params(k=0.9, b=0.8)
-    assert PARAM_PRESETS["msmarco-anserini"] == Bm25Params(k=0.82, b=0.68)
-    assert PARAM_PRESETS["beir-anserini"] == Bm25Params(k=0.9, b=0.4)
-
-
 def test_params_validation():
     with pytest.raises(ValueError):
         Bm25Params(k=-0.1)
@@ -259,15 +255,21 @@ def test_index_postings_equal_passage_vectors():
     # "..." has no tokens, so its vector is empty and it posts nowhere
     corpus = _corpus(["...", "w1 w1 w1"] + [" ".join(rng.choices(WORDS, k=rng.randint(1, 30)))
                                            for _ in range(30)])
-    params = Bm25Params(k=1.2, b=0.6)
-    index = Bm25Index(corpus, params=params, vocab_size=VOCAB)
     stats = compute_stats(corpus, VOCAB)
-    assert index.stats == stats
-    from_postings = [dict() for _ in corpus]
-    for t, (positions, weights) in index.postings.items():
-        for pos, w in zip(positions.tolist(), weights.tolist()):
-            from_postings[pos][t] = w
-    assert from_postings == [encode_passage(p, stats, params) for p in corpus]
+    for params in (Bm25Params(k=1.2, b=0.6), Bm25Params(k=0.0, b=1.0), Bm25Params(b=0.0)):
+        index = Bm25Index(corpus, params=params, vocab_size=VOCAB)
+        assert index.stats == stats
+        from_postings = [dict() for _ in corpus]
+        for i, t in enumerate(index.terms.tolist()):
+            row = slice(index.indptr[i], index.indptr[i + 1])
+            for pos, w in zip(index.positions[row].tolist(), index.weights[row].tolist()):
+                from_postings[pos][t] = w
+        # equal floats: the index does encode_passage's arithmetic in its order
+        assert from_postings == [encode_passage(p, stats, params) for p in corpus]
+        # CSR: terms ascending, each term's passages ascending
+        assert (np.diff(index.terms) > 0).all()
+        for i in range(len(index.terms)):
+            assert (np.diff(index.positions[index.indptr[i]:index.indptr[i + 1]]) > 0).all()
 
 
 # ---------------------------------------------------------------- persistence
@@ -289,6 +291,9 @@ def test_index_save_load_bitwise_scores(tmp_path):
         assert [(x.passage_id, x.score) for x in ra.items] == \
                [(x.passage_id, x.score) for x in rb.items]
     assert loaded.id_rank.tolist() == corpus.id_rank.tolist()
+    for name in ("terms", "indptr", "positions", "weights"):
+        a, b = getattr(index, name), getattr(loaded, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 def test_index_save_deterministic_bytes(tmp_path):
@@ -300,7 +305,6 @@ def test_index_save_deterministic_bytes(tmp_path):
 
 
 def test_load_index_rejects_wrong_format(tmp_path):
-    import numpy as np
     path = tmp_path / "bad.npz"
     np.savez(path, header=np.frombuffer(b'{"format": "other"}', dtype=np.uint8))
     with pytest.raises(ValueError, match="format"):

@@ -12,7 +12,6 @@ from hybridrank.hybrid import (
     DEFAULT_LAMBDA_GRID,
     HybridIndex,
     hybrid_retrieve,
-    hybrid_score,
     load_hybrid_index,
     save_hybrid_index,
     tune_lambda,
@@ -53,16 +52,24 @@ def test_defaults():
     assert DEFAULT_LAMBDA_GRID == tuple(float(v) for v in range(50, 751, 50))
 
 
+def _fused_scores(index, query):
+    """passage id -> fused score, from a retrieval over the whole index."""
+    items = hybrid_retrieve(index, query, len(index)).items
+    assert len(items) == len(index)
+    return {it.passage_id: it.score for it in items}
+
+
 def test_hybrid_score_decomposition_identity():
     corpus, encoder, index, queries = _random_setup(0)
     for q in queries:
         qvec = encode_query(q, VOCAB, index.bm25.query_max_length)
         qdense = encode_text(encoder, q.text, index.bm25.query_max_length)
+        fused = _fused_scores(index, q)
         for p in corpus:
             pvec = encode_passage(p, index.bm25.stats, index.bm25.params)
             pdense = encode_text(encoder, p.encoding_text(), 512)
             expected = dot(qvec, pvec) + index.lam * cosine(qdense, pdense)
-            assert abs(hybrid_score(index, q, p.id) - expected) <= 1e-9
+            assert abs(fused[p.id] - expected) <= 1e-9
 
 
 def test_hybrid_score_direct_sum_example():
@@ -79,13 +86,7 @@ def test_hybrid_score_direct_sum_example():
     cos_part = cosine(encode_text(encoder, a, 64),
                       encode_text(encoder, f"{a} {b}", 512))
     expected = float(bm25_part[0]) + 2.0 * cos_part
-    assert hybrid_score(index, q, "p") == pytest.approx(expected, abs=1e-12)
-
-
-def test_hybrid_score_unknown_passage():
-    _, _, index, _ = _random_setup(1)
-    with pytest.raises(KeyError, match="nope"):
-        hybrid_score(index, Query("q", "tok1"), "nope")
+    assert _fused_scores(index, q)["p"] == pytest.approx(expected, abs=1e-12)
 
 
 def test_lambda_zero_equals_bm25_dot():
@@ -93,8 +94,9 @@ def test_lambda_zero_equals_bm25_dot():
     zero = index.with_lambda(0.0)
     for q in queries:
         scores, _ = index.bm25.scores(q)
+        fused = _fused_scores(zero, q)
         for i, pid in enumerate(index.ids):
-            assert hybrid_score(zero, q, pid) == pytest.approx(float(scores[i]), abs=1e-12)
+            assert fused[pid] == pytest.approx(float(scores[i]), abs=1e-12)
 
 
 # ---------------------------------------------------------------- retrieval

@@ -11,10 +11,8 @@ from hybridrank.qgen import (
     SyntheticPair,
     generate_queries,
     iterative_train,
-    load_pairs,
     round_trip_filter,
     sample_corpus,
-    save_pairs,
     split_sentences,
 )
 
@@ -248,33 +246,3 @@ def test_iterative_train_report_counts():
 def test_iterative_train_empty_corpus_rejected():
     with pytest.raises(ValueError):
         iterative_train(Corpus([]), QgenConfig(), DeTrainConfig())
-
-
-# ---------------------------------------------------------------- pair files
-
-def test_pairs_roundtrip(tmp_path):
-    corpus = Corpus([Passage("d1", "", "alpha beta gamma."),
-                     Passage("d2", "", "delta epsilon zeta.")])
-    pairs = generate_queries(corpus, mode="sentence", max_per_passage=1)
-    path = tmp_path / "pairs.tsv"
-    save_pairs(pairs, path)
-    loaded = load_pairs(path, corpus)
-    assert [(p.query.text, p.source_passage_id) for p in loaded] == \
-           [(p.query.text, p.source_passage_id) for p in pairs]
-
-
-def test_load_pairs_validates(tmp_path):
-    path = tmp_path / "pairs.tsv"
-    path.write_text("no tab line\n")
-    with pytest.raises(ValueError, match="line 1"):
-        load_pairs(path)
-    path.write_text("query text\tghost\n")
-    corpus = Corpus([Passage("d1", "", "x y z")])
-    with pytest.raises(ValueError, match="ghost"):
-        load_pairs(path, corpus)
-
-
-def test_save_pairs_rejects_tab_in_query(tmp_path):
-    bad = [SyntheticPair(Query("q", "has\ttab"), "d1")]
-    with pytest.raises(ValueError):
-        save_pairs(bad, tmp_path / "p.tsv")
