@@ -27,7 +27,7 @@ from .corpus import (
     tokenize,
 )
 from .npzio import deterministic_savez, load_npz
-from .results import CandidateItem, CandidateList, id_rank, top_k_order
+from .results import CandidateList, id_rank, ranked_list, top_k_order
 
 # term-id -> weight, no explicit zero entries
 SparseVector = dict[int, float]
@@ -185,9 +185,7 @@ def retrieve(index: Bm25Index, query: Query, k_results: int) -> CandidateList:
     scores, matched = index.scores(query)
     cand = np.nonzero(matched)[0]
     order = cand[top_k_order(scores[cand], index.id_rank[cand], k_results)]
-    items = [CandidateItem(passage_id=index.ids[pos], score=float(scores[pos]), rank=r)
-             for r, pos in enumerate(order, start=1)]
-    return CandidateList(query_id=query.id, items=items)
+    return ranked_list(query.id, [index.ids[i] for i in order.tolist()], scores[order])
 
 
 def save_index(index: Bm25Index, path) -> None:

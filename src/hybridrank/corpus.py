@@ -19,9 +19,11 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
+from types import MappingProxyType
 
 import numpy as np
 
@@ -182,34 +184,42 @@ class QrelSet:
     Absent pairs count as grade 0; all stored grades are >= 0.
     """
 
-    def __init__(self, judgments: dict[tuple[str, str], int] | None = None):
-        self.judgments: dict[tuple[str, str], int] = {}
+    def __init__(self, judgments: Mapping[tuple[str, str], int] | None = None):
+        self._judgments: dict[tuple[str, str], int] = {}
+        # query id -> {passage id: grade}, in judgment order; set() keeps it in step
+        self._by_query: dict[str, dict[str, int]] = {}
         if judgments:
             for (qid, pid), grade in judgments.items():
                 self.set(qid, pid, grade)
 
+    @property
+    def judgments(self) -> Mapping[tuple[str, str], int]:
+        """Read-only view of every judgment; grades change only through ``set``."""
+        return MappingProxyType(self._judgments)
+
     def set(self, query_id: str, passage_id: str, grade: int) -> None:
         if grade < 0:
             raise ValueError(f"grade must be >= 0, got {grade} for ({query_id}, {passage_id})")
-        self.judgments[(query_id, passage_id)] = int(grade)
+        self._judgments[(query_id, passage_id)] = int(grade)
+        self._by_query.setdefault(query_id, {})[passage_id] = int(grade)
 
     def grade(self, query_id: str, passage_id: str) -> int:
-        return self.judgments.get((query_id, passage_id), 0)
+        return self._judgments.get((query_id, passage_id), 0)
 
     def relevant(self, query_id: str) -> dict[str, int]:
         """passage_id -> grade for all judged-relevant (grade > 0) passages."""
-        return {pid: g for (qid, pid), g in self.judgments.items()
-                if qid == query_id and g > 0}
+        return {pid: g for pid, g in self._by_query.get(query_id, {}).items() if g > 0}
 
     def query_ids(self) -> list[str]:
         """Ids of queries with at least one judged-relevant passage, sorted."""
-        return sorted({qid for (qid, _), g in self.judgments.items() if g > 0})
+        return sorted(qid for qid, grades in self._by_query.items()
+                      if any(g > 0 for g in grades.values()))
 
     def __len__(self) -> int:
-        return len(self.judgments)
+        return len(self._judgments)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, QrelSet) and self.judgments == other.judgments
+        return isinstance(other, QrelSet) and self._judgments == other._judgments
 
 
 def load_corpus(path) -> Corpus:

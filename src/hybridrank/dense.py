@@ -29,12 +29,14 @@ from .corpus import (
     tokenize,
 )
 from .npzio import deterministic_savez, load_npz
-from .results import CandidateItem, CandidateList, top_k_order
+from .results import CandidateList, ranked_list, top_k_order
 
 PARAMS_FORMAT = "hybridrank-dense-v1"
 ENCODINGS_FORMAT = "hybridrank-encodings-v1"
 DEFAULT_DIM = 64
 INIT_SCALE = 0.05
+# bytes of the (rows, length, dim) gather _pooled averages at once
+_POOL_BYTES = 1 << 20
 
 
 @dataclass
@@ -115,12 +117,7 @@ def encode_corpus(params: EncoderParams, corpus: Corpus,
                   max_length: int = DEFAULT_PASSAGE_LENGTH) -> np.ndarray:
     """(n_passages, dim) matrix of mean-pooled passage encodings, corpus order."""
     store = corpus.token_store(params.vocab_size, max_length)
-    out = np.zeros((len(corpus), params.dim), dtype=np.float64)
-    for i in range(len(corpus)):
-        row = store[i]
-        if row.size:
-            out[i] = params.embeddings[row].mean(axis=0)
-    return out
+    return _pooled(params.embeddings, store.ids, store.indptr)
 
 
 def _tokenize_pairs(pairs: list[TrainPair], config: DeTrainConfig,
@@ -133,11 +130,25 @@ def _tokenize_pairs(pairs: list[TrainPair], config: DeTrainConfig,
     return qtoks, ptoks
 
 
-def _pooled(emb: np.ndarray, toks: list[np.ndarray]) -> np.ndarray:
-    out = np.zeros((len(toks), emb.shape[1]), dtype=np.float64)
-    for i, idx in enumerate(toks):
-        if idx.size:
-            out[i] = emb[idx].mean(axis=0)
+def _pooled(emb: np.ndarray, ids: np.ndarray, indptr: np.ndarray) -> np.ndarray:
+    """Mean embedding row of each CSR row ``ids[indptr[i]:indptr[i + 1]]``; 0 if empty.
+
+    Rows of equal length are averaged together, gathered in chunks of about
+    ``_POOL_BYTES``.  ``mean(axis=1)`` over a (rows, length, dim) gather adds
+    the length axis in order, so each row equals ``emb[row].mean(axis=0)``
+    bit for bit.
+    """
+    lengths = np.diff(indptr)
+    out = np.zeros((lengths.size, emb.shape[1]), dtype=np.float64)
+    by_length = np.argsort(lengths, kind="stable")
+    sizes, first = np.unique(lengths[by_length], return_index=True)
+    for length, rows in zip(sizes.tolist(), np.split(by_length, first[1:])):
+        if length == 0:
+            continue
+        step = max(1, _POOL_BYTES // (length * emb.shape[1] * emb.itemsize))
+        for lo in range(0, rows.size, step):
+            chunk = rows[lo:lo + step]
+            out[chunk] = emb[ids[indptr[chunk, None] + np.arange(length)]].mean(axis=1)
     return out
 
 
@@ -145,8 +156,12 @@ def _batch_loss_grad(emb: np.ndarray, qtoks: list[np.ndarray], ptoks: list[np.nd
                      tau: float) -> tuple[float, np.ndarray, np.ndarray]:
     """Loss plus the scatter update (token index array, per-row gradients)."""
     n = len(qtoks)
-    u = _pooled(emb, qtoks)
-    v = _pooled(emb, ptoks)
+    toks = qtoks + ptoks
+    counts = np.array([t.size for t in toks], dtype=np.int64)
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    idx = np.concatenate(toks)
+    pooled = _pooled(emb, idx, indptr)
+    u, v = pooled[:n], pooled[n:]
     nu = np.linalg.norm(u, axis=1)
     nv = np.linalg.norm(v, axis=1)
     uh = normalize_rows(u)
@@ -166,24 +181,12 @@ def _batch_loss_grad(emb: np.ndarray, qtoks: list[np.ndarray], ptoks: list[np.nd
     dv = (g.T @ uh - (g * c).sum(axis=0)[:, None] * vh) / safe_nv[:, None]
     du[nu == 0.0] = 0.0
     dv[nv == 0.0] = 0.0
+    return loss, idx, _scatter_rows(np.concatenate([du, dv]), counts)
 
-    idx_parts: list[np.ndarray] = []
-    row_parts: list[np.ndarray] = []
-    for i, toks in enumerate(qtoks):
-        if toks.size:
-            idx_parts.append(toks)
-            row_parts.append(np.repeat(du[i:i + 1] / toks.size, toks.size, axis=0))
-    for i, toks in enumerate(ptoks):
-        if toks.size:
-            idx_parts.append(toks)
-            row_parts.append(np.repeat(dv[i:i + 1] / toks.size, toks.size, axis=0))
-    if idx_parts:
-        idx = np.concatenate(idx_parts)
-        rows = np.concatenate(row_parts)
-    else:
-        idx = np.empty(0, dtype=np.int64)
-        rows = np.empty((0, emb.shape[1]), dtype=np.float64)
-    return loss, idx, rows
+
+def _scatter_rows(grad: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Row i of ``grad`` over ``counts[i]``, once per token of that row, in row order."""
+    return np.repeat(grad / np.maximum(counts, 1)[:, None], counts, axis=0)
 
 
 def in_batch_loss(params: EncoderParams, batch: list[TrainPair], tau: float,
@@ -194,24 +197,6 @@ def in_batch_loss(params: EncoderParams, batch: list[TrainPair], tau: float,
     cfg = config or DeTrainConfig(vocab_size=params.vocab_size, dim=params.dim)
     qtoks, ptoks = _tokenize_pairs(batch, cfg, params.vocab_size)
     return _batch_loss_grad(params.embeddings, qtoks, ptoks, tau)[0]
-
-
-def in_batch_loss_grad(params: EncoderParams, batch: list[TrainPair], tau: float,
-                       config: DeTrainConfig | None = None
-                       ) -> tuple[float, dict[int, np.ndarray]]:
-    """Loss and analytic gradient w.r.t. every touched embedding row."""
-    if not batch:
-        raise ValueError("batch must be nonempty")
-    cfg = config or DeTrainConfig(vocab_size=params.vocab_size, dim=params.dim)
-    qtoks, ptoks = _tokenize_pairs(batch, cfg, params.vocab_size)
-    loss, idx, rows = _batch_loss_grad(params.embeddings, qtoks, ptoks, tau)
-    grad: dict[int, np.ndarray] = {}
-    for t, row in zip(idx.tolist(), rows):
-        if t in grad:
-            grad[t] = grad[t] + row
-        else:
-            grad[t] = row.copy()
-    return loss, grad
 
 
 def train_de(pairs: list[TrainPair], config: DeTrainConfig,
@@ -285,9 +270,8 @@ def de_retrieve(params: EncoderParams, corpus: Corpus, query: Query, k_results: 
     else:
         scores = passage_matrix @ (qvec / qn)
     order = top_k_order(scores, corpus.id_rank, k_results)
-    items = [CandidateItem(passage_id=corpus[pos].id, score=float(scores[pos]), rank=r)
-             for r, pos in enumerate(order, start=1)]
-    return CandidateList(query_id=query.id, items=items)
+    passages = corpus.passages
+    return ranked_list(query.id, [passages[i].id for i in order.tolist()], scores[order])
 
 
 def save_params(params: EncoderParams, path) -> None:

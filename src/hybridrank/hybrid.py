@@ -21,7 +21,7 @@ from .dense import EncoderParams, encode_corpus, encode_text, load_encodings, \
     load_params, normalize_rows, save_encodings, save_params
 from .evaluation import RunFile, compute_metric
 from .npzio import write_json
-from .results import CandidateItem, CandidateList, top_k_order
+from .results import CandidateList, ranked_list, top_k_order
 
 HYBRID_FORMAT = "hybridrank-hybrid-v1"
 DEFAULT_LAMBDA = 600.0
@@ -90,9 +90,7 @@ def hybrid_retrieve(index: HybridIndex, query: Query, k_results: int) -> Candida
     bm25_scores, cos = index.score_components(query)
     total = bm25_scores + index.lam * cos
     order = top_k_order(total, index.bm25.id_rank, k_results)
-    items = [CandidateItem(passage_id=index.ids[pos], score=float(total[pos]), rank=r)
-             for r, pos in enumerate(order, start=1)]
-    return CandidateList(query_id=query.id, items=items)
+    return ranked_list(query.id, [index.ids[i] for i in order.tolist()], total[order])
 
 
 def _restrict_qrels(qrels: QrelSet, queries: list[Query]) -> QrelSet:
@@ -104,6 +102,29 @@ def _restrict_qrels(qrels: QrelSet, queries: list[Query]) -> QrelSet:
     return subset
 
 
+def _sweep(bm25_scores: np.ndarray, cos: np.ndarray, values: list[float],
+           id_rank: np.ndarray, cutoff: int):
+    """Yield (lam, fused scores, top_k_order of them) for each ascending weight.
+
+    Each weight after the first is warm-started from the previous weight's
+    top ``cutoff``: the lowest of their scores at the new weight, the floor,
+    is at most the new ``cutoff``-th best score, so every passage below it
+    can be left out.  The kept passages (``>=``, so ties and -0.0 stay)
+    give the same first ``cutoff`` as a full ``top_k_order``.  A NaN floor
+    falls back to the full one, which sorts NaN last.
+    """
+    order = None
+    for lam in values:
+        total = bm25_scores + lam * cos
+        floor = np.nan if order is None else total[order].min()
+        if np.isnan(floor):
+            order = top_k_order(total, id_rank, cutoff)
+        else:
+            keep = np.flatnonzero(total >= floor)
+            order = keep[top_k_order(total[keep], id_rank[keep], cutoff)]
+        yield lam, total, order
+
+
 def tune_lambda(index: HybridIndex, queries: list[Query], qrels: QrelSet,
                 grid: tuple[float, ...] | None = None, metric: str = "mrr",
                 cutoff: int = 10) -> float:
@@ -111,25 +132,29 @@ def tune_lambda(index: HybridIndex, queries: list[Query], qrels: QrelSet,
 
     Evaluates each candidate weight on the given queries and returns the best;
     exact ties go to the smallest weight.  Each query is scored once and
-    re-weighted per candidate, keeping only each weight's top-``cutoff`` list.
+    re-weighted per candidate (``_sweep``), keeping only each weight's
+    top-``cutoff`` list.
     """
     values = sorted({float(g) for g in (grid if grid is not None else DEFAULT_LAMBDA_GRID)})
     if not values:
         raise ValueError("lambda grid must be nonempty")
     if values[0] < 0:
         raise ValueError(f"lambda grid values must be >= 0, got {values[0]}")
+    if cutoff < 1:
+        raise ValueError(f"cutoff must be >= 1, got {cutoff}")
     if not queries:
         raise ValueError("tune_lambda needs at least one query")
     subset = _restrict_qrels(qrels, queries)
 
     # lam -> {query id: top-cutoff (passage id, score)}
     rankings: dict[float, dict[str, list[tuple[str, float]]]] = {lam: {} for lam in values}
+    ids = index.ids
     for q in queries:
         bm25_scores, cos = index.score_components(q)
-        for lam in values:
-            total = bm25_scores + lam * cos
-            order = top_k_order(total, index.bm25.id_rank, cutoff)
-            rankings[lam][q.id] = [(index.ids[pos], float(total[pos])) for pos in order]
+        for lam, total, order in _sweep(bm25_scores, cos, values, index.bm25.id_rank,
+                                        cutoff):
+            rankings[lam][q.id] = list(zip([ids[i] for i in order.tolist()],
+                                           total[order].tolist()))
 
     best_lam = None
     best_mean = -1.0

@@ -14,7 +14,7 @@ scalar per token, r = E W_v readout, and
 This is exact, not an approximation.  Keys and r depend on the token alone, so
 scoring and training work once per distinct token of a batch rather than once
 per token position; one forward pass (_forward) serves score_pair,
-score_list, evaluate_loss, rerank and the training step.
+score_list, rerank and the training step.
 """
 
 from __future__ import annotations
@@ -181,7 +181,12 @@ def score_list(params: RerankerParams, qtok: np.ndarray,
         raise ValueError("query has no tokens")
     if any(t.size == 0 for t in ptoks):
         raise ValueError("every passage needs at least one token")
-    pidx, pmask = _pad_passages(ptoks)
+    return _score_padded(params, qtok, *_pad_passages(ptoks))
+
+
+def _score_padded(params: RerankerParams, qtok: np.ndarray, pidx: np.ndarray,
+                  pmask: np.ndarray) -> np.ndarray:
+    """Scores of padded passage rows against one query."""
     scores, _ = _forward(params, qtok[None], np.ones((1, qtok.size), dtype=bool),
                          pidx[None], pmask[None])
     return scores[0]
@@ -340,13 +345,22 @@ def _token_ids(query: Query, vocab_size: int, max_length: int) -> np.ndarray:
     return tok
 
 
-def _passage_rows(store: TokenStore, corpus: Corpus, passage_ids) -> list[np.ndarray]:
-    """Each passage's token ids, sliced from ``store``; ValueError naming an empty one."""
-    rows = [store[corpus.position(pid)] for pid in passage_ids]
-    for pid, row in zip(passage_ids, rows):
-        if row.size == 0:
-            raise ValueError(f"passage {pid!r} has no tokens")
-    return rows
+def _store_rows(store: TokenStore, corpus: Corpus,
+                passage_ids: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Padded token ids and mask of the passages, gathered from ``store`` at once.
+
+    Raises ValueError naming the first passage that has no tokens.
+    """
+    pos = np.array([corpus.position(pid) for pid in passage_ids], dtype=np.int64)
+    start = store.indptr[pos]
+    length = store.indptr[pos + 1] - start
+    if not length.all():
+        raise ValueError(f"passage {passage_ids[int(np.argmin(length))]!r} has no tokens")
+    width = np.arange(length.max())
+    mask = width < length[:, None]
+    idx = np.zeros(mask.shape, dtype=np.int64)
+    idx[mask] = store.ids[(start[:, None] + width)[mask]]
+    return idx, mask
 
 
 def _prepare_lists(lists: list[CandidateList], queries: list[Query], corpus: Corpus,
@@ -359,27 +373,10 @@ def _prepare_lists(lists: list[CandidateList], queries: list[Query], corpus: Cor
         if cl.query_id not in by_id:
             raise KeyError(f"no query text for query id {cl.query_id!r}")
         qtok = _token_ids(by_id[cl.query_id], vocab_size, query_max_length)
-        pidx, pmask = _pad_passages(_passage_rows(store, corpus, cl.passage_ids()))
+        pidx, pmask = _store_rows(store, corpus, cl.passage_ids())
         labels = np.asarray([it.label for it in cl.items], dtype=np.float64)
         out.append(_ListBatch(qtok, pidx, pmask, labels))
     return out
-
-
-def evaluate_loss(params: RerankerParams, lists: list[CandidateList],
-                  queries: list[Query], corpus: Corpus,
-                  query_max_length: int = DEFAULT_QUERY_LENGTH,
-                  passage_max_length: int = DEFAULT_PASSAGE_LENGTH) -> float:
-    """Mean listwise loss over candidate lists under fixed parameters."""
-    if not lists:
-        raise ValueError("lists must be nonempty")
-    batches = _prepare_lists(lists, queries, corpus, query_max_length,
-                             passage_max_length, params.vocab_size)
-    total = 0.0
-    for b in batches:
-        qidx, qmask, pidx, pmask, _, labels = _stack_lists([b])
-        scores, _ = _forward(params, qidx, qmask, pidx, pmask)
-        total += listwise_loss(scores[0], labels[0])
-    return total / len(batches)
 
 
 def train_reranker(lists: list[CandidateList], queries: list[Query], corpus: Corpus,
@@ -491,9 +488,9 @@ def rerank(params: RerankerParams, run: RunFile, queries: list[Query],
            run_tag: str | None = None) -> RunFile:
     """Rescore each query's top_k with the cross-attention model and resort.
 
-    Ties keep the original retrieval order (then ascending passage id); the
-    tail beyond top_k keeps its order below the rescored block, with synthetic
-    descending scores so the output stays a valid run.
+    Ties keep the original retrieval order; the tail beyond top_k keeps its
+    order below the rescored block, with synthetic descending scores so the
+    output stays a valid run.
     """
     if top_k < 1:
         raise ValueError(f"top_k must be >= 1, got {top_k}")
@@ -509,15 +506,13 @@ def rerank(params: RerankerParams, run: RunFile, queries: list[Query],
             rankings[qid] = []
             continue
         qtok = _token_ids(by_id[qid], params.vocab_size, query_max_length)
-        scores = score_list(params, qtok,
-                            _passage_rows(store, corpus, [pid for pid, _ in block]))
-        order = sorted(range(len(block)),
-                       key=lambda i: (-scores[i], i, block[i][0]))
-        new_ranking = [(block[i][0], float(scores[i])) for i in order]
-        floor = min((s for _, s in new_ranking), default=0.0)
-        for j, (pid, _) in enumerate(tail):
-            new_ranking.append((pid, floor - 1.0 - j))
-        rankings[qid] = new_ranking
+        pids = [pid for pid, _ in block]
+        scores = _score_padded(params, qtok, *_store_rows(store, corpus, pids))
+        order = np.argsort(-scores, kind="stable")
+        tail_scores = (float(scores.min()) - 1.0) - np.arange(len(tail))
+        rankings[qid] = (list(zip([pids[i] for i in order.tolist()],
+                                  scores[order].tolist()))
+                         + list(zip([pid for pid, _ in tail], tail_scores.tolist())))
     return RunFile(run_tag=run_tag or f"{run.run_tag}-rerank", rankings=rankings)
 
 

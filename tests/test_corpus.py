@@ -225,3 +225,31 @@ def test_qrels_relevant_and_query_ids():
     qrels = QrelSet({("q2", "d1"): 1, ("q1", "d2"): 2, ("q1", "d3"): 0})
     assert qrels.relevant("q1") == {"d2": 2}
     assert qrels.query_ids() == ["q1", "q2"]
+
+
+def _scan_relevant(qrels, query_id):
+    """Reference: relevant() as a scan over every judgment."""
+    return {pid: g for (qid, pid), g in qrels.judgments.items() if qid == query_id and g > 0}
+
+
+def test_qrels_query_index_follows_every_set():
+    qrels = QrelSet({("q2", "d1"): 1, ("q1", "d2"): 2, ("q1", "d3"): 0})
+    qrels.set("q1", "d3", 4)
+    qrels.set("q2", "d1", 0)   # q2 has no relevant passage left
+    qrels.set("q3", "d9", 0)
+    qrels.set("q1", "d2", 1)
+    qrels.set("q4", "d5", 2)
+    for qid in ("q1", "q2", "q3", "q4", "unknown"):
+        assert list(qrels.relevant(qid).items()) == list(_scan_relevant(qrels, qid).items())
+    assert qrels.query_ids() == sorted({q for (q, _), g in qrels.judgments.items() if g > 0})
+    assert qrels.query_ids() == ["q1", "q4"]
+
+
+def test_qrels_judgments_are_read_only():
+    qrels = QrelSet({("q1", "d1"): 1})
+    with pytest.raises(AttributeError):
+        qrels.judgments.pop(("q1", "d1"))
+    with pytest.raises(TypeError):
+        qrels.judgments[("q1", "d2")] = 1
+    assert dict(qrels.judgments) == {("q1", "d1"): 1}
+    assert qrels.relevant("q1") == {"d1": 1}

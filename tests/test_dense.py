@@ -11,13 +11,17 @@ from hybridrank.dense import (
     DeTrainConfig,
     EncoderParams,
     TrainPair,
+    _POOL_BYTES,
+    _batch_loss_grad,
+    _pooled,
+    _scatter_rows,
+    _tokenize_pairs,
     cosine,
     de_retrieve,
     encode,
     encode_corpus,
     encode_text,
     in_batch_loss,
-    in_batch_loss_grad,
     init_params,
     load_encodings,
     load_params,
@@ -106,6 +110,75 @@ def test_normalize_rows_keeps_zero_rows():
     assert np.array_equal(out[1], [0.0, 0.0])
 
 
+# ---------------------------------------------------------------- pooling
+
+def _per_row_mean(emb, rows):
+    """Reference pooling: emb[row].mean(axis=0) one row at a time, zeros if empty."""
+    out = np.zeros((len(rows), emb.shape[1]))
+    for i, row in enumerate(rows):
+        if len(row):
+            out[i] = emb[row].mean(axis=0)
+    return out
+
+
+def _csr(rows):
+    indptr = np.concatenate([[0], np.cumsum([len(r) for r in rows])]).astype(np.int64)
+    return np.concatenate([np.asarray(r, dtype=np.int64) for r in rows]), indptr
+
+
+@pytest.mark.parametrize("dim", [1, 3, 64])
+def test_pooled_equals_per_row_mean(dim):
+    rng = np.random.default_rng(dim)
+    emb = rng.normal(size=(VOCAB, dim))
+    lengths = [0, 1, 1, 2, 5, 0, 5, 5, 17, 130, 1, 0, 2, 9, 9]
+    rows = [rng.integers(0, VOCAB, size=n) for n in lengths]
+    assert np.array_equal(_pooled(emb, *_csr(rows)), _per_row_mean(emb, rows))
+
+
+def test_pooled_length_group_larger_than_one_chunk():
+    rng = np.random.default_rng(4)
+    emb = rng.normal(size=(VOCAB, 64))
+    rows = [rng.integers(0, VOCAB, size=600) for _ in range(8)]
+    rows.insert(3, rng.integers(0, VOCAB, size=3))
+    assert 8 * 600 * 64 * emb.itemsize > 2 * _POOL_BYTES  # the 600 group spans 3 chunks
+    assert np.array_equal(_pooled(emb, *_csr(rows)), _per_row_mean(emb, rows))
+
+
+@pytest.mark.parametrize("dim", [1, 3, 64])
+def test_encode_corpus_equals_per_passage_encode(dim):
+    rng = np.random.default_rng(10 + dim)
+    words = distinct_words(40)
+    # "--" has no word characters, so that passage has no tokens
+    texts = ["--"] + [" ".join(rng.choice(words, size=int(n)))
+                      for n in rng.integers(1, 12, size=60)]
+    corpus = Corpus([Passage(f"d{i}", "", t) for i, t in enumerate(texts)])
+    p = EncoderParams(embeddings=rng.normal(size=(VOCAB, dim)), dim=dim, seed=0)
+    for max_length in (1, 4, 512):
+        ref = np.stack([encode(p, tokenize(q.encoding_text(), VOCAB, max_length))
+                        for q in corpus])
+        assert np.array_equal(encode_corpus(p, corpus, max_length), ref)
+    assert not encode_corpus(p, corpus).any(axis=1)[0]
+
+
+def test_scatter_rows_equal_per_row_repeat():
+    rng = np.random.default_rng(5)
+    grad = rng.normal(size=(7, 3))
+    counts = np.array([2, 0, 1, 5, 0, 3, 7])
+    ref = np.concatenate([np.repeat(grad[i:i + 1] / c, c, axis=0)
+                          for i, c in enumerate(counts.tolist()) if c])
+    assert np.array_equal(_scatter_rows(grad, counts), ref)
+
+
+def test_batch_loss_grad_scatters_every_token_in_row_order():
+    rng = np.random.default_rng(6)
+    emb = rng.normal(size=(VOCAB, 4))
+    qtoks = [rng.integers(0, VOCAB, size=n) for n in (3, 0, 1)]
+    ptoks = [rng.integers(0, VOCAB, size=n) for n in (2, 5, 0)]
+    _, idx, rows = _batch_loss_grad(emb, qtoks, ptoks, tau=0.5)
+    assert np.array_equal(idx, np.concatenate(qtoks + ptoks))
+    assert rows.shape == (idx.size, 4)
+
+
 # ---------------------------------------------------------------- loss
 
 def test_in_batch_loss_single_pair_exactly_zero():
@@ -166,7 +239,13 @@ def test_in_batch_gradient_matches_finite_differences():
         batch = [TrainPair(Query(f"q{i}", f"{words[2 * i]} {words[2 * i + 1]}"),
                            Passage(f"p{i}", "", words[(2 * i + 1) % (2 * n)]))
                  for i in range(n)]
-        _, grad = in_batch_loss_grad(params, batch, tau)
+        # the scatter update train_de applies, summed per embedding row
+        qtoks, ptoks = _tokenize_pairs(batch, DeTrainConfig(vocab_size=VOCAB, dim=dim),
+                                       VOCAB)
+        _, idx, rows = _batch_loss_grad(params.embeddings, qtoks, ptoks, tau)
+        dense = np.zeros_like(params.embeddings)
+        np.add.at(dense, idx, rows)
+        grad = {t: dense[t] for t in np.unique(idx).tolist()}
         assert grad  # the batch touches at least one row
         h = 1e-4
         for t, row in grad.items():

@@ -11,11 +11,13 @@ from hybridrank.hybrid import (
     DEFAULT_LAMBDA,
     DEFAULT_LAMBDA_GRID,
     HybridIndex,
+    _sweep,
     hybrid_retrieve,
     load_hybrid_index,
     save_hybrid_index,
     tune_lambda,
 )
+from hybridrank.results import top_k_order
 
 VOCAB = 512
 
@@ -306,6 +308,78 @@ def test_tune_lambda_streamed_agrees_with_per_lambda_retrieval_on_tie_heavy_grid
             assert fast == slow, (seed, cutoff)
 
 
+def _assert_sweep_equals_full_top_k(bm25_scores, cos, values, id_rank, cutoff):
+    """Each warm-started order equals a full top_k_order at that weight."""
+    with np.errstate(invalid="ignore"):  # inf * 0 is NaN on purpose
+        swept = list(_sweep(bm25_scores, cos, values, id_rank, cutoff))
+        expected = [bm25_scores + lam * cos for lam in values]
+    assert [lam for lam, _, _ in swept] == values
+    for (lam, total, order), full in zip(swept, expected):
+        assert np.array_equal(total, full, equal_nan=True)
+        assert np.array_equal(order, top_k_order(full, id_rank, cutoff)), lam
+    return [order.tolist() for _, _, order in swept]
+
+
+def test_sweep_keeps_a_score_exactly_at_the_floor():
+    # lam 0 keeps passages 0 and 1; at lam 1 the floor is passage 1's 2.0,
+    # and passage 2 scores exactly 2.0 and wins the tie by id
+    bm25_scores = np.array([3.0, 2.0, 1.0, 0.0])
+    cos = np.array([0.0, 0.0, 1.0, 0.5])
+    id_rank = np.array([0, 2, 1, 3])
+    orders = _assert_sweep_equals_full_top_k(bm25_scores, cos, [0.0, 1.0], id_rank, 2)
+    assert orders == [[0, 1], [0, 2]]
+
+
+def test_sweep_nan_floor_falls_back_to_full_top_k():
+    # at lam = inf a zero cosine fuses to NaN; passage 0 carries it into the
+    # floor, and NaN scores must still sort last
+    bm25_scores = np.array([5.0, 4.0, 3.0, 2.0, 1.0])
+    cos = np.array([0.0, 0.5, -0.5, 0.25, 0.0])
+    id_rank = np.arange(5)
+    orders = _assert_sweep_equals_full_top_k(bm25_scores, cos, [0.0, np.inf, np.inf],
+                                             id_rank, 3)
+    assert orders[1] == [1, 3, 2]
+
+
+def test_sweep_corpus_no_larger_than_cutoff():
+    rng = np.random.default_rng(3)
+    for n in (1, 3, 5):
+        bm25_scores = rng.choice([0.0, -0.0, 1.0, 2.5], size=n)
+        cos = rng.choice([0.0, -0.0, 0.5, -1.0], size=n)
+        for cutoff in (n, n + 4):
+            _assert_sweep_equals_full_top_k(bm25_scores, cos, [0.0, 1.0, 2.0, np.inf],
+                                            rng.permutation(n), cutoff)
+
+
+def test_sweep_tie_heavy_random_scores():
+    rng = np.random.default_rng(8)
+    for _ in range(50):
+        n = int(rng.integers(2, 40))
+        bm25_scores = rng.choice([0.0, -0.0, 1.0, 2.0, 3.0], size=n)
+        cos = rng.choice([0.0, -0.0, 0.5, -0.5, 1.0], size=n)
+        values = sorted(rng.choice([0.0, 0.5, 1.0, 2.0, 4.0], size=4, replace=False))
+        _assert_sweep_equals_full_top_k(bm25_scores, cos, [float(v) for v in values],
+                                        rng.permutation(n), int(rng.integers(1, 6)))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in multiply")
+def test_tune_lambda_with_infinite_weight_agrees_with_per_lambda_retrieval():
+    # 8 passages under a cutoff of 10.  Every other query's tokens get zero
+    # embedding rows, so its cosines are 0 and fuse to NaN at lam = inf.
+    for seed in range(3):
+        corpus, encoder, _, queries = _random_setup(20 + seed, n_passages=8)
+        emb = encoder.embeddings.copy()
+        for q in queries[::2]:
+            emb[list(tokenize(q.text, VOCAB, 64).tokens)] = 0.0
+        index = HybridIndex.from_corpus(corpus, EncoderParams(emb, 8, 0),
+                                        vocab_size=VOCAB)
+        assert np.isnan(index.score_components(queries[0])[1] * np.inf).all()
+        qrels = QrelSet({(q.id, corpus.ids()[i]): 1 for i, q in enumerate(queries)})
+        grid = (0.0, 1.0, float("inf"))
+        assert tune_lambda(index, queries, qrels, grid=grid) == \
+            _tune_lambda_per_lambda(index, queries, qrels, grid)
+
+
 def test_tune_lambda_no_judged_queries_rejected():
     _, _, index, queries = _random_setup(10)
     with pytest.raises(ValueError):
@@ -319,6 +393,8 @@ def test_tune_lambda_validates_grid():
         tune_lambda(index, queries, qrels, grid=())
     with pytest.raises(ValueError):
         tune_lambda(index, queries, qrels, grid=(-1.0,))
+    with pytest.raises(ValueError, match="cutoff"):
+        tune_lambda(index, queries, qrels, grid=(1.0,), cutoff=0)
 
 
 # ---------------------------------------------------------------- validation / io

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from hybridrank.corpus import Corpus, Passage, QrelSet, Query, tokenize
+from hybridrank import reranker
 from hybridrank.evaluation import RunFile
 from hybridrank.reranker import (
     RerankTrainConfig,
@@ -13,10 +14,12 @@ from hybridrank.reranker import (
     SamplingWindow,
     _ListBatch,
     _batch_loss_grad,
+    _forward,
+    _pad_passages,
     _prepare_lists,
     _stack_lists,
+    _store_rows,
     build_candidate_lists,
-    evaluate_loss,
     init_reranker,
     listwise_loss,
     listwise_loss_grad,
@@ -175,13 +178,14 @@ def test_listwise_loss_grad_matches_finite_differences():
 
 # ---------------------------------------------------------------- sampling
 
-def _run_and_qrels(n_queries=4, depth=30):
+def _run_and_qrels(n_queries=4, depth=30, unjudged=()):
     rankings = {}
     qrels = QrelSet()
     for qi in range(n_queries):
         qid = f"q{qi}"
         rankings[qid] = [(f"d{qi}_{r}", float(depth - r)) for r in range(depth)]
-        qrels.set(qid, f"d{qi}_{7}", 1)  # positive retrieved at rank 8
+        if qid not in unjudged:
+            qrels.set(qid, f"d{qi}_{7}", 1)  # positive retrieved at rank 8
     return RunFile("first", rankings), qrels
 
 
@@ -243,8 +247,7 @@ def test_build_lists_skip_window():
 
 
 def test_build_lists_drops_queries_without_positive():
-    run, qrels = _run_and_qrels(n_queries=3)
-    qrels.judgments.pop(("q1", "d1_7"))
+    run, qrels = _run_and_qrels(n_queries=3, unjudged=("q1",))
     lists, report = build_candidate_lists(run, qrels, SamplingWindow(0, 20, 5), seed=0)
     assert sorted(cl.query_id for cl in lists) == ["q0", "q2"]
     assert report["dropped_no_positive"] == ["q1"]
@@ -519,14 +522,24 @@ def test_train_deterministic():
     assert a.bias == b.bias
 
 
+def _mean_list_loss(params, lists, queries, corpus):
+    """Mean listwise loss over the lists under fixed parameters, one list at a time."""
+    total = 0.0
+    for b in _prepare_lists(lists, queries, corpus, 64, 512, VOCAB):
+        qidx, qmask, pidx, pmask, _, labels = _stack_lists([b])
+        scores, _ = _forward(params, qidx, qmask, pidx, pmask)
+        total += listwise_loss(scores[0], labels[0])
+    return total / len(lists)
+
+
 def test_train_reduces_loss():
     corpus, queries, lists = _toy_corpus_and_lists(n_lists=8, n_items=5, seed=2)
     init = init_reranker(VOCAB, DIM, seed=0)
-    before = evaluate_loss(init, lists, queries, corpus)
+    before = _mean_list_loss(init, lists, queries, corpus)
     cfg = RerankTrainConfig(steps=150, batch_size=4, learning_rate=0.05,
                             vocab_size=VOCAB, dim=DIM, seed=0)
     trained = train_reranker(lists, queries, corpus, cfg, init=init)
-    after = evaluate_loss(trained, lists, queries, corpus)
+    after = _mean_list_loss(trained, lists, queries, corpus)
     assert after < before
 
 
@@ -681,6 +694,46 @@ def test_rerank_names_a_passage_without_tokens():
     assert out.rankings["q0"][-1][0] == "dots"
     with pytest.raises(ValueError, match="passage 'dots' has no tokens"):
         rerank(_random_params(13), run, queries, corpus, top_k=len(run.rankings["q0"]))
+
+
+def test_store_rows_equal_per_row_padding():
+    corpus, _, _ = _toy_corpus_and_lists(seed=7)
+    store = corpus.token_store(VOCAB, 512)
+    pids = ["d3", "d0", "d19", "d3", "d7", "d12"]
+    idx, mask = _store_rows(store, corpus, pids)
+    ref_idx, ref_mask = _pad_passages([store[corpus.position(p)] for p in pids])
+    assert idx.dtype == ref_idx.dtype and np.array_equal(idx, ref_idx)
+    assert np.array_equal(mask, ref_mask)
+
+
+def test_store_rows_names_the_first_passage_without_tokens():
+    corpus, _, _ = _toy_corpus_and_lists()
+    corpus = Corpus(list(corpus) + [Passage("dots", "", "..."), Passage("dash", "", "-")])
+    store = corpus.token_store(VOCAB, 512)
+    with pytest.raises(ValueError, match="passage 'dash' has no tokens"):
+        _store_rows(store, corpus, ["d1", "dash", "d2", "dots"])
+
+
+def test_rerank_order_and_tail_equal_per_item_reference(monkeypatch):
+    # scores with exact ties, including -0.0 against 0.0; 60 items, so an
+    # unstable sort would reorder ties
+    rng = np.random.default_rng(2)
+    scores = rng.choice([0.5, 0.0, -0.0, -1.25, 2.0, 1e-300], size=60)
+    monkeypatch.setattr(reranker, "_score_padded", lambda *args: scores.copy())
+    words = [f"w{i}" for i in range(10)]
+    corpus = Corpus([Passage(f"d{i:02d}", "", " ".join(rng.choice(words, size=3)))
+                     for i in range(64)])
+    block = [(f"d{i:02d}", 1.0) for i in rng.permutation(64)]
+    run = RunFile("base", {"q0": block})
+    out = rerank(_random_params(1), run, [Query("q0", "w1 w2")], corpus, top_k=60)
+    pid = [p for p, _ in block[:60]]
+    order = sorted(range(60), key=lambda i: (-scores[i], i, pid[i]))
+    expected = [(pid[i], float(scores[i])) for i in order]
+    floor = min(s for _, s in expected)
+    expected += [(p, floor - 1.0 - j) for j, (p, _) in enumerate(block[60:])]
+    assert out.rankings["q0"] == expected
+    assert [math.copysign(1.0, s) for _, s in out.rankings["q0"]] == \
+           [math.copysign(1.0, s) for _, s in expected]
 
 
 def test_rerank_missing_query_text_named():
