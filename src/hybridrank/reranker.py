@@ -15,6 +15,15 @@ This is exact, not an approximation.  Keys and r depend on the token alone, so
 scoring and training work once per distinct token of a batch rather than once
 per token position; one forward pass (_forward) serves score_pair,
 score_list, rerank and the training step.
+
+Keys are contracted through the query side: the logits of a batch's query rows
+against its U distinct tokens are z_u = (Q W_k^T) E_u^T / sqrt(d), so the
+U x d key matrix E_u W_k is never formed and the backward pass needs only
+(query rows x d) products with W_k.  A stacked batch keeps passage positions
+before items, (B, P, n) for ids and (B, Lq, P, n) for attention, so the
+softmax over positions reduces across rows n wide rather than along a short
+innermost axis.  Masked positions point at a sentinel column of z_u whose
+logit is _MASK_LOGIT and whose r is 0; it is dropped from every gradient sum.
 """
 
 from __future__ import annotations
@@ -188,7 +197,7 @@ def _score_padded(params: RerankerParams, qtok: np.ndarray, pidx: np.ndarray,
                   pmask: np.ndarray) -> np.ndarray:
     """Scores of padded passage rows against one query."""
     scores, _ = _forward(params, qtok[None], np.ones((1, qtok.size), dtype=bool),
-                         pidx[None], pmask[None])
+                         pidx.T[None], pmask.T[None])
     return scores[0]
 
 
@@ -205,23 +214,24 @@ class _ListBatch:
 
 
 def _stack_lists(blists: list[_ListBatch]):
-    """Pad a batch of lists to shared (n_items, width, query_len) tensors."""
+    """Pad lists to shared tensors: query ids and mask (B, Lq), passage ids and
+    mask (B, P, n) with positions before items, item mask and labels (B, n)."""
     nb = len(blists)
     n = max(b.pidx.shape[0] for b in blists)
     w = max(b.pidx.shape[1] for b in blists)
     lq = max(b.qtok.size for b in blists)
-    qidx = np.zeros((nb, lq), dtype=np.int64)
+    qidx = np.zeros((nb, lq), dtype=np.int32)
     qmask = np.zeros((nb, lq), dtype=bool)
-    pidx = np.zeros((nb, n, w), dtype=np.int64)
-    pmask = np.zeros((nb, n, w), dtype=bool)
+    pidx = np.zeros((nb, w, n), dtype=np.int32)
+    pmask = np.zeros((nb, w, n), dtype=bool)
     imask = np.zeros((nb, n), dtype=bool)
     labels = np.zeros((nb, n), dtype=np.float64)
     for i, b in enumerate(blists):
         qidx[i, :b.qtok.size] = b.qtok
         qmask[i, :b.qtok.size] = True
         ni, wi = b.pidx.shape
-        pidx[i, :ni, :wi] = b.pidx
-        pmask[i, :ni, :wi] = b.pmask
+        pidx[i, :wi, :ni] = b.pidx.T
+        pmask[i, :wi, :ni] = b.pmask.T
         imask[i, :ni] = True
         labels[i, :ni] = b.labels
     return qidx, qmask, pidx, pmask, imask, labels
@@ -242,42 +252,50 @@ def _distinct(ids: np.ndarray, vocab_size: int) -> tuple[np.ndarray, np.ndarray]
 
 
 def _forward(params: RerankerParams, qidx, qmask, pidx, pmask):
-    """Scores (B, n) of a stacked batch, worked per distinct token.
+    """Scores (B, n) of a stacked batch (layout of _stack_lists), worked per
+    distinct token.
 
-    Embedding rows, keys and the value scalar r are taken once per distinct
-    token id of qidx and pidx (padding id included); logits are gathered from
-    them per position.  Padded query rows and passage tokens contribute
+    Embedding rows and the value scalar r are taken once per distinct token id
+    of qidx and pidx (padding id included); logits are gathered per position
+    from z_u = (Q W_k^T) E_u^T, so keys are never formed.  z_u has one extra
+    sentinel column, logit _MASK_LOGIT and r = 0, that every masked passage
+    position points at.  Padded query rows and passage tokens contribute
     exactly nothing; padded list items get finite scores that callers mask.
     Also returns the intermediates that _batch_loss_grad's backward pass reuses.
     """
     nb, lq_max = qidx.shape
     d = params.dim
+    dtype = params.embeddings.dtype
     uniq, inv = _distinct(np.concatenate([qidx.ravel(), pidx.ravel()]),
                           params.vocab_size)
+    nu = uniq.size                                             # the sentinel's column
     inv_q = inv[:qidx.size]                                    # (B·Lq,)
-    inv_p = inv[qidx.size:].reshape(pidx.shape)                # (B, n, P)
+    inv_p = np.where(pmask, inv[qidx.size:].reshape(pidx.shape), nu)  # (B, P, n)
     e_u = params.embeddings[uniq]                              # (U, d)
-    k_u = e_u @ params.w_k
     w = params.w_v @ params.readout                            # value path, (d,)
-    r = (e_u @ w)[inv_p]                                       # (B, n, P)
+    r_u = np.zeros(nu + 1, dtype=dtype)
+    r_u[:nu] = e_u @ w
+    r = r_u[inv_p]                                             # (B, P, n)
     e_q = e_u[inv_q] * qmask.reshape(-1, 1)                    # (B·Lq, d)
     q = e_q @ params.w_q
+    qk = q @ params.w_k.T
 
-    # logit (b, n, q, p) is z_u[b, q, inv_p[b, n, p]]; `flat` indexes z_u.ravel()
-    z_u = (q @ k_u.T) / math.sqrt(d)                           # (B·Lq, U)
-    flat = (np.arange(nb * lq_max).reshape(nb, 1, lq_max, 1) * uniq.size
-            + inv_p[:, :, None, :])                            # (B, n, Lq, P)
+    # logit (b, q, p, n) is z_u[b·Lq + q, inv_p[b, p, n]]; `flat` indexes z_u.ravel()
+    z_u = np.empty((nb * lq_max, nu + 1), dtype=dtype)         # (B·Lq, U + 1)
+    z_u[:, :nu] = (qk @ e_u.T) / math.sqrt(d)
+    z_u[:, nu] = _MASK_LOGIT
+    flat = (np.arange(nb * lq_max).reshape(nb, lq_max, 1, 1) * (nu + 1)
+            + inv_p[:, None])                                  # (B, Lq, P, n)
     z = z_u.ravel()[flat]
-    np.copyto(z, _MASK_LOGIT, where=~pmask[:, :, None, :])
-    z -= z.max(axis=3, keepdims=True)
+    z -= z.max(axis=2, keepdims=True)
     a = np.exp(z, out=z)
-    a /= a.sum(axis=3, keepdims=True)                          # (B, n, Lq, P)
+    a /= a.sum(axis=2, keepdims=True)                          # (B, Lq, P, n)
 
-    qm = qmask.astype(a.dtype)
+    qm = qmask.astype(dtype)
     lq = qm.sum(axis=1)                                        # (B,)
-    asum = (qm[:, None, None, :] @ a)[:, :, 0, :]              # (B, n, P)
-    scores = (asum * r).sum(axis=2) / lq[:, None] + params.bias
-    return scores, (uniq, inv_q, inv_p, flat, e_u, k_u, w, r, e_q, q, a, asum, lq)
+    asum = np.einsum("bl,blpn->bpn", qm, a)                    # (B, P, n)
+    scores = np.einsum("bpn,bpn->bn", asum, r) / lq[:, None] + params.bias
+    return scores, (uniq, inv_q, inv_p, flat, e_u, w, r, e_q, q, qk, a, asum, lq)
 
 
 def _batch_loss_grad(params: RerankerParams, qidx, qmask, pidx, pmask, imask,
@@ -286,15 +304,16 @@ def _batch_loss_grad(params: RerankerParams, qidx, qmask, pidx, pmask, imask,
 
     Works per distinct token of the batch (see the module docstring):
     per-position gradients are summed per token with bincount before any
-    width-d product, so no (B, n, P, d) tensor is formed.  emb_idx holds each
-    distinct token id of qidx and pidx once, so emb_rows can be applied with
-    one fancy-indexed update.
+    width-d product, so no (B, P, n, d) tensor is formed; the sentinel column
+    is dropped from both sums.  emb_idx holds each distinct token id of qidx
+    and pidx once, so emb_rows can be applied with one fancy-indexed update.
     """
     nb, lq_max = qidx.shape
     d = params.dim
     dtype = params.embeddings.dtype
-    scores, (uniq, inv_q, inv_p, flat, e_u, k_u, w, r, e_q, q, a, asum, lq) = \
+    scores, (uniq, inv_q, inv_p, flat, e_u, w, r, e_q, q, qk, a, asum, lq) = \
         _forward(params, qidx, qmask, pidx, pmask)
+    nu = uniq.size
 
     # listwise loss per list over its real items (float64; these are tiny)
     s = np.where(imask, scores, _MASK_LOGIT).astype(np.float64)
@@ -309,8 +328,8 @@ def _batch_loss_grad(params: RerankerParams, qidx, qmask, pidx, pmask, imask,
     gl = g / lq[:, None]                                       # dloss/dscore with 1/Lq
 
     # value path: dloss/dr per distinct token, then through r = E_u W_v readout
-    c = np.bincount(inv_p.ravel(), weights=(asum * gl[:, :, None]).ravel(),
-                    minlength=uniq.size).astype(dtype)         # (U,)
+    c = np.bincount(inv_p.ravel(), weights=(asum * gl[:, None, :]).ravel(),
+                    minlength=nu + 1)[:nu].astype(dtype)       # (U,)
     ce = c @ e_u
     dreadout = ce @ params.w_v
     dw_v = np.outer(ce, params.readout)
@@ -318,18 +337,18 @@ def _batch_loss_grad(params: RerankerParams, qidx, qmask, pidx, pmask, imask,
     # attention path: dloss/dA is constant over query rows.  dz on padded query
     # rows is not zeroed: their q and e_q rows are zero and their dq rows are
     # dropped below.
-    da = gl[:, :, None] * r                                    # (B, n, P)
-    inner = (a @ da[:, :, :, None])[:, :, :, 0]                # (B, n, Lq)
-    dz = a * (da[:, :, None, :] - inner[:, :, :, None])
+    da = gl[:, None, :] * r                                    # (B, P, n)
+    inner = np.einsum("blpn,bpn->bln", a, da)                  # (B, Lq, n)
+    dz = a * (da[:, None] - inner[:, :, None, :])
     dz_u = np.bincount(flat.ravel(), weights=dz.ravel(),
-                       minlength=nb * lq_max * uniq.size).astype(dtype)
-    dz_u = dz_u.reshape(nb * lq_max, uniq.size) / math.sqrt(d)  # per (list, row, token)
-    dq = dz_u @ k_u                                            # (B·Lq, d)
-    dk_u = dz_u.T @ q                                          # (U, d)
+                       minlength=nb * lq_max * (nu + 1)).astype(dtype)
+    dz_u = dz_u.reshape(nb * lq_max, nu + 1)[:, :nu] / math.sqrt(d)  # per (list, row, token)
+    gk = dz_u @ e_u                                            # (B·Lq, d)
+    dq = gk @ params.w_k
     dw_q = e_q.T @ dq
-    dw_k = e_u.T @ dk_u
+    dw_k = gk.T @ q
 
-    de_u = dk_u @ params.w_k.T + np.outer(c, w)
+    de_u = dz_u.T @ qk + np.outer(c, w)
     real = qmask.ravel()
     np.add.at(de_u, inv_q[real], dq[real] @ params.w_q.T)
     grads = {"w_q": dw_q, "w_k": dw_k, "w_v": dw_v, "readout": dreadout,
@@ -394,6 +413,9 @@ def train_reranker(lists: list[CandidateList], queries: list[Query], corpus: Cor
         return init.copy()
     batches = _prepare_lists(lists, queries, corpus, config.query_max_length,
                              config.passage_max_length, init.vocab_size)
+    # stacked once; each step slices its lists to their own widest Lq, P and n
+    qidx, qmask, pidx, pmask, imask, labels = _stack_lists(batches)
+    sizes = np.array([(b.qtok.size, b.pidx.shape[1], b.pidx.shape[0]) for b in batches])
     rng = np.random.default_rng(config.seed)
     order = rng.permutation(len(batches))
     cursor = 0
@@ -407,8 +429,10 @@ def train_reranker(lists: list[CandidateList], queries: list[Query], corpus: Cor
             cursor = 0
         take = order[cursor:cursor + config.batch_size]
         cursor += config.batch_size
-        stacked = _stack_lists([batches[i] for i in take])
-        loss, grads = _batch_loss_grad(work, *stacked)
+        lq, w, n = sizes[take].max(axis=0).tolist()
+        loss, grads = _batch_loss_grad(work, qidx[take, :lq], qmask[take, :lq],
+                                       pidx[take, :w, :n], pmask[take, :w, :n],
+                                       imask[take, :n], labels[take, :n])
         if not math.isfinite(loss):
             raise ValueError(f"reranker loss is {loss} at step {step + 1}")
         step_lr = lr * (1.0 - step / config.steps)

@@ -109,15 +109,17 @@ def _word_pools(table_size: int) -> tuple[list[str], list[str], list[str]]:
 def _render_passage(pid: str, concept_ids: np.ndarray, doc_words: list[str],
                     filler_words: list[str], rng: np.random.Generator) -> Passage:
     tokens = []
-    for c in concept_ids:
-        tokens.extend([doc_words[int(c)]] * CONCEPT_REPEATS)
+    for c in concept_ids.tolist():
+        tokens.extend([doc_words[c]] * CONCEPT_REPEATS)
     n_filler = int(rng.integers(MIN_FILLER, MAX_FILLER + 1))
-    for f in rng.integers(0, len(filler_words), size=n_filler):
-        tokens.append(filler_words[int(f)])
-    order = rng.permutation(len(tokens))
-    shuffled = [tokens[int(j)] for j in order]
-    parts = np.array_split(shuffled, SENTENCES_PER_PASSAGE)
-    text = ". ".join(" ".join(p) for p in parts) + "."
+    tokens.extend(filler_words[f] for f in
+                  rng.integers(0, len(filler_words), size=n_filler).tolist())
+    shuffled = [tokens[j] for j in rng.permutation(len(tokens)).tolist()]
+    # np.array_split's sentences: the first len % SENTENCES_PER_PASSAGE get one
+    # extra word
+    size, extra = divmod(len(shuffled), SENTENCES_PER_PASSAGE)
+    cuts = [k * size + min(k, extra) for k in range(SENTENCES_PER_PASSAGE + 1)]
+    text = ". ".join(" ".join(shuffled[a:b]) for a, b in zip(cuts, cuts[1:])) + "."
     return Passage(id=pid, title="", text=text)
 
 

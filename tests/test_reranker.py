@@ -522,6 +522,90 @@ def test_train_deterministic():
     assert a.bias == b.bias
 
 
+def _ragged_corpus_and_lists(n_lists=7, seed=0, wide=False):
+    """Lists of unequal query length, item count and passage width; with
+    ``wide``, one more list far longer on all three."""
+    rng = np.random.default_rng(seed)
+    words = [f"w{i}" for i in range(40)]
+    passages = [Passage(f"d{i}", "", " ".join(rng.choice(words, size=rng.integers(1, 7))))
+                for i in range(20)]
+    passages += [Passage(f"long{i}", "", " ".join(rng.choice(words, size=18)))
+                 for i in range(12)]
+    queries = [Query(f"q{i}", " ".join(rng.choice(words, size=rng.integers(1, 4))))
+               for i in range(n_lists)]
+    from hybridrank.results import CandidateItem, CandidateList
+    pools = [[f"d{p}" for p in rng.choice(20, size=rng.integers(1, 6), replace=False)]
+             for _ in range(n_lists)]
+    if wide:
+        queries.append(Query(f"q{n_lists}", " ".join(words[:9])))
+        pools.append([f"long{i}" for i in range(12)] + ["d0", "d1", "d2"])
+    lists = [CandidateList(query_id=q.id, items=[
+        CandidateItem(passage_id=pid, score=0.0, rank=j + 1, label=int(j == 0))
+        for j, pid in enumerate(pool)]) for q, pool in zip(queries, pools)]
+    return Corpus(passages), queries, lists
+
+
+def test_train_equals_stacking_each_step():
+    # 7 lists in batches of 3: a reshuffle every third step, 25 steps
+    corpus, queries, lists = _ragged_corpus_and_lists(seed=8)
+    cfg = RerankTrainConfig(steps=25, batch_size=3, learning_rate=0.2,
+                            vocab_size=VOCAB, dim=DIM, seed=2)
+    init = _random_params(4)
+    out = train_reranker(lists, queries, corpus, cfg, init=init)
+
+    batches = _prepare_lists(lists, queries, corpus, 64, 512, VOCAB)
+    assert len({(b.qtok.size, *b.pidx.shape) for b in batches}) > 3
+    rng = np.random.default_rng(cfg.seed)
+    order = rng.permutation(len(batches))
+    cursor = 0
+    work = reranker._with_dtype(init, np.float32)
+    for step in range(cfg.steps):
+        if cursor + cfg.batch_size > len(batches):
+            order = rng.permutation(len(batches))
+            cursor = 0
+        take = order[cursor:cursor + cfg.batch_size]
+        cursor += cfg.batch_size
+        _, g = _batch_loss_grad(work, *_stack_lists([batches[i] for i in take]))
+        frac = np.float32(cfg.learning_rate * (1.0 - step / cfg.steps) / take.size)
+        work.w_q -= frac * g["w_q"]
+        work.w_k -= frac * g["w_k"]
+        work.w_v -= frac * g["w_v"]
+        work.readout -= frac * g["readout"]
+        work.bias -= float(frac * g["bias"])
+        work.embeddings[g["emb_idx"]] -= frac * g["emb_rows"]
+    ref = reranker._with_dtype(work, np.float64)
+    for name in ("embeddings", "w_q", "w_k", "w_v", "readout"):
+        assert np.array_equal(getattr(out, name), getattr(ref, name))
+    assert out.bias == ref.bias
+
+
+def test_train_steps_keep_their_own_batch_shapes(monkeypatch):
+    # one list far wider than the rest sits in the pool: every step's tensors
+    # are as wide as that step's own lists, not the pool's widest
+    corpus, queries, lists = _ragged_corpus_and_lists(seed=9, wide=True)
+    shapes = []
+
+    def recording(params, qidx, qmask, pidx, pmask, imask, labels):
+        shapes.append((qidx.shape, pidx.shape, labels.shape,
+                       (len(qidx), qmask.sum(axis=1).max()),
+                       (len(qidx), pmask.sum(axis=1).max(), imask.sum(axis=1).max()),
+                       (len(qidx), imask.sum(axis=1).max())))
+        assert qmask.shape == qidx.shape and pmask.shape == pidx.shape
+        assert imask.shape == labels.shape
+        return real(params, qidx, qmask, pidx, pmask, imask, labels)
+
+    real = reranker._batch_loss_grad
+    monkeypatch.setattr(reranker, "_batch_loss_grad", recording)
+    cfg = RerankTrainConfig(steps=24, batch_size=2, vocab_size=VOCAB, dim=DIM, seed=3)
+    train_reranker(lists, queries, corpus, cfg)
+    assert len(shapes) == 24
+    for q_shape, p_shape, l_shape, q_max, p_max, l_max in shapes:
+        assert (q_shape, p_shape, l_shape) == (q_max, p_max, l_max)
+    widest = max(p_shape[1] for _, p_shape, *_ in shapes)
+    assert widest == 18
+    assert any(p_shape[1] < widest for _, p_shape, *_ in shapes)
+
+
 def _mean_list_loss(params, lists, queries, corpus):
     """Mean listwise loss over the lists under fixed parameters, one list at a time."""
     total = 0.0

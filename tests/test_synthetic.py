@@ -1,12 +1,15 @@
 """Tests for the synthetic corpus generator: determinism, structure, and the
 lexical/semantic control knob's retrieval consequences."""
 
+import numpy as np
 import pytest
 
 from hybridrank.bm25 import Bm25Index, retrieve
 from hybridrank.corpus import DEFAULT_VOCAB_SIZE, load_corpus, load_qrels, \
     load_queries, tokenize
-from hybridrank.synthetic import (SyntheticCorpusSpec, SyntheticData, _word_pools,
+from hybridrank.synthetic import (CONCEPT_REPEATS, CONCEPTS_PER_PASSAGE, MAX_FILLER,
+                                  MIN_FILLER, SENTENCES_PER_PASSAGE, SyntheticCorpusSpec,
+                                  SyntheticData, _render_passage, _word_pools,
                                   make_synthetic_corpus, save_synthetic_data)
 
 SMALL = SyntheticCorpusSpec(n_passages=300, n_train_queries=40, n_test_queries=30,
@@ -66,6 +69,36 @@ def test_queries_are_four_words_targets_nonempty():
         assert len(q.text.split()) == 4
     for p in data.corpus:
         assert p.text.strip()
+
+
+def _render_passage_reference(pid, concept_ids, doc_words, filler_words, rng):
+    """The passage text as np.array_split cuts it, with the same RNG calls."""
+    tokens = []
+    for c in concept_ids:
+        tokens.extend([doc_words[int(c)]] * CONCEPT_REPEATS)
+    n_filler = int(rng.integers(MIN_FILLER, MAX_FILLER + 1))
+    for f in rng.integers(0, len(filler_words), size=n_filler):
+        tokens.append(filler_words[int(f)])
+    order = rng.permutation(len(tokens))
+    shuffled = [tokens[int(j)] for j in order]
+    parts = np.array_split(shuffled, SENTENCES_PER_PASSAGE)
+    return ". ".join(" ".join(p) for p in parts) + "."
+
+
+def test_render_passage_equals_array_split_reference():
+    # word counts CONCEPT_REPEATS * k + filler cover every residue mod 3; the
+    # next draw checks that both consumed the generator alike
+    doc, _, filler = _word_pools(50)
+    residues = set()
+    for seed in range(30):
+        for k in range(CONCEPTS_PER_PASSAGE + 1):
+            concepts = np.random.default_rng(100 + seed).choice(50, size=k, replace=False)
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            text = _render_passage("p", concepts, doc, filler, rng).text
+            assert text == _render_passage_reference("p", concepts, doc, filler, ref_rng)
+            assert rng.integers(1 << 30) == ref_rng.integers(1 << 30)
+            residues.add(len(text.replace(".", " ").split()) % SENTENCES_PER_PASSAGE)
+    assert residues == {0, 1, 2}
 
 
 def test_word_pools_are_hash_disjoint():
