@@ -1,12 +1,15 @@
-"""BM25 as an explicit sparse vector model plus an inverted-index retriever.
+"""BM25 as an explicit sparse vector model plus an inverted index that scores it.
 
 Passage weights follow the standard saturation form
 
     weight(t) = IDF(t) * cnt * (k + 1) / (cnt + k * (1 - b + b * m / m_avg))
 
 and query vectors are plain term counts, so the query/passage dot product
-recovers the BM25 score. IDF uses the non-negative Lucene form
-ln((N - df + 0.5) / (df + 0.5) + 1).
+recovers the BM25 score. IDF uses the Lucene form
+ln((N - df + 0.5) / (df + 0.5) + 1), which is > 0, so every posting weight and
+every query term count is > 0: a passage scores > 0 exactly when it shares a
+term with the query.  ``Bm25Index.scores`` gives the score vector; the bm25
+first stage is cut from it in ``hybrid``, the one place a query is scored.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from .corpus import (
     tokenize,
 )
 from .npzio import deterministic_savez, load_npz
-from .results import CandidateList, id_rank, ranked_list, top_k_order
+from .results import id_rank
 
 # term-id -> weight, no explicit zero entries
 SparseVector = dict[int, float]
@@ -162,11 +165,10 @@ class Bm25Index:
     def __len__(self) -> int:
         return len(self.ids)
 
-    def scores(self, query: Query) -> tuple[np.ndarray, np.ndarray]:
-        """(scores over all passages, boolean matched mask), corpus order."""
+    def scores(self, query: Query) -> np.ndarray:
+        """BM25 score of every passage, corpus order; 0.0 where no term is shared."""
         qvec = encode_query(query, self.stats.vocab_size, self.query_max_length)
         scores = np.zeros(len(self.ids), dtype=np.float64)
-        matched = np.zeros(len(self.ids), dtype=bool)
         # ascending term order, so scores do not depend on the query's word order
         terms = sorted(qvec)
         for t, i in zip(terms, np.searchsorted(self.terms, terms).tolist()):
@@ -174,18 +176,7 @@ class Bm25Index:
                 continue
             row = slice(self.indptr[i], self.indptr[i + 1])
             scores[self.positions[row]] += qvec[t] * self.weights[row]
-            matched[self.positions[row]] = True
-        return scores, matched
-
-
-def retrieve(index: Bm25Index, query: Query, k_results: int) -> CandidateList:
-    """Top-k passages by BM25 score; only passages sharing a term are returned."""
-    if k_results < 1:
-        raise ValueError(f"k_results must be >= 1, got {k_results}")
-    scores, matched = index.scores(query)
-    cand = np.nonzero(matched)[0]
-    order = cand[top_k_order(scores[cand], index.id_rank[cand], k_results)]
-    return ranked_list(query.id, [index.ids[i] for i in order.tolist()], scores[order])
+        return scores
 
 
 def save_index(index: Bm25Index, path) -> None:

@@ -128,6 +128,7 @@ class Corpus:
                 raise ValueError(f"duplicate passage id {p.id!r}")
             self._index[p.id] = pos
         self.passages = list(passages)
+        self._ids = list(self._index)
         self._token_stores: dict[tuple[int, int], TokenStore] = {}
 
     def __len__(self) -> int:
@@ -152,7 +153,8 @@ class Corpus:
             raise KeyError(f"unknown passage id {passage_id!r}") from None
 
     def ids(self) -> list[str]:
-        return [p.id for p in self.passages]
+        """Passage ids by position: one list, built once; do not modify it."""
+        return self._ids
 
     @cached_property
     def id_rank(self) -> np.ndarray:

@@ -8,6 +8,10 @@ cosine similarity. Training minimizes the in-batch sampled softmax loss
 
 with plain mini-batch SGD so runs are deterministic for a fixed seed.
 Gradients flow through the cosine normalization (full quotient rule).
+
+``query_cosines`` is the one place a query becomes cosines against the
+passage rows; ``hybrid`` cuts the de first stage from it, and
+``de_retrieve`` serves a single query.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from .corpus import (
     tokenize,
 )
 from .npzio import deterministic_savez, load_npz
-from .results import CandidateList, ranked_list, top_k_order
+from .results import CandidateList, ranked_list, top_k
 
 PARAMS_FORMAT = "hybridrank-dense-v1"
 ENCODINGS_FORMAT = "hybridrank-encodings-v1"
@@ -250,28 +254,31 @@ def train_de(pairs: list[TrainPair], config: DeTrainConfig,
     return out
 
 
-def de_retrieve(params: EncoderParams, corpus: Corpus, query: Query, k_results: int,
-                query_max_length: int = DEFAULT_QUERY_LENGTH,
-                passage_matrix: np.ndarray | None = None) -> CandidateList:
-    """Exhaustive top-k by cosine similarity, ties broken by ascending passage id.
+def query_cosines(params: EncoderParams, passage_matrix: np.ndarray, query: Query,
+                  query_max_length: int = DEFAULT_QUERY_LENGTH) -> np.ndarray:
+    """Cosine of the query with each L2-normalized row of ``passage_matrix``.
 
-    ``passage_matrix`` may carry the L2-normalized passage rows,
-    ``normalize_rows(encode_corpus(params, corpus))``, so that batch loops
-    encode and normalize the corpus once.
+    A query that encodes to the zero vector gets +0.0 throughout.
     """
-    if k_results < 1:
-        raise ValueError(f"k_results must be >= 1, got {k_results}")
-    if passage_matrix is None:
-        passage_matrix = normalize_rows(encode_corpus(params, corpus))
     qvec = encode_text(params, query.text, query_max_length)
     qn = np.linalg.norm(qvec)
     if qn == 0.0:
-        scores = np.zeros(len(corpus), dtype=np.float64)
-    else:
-        scores = passage_matrix @ (qvec / qn)
-    order = top_k_order(scores, corpus.id_rank, k_results)
-    passages = corpus.passages
-    return ranked_list(query.id, [passages[i].id for i in order.tolist()], scores[order])
+        return np.zeros(len(passage_matrix), dtype=np.float64)
+    return passage_matrix @ (qvec / qn)
+
+
+def de_retrieve(params: EncoderParams, corpus: Corpus, query: Query, k_results: int,
+                query_max_length: int = DEFAULT_QUERY_LENGTH, *,
+                passage_matrix: np.ndarray) -> CandidateList:
+    """Exhaustive top-k by cosine similarity, ties broken by ascending passage id.
+
+    ``passage_matrix`` holds the L2-normalized passage rows,
+    ``normalize_rows(encode_corpus(params, corpus))``.
+    """
+    if k_results < 1:
+        raise ValueError(f"k_results must be >= 1, got {k_results}")
+    scores = query_cosines(params, passage_matrix, query, query_max_length)
+    return ranked_list(query.id, *top_k(scores, corpus.id_rank, corpus.ids(), k_results))
 
 
 def save_params(params: EncoderParams, path) -> None:

@@ -33,9 +33,6 @@ class RunFile:
             rankings[cl.query_id] = [(it.passage_id, it.score) for it in cl.items]
         return cls(run_tag=run_tag, rankings=rankings)
 
-    def depth(self) -> int:
-        return max((len(r) for r in self.rankings.values()), default=0)
-
 
 @dataclass
 class MetricReport:

@@ -5,6 +5,12 @@ rows are stored L2-normalized, this equals a single inner product between
 concatenated vectors [q_sparse; lam * q_dense / |q_dense|] and
 [p_sparse; p_dense / |p_dense|], so exhaustive inner-product search over the
 concatenation and score-level fusion give the same ranking.
+
+``HybridIndex.score_components`` is the one path from a query to its scores:
+BM25 scores (``Bm25Index.scores``) and cosines (``dense.query_cosines``).
+``HybridIndex.cut`` turns them into any first stage's top k.  The bm25 stage
+keeps only passages that score > 0, which are exactly the passages sharing a
+term with the query; de and hybrid rank every passage.
 """
 
 from __future__ import annotations
@@ -14,17 +20,16 @@ import os
 
 import numpy as np
 
-from .bm25 import Bm25Index, Bm25Params, load_index, save_index
-from .corpus import DEFAULT_PASSAGE_LENGTH, DEFAULT_QUERY_LENGTH, DEFAULT_VOCAB_SIZE, \
-    Corpus, QrelSet, Query
-from .dense import EncoderParams, encode_corpus, encode_text, load_encodings, \
-    load_params, normalize_rows, save_encodings, save_params
+from .bm25 import Bm25Index, load_index, save_index
+from .corpus import QrelSet, Query
+from .dense import EncoderParams, load_encodings, load_params, query_cosines, \
+    save_encodings, save_params
 from .evaluation import RunFile, compute_metric
 from .npzio import write_json
-from .results import CandidateList, ranked_list, top_k_order
+from .results import CandidateList, ranked_list, top_k, top_k_order
 
 HYBRID_FORMAT = "hybridrank-hybrid-v1"
-DEFAULT_LAMBDA = 600.0
+FIRST_STAGES = ("bm25", "de", "hybrid")
 DEFAULT_LAMBDA_GRID = tuple(float(v) for v in range(50, 751, 50))
 
 
@@ -32,7 +37,7 @@ class HybridIndex:
     """BM25 index plus aligned, L2-normalized dense passage rows and a weight."""
 
     def __init__(self, bm25_index: Bm25Index, encoder: EncoderParams,
-                 dense_rows: np.ndarray, lam: float = DEFAULT_LAMBDA):
+                 dense_rows: np.ndarray, lam: float):
         if lam < 0:
             raise ValueError(f"lam must be >= 0, got {lam}")
         if encoder.vocab_size != bm25_index.stats.vocab_size:
@@ -53,44 +58,38 @@ class HybridIndex:
         self.lam = float(lam)
         self.ids = bm25_index.ids
 
-    @classmethod
-    def from_corpus(cls, corpus: Corpus, encoder: EncoderParams,
-                    lam: float = DEFAULT_LAMBDA, params: Bm25Params | None = None,
-                    vocab_size: int = DEFAULT_VOCAB_SIZE,
-                    max_length: int = DEFAULT_PASSAGE_LENGTH,
-                    query_max_length: int = DEFAULT_QUERY_LENGTH) -> "HybridIndex":
-        index = Bm25Index(corpus, params=params, vocab_size=vocab_size,
-                          max_length=max_length, query_max_length=query_max_length)
-        rows = normalize_rows(encode_corpus(encoder, corpus, max_length))
-        return cls(index, encoder, rows, lam)
-
     def with_lambda(self, lam: float) -> "HybridIndex":
         return HybridIndex(self.bm25, self.encoder, self.dense_rows, lam)
 
     def __len__(self) -> int:
         return len(self.ids)
 
-    def query_direction(self, query: Query) -> np.ndarray:
-        """Unit-norm dense query vector (zero vector if the encoding is zero)."""
-        q = encode_text(self.encoder, query.text, self.bm25.query_max_length)
-        n = float(np.linalg.norm(q))
-        return q / n if n > 0.0 else np.zeros_like(q)
-
     def score_components(self, query: Query) -> tuple[np.ndarray, np.ndarray]:
         """(bm25 scores, dense cosines) over all passages in corpus order."""
-        bm25_scores, _ = self.bm25.scores(query)
-        cos = self.dense_rows @ self.query_direction(query)
-        return bm25_scores, cos
+        return (self.bm25.scores(query),
+                query_cosines(self.encoder, self.dense_rows, query,
+                              self.bm25.query_max_length))
+
+    def cut(self, stage: str, bm25_scores: np.ndarray, cos: np.ndarray,
+            k: int) -> tuple[list[str], list[float]]:
+        """Ids and scores of the top k of ``stage`` (one of ``FIRST_STAGES``),
+        from a query's score components."""
+        if stage == "bm25":
+            # a passage scores > 0 exactly when it shares a term with the query
+            scores, k = bm25_scores, min(k, int(np.count_nonzero(bm25_scores > 0)))
+        elif stage == "de":
+            scores = cos
+        else:
+            scores = bm25_scores + self.lam * cos
+        return top_k(scores, self.bm25.id_rank, self.ids, k)
 
 
 def hybrid_retrieve(index: HybridIndex, query: Query, k_results: int) -> CandidateList:
     """Exhaustive top-k by fused score over every passage in the index."""
     if k_results < 1:
         raise ValueError(f"k_results must be >= 1, got {k_results}")
-    bm25_scores, cos = index.score_components(query)
-    total = bm25_scores + index.lam * cos
-    order = top_k_order(total, index.bm25.id_rank, k_results)
-    return ranked_list(query.id, [index.ids[i] for i in order.tolist()], total[order])
+    return ranked_list(query.id, *index.cut("hybrid", *index.score_components(query),
+                                            k_results))
 
 
 def _restrict_qrels(qrels: QrelSet, queries: list[Query]) -> QrelSet:
@@ -126,7 +125,7 @@ def _sweep(bm25_scores: np.ndarray, cos: np.ndarray, values: list[float],
 
 
 def tune_lambda(index: HybridIndex, queries: list[Query], qrels: QrelSet,
-                grid: tuple[float, ...] | None = None, metric: str = "mrr",
+                grid: tuple[float, ...] = DEFAULT_LAMBDA_GRID, metric: str = "mrr",
                 cutoff: int = 10) -> float:
     """Pick the fusion weight from a grid by mean retrieval quality.
 
@@ -135,7 +134,7 @@ def tune_lambda(index: HybridIndex, queries: list[Query], qrels: QrelSet,
     re-weighted per candidate (``_sweep``), keeping only each weight's
     top-``cutoff`` list.
     """
-    values = sorted({float(g) for g in (grid if grid is not None else DEFAULT_LAMBDA_GRID)})
+    values = sorted({float(g) for g in grid})
     if not values:
         raise ValueError("lambda grid must be nonempty")
     if values[0] < 0:

@@ -19,15 +19,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bm25 import Bm25Index, Bm25Params, retrieve
+from .bm25 import Bm25Index, Bm25Params
 from .corpus import DEFAULT_PASSAGE_LENGTH, DEFAULT_QUERY_LENGTH, DEFAULT_VOCAB_SIZE, \
-    Corpus, QrelSet, Query, load_corpus, load_qrels, load_queries
-from .dense import DeTrainConfig, EncoderParams, TrainPair, de_retrieve, \
-    encode_corpus, normalize_rows, save_params, train_de
+    load_corpus, load_qrels, load_queries
+from .dense import DeTrainConfig, EncoderParams, TrainPair, encode_corpus, \
+    normalize_rows, save_params, train_de
 from .evaluation import METRIC_IDS, RunFile, compute_metric, format_metric_table, \
     write_run
-from .hybrid import DEFAULT_LAMBDA_GRID, HybridIndex, hybrid_retrieve, \
-    save_hybrid_index, tune_lambda
+from .hybrid import DEFAULT_LAMBDA_GRID, FIRST_STAGES, HybridIndex, save_hybrid_index, \
+    tune_lambda
 from .npzio import write_json
 from .qgen import QgenConfig, iterative_train
 from .reranker import RerankerParams, RerankTrainConfig, SamplingWindow, \
@@ -35,7 +35,6 @@ from .reranker import RerankerParams, RerankTrainConfig, SamplingWindow, \
     save_reranker, train_reranker
 from .results import CandidateList
 
-FIRST_STAGES = ("bm25", "de", "hybrid")
 TRAINING_SOURCES = ("bm25", "de", "hybrid", "mixed", "none")
 
 # offsets mixed into config.seed so each stage gets its own stream
@@ -221,8 +220,6 @@ class _Experiment:
         self._rerank_runs: dict[tuple[str, str], RunFile] = {}
         self.qgen_report: dict | None = None
         self.encoder: EncoderParams | None = None
-        self._dense_rows: np.ndarray | None = None
-        self.bm25_index: Bm25Index | None = None
         self.hybrid_index: HybridIndex | None = None
 
     # -- plumbing ---------------------------------------------------------
@@ -246,16 +243,6 @@ class _Experiment:
             save_config(c, self._out("config.json"))
 
     # -- stages -----------------------------------------------------------
-
-    def build_bm25(self) -> Bm25Index:
-        if self.bm25_index is None:
-            with _stage("index"):
-                c = self.config
-                self.bm25_index = Bm25Index(
-                    self.corpus, params=c.bm25, vocab_size=c.vocab_size,
-                    max_length=c.passage_max_length,
-                    query_max_length=c.query_max_length)
-        return self.bm25_index
 
     def train_encoder(self) -> EncoderParams:
         if self.encoder is None:
@@ -286,21 +273,19 @@ class _Experiment:
                 save_params(self.encoder, self._out("de_params.npz"))
         return self.encoder
 
-    def dense_rows(self) -> np.ndarray:
-        """L2-normalized passage encodings, computed once for the de and hybrid
-        runs (inside whichever stage asks first)."""
-        if self._dense_rows is None:
-            self._dense_rows = normalize_rows(encode_corpus(
-                self.train_encoder(), self.corpus, self.config.passage_max_length))
-        return self._dense_rows
-
     def build_hybrid(self) -> HybridIndex:
         if self.hybrid_index is None:
-            bm25_index = self.build_bm25()
+            c = self.config
+            with _stage("index"):
+                bm25_index = Bm25Index(
+                    self.corpus, params=c.bm25, vocab_size=c.vocab_size,
+                    max_length=c.passage_max_length,
+                    query_max_length=c.query_max_length)
             encoder = self.train_encoder()
             with _stage("tune-lambda"):
-                c = self.config
-                index = HybridIndex(bm25_index, encoder, self.dense_rows(), lam=0.0)
+                rows = normalize_rows(encode_corpus(encoder, self.corpus,
+                                                    c.passage_max_length))
+                index = HybridIndex(bm25_index, encoder, rows, lam=0.0)
                 grid = c.lambda_grid if c.lambda_grid is not None else DEFAULT_LAMBDA_GRID
                 if c.fixed_lambda is not None:
                     lam = float(c.fixed_lambda)
@@ -319,27 +304,25 @@ class _Experiment:
         return self.hybrid_index
 
     def run(self, first_stage: str, split: str) -> RunFile:
+        """One first stage's run on a split.  Each query is scored once; the
+        test split cuts every first stage from that pass, a train split only
+        the one asked for."""
         key = (first_stage, split)
         if key not in self._runs:
+            index = self.build_hybrid()
             with _stage("retrieve"):
-                c = self.config
                 queries = self.train_queries if split == "train" else self.test_queries
-                if first_stage == "bm25":
-                    index = self.build_bm25()
-                    lists = [retrieve(index, q, c.run_depth) for q in queries]
-                elif first_stage == "de":
-                    encoder = self.train_encoder()
-                    rows = self.dense_rows()
-                    lists = [de_retrieve(encoder, self.corpus, q, c.run_depth,
-                                         query_max_length=c.query_max_length,
-                                         passage_matrix=rows)
-                             for q in queries]
-                else:
-                    index = self.build_hybrid()
-                    lists = [hybrid_retrieve(index, q, c.run_depth) for q in queries]
-                run = RunFile.from_candidates(lists, run_tag=first_stage)
-                write_run(run, self._out(f"run_{first_stage}_{split}.trec"))
-                self._runs[key] = run
+                stages = FIRST_STAGES if split == "test" else (first_stage,)
+                rankings = {stage: {} for stage in stages}
+                for q in queries:
+                    components = index.score_components(q)
+                    for stage in stages:
+                        rankings[stage][q.id] = list(zip(
+                            *index.cut(stage, *components, self.config.run_depth)))
+                for stage in stages:
+                    run = RunFile(stage, rankings[stage])
+                    write_run(run, self._out(f"run_{stage}_{split}.trec"))
+                    self._runs[(stage, split)] = run
         return self._runs[key]
 
     def training_lists(self, source: str) -> list[CandidateList]:
@@ -426,8 +409,6 @@ def run_experiment(config: ExperimentConfig) -> dict:
     """Execute the full pipeline; returns a report with metrics and manifest."""
     exp = _Experiment(config)
     exp.load()
-    exp.build_bm25()
-    exp.train_encoder()
     exp.build_hybrid()
     metrics: dict[str, dict[str, float]] = {}
     for first in FIRST_STAGES:

@@ -106,19 +106,18 @@ def generate_queries(corpus: Corpus, mode: str = "sentence",
     return pairs
 
 
-def round_trip_filter(pairs: list[SyntheticPair], de0: EncoderParams,
-                      corpus: Corpus, query_max_length: int | None = None,
-                      passage_max_length: int | None = None) -> list[SyntheticPair]:
+def round_trip_filter(pairs: list[SyntheticPair], de0: EncoderParams, corpus: Corpus,
+                      query_max_length: int = DEFAULT_QUERY_LENGTH,
+                      passage_max_length: int = DEFAULT_PASSAGE_LENGTH
+                      ) -> list[SyntheticPair]:
     """Keep pairs whose exact cosine 1-NN over the corpus is the source passage.
 
     Ties are broken by ascending passage id and the source must win the
     tiebreak.  Input order is preserved.
     """
-    qmax = query_max_length if query_max_length is not None else DEFAULT_QUERY_LENGTH
-    pmax = passage_max_length if passage_max_length is not None else DEFAULT_PASSAGE_LENGTH
-    rows = normalize_rows(encode_corpus(de0, corpus, pmax))
+    rows = normalize_rows(encode_corpus(de0, corpus, passage_max_length))
     return [pair for pair in pairs
-            if de_retrieve(de0, corpus, pair.query, 1, qmax, passage_matrix=rows)
+            if de_retrieve(de0, corpus, pair.query, 1, query_max_length, passage_matrix=rows)
             .items[0].passage_id == pair.source_passage_id]
 
 

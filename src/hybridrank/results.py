@@ -31,14 +31,22 @@ class CandidateList:
         return [it.passage_id for it in self.items]
 
 
-def ranked_list(query_id: str, ids: list[str], scores: np.ndarray) -> CandidateList:
-    """Ranks 1.. for ``ids`` in rank order, each with its entry of ``scores``.
-
-    ``scores.tolist()`` gives the same Python floats as ``float(scores[i])``.
-    """
+def ranked_list(query_id: str, ids: list[str], scores: list[float]) -> CandidateList:
+    """Ranks 1.. for ``ids`` in rank order, each with its entry of ``scores``."""
     # positional fields (passage_id, score, rank): about half the cost of keywords
-    return CandidateList(query_id, list(map(CandidateItem, ids, scores.tolist(),
+    return CandidateList(query_id, list(map(CandidateItem, ids, scores,
                                             range(1, len(ids) + 1))))
+
+
+def top_k(scores: np.ndarray, id_rank: np.ndarray, ids: list[str],
+          k: int) -> tuple[list[str], list[float]]:
+    """Ids and scores of the k best entries of ``scores``, in ``top_k_order``.
+
+    ``ids[i]`` and ``id_rank[i]`` belong to ``scores[i]``.  The scores come
+    from ``ndarray.tolist()``, the same Python floats as ``float(scores[i])``.
+    """
+    order = top_k_order(scores, id_rank, k)
+    return [ids[i] for i in order.tolist()], scores[order].tolist()
 
 
 def id_rank(ids) -> np.ndarray:

@@ -15,10 +15,12 @@ from hybridrank.bm25 import (
     encode_passage,
     encode_query,
     load_index,
-    retrieve,
     save_index,
 )
 from hybridrank.corpus import Corpus, Passage, Query, tokenize
+from hybridrank.dense import EncoderParams
+from hybridrank.hybrid import HybridIndex
+from hybridrank.results import ranked_list
 
 VOCAB = 4096
 
@@ -33,6 +35,13 @@ def _random_corpus(rng, n, vocab_words):
 
 
 WORDS = [f"w{i}" for i in range(120)]
+
+
+def retrieve(index, query, k):
+    """The bm25 first stage's top k, cut the way the pipeline cuts it."""
+    hybrid = HybridIndex(index, EncoderParams(np.zeros((VOCAB, 1)), 1, 0),
+                         np.zeros((len(index), 1)), 0.0)
+    return ranked_list(query.id, *hybrid.cut("bm25", *hybrid.score_components(query), k))
 
 
 # ---------------------------------------------------------------- stats / idf
@@ -225,20 +234,30 @@ def test_retrieve_matches_bruteforce_oracle():
         assert [it.passage_id for it in got.items] == [pid for pid, _ in brute[:25]]
         for it, (_, s) in zip(got.items, brute):
             assert it.score == s  # bitwise: same summation order
-        scores, _ = index.scores(q)
-        assert scores.tolist() == [dot(qvec, vecs[p.id]) for p in corpus]
+        assert index.scores(q).tolist() == [dot(qvec, vecs[p.id]) for p in corpus]
+
+
+@pytest.mark.parametrize("params", [Bm25Params(k=0.0), Bm25Params(b=0.0), Bm25Params(b=1.0)])
+def test_bm25_list_is_the_passages_sharing_a_query_term(params):
+    """Every posting weight (Lucene IDF > 0) and query term count is > 0, so a
+    passage scores > 0 exactly when it shares a term with the query."""
+    rng = random.Random(31)
+    for trial in range(5):
+        corpus = _random_corpus(rng, 40, WORDS)
+        index = Bm25Index(corpus, params=params, vocab_size=VOCAB)
+        for i in range(10):
+            words = rng.choices(WORDS + ["unseen1", "unseen2"], k=rng.randint(1, 3))
+            q = Query(f"q{trial}-{i}", " ".join(words))
+            terms = set(tokenize(q.text, VOCAB, 64).tokens)
+            sharing = {p.id for p in corpus
+                       if terms & set(tokenize(p.encoding_text(), VOCAB, 512).tokens)}
+            assert {it.passage_id for it in retrieve(index, q, len(corpus)).items} == sharing
 
 
 def test_retrieve_fewer_matches_than_k():
     index = Bm25Index(_corpus(["only match here", "nothing shared"]), vocab_size=VOCAB)
     result = retrieve(index, Query("q", "match"), 10)
     assert len(result.items) == 1
-
-
-def test_retrieve_rejects_bad_k():
-    index = Bm25Index(_corpus(["x"]), vocab_size=VOCAB)
-    with pytest.raises(ValueError):
-        retrieve(index, Query("q", "x"), 0)
 
 
 # ---------------------------------------------------------------- params
@@ -283,9 +302,7 @@ def test_index_save_load_bitwise_scores(tmp_path):
     loaded = load_index(path)
     for i in range(8):
         q = Query(f"q{i}", " ".join(rng.choices(WORDS, k=3)))
-        a, _ = index.scores(q)
-        b, _ = loaded.scores(q)
-        assert (a == b).all()
+        assert (index.scores(q) == loaded.scores(q)).all()
         ra = retrieve(index, q, 10)
         rb = retrieve(loaded, q, 10)
         assert [(x.passage_id, x.score) for x in ra.items] == \

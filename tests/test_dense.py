@@ -360,10 +360,15 @@ def test_de_train_config_validation():
 
 # ---------------------------------------------------------------- retrieval
 
+def _rows(params, corpus):
+    return normalize_rows(encode_corpus(params, corpus))
+
+
 def test_de_retrieve_single_passage_corpus():
     corpus = Corpus([Passage("only", "", "anything at all")])
     p = init_params(VOCAB, 8, seed=0)
-    result = de_retrieve(p, corpus, Query("q", "whatever"), 5)
+    result = de_retrieve(p, corpus, Query("q", "whatever"), 5,
+                         passage_matrix=_rows(p, corpus))
     assert [it.passage_id for it in result.items] == ["only"]
 
 
@@ -372,7 +377,7 @@ def test_de_retrieve_exact_token_match_wins():
     p = params_with_rows({a: [1.0, 0.0], b: [0.0, 1.0], c: [-1.0, 0.0]}, dim=2)
     corpus = Corpus([Passage("match", "", a), Passage("ortho", "", b),
                      Passage("anti", "", c)])
-    result = de_retrieve(p, corpus, Query("q", a), 3)
+    result = de_retrieve(p, corpus, Query("q", a), 3, passage_matrix=_rows(p, corpus))
     assert result.items[0].passage_id == "match"
     assert result.items[0].score == pytest.approx(1.0)
 
@@ -381,19 +386,8 @@ def test_de_retrieve_tie_broken_by_id():
     a, b = distinct_words(2)
     p = params_with_rows({a: [1.0, 0.0], b: [1.0, 0.0]}, dim=2)
     corpus = Corpus([Passage("zz", "", a), Passage("aa", "", b)])
-    result = de_retrieve(p, corpus, Query("q", a), 2)
+    result = de_retrieve(p, corpus, Query("q", a), 2, passage_matrix=_rows(p, corpus))
     assert [it.passage_id for it in result.items] == ["aa", "zz"]
-
-
-def test_de_retrieve_precomputed_matrix_matches():
-    corpus, _ = _toy_training_pairs(10)
-    p = init_params(VOCAB, 8, seed=4)
-    rows = normalize_rows(encode_corpus(p, corpus))
-    q = Query("q", "tok3 tok5")
-    direct = de_retrieve(p, corpus, q, 5)
-    cached = de_retrieve(p, corpus, q, 5, passage_matrix=rows)
-    assert [(it.passage_id, it.score) for it in direct.items] == \
-           [(it.passage_id, it.score) for it in cached.items]
 
 
 # ---------------------------------------------------------------- persistence

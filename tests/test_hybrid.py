@@ -3,12 +3,11 @@
 import numpy as np
 import pytest
 
-from hybridrank.bm25 import Bm25Index, dot, encode_passage, encode_query, retrieve
+from hybridrank.bm25 import Bm25Index, dot, encode_passage, encode_query
 from hybridrank.corpus import Corpus, Passage, QrelSet, Query, tokenize
 from hybridrank.dense import EncoderParams, cosine, de_retrieve, encode_corpus, \
     encode_text, init_params, normalize_rows
 from hybridrank.hybrid import (
-    DEFAULT_LAMBDA,
     DEFAULT_LAMBDA_GRID,
     HybridIndex,
     _sweep,
@@ -17,7 +16,7 @@ from hybridrank.hybrid import (
     save_hybrid_index,
     tune_lambda,
 )
-from hybridrank.results import top_k_order
+from hybridrank.results import ranked_list, top_k_order
 
 VOCAB = 512
 
@@ -35,6 +34,16 @@ def _distinct_words(n):
     return words
 
 
+def _index(corpus, encoder, lam):
+    """A hybrid index over ``corpus`` the way the pipeline builds one."""
+    rows = normalize_rows(encode_corpus(encoder, corpus))
+    return HybridIndex(Bm25Index(corpus, vocab_size=VOCAB), encoder, rows, lam)
+
+
+def _bm25_list(index, query, k):
+    return ranked_list(query.id, *index.cut("bm25", *index.score_components(query), k))
+
+
 def _random_setup(seed, n_passages=30):
     rng = np.random.default_rng(seed)
     words = _distinct_words(40)
@@ -42,7 +51,7 @@ def _random_setup(seed, n_passages=30):
              for _ in range(n_passages)]
     corpus = Corpus([Passage(f"d{i:03d}", "", t) for i, t in enumerate(texts)])
     encoder = init_params(VOCAB, 8, seed=seed)
-    index = HybridIndex.from_corpus(corpus, encoder, lam=2.0, vocab_size=VOCAB)
+    index = _index(corpus, encoder, 2.0)
     queries = [Query(f"q{i}", " ".join(rng.choice(words, size=3))) for i in range(8)]
     return corpus, encoder, index, queries
 
@@ -50,7 +59,6 @@ def _random_setup(seed, n_passages=30):
 # ---------------------------------------------------------------- scoring
 
 def test_defaults():
-    assert DEFAULT_LAMBDA == 600.0
     assert DEFAULT_LAMBDA_GRID == tuple(float(v) for v in range(50, 751, 50))
 
 
@@ -82,9 +90,9 @@ def test_hybrid_score_direct_sum_example():
     emb[tokenize(a, VOCAB, 4).tokens[0]] = [1.0, 0.0]
     emb[tokenize(b, VOCAB, 4).tokens[0]] = [0.0, 1.0]
     encoder = EncoderParams(embeddings=emb, dim=2, seed=0)
-    index = HybridIndex.from_corpus(corpus, encoder, lam=2.0, vocab_size=VOCAB)
+    index = _index(corpus, encoder, 2.0)
     q = Query("q", a)
-    bm25_part, _ = index.bm25.scores(q)
+    bm25_part = index.bm25.scores(q)
     cos_part = cosine(encode_text(encoder, a, 64),
                       encode_text(encoder, f"{a} {b}", 512))
     expected = float(bm25_part[0]) + 2.0 * cos_part
@@ -95,7 +103,7 @@ def test_lambda_zero_equals_bm25_dot():
     corpus, encoder, index, queries = _random_setup(2)
     zero = index.with_lambda(0.0)
     for q in queries:
-        scores, _ = index.bm25.scores(q)
+        scores = index.bm25.scores(q)
         fused = _fused_scores(zero, q)
         for i, pid in enumerate(index.ids):
             assert fused[pid] == pytest.approx(float(scores[i]), abs=1e-12)
@@ -107,7 +115,7 @@ def test_hybrid_retrieve_lambda_zero_matches_bm25_order_on_matches():
     corpus, encoder, index, queries = _random_setup(3)
     zero = index.with_lambda(0.0)
     for q in queries:
-        bm25_ranked = retrieve(index.bm25, q, len(corpus))
+        bm25_ranked = _bm25_list(index, q, len(corpus))
         fused = hybrid_retrieve(zero, q, len(corpus))
         n = len(bm25_ranked.items)
         # matched prefix agrees; zero-score tail is id-ordered in both views
@@ -144,13 +152,13 @@ def test_hybrid_retrieve_three_passage_construction():
     # query shares only the probe token and points at the semantic axis
     q = Query("q", f"{probe} {qsem}")
     lam = 2.0
-    index = HybridIndex.from_corpus(corpus, encoder, lam=lam, vocab_size=VOCAB)
+    index = _index(corpus, encoder, lam)
     bm25_scores, cos = index.score_components(q)
     # each winner leads its runner-up by a margin, not by a tie-break
     for scores in (bm25_scores, cos, bm25_scores + lam * cos):
         first, second = np.sort(scores)[::-1][:2]
         assert first - second > 0.05
-    bm25_top = retrieve(index.bm25, q, 1).items[0].passage_id
+    bm25_top = _bm25_list(index, q, 1).items[0].passage_id
     dense_top = index.ids[int(np.argmax(cos))]
     fused_top = hybrid_retrieve(index, q, 1).items[0].passage_id
     assert bm25_top == "lexical"
@@ -175,7 +183,8 @@ def test_hybrid_retrieve_matches_materialized_concatenation():
             qcat = np.zeros(VOCAB + encoder.dim)
             for t, w in encode_query(q, VOCAB, idx.bm25.query_max_length).items():
                 qcat[t] = w
-            qcat[VOCAB:] = lam * idx.query_direction(q)
+            qdense = encode_text(encoder, q.text, idx.bm25.query_max_length)
+            qcat[VOCAB:] = lam * qdense / np.linalg.norm(qdense)
             brute = mats @ qcat
             got = hybrid_retrieve(idx, q, 10)
             pos = {pid: i for i, pid in enumerate(idx.ids)}
@@ -196,7 +205,7 @@ def test_rank_monotonicity_equal_bm25():
     encoder = EncoderParams(embeddings=emb, dim=2, seed=0)
     q = Query("q", a)
     for lam in (0.5, 10.0, 1e4):
-        index = HybridIndex.from_corpus(corpus, encoder, lam=lam, vocab_size=VOCAB)
+        index = _index(corpus, encoder, lam)
         bm, cos = index.score_components(q)
         assert bm[0] == bm[1]  # same surface term, same lengths
         assert cos[0] > cos[1]
@@ -215,7 +224,7 @@ def test_tune_lambda_single_value_grid():
 def test_tune_lambda_all_zero_dense_ties_to_smallest():
     corpus, _, _, queries = _random_setup(7)
     encoder = EncoderParams(embeddings=np.zeros((VOCAB, 4)), dim=4, seed=0)
-    index = HybridIndex.from_corpus(corpus, encoder, lam=1.0, vocab_size=VOCAB)
+    index = _index(corpus, encoder, 1.0)
     qrels = QrelSet({(q.id, corpus.ids()[i]): 1 for i, q in enumerate(queries)})
     assert tune_lambda(index, queries, qrels, grid=(300.0, 50.0, 150.0)) == 50.0
 
@@ -242,7 +251,7 @@ def test_tune_lambda_beats_endpoints_when_both_channels_matter():
         qrels.set(f"q{i}", f"d{i}", 1)
     corpus = Corpus(passages)
     encoder = EncoderParams(embeddings=emb, dim=4, seed=0)
-    index = HybridIndex.from_corpus(corpus, encoder, lam=1.0, vocab_size=VOCAB)
+    index = _index(corpus, encoder, 1.0)
     grid = (0.0, 0.5, 1.0, 2.0, 4.0, 8.0)
     best = tune_lambda(index, queries, qrels, grid=grid)
 
@@ -298,7 +307,7 @@ def test_tune_lambda_streamed_agrees_with_per_lambda_retrieval_on_tie_heavy_grid
         for w in rng.choice(words, size=3, replace=False):
             emb[tokenize(w, VOCAB, 4).tokens[0]] = rng.choice([-1.0, 1.0], size=4)
         encoder = EncoderParams(embeddings=emb, dim=4, seed=0)
-        index = HybridIndex.from_corpus(corpus, encoder, lam=0.0, vocab_size=VOCAB)
+        index = _index(corpus, encoder, 0.0)
         queries = [Query(f"q{i}", " ".join(rng.choice(words, size=2))) for i in range(8)]
         ids = corpus.ids()
         qrels = QrelSet({(q.id, ids[int(rng.integers(len(ids)))]): 1 for q in queries})
@@ -371,8 +380,7 @@ def test_tune_lambda_with_infinite_weight_agrees_with_per_lambda_retrieval():
         emb = encoder.embeddings.copy()
         for q in queries[::2]:
             emb[list(tokenize(q.text, VOCAB, 64).tokens)] = 0.0
-        index = HybridIndex.from_corpus(corpus, EncoderParams(emb, 8, 0),
-                                        vocab_size=VOCAB)
+        index = _index(corpus, EncoderParams(emb, 8, 0), 600.0)
         assert np.isnan(index.score_components(queries[0])[1] * np.inf).all()
         qrels = QrelSet({(q.id, corpus.ids()[i]): 1 for i, q in enumerate(queries)})
         grid = (0.0, 1.0, float("inf"))

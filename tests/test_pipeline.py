@@ -3,14 +3,20 @@ training-data mixing, manifests."""
 
 import dataclasses
 import json
+import math
 import os
 
 import pytest
 
-from hybridrank.dense import DeTrainConfig
-from hybridrank.pipeline import (ExperimentConfig, StageError, ablation_matrix,
-                                 config_from_dict, config_to_dict, load_config,
-                                 mix_training_data, run_experiment, save_config)
+from hybridrank.bm25 import Bm25Index
+from hybridrank.corpus import load_corpus, load_queries
+from hybridrank.dense import DeTrainConfig, de_retrieve
+from hybridrank.evaluation import read_run
+from hybridrank.hybrid import hybrid_retrieve, load_hybrid_index
+from hybridrank.pipeline import (FIRST_STAGES, ExperimentConfig, StageError,
+                                 ablation_matrix, config_from_dict, config_to_dict,
+                                 load_config, mix_training_data, run_experiment,
+                                 save_config)
 from hybridrank.reranker import RerankTrainConfig, SamplingWindow
 from hybridrank.results import CandidateItem, CandidateList
 from hybridrank.synthetic import SyntheticCorpusSpec, make_synthetic_corpus, \
@@ -175,6 +181,57 @@ def test_run_experiment_with_reranker(data_dir, tmp_path):
     assert (workdir / "run_rerank_hybrid_on_bm25.trec").exists()
     listed = json.loads((workdir / "lists_hybrid_report.json").read_text())
     assert listed["lists"] == 25
+    # a train split holds only the run its lists are drawn from
+    assert sorted(p for p in os.listdir(workdir) if p.endswith("_train.trec")) == \
+        ["run_hybrid_train.trec"]
+
+
+def _pairs(candidates):
+    return [(it.passage_id, it.score) for it in candidates.items]
+
+
+def test_test_split_runs_equal_single_query_retrieval(data_dir, tmp_path):
+    """Each test-split run file holds hybrid_retrieve's / de_retrieve's answer
+    per query, bit for bit, and the bm25 run the passages scoring > 0 of the
+    lambda-0 fused list.  A punctuation-only query encodes to the zero vector,
+    and its cosines stay +0.0."""
+    queries = tmp_path / "test_queries.tsv"
+    queries.write_text((data_dir / "test_queries.tsv").read_text() + "q-punct\t?! ...\n")
+    cfg = _config(data_dir, tmp_path / "w", training_source="none",
+                  test_queries=str(queries))
+    run_experiment(cfg)
+    workdir = tmp_path / "w"
+    runs = {stage: read_run(workdir / f"run_{stage}_test.trec").rankings
+            for stage in FIRST_STAGES}
+    index = load_hybrid_index(workdir / "hybrid")
+    corpus = load_corpus(cfg.corpus)
+    depth = cfg.run_depth
+    for q in load_queries(queries):
+        assert runs["hybrid"][q.id] == _pairs(hybrid_retrieve(index, q, depth))
+        assert runs["de"][q.id] == _pairs(de_retrieve(
+            index.encoder, corpus, q, depth, cfg.query_max_length,
+            passage_matrix=index.dense_rows))
+        lexical = _pairs(hybrid_retrieve(index.with_lambda(0.0), q, depth))
+        assert runs["bm25"].get(q.id, []) == [(p, s) for p, s in lexical if s > 0]
+    assert "q-punct" not in runs["bm25"]
+    assert len(runs["de"]["q-punct"]) == depth
+    assert all(s == 0.0 and math.copysign(1.0, s) == 1.0 for _, s in runs["de"]["q-punct"])
+
+
+def test_each_query_is_bm25_scored_once(data_dir, tmp_path, monkeypatch):
+    scored = []
+    scores = Bm25Index.scores
+
+    def counted(self, query):
+        scored.append(query.id)
+        return scores(self, query)
+
+    monkeypatch.setattr(Bm25Index, "scores", counted)
+    cfg = _config(data_dir, tmp_path / "w", training_source="none")
+    run_experiment(cfg)
+    train, test = load_queries(cfg.train_queries), load_queries(cfg.test_queries)
+    assert len(scored) == len(train) + len(test)
+    assert sorted(scored) == sorted(q.id for q in train + test)
 
 
 def test_manifest_covers_written_files_and_inputs(data_dir, tmp_path):

@@ -4,9 +4,11 @@ lexical/semantic control knob's retrieval consequences."""
 import numpy as np
 import pytest
 
-from hybridrank.bm25 import Bm25Index, retrieve
+from hybridrank.bm25 import Bm25Index
 from hybridrank.corpus import DEFAULT_VOCAB_SIZE, load_corpus, load_qrels, \
     load_queries, tokenize
+from hybridrank.dense import EncoderParams
+from hybridrank.hybrid import HybridIndex
 from hybridrank.synthetic import (CONCEPT_REPEATS, CONCEPTS_PER_PASSAGE, MAX_FILLER,
                                   MIN_FILLER, SENTENCES_PER_PASSAGE, SyntheticCorpusSpec,
                                   SyntheticData, _render_passage, _word_pools,
@@ -14,6 +16,13 @@ from hybridrank.synthetic import (CONCEPT_REPEATS, CONCEPTS_PER_PASSAGE, MAX_FIL
 
 SMALL = SyntheticCorpusSpec(n_passages=300, n_train_queries=40, n_test_queries=30,
                             lexical_fraction=0.5, seed=11)
+
+
+def _bm25_top10(index, query):
+    """Ids of the bm25 first stage's top 10, cut the way the pipeline cuts it."""
+    hybrid = HybridIndex(index, EncoderParams(np.zeros((DEFAULT_VOCAB_SIZE, 1)), 1, 0),
+                         np.zeros((len(index), 1)), 0.0)
+    return hybrid.cut("bm25", *hybrid.score_components(query), 10)[0]
 
 
 def _snapshot(data: SyntheticData):
@@ -137,7 +146,7 @@ def test_all_lexical_makes_bm25_complete():
     found = 0
     for q in data.test_queries:
         target = next(iter(data.test_qrels.relevant(q.id)))
-        ids = [c.passage_id for c in retrieve(index, q, 10).items]
+        ids = _bm25_top10(index, q)
         found += target in ids
     assert found == len(data.test_queries)
 
@@ -150,7 +159,7 @@ def test_all_semantic_starves_bm25():
     rr = 0.0
     for q in data.test_queries:
         target = next(iter(data.test_qrels.relevant(q.id)))
-        ids = [c.passage_id for c in retrieve(index, q, 10).items]
+        ids = _bm25_top10(index, q)
         if target in ids:
             rr += 1.0 / (ids.index(target) + 1)
     assert rr / len(data.test_queries) < 0.2
