@@ -21,13 +21,14 @@ from math import log
 import numpy as np
 
 from .corpus import (
-    DEFAULT_PASSAGE_LENGTH,
-    DEFAULT_QUERY_LENGTH,
     DEFAULT_VOCAB_SIZE,
+    PASSAGE_LENGTH,
+    QUERY_LENGTH,
     Corpus,
     Passage,
     Query,
-    tokenize,
+    passage_tokens,
+    query_tokens,
 )
 from .npzio import deterministic_savez, load_npz
 from .results import id_rank
@@ -59,15 +60,9 @@ class Bm25Stats:
     avg_length: float
     lengths: dict[str, int]
     vocab_size: int = DEFAULT_VOCAB_SIZE
-    max_length: int = DEFAULT_PASSAGE_LENGTH
 
 
-def _passage_counts(passage: Passage, vocab_size: int, max_length: int) -> Counter:
-    return Counter(tokenize(passage.encoding_text(), vocab_size, max_length).tokens)
-
-
-def compute_stats(corpus: Corpus, vocab_size: int = DEFAULT_VOCAB_SIZE,
-                  max_length: int = DEFAULT_PASSAGE_LENGTH) -> Bm25Stats:
+def compute_stats(corpus: Corpus, vocab_size: int = DEFAULT_VOCAB_SIZE) -> Bm25Stats:
     """IDF, average length and per-passage lengths over a nonempty corpus."""
     n = len(corpus)
     if n == 0:
@@ -75,18 +70,18 @@ def compute_stats(corpus: Corpus, vocab_size: int = DEFAULT_VOCAB_SIZE,
     df: Counter = Counter()
     lengths: dict[str, int] = {}
     for p in corpus:
-        c = _passage_counts(p, vocab_size, max_length)
+        c = Counter(passage_tokens(p, vocab_size))
         lengths[p.id] = sum(c.values())
         df.update(c.keys())
     idf = {t: log((n - d + 0.5) / (d + 0.5) + 1.0) for t, d in df.items()}
     avg_length = sum(lengths.values()) / n
     return Bm25Stats(doc_count=n, idf=idf, avg_length=avg_length, lengths=lengths,
-                     vocab_size=vocab_size, max_length=max_length)
+                     vocab_size=vocab_size)
 
 
 def encode_passage(passage: Passage, stats: Bm25Stats, params: Bm25Params) -> SparseVector:
     """Sparse passage vector whose dot product with a query vector is BM25."""
-    counts = _passage_counts(passage, stats.vocab_size, stats.max_length)
+    counts = Counter(passage_tokens(passage, stats.vocab_size))
     m = sum(counts.values())
     if m == 0:
         return {}
@@ -100,10 +95,9 @@ def encode_passage(passage: Passage, stats: Bm25Stats, params: Bm25Params) -> Sp
     return vec
 
 
-def encode_query(query: Query, vocab_size: int = DEFAULT_VOCAB_SIZE,
-                 max_length: int = DEFAULT_QUERY_LENGTH) -> SparseVector:
+def encode_query(query: Query, vocab_size: int = DEFAULT_VOCAB_SIZE) -> SparseVector:
     """Query vector of raw term counts."""
-    counts = Counter(tokenize(query.text, vocab_size, max_length).tokens)
+    counts = Counter(query_tokens(query, vocab_size))
     return {t: float(c) for t, c in counts.items()}
 
 
@@ -124,14 +118,12 @@ class Bm25Index:
     """
 
     def __init__(self, corpus: Corpus, params: Bm25Params | None = None,
-                 vocab_size: int = DEFAULT_VOCAB_SIZE,
-                 max_length: int = DEFAULT_PASSAGE_LENGTH,
-                 query_max_length: int = DEFAULT_QUERY_LENGTH):
+                 vocab_size: int = DEFAULT_VOCAB_SIZE):
         params = params or Bm25Params()
         n = len(corpus)
         if n == 0:
             raise ValueError("cannot compute BM25 statistics over an empty corpus")
-        store = corpus.token_store(vocab_size, max_length)
+        store = corpus.token_store(vocab_size)
         lengths = np.diff(store.indptr)
         # one (passage, term, count) per distinct term of a passage, by passage
         keys, cnt = np.unique(np.repeat(np.arange(n), lengths) * vocab_size + store.ids,
@@ -143,7 +135,7 @@ class Bm25Index:
         stats = Bm25Stats(doc_count=n, idf=dict(zip(present.tolist(), idf)),
                           avg_length=int(lengths.sum()) / n,
                           lengths=dict(zip(corpus.ids(), lengths.tolist())),
-                          vocab_size=vocab_size, max_length=max_length)
+                          vocab_size=vocab_size)
         # encode_passage's operations in its order, so the weights are its bits
         idf_of = np.zeros(vocab_size, dtype=np.float64)
         idf_of[present] = idf
@@ -158,7 +150,6 @@ class Bm25Index:
         self.weights = w[keep][order]
         self.params = params
         self.stats = stats
-        self.query_max_length = query_max_length
         self.ids = corpus.ids()
         self.id_rank = corpus.id_rank
 
@@ -167,7 +158,7 @@ class Bm25Index:
 
     def scores(self, query: Query) -> np.ndarray:
         """BM25 score of every passage, corpus order; 0.0 where no term is shared."""
-        qvec = encode_query(query, self.stats.vocab_size, self.query_max_length)
+        qvec = encode_query(query, self.stats.vocab_size)
         scores = np.zeros(len(self.ids), dtype=np.float64)
         # ascending term order, so scores do not depend on the query's word order
         terms = sorted(qvec)
@@ -180,15 +171,19 @@ class Bm25Index:
 
 
 def save_index(index: Bm25Index, path) -> None:
-    """Persist the index so reloaded scoring is bit-for-bit identical."""
+    """Persist the index so reloaded scoring is bit-for-bit identical.
+
+    The header records the truncation lengths the index was built with, so
+    ``load_index`` can reject a file whose tokens were cut differently.
+    """
     idf_terms = sorted(index.stats.idf)
     header = {
         "format": INDEX_FORMAT,
         "k": index.params.k,
         "b": index.params.b,
         "vocab_size": index.stats.vocab_size,
-        "max_length": index.stats.max_length,
-        "query_max_length": index.query_max_length,
+        "max_length": PASSAGE_LENGTH,
+        "query_max_length": QUERY_LENGTH,
         "doc_count": index.stats.doc_count,
         "avg_length": index.stats.avg_length,
         "ids": index.ids,
@@ -203,7 +198,14 @@ def save_index(index: Bm25Index, path) -> None:
 
 
 def load_index(path) -> Bm25Index:
+    """Raises ValueError unless the file's truncation lengths are the tokenizer's."""
     header, data = load_npz(path, INDEX_FORMAT)
+    lengths = (header["max_length"], header["query_max_length"])
+    if lengths != (PASSAGE_LENGTH, QUERY_LENGTH):
+        raise ValueError(
+            f"{path}: index built with max_length {lengths[0]} and query_max_length "
+            f"{lengths[1]}; the tokenizer's PASSAGE_LENGTH is {PASSAGE_LENGTH} and "
+            f"QUERY_LENGTH is {QUERY_LENGTH}")
     index = Bm25Index.__new__(Bm25Index)
     index.params = Bm25Params(k=header["k"], b=header["b"])
     index.stats = Bm25Stats(
@@ -212,9 +214,7 @@ def load_index(path) -> Bm25Index:
         avg_length=header["avg_length"],
         lengths=dict(zip(header["ids"], header["lengths"])),
         vocab_size=header["vocab_size"],
-        max_length=header["max_length"],
     )
-    index.query_max_length = header["query_max_length"]
     index.ids = list(header["ids"])
     index.terms = data["terms"]
     index.indptr = data["indptr"]

@@ -17,7 +17,7 @@ import sys
 from dataclasses import replace
 
 from .corpus import load_qrels
-from .evaluation import compute_metric, format_metric_table, read_run
+from .evaluation import format_metric_table, read_run, reported_metrics
 from .npzio import write_json
 from .pipeline import ablation_matrix, load_config, run_experiment
 from .synthetic import SyntheticCorpusSpec, make_synthetic_corpus, save_synthetic_data
@@ -68,11 +68,7 @@ def _cmd_ablate(args) -> int:
 def _cmd_eval(args) -> int:
     run = read_run(args.run)
     qrels = load_qrels(args.qrels)
-    reports = {
-        "mrr@10": compute_metric(run, qrels, "mrr", 10),
-        "ndcg@10": compute_metric(run, qrels, "ndcg", 10),
-        "recall@100": compute_metric(run, qrels, "recall", 100),
-    }
+    reports = reported_metrics(run, qrels)
     print(format_metric_table({run.run_tag: {name: r.mean for name, r in reports.items()}}))
     excluded = reports["mrr@10"].excluded
     if excluded:

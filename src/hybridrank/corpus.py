@@ -5,13 +5,14 @@ Formats:
     queries  TSV: id<TAB>text
     qrels    TREC style, whitespace separated: qid 0 docid grade
 
-Passage tokens live in one place.  ``Corpus.token_store(vocab_size,
-max_length)`` tokenizes every passage's ``encoding_text()`` with ``tokenize``
-on the first call for that (vocab_size, max_length) key and caches the
-result: one read-only CSR store per key and corpus.  The BM25 index, the dual
-encoder's ``encode_corpus`` and the reranker read slices of it.  Text outside
-a corpus is tokenized where it is used: queries, the dual encoder's training
-pairs, and the reference ``bm25.compute_stats``/``encode_passage``.
+This module is the one that knows how text becomes token ids, truncation
+included: a query keeps its first ``QUERY_LENGTH`` tokens (``query_tokens``),
+a passage its first ``PASSAGE_LENGTH`` (``passage_tokens``).  Every other
+module asks for ids by vocabulary size alone.  ``Corpus.token_store(vocab_size)``
+runs ``passage_tokens`` over every passage on the first call for that
+vocabulary size and caches the result: one read-only CSR store per vocabulary
+size and corpus.  The BM25 index, the dual encoder's ``encode_corpus`` and the
+reranker read slices of it.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ import numpy as np
 from .results import id_rank
 
 DEFAULT_VOCAB_SIZE = 32768
-DEFAULT_QUERY_LENGTH = 64
-DEFAULT_PASSAGE_LENGTH = 512
+QUERY_LENGTH = 64
+PASSAGE_LENGTH = 512
 
 _WORD_RE = re.compile(r"\w+", re.UNICODE)
 
@@ -80,7 +81,7 @@ class TokenSequence:
 
 
 def tokenize(text: str, vocab_size: int = DEFAULT_VOCAB_SIZE,
-             max_length: int = DEFAULT_PASSAGE_LENGTH) -> TokenSequence:
+             max_length: int = PASSAGE_LENGTH) -> TokenSequence:
     """Lowercase, split on whitespace/punctuation, hash each token mod vocab_size.
 
     Deterministic across runs and platforms (blake2b, no process salt).
@@ -94,12 +95,22 @@ def tokenize(text: str, vocab_size: int = DEFAULT_VOCAB_SIZE,
     return TokenSequence(tokens=tokens, original_length=len(words))
 
 
+def query_tokens(query: Query, vocab_size: int) -> tuple[int, ...]:
+    """Token ids of a query's text: its first ``QUERY_LENGTH`` tokens."""
+    return tokenize(query.text, vocab_size, QUERY_LENGTH).tokens
+
+
+def passage_tokens(passage: Passage, vocab_size: int) -> tuple[int, ...]:
+    """Token ids of a passage's ``encoding_text()``: its first ``PASSAGE_LENGTH`` tokens."""
+    return tokenize(passage.encoding_text(), vocab_size, PASSAGE_LENGTH).tokens
+
+
 @dataclass(frozen=True, eq=False)
 class TokenStore:
     """Token ids of every passage of a corpus, CSR by corpus position.
 
     ``store[i]``, that is ``ids[indptr[i]:indptr[i + 1]]``, holds
-    ``tokenize(corpus[i].encoding_text(), vocab_size, max_length).tokens``.
+    ``passage_tokens(corpus[i], vocab_size)``.
     Both arrays are read-only.
     """
 
@@ -129,7 +140,7 @@ class Corpus:
             self._index[p.id] = pos
         self.passages = list(passages)
         self._ids = list(self._index)
-        self._token_stores: dict[tuple[int, int], TokenStore] = {}
+        self._token_stores: dict[int, TokenStore] = {}
 
     def __len__(self) -> int:
         return len(self.passages)
@@ -163,20 +174,18 @@ class Corpus:
         rank.flags.writeable = False
         return rank
 
-    def token_store(self, vocab_size: int, max_length: int) -> TokenStore:
-        """Every passage tokenized once per (vocab_size, max_length), then cached."""
-        key = (vocab_size, max_length)
-        store = self._token_stores.get(key)
+    def token_store(self, vocab_size: int) -> TokenStore:
+        """Every passage tokenized once per vocabulary size, then cached."""
+        store = self._token_stores.get(vocab_size)
         if store is None:
-            seqs = [tokenize(p.encoding_text(), vocab_size, max_length).tokens
-                    for p in self.passages]
+            seqs = [passage_tokens(p, vocab_size) for p in self.passages]
             indptr = np.zeros(len(seqs) + 1, dtype=np.int64)
             indptr[1:] = np.cumsum([len(s) for s in seqs], dtype=np.int64)
             ids = np.fromiter(chain.from_iterable(seqs), dtype=np.int32,
                               count=int(indptr[-1]))
             indptr.flags.writeable = False
             ids.flags.writeable = False
-            store = self._token_stores[key] = TokenStore(indptr, ids)
+            store = self._token_stores[vocab_size] = TokenStore(indptr, ids)
         return store
 
 

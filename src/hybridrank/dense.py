@@ -23,14 +23,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import (
-    DEFAULT_PASSAGE_LENGTH,
-    DEFAULT_QUERY_LENGTH,
     DEFAULT_VOCAB_SIZE,
     Corpus,
     Passage,
     Query,
-    TokenSequence,
-    tokenize,
+    passage_tokens,
+    query_tokens,
 )
 from .npzio import deterministic_savez, load_npz
 from .results import CandidateList, ranked_list, top_k
@@ -69,8 +67,6 @@ class DeTrainConfig:
     seed: int = 0
     vocab_size: int = DEFAULT_VOCAB_SIZE
     dim: int = DEFAULT_DIM
-    query_max_length: int = DEFAULT_QUERY_LENGTH
-    passage_max_length: int = DEFAULT_PASSAGE_LENGTH
 
     def __post_init__(self):
         if self.batch_size < 1:
@@ -89,17 +85,12 @@ def init_params(vocab_size: int = DEFAULT_VOCAB_SIZE, dim: int = DEFAULT_DIM,
     return EncoderParams(embeddings=emb, dim=dim, seed=seed)
 
 
-def encode(params: EncoderParams, tokens: TokenSequence) -> np.ndarray:
-    """Mean pooling of the token embedding rows; empty input gives the zero vector."""
+def encode(params: EncoderParams, tokens: tuple[int, ...]) -> np.ndarray:
+    """Mean pooling of the token ids' embedding rows; no ids give the zero vector."""
     if len(tokens) == 0:
         return np.zeros(params.dim, dtype=np.float64)
-    idx = np.asarray(tokens.tokens, dtype=np.int64)
+    idx = np.asarray(tokens, dtype=np.int64)
     return params.embeddings[idx].mean(axis=0)
-
-
-def encode_text(params: EncoderParams, text: str,
-                max_length: int = DEFAULT_PASSAGE_LENGTH) -> np.ndarray:
-    return encode(params, tokenize(text, params.vocab_size, max_length))
 
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
@@ -117,19 +108,16 @@ def normalize_rows(matrix: np.ndarray) -> np.ndarray:
     return matrix / safe
 
 
-def encode_corpus(params: EncoderParams, corpus: Corpus,
-                  max_length: int = DEFAULT_PASSAGE_LENGTH) -> np.ndarray:
+def encode_corpus(params: EncoderParams, corpus: Corpus) -> np.ndarray:
     """(n_passages, dim) matrix of mean-pooled passage encodings, corpus order."""
-    store = corpus.token_store(params.vocab_size, max_length)
+    store = corpus.token_store(params.vocab_size)
     return _pooled(params.embeddings, store.ids, store.indptr)
 
 
-def _tokenize_pairs(pairs: list[TrainPair], config: DeTrainConfig,
+def _tokenize_pairs(pairs: list[TrainPair],
                     vocab_size: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    qtoks = [np.asarray(tokenize(p.query.text, vocab_size, config.query_max_length).tokens,
-                        dtype=np.int64) for p in pairs]
-    ptoks = [np.asarray(tokenize(p.positive.encoding_text(), vocab_size,
-                                 config.passage_max_length).tokens, dtype=np.int64)
+    qtoks = [np.asarray(query_tokens(p.query, vocab_size), dtype=np.int64) for p in pairs]
+    ptoks = [np.asarray(passage_tokens(p.positive, vocab_size), dtype=np.int64)
              for p in pairs]
     return qtoks, ptoks
 
@@ -193,13 +181,11 @@ def _scatter_rows(grad: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.repeat(grad / np.maximum(counts, 1)[:, None], counts, axis=0)
 
 
-def in_batch_loss(params: EncoderParams, batch: list[TrainPair], tau: float,
-                  config: DeTrainConfig | None = None) -> float:
+def in_batch_loss(params: EncoderParams, batch: list[TrainPair], tau: float) -> float:
     """Mean in-batch softmax cross entropy over the batch (log-sum-exp stabilized)."""
     if not batch:
         raise ValueError("batch must be nonempty")
-    cfg = config or DeTrainConfig(vocab_size=params.vocab_size, dim=params.dim)
-    qtoks, ptoks = _tokenize_pairs(batch, cfg, params.vocab_size)
+    qtoks, ptoks = _tokenize_pairs(batch, params.vocab_size)
     return _batch_loss_grad(params.embeddings, qtoks, ptoks, tau)[0]
 
 
@@ -222,7 +208,7 @@ def train_de(pairs: list[TrainPair], config: DeTrainConfig,
     if config.epochs == 0:
         return out
 
-    qtoks, ptoks = _tokenize_pairs(pairs, config, init.vocab_size)
+    qtoks, ptoks = _tokenize_pairs(pairs, init.vocab_size)
     rng = np.random.default_rng(config.seed)
     n = len(pairs)
     first_epoch_loss = None
@@ -254,21 +240,20 @@ def train_de(pairs: list[TrainPair], config: DeTrainConfig,
     return out
 
 
-def query_cosines(params: EncoderParams, passage_matrix: np.ndarray, query: Query,
-                  query_max_length: int = DEFAULT_QUERY_LENGTH) -> np.ndarray:
+def query_cosines(params: EncoderParams, passage_matrix: np.ndarray,
+                  query: Query) -> np.ndarray:
     """Cosine of the query with each L2-normalized row of ``passage_matrix``.
 
     A query that encodes to the zero vector gets +0.0 throughout.
     """
-    qvec = encode_text(params, query.text, query_max_length)
+    qvec = encode(params, query_tokens(query, params.vocab_size))
     qn = np.linalg.norm(qvec)
     if qn == 0.0:
         return np.zeros(len(passage_matrix), dtype=np.float64)
     return passage_matrix @ (qvec / qn)
 
 
-def de_retrieve(params: EncoderParams, corpus: Corpus, query: Query, k_results: int,
-                query_max_length: int = DEFAULT_QUERY_LENGTH, *,
+def de_retrieve(params: EncoderParams, corpus: Corpus, query: Query, k_results: int, *,
                 passage_matrix: np.ndarray) -> CandidateList:
     """Exhaustive top-k by cosine similarity, ties broken by ascending passage id.
 
@@ -277,7 +262,7 @@ def de_retrieve(params: EncoderParams, corpus: Corpus, query: Query, k_results: 
     """
     if k_results < 1:
         raise ValueError(f"k_results must be >= 1, got {k_results}")
-    scores = query_cosines(params, passage_matrix, query, query_max_length)
+    scores = query_cosines(params, passage_matrix, query)
     return ranked_list(query.id, *top_k(scores, corpus.id_rank, corpus.ids(), k_results))
 
 

@@ -17,6 +17,9 @@ from .corpus import QrelSet
 from .results import CandidateList
 
 METRIC_IDS = ("mrr", "ndcg", "recall")
+# the metrics a run is reported by: name -> (metric id, cutoff)
+REPORTED_METRICS = {"mrr@10": ("mrr", 10), "ndcg@10": ("ndcg", 10),
+                    "recall@100": ("recall", 100)}
 
 
 @dataclass
@@ -114,6 +117,12 @@ def compute_metric(run: RunFile, qrels: QrelSet, metric_id: str, cutoff: int) ->
     if metric_id == "recall":
         return recall_at_k(run, qrels, cutoff)
     raise ValueError(f"unknown metric {metric_id!r}; expected one of {METRIC_IDS}")
+
+
+def reported_metrics(run: RunFile, qrels: QrelSet) -> dict[str, MetricReport]:
+    """The run's report for each of ``REPORTED_METRICS``, by name."""
+    return {name: compute_metric(run, qrels, metric_id, cutoff)
+            for name, (metric_id, cutoff) in REPORTED_METRICS.items()}
 
 
 def write_run(run: RunFile, path) -> None:

@@ -67,8 +67,7 @@ class HybridIndex:
     def score_components(self, query: Query) -> tuple[np.ndarray, np.ndarray]:
         """(bm25 scores, dense cosines) over all passages in corpus order."""
         return (self.bm25.scores(query),
-                query_cosines(self.encoder, self.dense_rows, query,
-                              self.bm25.query_max_length))
+                query_cosines(self.encoder, self.dense_rows, query))
 
     def cut(self, stage: str, bm25_scores: np.ndarray, cos: np.ndarray,
             k: int) -> tuple[list[str], list[float]]:

@@ -20,11 +20,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bm25 import Bm25Index, Bm25Params
-from .corpus import DEFAULT_PASSAGE_LENGTH, DEFAULT_QUERY_LENGTH, DEFAULT_VOCAB_SIZE, \
-    load_corpus, load_qrels, load_queries
+from .corpus import load_corpus, load_qrels, load_queries
 from .dense import DeTrainConfig, EncoderParams, TrainPair, encode_corpus, \
     normalize_rows, save_params, train_de
-from .evaluation import METRIC_IDS, RunFile, compute_metric, format_metric_table, \
+from .evaluation import METRIC_IDS, RunFile, format_metric_table, reported_metrics, \
     write_run
 from .hybrid import DEFAULT_LAMBDA_GRID, FIRST_STAGES, HybridIndex, save_hybrid_index, \
     tune_lambda
@@ -74,9 +73,6 @@ class ExperimentConfig:
     test_qrels: str
     workdir: str
     seed: int = 0
-    vocab_size: int = DEFAULT_VOCAB_SIZE
-    query_max_length: int = DEFAULT_QUERY_LENGTH
-    passage_max_length: int = DEFAULT_PASSAGE_LENGTH
     bm25: Bm25Params = Bm25Params()
     de: DeTrainConfig = DeTrainConfig()
     qgen: QgenConfig | None = None
@@ -118,9 +114,8 @@ _CONFIG_SECTIONS = {
 }
 _TOP_LEVEL_KEYS = (
     "corpus", "train_queries", "test_queries", "train_qrels", "test_qrels",
-    "workdir", "seed", "vocab_size", "query_max_length", "passage_max_length",
-    "bm25", "de", "qgen", "reranker", "window", "lambda_grid", "fixed_lambda",
-    "tune_metric", "run_depth", "rerank_top_k", "training_source",
+    "workdir", "seed", "bm25", "de", "qgen", "reranker", "window", "lambda_grid",
+    "fixed_lambda", "tune_metric", "run_depth", "rerank_top_k", "training_source",
     "rerank_first_stage",
 )
 
@@ -248,10 +243,7 @@ class _Experiment:
         if self.encoder is None:
             with _stage("train-de"):
                 c = self.config
-                de_cfg = replace(c.de, seed=_seeded(c.seed, _SEED_DE),
-                                 vocab_size=c.vocab_size,
-                                 query_max_length=c.query_max_length,
-                                 passage_max_length=c.passage_max_length)
+                de_cfg = replace(c.de, seed=_seeded(c.seed, _SEED_DE))
                 if c.qgen is not None:
                     gen_cfg = replace(c.qgen, seed=_seeded(c.seed, _SEED_QGEN))
                     de0, de1, report = iterative_train(self.corpus, gen_cfg, de_cfg)
@@ -277,14 +269,10 @@ class _Experiment:
         if self.hybrid_index is None:
             c = self.config
             with _stage("index"):
-                bm25_index = Bm25Index(
-                    self.corpus, params=c.bm25, vocab_size=c.vocab_size,
-                    max_length=c.passage_max_length,
-                    query_max_length=c.query_max_length)
+                bm25_index = Bm25Index(self.corpus, params=c.bm25)
             encoder = self.train_encoder()
             with _stage("tune-lambda"):
-                rows = normalize_rows(encode_corpus(encoder, self.corpus,
-                                                    c.passage_max_length))
+                rows = normalize_rows(encode_corpus(encoder, self.corpus))
                 index = HybridIndex(bm25_index, encoder, rows, lam=0.0)
                 grid = c.lambda_grid if c.lambda_grid is not None else DEFAULT_LAMBDA_GRID
                 if c.fixed_lambda is not None:
@@ -356,13 +344,9 @@ class _Experiment:
             with _stage("train-reranker"):
                 c = self.config
                 seed = _seeded(c.seed, _SEED_RERANKER[source])
-                rr_cfg = replace(c.reranker, seed=seed, vocab_size=c.vocab_size,
-                                 dim=c.de.dim,
-                                 query_max_length=c.query_max_length,
-                                 passage_max_length=c.passage_max_length)
                 init = init_reranker(seed=seed, embeddings=encoder.embeddings)
                 params = train_reranker(lists, self.train_queries, self.corpus,
-                                        rr_cfg, init=init)
+                                        replace(c.reranker, seed=seed), init=init)
                 save_reranker(params, self._out(f"reranker_{source}.npz"))
                 self._rerankers[source] = params
         return self._rerankers[source]
@@ -375,21 +359,15 @@ class _Experiment:
             with _stage("rerank"):
                 c = self.config
                 out = rerank(params, base, self.test_queries, self.corpus,
-                             top_k=c.rerank_top_k,
-                             query_max_length=c.query_max_length,
-                             passage_max_length=c.passage_max_length,
-                             run_tag=f"rr-{source}-on-{first_stage}")
+                             top_k=c.rerank_top_k, run_tag=f"rr-{source}-on-{first_stage}")
                 write_run(out, self._out(f"run_rerank_{source}_on_{first_stage}.trec"))
                 self._rerank_runs[key] = out
         return self._rerank_runs[key]
 
     def evaluate(self, run: RunFile) -> dict[str, float]:
         with _stage("evaluate"):
-            return {
-                "mrr@10": compute_metric(run, self.test_qrels, "mrr", 10).mean,
-                "ndcg@10": compute_metric(run, self.test_qrels, "ndcg", 10).mean,
-                "recall@100": compute_metric(run, self.test_qrels, "recall", 100).mean,
-            }
+            return {name: report.mean
+                    for name, report in reported_metrics(run, self.test_qrels).items()}
 
     def write_manifest(self) -> dict:
         with _stage("manifest"):

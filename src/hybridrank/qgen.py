@@ -14,8 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .corpus import DEFAULT_PASSAGE_LENGTH, DEFAULT_QUERY_LENGTH, _WORD_RE, \
-    Corpus, Query
+from .corpus import _WORD_RE, Corpus, Query
 from .dense import DeTrainConfig, EncoderParams, de_retrieve, encode_corpus, \
     normalize_rows, train_de, TrainPair
 
@@ -106,18 +105,16 @@ def generate_queries(corpus: Corpus, mode: str = "sentence",
     return pairs
 
 
-def round_trip_filter(pairs: list[SyntheticPair], de0: EncoderParams, corpus: Corpus,
-                      query_max_length: int = DEFAULT_QUERY_LENGTH,
-                      passage_max_length: int = DEFAULT_PASSAGE_LENGTH
-                      ) -> list[SyntheticPair]:
+def round_trip_filter(pairs: list[SyntheticPair], de0: EncoderParams,
+                      corpus: Corpus) -> list[SyntheticPair]:
     """Keep pairs whose exact cosine 1-NN over the corpus is the source passage.
 
     Ties are broken by ascending passage id and the source must win the
     tiebreak.  Input order is preserved.
     """
-    rows = normalize_rows(encode_corpus(de0, corpus, passage_max_length))
+    rows = normalize_rows(encode_corpus(de0, corpus))
     return [pair for pair in pairs
-            if de_retrieve(de0, corpus, pair.query, 1, query_max_length, passage_matrix=rows)
+            if de_retrieve(de0, corpus, pair.query, 1, passage_matrix=rows)
             .items[0].passage_id == pair.source_passage_id]
 
 
@@ -143,9 +140,7 @@ def iterative_train(corpus: Corpus, gen_config: QgenConfig,
     if not pairs:
         raise ValueError("query generation produced no pairs; check the mode and corpus")
     de0 = train_de(_as_train_pairs(pairs, corpus), de_config)
-    survivors = round_trip_filter(pairs, de0, corpus,
-                                  query_max_length=de_config.query_max_length,
-                                  passage_max_length=de_config.passage_max_length)
+    survivors = round_trip_filter(pairs, de0, corpus)
     if not survivors:
         raise ValueError(
             "round-trip filter removed every generated pair; inspect the "

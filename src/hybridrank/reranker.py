@@ -34,8 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import DEFAULT_PASSAGE_LENGTH, DEFAULT_QUERY_LENGTH, DEFAULT_VOCAB_SIZE, \
-    Corpus, QrelSet, Query, TokenSequence, TokenStore, tokenize
+from .corpus import DEFAULT_VOCAB_SIZE, Corpus, QrelSet, Query, TokenSequence, \
+    TokenStore, query_tokens
 from .dense import DEFAULT_DIM, INIT_SCALE
 from .evaluation import RunFile
 from .npzio import deterministic_savez, load_npz
@@ -94,10 +94,6 @@ class RerankTrainConfig:
     batch_size: int = 8
     learning_rate: float = 0.05
     seed: int = 0
-    vocab_size: int = DEFAULT_VOCAB_SIZE
-    dim: int = DEFAULT_DIM
-    query_max_length: int = DEFAULT_QUERY_LENGTH
-    passage_max_length: int = DEFAULT_PASSAGE_LENGTH
 
     def __post_init__(self):
         if self.steps < 0:
@@ -356,9 +352,9 @@ def _batch_loss_grad(params: RerankerParams, qidx, qmask, pidx, pmask, imask,
     return float(losses.mean()), grads
 
 
-def _token_ids(query: Query, vocab_size: int, max_length: int) -> np.ndarray:
+def _token_ids(query: Query, vocab_size: int) -> np.ndarray:
     """int64 token ids of a query; ValueError naming it when empty."""
-    tok = np.asarray(tokenize(query.text, vocab_size, max_length).tokens, dtype=np.int64)
+    tok = np.asarray(query_tokens(query, vocab_size), dtype=np.int64)
     if tok.size == 0:
         raise ValueError(f"query {query.id!r} has no tokens")
     return tok
@@ -383,15 +379,14 @@ def _store_rows(store: TokenStore, corpus: Corpus,
 
 
 def _prepare_lists(lists: list[CandidateList], queries: list[Query], corpus: Corpus,
-                   query_max_length: int, passage_max_length: int,
                    vocab_size: int) -> list[_ListBatch]:
     by_id = {q.id: q for q in queries}
-    store = corpus.token_store(vocab_size, passage_max_length)
+    store = corpus.token_store(vocab_size)
     out = []
     for cl in lists:
         if cl.query_id not in by_id:
             raise KeyError(f"no query text for query id {cl.query_id!r}")
-        qtok = _token_ids(by_id[cl.query_id], vocab_size, query_max_length)
+        qtok = _token_ids(by_id[cl.query_id], vocab_size)
         pidx, pmask = _store_rows(store, corpus, cl.passage_ids())
         labels = np.asarray([it.label for it in cl.items], dtype=np.float64)
         out.append(_ListBatch(qtok, pidx, pmask, labels))
@@ -399,20 +394,16 @@ def _prepare_lists(lists: list[CandidateList], queries: list[Query], corpus: Cor
 
 
 def train_reranker(lists: list[CandidateList], queries: list[Query], corpus: Corpus,
-                   config: RerankTrainConfig,
-                   init: RerankerParams | None = None) -> RerankerParams:
-    """Mini-batch SGD over candidate lists; deterministic under the seed.
+                   config: RerankTrainConfig, init: RerankerParams) -> RerankerParams:
+    """Mini-batch SGD over candidate lists from ``init``; deterministic under the seed.
 
     Raises ValueError naming the step whose batch loss is not finite.
     """
     if not lists:
         raise ValueError("lists must be nonempty")
-    if init is None:
-        init = init_reranker(config.vocab_size, config.dim, config.seed)
     if config.steps == 0:
         return init.copy()
-    batches = _prepare_lists(lists, queries, corpus, config.query_max_length,
-                             config.passage_max_length, init.vocab_size)
+    batches = _prepare_lists(lists, queries, corpus, init.vocab_size)
     # stacked once; each step slices its lists to their own widest Lq, P and n
     qidx, qmask, pidx, pmask, imask, labels = _stack_lists(batches)
     sizes = np.array([(b.qtok.size, b.pidx.shape[1], b.pidx.shape[0]) for b in batches])
@@ -506,10 +497,7 @@ def build_candidate_lists(run: RunFile, qrels: QrelSet, window: SamplingWindow,
 
 
 def rerank(params: RerankerParams, run: RunFile, queries: list[Query],
-           corpus: Corpus, top_k: int,
-           query_max_length: int = DEFAULT_QUERY_LENGTH,
-           passage_max_length: int = DEFAULT_PASSAGE_LENGTH,
-           run_tag: str | None = None) -> RunFile:
+           corpus: Corpus, top_k: int, run_tag: str | None = None) -> RunFile:
     """Rescore each query's top_k with the cross-attention model and resort.
 
     Ties keep the original retrieval order; the tail beyond top_k keeps its
@@ -519,7 +507,7 @@ def rerank(params: RerankerParams, run: RunFile, queries: list[Query],
     if top_k < 1:
         raise ValueError(f"top_k must be >= 1, got {top_k}")
     by_id = {q.id: q for q in queries}
-    store = corpus.token_store(params.vocab_size, passage_max_length)
+    store = corpus.token_store(params.vocab_size)
     rankings: dict[str, list[tuple[str, float]]] = {}
     for qid, ranking in run.rankings.items():
         if qid not in by_id:
@@ -529,7 +517,7 @@ def rerank(params: RerankerParams, run: RunFile, queries: list[Query],
         if not block:  # nothing retrieved, nothing to rescore
             rankings[qid] = []
             continue
-        qtok = _token_ids(by_id[qid], params.vocab_size, query_max_length)
+        qtok = _token_ids(by_id[qid], params.vocab_size)
         pids = [pid for pid, _ in block]
         scores = _score_padded(params, qtok, *_store_rows(store, corpus, pids))
         order = np.argsort(-scores, kind="stable")

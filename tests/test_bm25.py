@@ -10,6 +10,7 @@ from hybridrank.bm25 import (
     Bm25Index,
     Bm25Params,
     Bm25Stats,
+    INDEX_FORMAT,
     compute_stats,
     dot,
     encode_passage,
@@ -17,9 +18,10 @@ from hybridrank.bm25 import (
     load_index,
     save_index,
 )
-from hybridrank.corpus import Corpus, Passage, Query, tokenize
+from hybridrank.corpus import PASSAGE_LENGTH, QUERY_LENGTH, Corpus, Passage, Query, tokenize
 from hybridrank.dense import EncoderParams
 from hybridrank.hybrid import HybridIndex
+from hybridrank.npzio import deterministic_savez, load_npz
 from hybridrank.results import ranked_list
 
 VOCAB = 4096
@@ -158,7 +160,7 @@ def test_dot_identity_matches_direct_formula():
         for p in corpus:
             direct = 0.0
             pcounts = {}
-            for t in tokenize(p.encoding_text(), VOCAB, stats.max_length).tokens:
+            for t in tokenize(p.encoding_text(), VOCAB, PASSAGE_LENGTH).tokens:
                 pcounts[t] = pcounts.get(t, 0) + 1
             m = sum(pcounts.values())
             for t, qc in qcounts.items():
@@ -325,4 +327,19 @@ def test_load_index_rejects_wrong_format(tmp_path):
     path = tmp_path / "bad.npz"
     np.savez(path, header=np.frombuffer(b'{"format": "other"}', dtype=np.uint8))
     with pytest.raises(ValueError, match="format"):
+        load_index(path)
+
+
+@pytest.mark.parametrize("key", ["max_length", "query_max_length"])
+def test_load_index_rejects_other_truncation_lengths(tmp_path, key):
+    path = tmp_path / "bm25.npz"
+    save_index(Bm25Index(_corpus(["alpha beta", "beta gamma"]), vocab_size=VOCAB), path)
+    header, arrays = load_npz(path, INDEX_FORMAT)
+    assert (header["max_length"], header["query_max_length"]) == (PASSAGE_LENGTH,
+                                                                  QUERY_LENGTH)
+    header[key] += 1
+    deterministic_savez(path, header, **arrays)
+    named = (rf"\b{key} {header[key]}\b.*PASSAGE_LENGTH is {PASSAGE_LENGTH} "
+             f"and QUERY_LENGTH is {QUERY_LENGTH}")
+    with pytest.raises(ValueError, match=named):
         load_index(path)

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from hybridrank.corpus import Corpus, Passage, Query, tokenize
+from hybridrank.corpus import PASSAGE_LENGTH, Corpus, Passage, Query, query_tokens, tokenize
 from hybridrank.dense import (
     DeTrainConfig,
     EncoderParams,
@@ -20,7 +20,6 @@ from hybridrank.dense import (
     de_retrieve,
     encode,
     encode_corpus,
-    encode_text,
     in_batch_loss,
     init_params,
     load_encodings,
@@ -61,26 +60,26 @@ def params_with_rows(assignments, dim, vocab=VOCAB):
 def test_encode_single_token_is_its_row():
     w, = distinct_words(1)
     p = params_with_rows({w: [1.0, 2.0, 3.0]}, dim=3)
-    vec = encode(p, tokenize(w, VOCAB, 8))
+    vec = encode(p, tokenize(w, VOCAB, 8).tokens)
     assert np.array_equal(vec, [1.0, 2.0, 3.0])
 
 
 def test_encode_opposite_rows_cancel():
     a, b = distinct_words(2)
     p = params_with_rows({a: [1.0, -1.0], b: [-1.0, 1.0]}, dim=2)
-    vec = encode(p, tokenize(f"{a} {b}", VOCAB, 8))
+    vec = encode(p, tokenize(f"{a} {b}", VOCAB, 8).tokens)
     assert np.array_equal(vec, [0.0, 0.0])
 
 
 def test_encode_empty_sequence_zero_vector():
     p = init_params(VOCAB, 4, seed=0)
-    assert np.array_equal(encode(p, tokenize("", VOCAB, 8)), np.zeros(4))
+    assert np.array_equal(encode(p, tokenize("", VOCAB, 8).tokens), np.zeros(4))
 
 
 def test_encode_is_mean_not_sum():
     a, b = distinct_words(2)
     p = params_with_rows({a: [2.0], b: [4.0]}, dim=1)
-    assert encode(p, tokenize(f"{a} {b}", VOCAB, 8))[0] == pytest.approx(3.0)
+    assert encode(p, tokenize(f"{a} {b}", VOCAB, 8).tokens)[0] == pytest.approx(3.0)
 
 
 def test_cosine_identical_vectors():
@@ -98,8 +97,8 @@ def test_shared_towers_same_text_same_vector():
     # one embedding table serves both sides: identical token input,
     # identical vector, regardless of which "side" the caller has in mind
     p = init_params(VOCAB, 8, seed=3)
-    q = encode_text(p, "shared input text", max_length=64)
-    d = encode_text(p, "shared input text", max_length=512)
+    q = encode(p, query_tokens(Query("q", "shared input text"), VOCAB))
+    d = encode_corpus(p, Corpus([Passage("d", "", "shared input text")]))[0]
     assert np.array_equal(q, d)
 
 
@@ -148,16 +147,22 @@ def test_pooled_length_group_larger_than_one_chunk():
 def test_encode_corpus_equals_per_passage_encode(dim):
     rng = np.random.default_rng(10 + dim)
     words = distinct_words(40)
-    # "--" has no word characters, so that passage has no tokens
-    texts = ["--"] + [" ".join(rng.choice(words, size=int(n)))
-                      for n in rng.integers(1, 12, size=60)]
+    # "--" has no word characters, so that passage has no tokens; the last
+    # passage is longer than PASSAGE_LENGTH words
+    long_words = rng.choice(words, size=PASSAGE_LENGTH + 20)
+    texts = (["--"] + [" ".join(rng.choice(words, size=int(n)))
+                       for n in rng.integers(1, 12, size=60)] + [" ".join(long_words)])
     corpus = Corpus([Passage(f"d{i}", "", t) for i, t in enumerate(texts)])
     p = EncoderParams(embeddings=rng.normal(size=(VOCAB, dim)), dim=dim, seed=0)
-    for max_length in (1, 4, 512):
-        ref = np.stack([encode(p, tokenize(q.encoding_text(), VOCAB, max_length))
-                        for q in corpus])
-        assert np.array_equal(encode_corpus(p, corpus, max_length), ref)
-    assert not encode_corpus(p, corpus).any(axis=1)[0]
+    encoded = encode_corpus(p, corpus)
+    ref = np.stack([encode(p, tokenize(q.encoding_text(), VOCAB, PASSAGE_LENGTH).tokens)
+                    for q in corpus])
+    assert np.array_equal(encoded, ref)
+    assert not encoded.any(axis=1)[0]
+    # the long passage pools the ids of its first PASSAGE_LENGTH words only
+    ids = [tokenize(w, VOCAB, 1).tokens[0] for w in long_words]
+    assert np.array_equal(encoded[-1], p.embeddings[ids[:PASSAGE_LENGTH]].mean(axis=0))
+    assert not np.allclose(encoded[-1], p.embeddings[ids].mean(axis=0))
 
 
 def test_scatter_rows_equal_per_row_repeat():
@@ -240,8 +245,7 @@ def test_in_batch_gradient_matches_finite_differences():
                            Passage(f"p{i}", "", words[(2 * i + 1) % (2 * n)]))
                  for i in range(n)]
         # the scatter update train_de applies, summed per embedding row
-        qtoks, ptoks = _tokenize_pairs(batch, DeTrainConfig(vocab_size=VOCAB, dim=dim),
-                                       VOCAB)
+        qtoks, ptoks = _tokenize_pairs(batch, VOCAB)
         _, idx, rows = _batch_loss_grad(params.embeddings, qtoks, ptoks, tau)
         dense = np.zeros_like(params.embeddings)
         np.add.at(dense, idx, rows)

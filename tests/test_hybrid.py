@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from hybridrank.bm25 import Bm25Index, dot, encode_passage, encode_query
-from hybridrank.corpus import Corpus, Passage, QrelSet, Query, tokenize
-from hybridrank.dense import EncoderParams, cosine, de_retrieve, encode_corpus, \
-    encode_text, init_params, normalize_rows
+from hybridrank.corpus import Corpus, Passage, QrelSet, Query, passage_tokens, \
+    query_tokens, tokenize
+from hybridrank.dense import EncoderParams, cosine, de_retrieve, encode, encode_corpus, \
+    init_params, normalize_rows
 from hybridrank.hybrid import (
     DEFAULT_LAMBDA_GRID,
     HybridIndex,
@@ -72,12 +73,12 @@ def _fused_scores(index, query):
 def test_hybrid_score_decomposition_identity():
     corpus, encoder, index, queries = _random_setup(0)
     for q in queries:
-        qvec = encode_query(q, VOCAB, index.bm25.query_max_length)
-        qdense = encode_text(encoder, q.text, index.bm25.query_max_length)
+        qvec = encode_query(q, VOCAB)
+        qdense = encode(encoder, query_tokens(q, VOCAB))
         fused = _fused_scores(index, q)
         for p in corpus:
             pvec = encode_passage(p, index.bm25.stats, index.bm25.params)
-            pdense = encode_text(encoder, p.encoding_text(), 512)
+            pdense = encode(encoder, passage_tokens(p, VOCAB))
             expected = dot(qvec, pvec) + index.lam * cosine(qdense, pdense)
             assert abs(fused[p.id] - expected) <= 1e-9
 
@@ -93,8 +94,8 @@ def test_hybrid_score_direct_sum_example():
     index = _index(corpus, encoder, 2.0)
     q = Query("q", a)
     bm25_part = index.bm25.scores(q)
-    cos_part = cosine(encode_text(encoder, a, 64),
-                      encode_text(encoder, f"{a} {b}", 512))
+    cos_part = cosine(encode(encoder, query_tokens(q, VOCAB)),
+                      encode(encoder, passage_tokens(corpus[0], VOCAB)))
     expected = float(bm25_part[0]) + 2.0 * cos_part
     assert _fused_scores(index, q)["p"] == pytest.approx(expected, abs=1e-12)
 
@@ -181,9 +182,9 @@ def test_hybrid_retrieve_matches_materialized_concatenation():
             mats[i, VOCAB:] = idx.dense_rows[i]
         for q in queries:
             qcat = np.zeros(VOCAB + encoder.dim)
-            for t, w in encode_query(q, VOCAB, idx.bm25.query_max_length).items():
+            for t, w in encode_query(q, VOCAB).items():
                 qcat[t] = w
-            qdense = encode_text(encoder, q.text, idx.bm25.query_max_length)
+            qdense = encode(encoder, query_tokens(q, VOCAB))
             qcat[VOCAB:] = lam * qdense / np.linalg.norm(qdense)
             brute = mats @ qcat
             got = hybrid_retrieve(idx, q, 10)
@@ -437,9 +438,7 @@ def test_de_retrieve_scores_equal_hybrid_cosines_bit_for_bit():
     queries = queries + [Query("empty", "zzzunseen")]
     for q in queries:
         _, cos = index.score_components(q)
-        got = de_retrieve(encoder, corpus, q, len(corpus),
-                          query_max_length=index.bm25.query_max_length,
-                          passage_matrix=index.dense_rows)
+        got = de_retrieve(encoder, corpus, q, len(corpus), passage_matrix=index.dense_rows)
         pos = [corpus.position(it.passage_id) for it in got.items]
         assert sorted(pos) == list(range(len(corpus)))
         assert [it.score for it in got.items] == [float(c) for c in cos[pos]]

@@ -36,3 +36,17 @@ def test_modules_import_only_stdlib_numpy_and_the_package():
             outside += [f"{path.name}: {n}" for n in names
                         if n.split(".")[0] not in allowed]
     assert outside == []
+
+
+def test_only_the_tokenizer_module_calls_tokenize():
+    # corpus.py owns how text becomes token ids, truncation lengths included;
+    # synthetic.py hashes single words, which no length can cut
+    callers = set()
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "tokenize":
+                    callers.add(path.name)
+    assert callers == {"corpus.py", "synthetic.py"}

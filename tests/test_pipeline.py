@@ -121,6 +121,16 @@ def test_config_rejects_unknown_keys(data_dir, tmp_path):
         config_from_dict(d)
 
 
+@pytest.mark.parametrize("key", ["vocab_size", "query_max_length", "passage_max_length"])
+def test_config_rejects_the_removed_tokenizer_keys(data_dir, tmp_path, key):
+    # the vocabulary size and truncation lengths are the tokenizer's constants
+    d = config_to_dict(_config(data_dir, tmp_path / "w"))
+    assert key not in d
+    d[key] = 64
+    with pytest.raises(ValueError, match=key):
+        config_from_dict(d)
+
+
 def test_config_rejects_unknown_section_keys(data_dir, tmp_path):
     d = config_to_dict(_config(data_dir, tmp_path / "w"))
     d["bm25"]["k9"] = 1.0
@@ -209,8 +219,7 @@ def test_test_split_runs_equal_single_query_retrieval(data_dir, tmp_path):
     for q in load_queries(queries):
         assert runs["hybrid"][q.id] == _pairs(hybrid_retrieve(index, q, depth))
         assert runs["de"][q.id] == _pairs(de_retrieve(
-            index.encoder, corpus, q, depth, cfg.query_max_length,
-            passage_matrix=index.dense_rows))
+            index.encoder, corpus, q, depth, passage_matrix=index.dense_rows))
         lexical = _pairs(hybrid_retrieve(index.with_lambda(0.0), q, depth))
         assert runs["bm25"].get(q.id, []) == [(p, s) for p, s in lexical if s > 0]
     assert "q-punct" not in runs["bm25"]

@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from hybridrank.corpus import Corpus, Passage, Query, tokenize
-from hybridrank.dense import DeTrainConfig, EncoderParams, cosine, encode_text, \
-    init_params
+from hybridrank.corpus import Corpus, Passage, Query, passage_tokens, query_tokens, tokenize
+from hybridrank.dense import DeTrainConfig, EncoderParams, cosine, encode, init_params
 from hybridrank.qgen import (
     QgenConfig,
     SyntheticPair,
@@ -205,8 +204,8 @@ def test_filter_survivors_validated_by_exhaustive_oracle():
                            f"d{i % 10}") for i in range(30)]
     kept = set(p.query.id for p in round_trip_filter(pairs, de, corpus))
     for pair in pairs:
-        qvec = encode_text(de, pair.query.text, 64)
-        sims = [(cosine(qvec, encode_text(de, p.encoding_text(), 512)), p.id)
+        qvec = encode(de, query_tokens(pair.query, VOCAB))
+        sims = [(cosine(qvec, encode(de, passage_tokens(p, VOCAB))), p.id)
                 for p in corpus]
         best = max(sims, key=lambda t: (t[0], [-ord(ch) for ch in t[1]]))
         # oracle: max cosine, ties to ascending id

@@ -355,7 +355,7 @@ def test_full_objective_gradient_matches_finite_differences():
 def _check_gradient_by_finite_differences(n_lists):
     corpus, queries, lists = _toy_corpus_and_lists(n_lists=max(2, n_lists), seed=3)
     params = _random_params(7)
-    batches = _prepare_lists(lists, queries, corpus, 64, 512, VOCAB)[:n_lists]
+    batches = _prepare_lists(lists, queries, corpus, VOCAB)[:n_lists]
     stacked = _stack_lists(batches)
     _, grads = _batch_loss_grad(params, *stacked)
     h = 1e-4
@@ -434,7 +434,7 @@ def _token_sharing_batches():
 
 def _toy_batches():
     corpus, queries, lists = _toy_corpus_and_lists(n_lists=6, n_items=5, seed=5)
-    return _prepare_lists(lists, queries, corpus, 64, 512, VOCAB)
+    return _prepare_lists(lists, queries, corpus, VOCAB)
 
 
 def test_batched_gradient_equals_per_list_sum():
@@ -480,7 +480,7 @@ def test_scores_equal_dense_reference():
 def test_train_zero_steps_returns_init_unchanged():
     corpus, queries, lists = _toy_corpus_and_lists()
     init = init_reranker(VOCAB, DIM, seed=3)
-    cfg = RerankTrainConfig(steps=0, vocab_size=VOCAB, dim=DIM, seed=3)
+    cfg = RerankTrainConfig(steps=0, seed=3)
     out = train_reranker(lists, queries, corpus, cfg, init=init)
     assert np.array_equal(out.embeddings, init.embeddings)
     assert np.array_equal(out.w_q, init.w_q)
@@ -494,11 +494,10 @@ def test_one_training_step_is_sgd_on_the_reference_gradient():
     corpus, queries, lists = _toy_corpus_and_lists(n_lists=4, seed=6)
     init = _random_params(5)
     lr = 1.0
-    cfg = RerankTrainConfig(steps=1, batch_size=4, learning_rate=lr,
-                            vocab_size=VOCAB, dim=DIM, seed=5)
+    cfg = RerankTrainConfig(steps=1, batch_size=4, learning_rate=lr, seed=5)
     out = train_reranker(lists, queries, corpus, cfg, init=init)
     acc = None
-    for b in _prepare_lists(lists, queries, corpus, 64, 512, VOCAB):
+    for b in _prepare_lists(lists, queries, corpus, VOCAB):
         _, g = _dense_list_loss_grad(init, b.qtok, b.pidx, b.pmask, b.labels)
         acc = g if acc is None else {k: acc[k] + g[k] for k in acc}
     for name, key in (("embeddings", "emb"), ("w_q", "w_q"), ("w_k", "w_k"),
@@ -513,10 +512,9 @@ def test_one_training_step_is_sgd_on_the_reference_gradient():
 
 def test_train_deterministic():
     corpus, queries, lists = _toy_corpus_and_lists()
-    cfg = RerankTrainConfig(steps=40, batch_size=2, learning_rate=0.05,
-                            vocab_size=VOCAB, dim=DIM, seed=4)
-    a = train_reranker(lists, queries, corpus, cfg)
-    b = train_reranker(lists, queries, corpus, cfg)
+    cfg = RerankTrainConfig(steps=40, batch_size=2, learning_rate=0.05, seed=4)
+    a = train_reranker(lists, queries, corpus, cfg, init=init_reranker(VOCAB, DIM, seed=4))
+    b = train_reranker(lists, queries, corpus, cfg, init=init_reranker(VOCAB, DIM, seed=4))
     for name in ("embeddings", "w_q", "w_k", "w_v", "readout"):
         assert np.array_equal(getattr(a, name), getattr(b, name))
     assert a.bias == b.bias
@@ -548,12 +546,11 @@ def _ragged_corpus_and_lists(n_lists=7, seed=0, wide=False):
 def test_train_equals_stacking_each_step():
     # 7 lists in batches of 3: a reshuffle every third step, 25 steps
     corpus, queries, lists = _ragged_corpus_and_lists(seed=8)
-    cfg = RerankTrainConfig(steps=25, batch_size=3, learning_rate=0.2,
-                            vocab_size=VOCAB, dim=DIM, seed=2)
+    cfg = RerankTrainConfig(steps=25, batch_size=3, learning_rate=0.2, seed=2)
     init = _random_params(4)
     out = train_reranker(lists, queries, corpus, cfg, init=init)
 
-    batches = _prepare_lists(lists, queries, corpus, 64, 512, VOCAB)
+    batches = _prepare_lists(lists, queries, corpus, VOCAB)
     assert len({(b.qtok.size, *b.pidx.shape) for b in batches}) > 3
     rng = np.random.default_rng(cfg.seed)
     order = rng.permutation(len(batches))
@@ -596,8 +593,8 @@ def test_train_steps_keep_their_own_batch_shapes(monkeypatch):
 
     real = reranker._batch_loss_grad
     monkeypatch.setattr(reranker, "_batch_loss_grad", recording)
-    cfg = RerankTrainConfig(steps=24, batch_size=2, vocab_size=VOCAB, dim=DIM, seed=3)
-    train_reranker(lists, queries, corpus, cfg)
+    cfg = RerankTrainConfig(steps=24, batch_size=2, seed=3)
+    train_reranker(lists, queries, corpus, cfg, init=init_reranker(VOCAB, DIM, seed=3))
     assert len(shapes) == 24
     for q_shape, p_shape, l_shape, q_max, p_max, l_max in shapes:
         assert (q_shape, p_shape, l_shape) == (q_max, p_max, l_max)
@@ -609,7 +606,7 @@ def test_train_steps_keep_their_own_batch_shapes(monkeypatch):
 def _mean_list_loss(params, lists, queries, corpus):
     """Mean listwise loss over the lists under fixed parameters, one list at a time."""
     total = 0.0
-    for b in _prepare_lists(lists, queries, corpus, 64, 512, VOCAB):
+    for b in _prepare_lists(lists, queries, corpus, VOCAB):
         qidx, qmask, pidx, pmask, _, labels = _stack_lists([b])
         scores, _ = _forward(params, qidx, qmask, pidx, pmask)
         total += listwise_loss(scores[0], labels[0])
@@ -620,8 +617,7 @@ def test_train_reduces_loss():
     corpus, queries, lists = _toy_corpus_and_lists(n_lists=8, n_items=5, seed=2)
     init = init_reranker(VOCAB, DIM, seed=0)
     before = _mean_list_loss(init, lists, queries, corpus)
-    cfg = RerankTrainConfig(steps=150, batch_size=4, learning_rate=0.05,
-                            vocab_size=VOCAB, dim=DIM, seed=0)
+    cfg = RerankTrainConfig(steps=150, batch_size=4, learning_rate=0.05, seed=0)
     trained = train_reranker(lists, queries, corpus, cfg, init=init)
     after = _mean_list_loss(trained, lists, queries, corpus)
     assert after < before
@@ -631,15 +627,15 @@ def test_train_does_not_mutate_init():
     corpus, queries, lists = _toy_corpus_and_lists()
     init = init_reranker(VOCAB, DIM, seed=6)
     snap = init.embeddings.copy()
-    train_reranker(lists, queries, corpus,
-                   RerankTrainConfig(steps=10, vocab_size=VOCAB, dim=DIM), init=init)
+    train_reranker(lists, queries, corpus, RerankTrainConfig(steps=10), init=init)
     assert np.array_equal(init.embeddings, snap)
 
 
 def test_train_output_is_float64():
     corpus, queries, lists = _toy_corpus_and_lists()
-    cfg = RerankTrainConfig(steps=5, vocab_size=VOCAB, dim=DIM, seed=1)
-    out = train_reranker(lists, queries, corpus, cfg)
+    cfg = RerankTrainConfig(steps=5, seed=1)
+    out = train_reranker(lists, queries, corpus, cfg,
+                         init=init_reranker(VOCAB, DIM, seed=1))
     for name in ("embeddings", "w_q", "w_k", "w_v", "readout"):
         assert getattr(out, name).dtype == np.float64
 
@@ -648,7 +644,7 @@ def test_train_stops_on_non_finite_loss():
     corpus, queries, lists = _toy_corpus_and_lists()
     init = init_reranker(VOCAB, DIM, seed=2)
     init.readout[0] = np.nan
-    cfg = RerankTrainConfig(steps=5, vocab_size=VOCAB, dim=DIM, seed=2)
+    cfg = RerankTrainConfig(steps=5, seed=2)
     with pytest.raises(ValueError, match="step 1"):
         train_reranker(lists, queries, corpus, cfg, init=init)
 
@@ -662,15 +658,16 @@ def test_train_names_a_passage_without_tokens():
     corpus, queries, lists = _toy_corpus_and_lists()
     corpus = _with_tokenless_passage(corpus)
     lists[1].items[2].passage_id = "dots"
-    cfg = RerankTrainConfig(steps=1, vocab_size=VOCAB, dim=DIM)
+    cfg = RerankTrainConfig(steps=1)
     with pytest.raises(ValueError, match="passage 'dots' has no tokens"):
-        train_reranker(lists, queries, corpus, cfg)
+        train_reranker(lists, queries, corpus, cfg, init=init_reranker(VOCAB, DIM))
 
 
 def test_train_empty_lists_rejected():
     corpus, queries, _ = _toy_corpus_and_lists()
     with pytest.raises(ValueError):
-        train_reranker([], queries, corpus, RerankTrainConfig())
+        train_reranker([], queries, corpus, RerankTrainConfig(),
+                       init=init_reranker(VOCAB, DIM))
 
 
 def test_train_config_validation():
@@ -782,7 +779,7 @@ def test_rerank_names_a_passage_without_tokens():
 
 def test_store_rows_equal_per_row_padding():
     corpus, _, _ = _toy_corpus_and_lists(seed=7)
-    store = corpus.token_store(VOCAB, 512)
+    store = corpus.token_store(VOCAB)
     pids = ["d3", "d0", "d19", "d3", "d7", "d12"]
     idx, mask = _store_rows(store, corpus, pids)
     ref_idx, ref_mask = _pad_passages([store[corpus.position(p)] for p in pids])
@@ -793,7 +790,7 @@ def test_store_rows_equal_per_row_padding():
 def test_store_rows_names_the_first_passage_without_tokens():
     corpus, _, _ = _toy_corpus_and_lists()
     corpus = Corpus(list(corpus) + [Passage("dots", "", "..."), Passage("dash", "", "-")])
-    store = corpus.token_store(VOCAB, 512)
+    store = corpus.token_store(VOCAB)
     with pytest.raises(ValueError, match="passage 'dash' has no tokens"):
         _store_rows(store, corpus, ["d1", "dash", "d2", "dots"])
 

@@ -1,4 +1,5 @@
-"""Tests for the corpus token store: one tokenization per passage and key."""
+"""Tests for the corpus token store and truncation: one tokenization per
+passage and vocabulary size, queries and passages cut at the tokenizer's lengths."""
 
 import sys
 from collections import Counter
@@ -9,40 +10,78 @@ import pytest
 import hybridrank.bm25
 import hybridrank.dense
 import hybridrank.reranker
-from hybridrank.corpus import Corpus, Passage, Query, tokenize
+from hybridrank.corpus import PASSAGE_LENGTH, QUERY_LENGTH, Corpus, Passage, Query, \
+    passage_tokens, tokenize
 from hybridrank.evaluation import RunFile
 from hybridrank.results import CandidateItem, CandidateList
 
 VOCAB = 512
 DIM = 8
+LONG_WORDS = [f"w{i}" for i in range(PASSAGE_LENGTH + 30)]
+
+
+def _word_ids(words, vocab=VOCAB):
+    return [tokenize(w, vocab, 1).tokens[0] for w in words]
 
 
 def _corpus():
-    # a titled passage, one without tokens, one longer than max_length below
+    # a titled passage, one without tokens, one longer than PASSAGE_LENGTH words
     return Corpus([Passage("a", "Title", "alpha beta. beta gamma"),
                    Passage("b", "", "..."),
-                   Passage("c", "", " ".join(f"w{i}" for i in range(30))),
+                   Passage("c", "", " ".join(LONG_WORDS)),
                    Passage("d", "", "gamma delta alpha")])
 
 
 def test_store_equals_per_passage_tokenize():
     corpus = _corpus()
-    store = corpus.token_store(VOCAB, 12)
+    store = corpus.token_store(VOCAB)
     assert store.indptr.shape == (len(corpus) + 1,) and store.indptr[0] == 0
     assert store.ids.dtype == np.int32
     for i, p in enumerate(corpus):
-        expected = tokenize(p.encoding_text(), VOCAB, 12).tokens
+        expected = passage_tokens(p, VOCAB)
         assert store[i].tolist() == list(expected)
         assert store.indptr[i + 1] - store.indptr[i] == len(expected)
     assert store.indptr[-1] == store.ids.size
-    # cached per key, and a new key tokenizes afresh
-    assert corpus.token_store(VOCAB, 12) is store
-    other = corpus.token_store(VOCAB, 512)
+    assert store[0].tolist() == _word_ids("title alpha beta beta gamma".split())
+    # the long passage keeps the ids of its first PASSAGE_LENGTH words
+    assert store[2].tolist() == _word_ids(LONG_WORDS[:PASSAGE_LENGTH])
+    # cached per vocabulary size, and a new size tokenizes afresh
+    assert corpus.token_store(VOCAB) is store
+    other = corpus.token_store(2 * VOCAB)
     assert other is not store
-    assert other[2].size == 30 and store[2].size == 12
+    assert other[2].tolist() == _word_ids(LONG_WORDS[:PASSAGE_LENGTH], 2 * VOCAB)
     for arr in (store.indptr, store.ids, store[0]):
         with pytest.raises(ValueError):
             arr[0] = 1
+
+
+def test_a_long_query_is_cut_at_query_length_in_every_channel():
+    # "keep" is the QUERY_LENGTH-th word of the long query and "drop" the next:
+    # BM25 scoring, the cosines and rerank all see "keep" and none sees "drop"
+    assert len(set(_word_ids(["filler", "keep", "drop", "alpha", "beta"]))) == 5
+    filler = " ".join(["filler"] * (QUERY_LENGTH - 1))
+    corpus = Corpus([Passage("a", "", "keep alpha"), Passage("b", "", "drop beta"),
+                     Passage("c", "", "filler alpha beta")])
+    index = hybridrank.bm25.Bm25Index(corpus, vocab_size=VOCAB)
+    encoder = hybridrank.dense.init_params(VOCAB, DIM, seed=1)
+    rows = hybridrank.dense.normalize_rows(hybridrank.dense.encode_corpus(encoder, corpus))
+    params = hybridrank.reranker.init_reranker(VOCAB, DIM, seed=2)
+    run = RunFile("first", {"q": [("a", 3.0), ("b", 2.0), ("c", 1.0)]})
+
+    def channels(text):
+        q = Query("q", text)
+        return (index.scores(q).tolist(),
+                hybridrank.dense.query_cosines(encoder, rows, q).tolist(),
+                hybridrank.reranker.rerank(params, run, [q], corpus, top_k=3).rankings["q"])
+
+    cut = channels(f"{filler} keep")
+    assert channels(f"{filler} keep drop") == cut
+    assert channels(f"{filler} keep drop " + " ".join(LONG_WORDS)) == cut
+    # each channel moves with "keep", and would move with "drop" if it saw it
+    for without_keep, with_keep in zip(channels(filler), cut):
+        assert without_keep != with_keep
+    for keep, keep_drop in zip(channels("keep"), channels("keep drop")):
+        assert keep != keep_drop
 
 
 def _count_tokenize_calls(monkeypatch) -> Counter:
@@ -82,8 +121,7 @@ def test_each_passage_is_tokenized_once_across_index_encoder_and_reranker(monkey
     hybridrank.dense.encode_corpus(hybridrank.dense.init_params(VOCAB, DIM), corpus)
     rr = hybridrank.reranker
     params = rr.train_reranker(lists, queries, corpus,
-                               rr.RerankTrainConfig(steps=2, batch_size=2,
-                                                    vocab_size=VOCAB, dim=DIM),
+                               rr.RerankTrainConfig(steps=2, batch_size=2),
                                init=rr.init_reranker(VOCAB, DIM))
     for _ in range(2):
         rr.rerank(params, run, queries, corpus, top_k=len(corpus))
