@@ -1,4 +1,4 @@
-"""Data model and file formats for passages, queries and relevance judgments.
+r"""Data model and file formats for passages, queries and relevance judgments.
 
 Formats:
     corpus   JSONL, one object per line: {"id": ..., "title": ..., "text": ...}
@@ -8,21 +8,29 @@ Formats:
 This module is the one that knows how text becomes token ids, truncation
 included: a query keeps its first ``QUERY_LENGTH`` tokens (``query_tokens``),
 a passage its first ``PASSAGE_LENGTH`` (``passage_tokens``).  Every other
-module asks for ids by vocabulary size alone.  ``Corpus.token_store(vocab_size)``
-runs ``passage_tokens`` over every passage on the first call for that
-vocabulary size and caches the result: one read-only CSR store per vocabulary
-size and corpus.  The BM25 index, the dual encoder's ``encode_corpus`` and the
-reranker read slices of it.
+module asks for ids by vocabulary size alone.
+
+A text's words are the ``\w+`` runs of its lowercased form.  ``_words`` finds
+them without a regex: ``str.translate`` maps every character that is not a
+word character (CPython's ``\w``: ``isalnum()`` or ``"_"``) to a space, and
+``str.split()`` cuts at the spaces.  A word's id is the little-endian
+blake2b-64 of its UTF-8 bytes modulo the vocabulary size, computed once per
+word and vocabulary size and then looked up in that size's table.
+
+``Corpus.token_store(vocab_size)`` runs the splitter and the table over every
+passage in one pass on the first call for that vocabulary size and caches the
+result: one read-only CSR store per vocabulary size and corpus, equal to
+``passage_tokens`` passage by passage.  The BM25 index, the dual encoder's
+``encode_corpus`` and the reranker read slices of it.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import re
 from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import chain
 from types import MappingProxyType
 
@@ -34,19 +42,44 @@ DEFAULT_VOCAB_SIZE = 32768
 QUERY_LENGTH = 64
 PASSAGE_LENGTH = 512
 
-_WORD_RE = re.compile(r"\w+", re.UNICODE)
 
-# token string -> stable 64-bit hash; shared across vocab sizes
-_HASH_CACHE: dict[str, int] = {}
+class _Separators(dict):
+    """``str.translate`` table: a word character maps to itself, any other to
+    a space.  Filled on first sight of each code point."""
+
+    def __missing__(self, code: int) -> int:
+        ch = chr(code)
+        out = self[code] = code if ch.isalnum() or ch == "_" else 0x20
+        return out
 
 
-def _term_hash(token: str) -> int:
-    h = _HASH_CACHE.get(token)
-    if h is None:
-        digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8).digest()
-        h = int.from_bytes(digest, "little")
-        _HASH_CACHE[token] = h
-    return h
+_SEPARATORS = _Separators()
+
+
+def _words(text: str) -> list[str]:
+    r"""The words of ``text``: ``re.findall(r"\w+", text.lower())``."""
+    return text.lower().translate(_SEPARATORS).split()
+
+
+class _WordIds(dict):
+    """word -> id for one vocabulary size, each hashed on first sight."""
+
+    def __init__(self, vocab_size: int):
+        super().__init__()
+        self.vocab_size = vocab_size
+
+    def __missing__(self, word: str) -> int:
+        digest = hashlib.blake2b(word.encode("utf-8"), digest_size=8).digest()
+        out = self[word] = int.from_bytes(digest, "little") % self.vocab_size
+        return out
+
+
+@cache
+def _word_ids(vocab_size: int) -> _WordIds:
+    """The one word table of a vocabulary size, shared by every corpus and query."""
+    if vocab_size < 2:
+        raise ValueError(f"vocab_size must be >= 2, got {vocab_size}")
+    return _WordIds(vocab_size)
 
 
 @dataclass(frozen=True)
@@ -66,43 +99,25 @@ class Query:
     text: str
 
 
-@dataclass(frozen=True)
-class TokenSequence:
-    """Term ids after hashing, truncated to a maximum length.
-
-    ``original_length`` is the pre-truncation token count.
-    """
-
-    tokens: tuple[int, ...]
-    original_length: int
-
-    def __len__(self) -> int:
-        return len(self.tokens)
-
-
 def tokenize(text: str, vocab_size: int = DEFAULT_VOCAB_SIZE,
-             max_length: int = PASSAGE_LENGTH) -> TokenSequence:
-    """Lowercase, split on whitespace/punctuation, hash each token mod vocab_size.
+             max_length: int = PASSAGE_LENGTH) -> tuple[int, ...]:
+    """Ids of the first ``max_length`` words of ``text`` (see the module docstring).
 
     Deterministic across runs and platforms (blake2b, no process salt).
     """
-    if vocab_size < 2:
-        raise ValueError(f"vocab_size must be >= 2, got {vocab_size}")
     if max_length < 1:
         raise ValueError(f"max_length must be >= 1, got {max_length}")
-    words = _WORD_RE.findall(text.lower())
-    tokens = tuple(_term_hash(w) % vocab_size for w in words[:max_length])
-    return TokenSequence(tokens=tokens, original_length=len(words))
+    return tuple(map(_word_ids(vocab_size).__getitem__, _words(text)[:max_length]))
 
 
 def query_tokens(query: Query, vocab_size: int) -> tuple[int, ...]:
     """Token ids of a query's text: its first ``QUERY_LENGTH`` tokens."""
-    return tokenize(query.text, vocab_size, QUERY_LENGTH).tokens
+    return tokenize(query.text, vocab_size, QUERY_LENGTH)
 
 
 def passage_tokens(passage: Passage, vocab_size: int) -> tuple[int, ...]:
     """Token ids of a passage's ``encoding_text()``: its first ``PASSAGE_LENGTH`` tokens."""
-    return tokenize(passage.encoding_text(), vocab_size, PASSAGE_LENGTH).tokens
+    return tokenize(passage.encoding_text(), vocab_size, PASSAGE_LENGTH)
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,14 +190,16 @@ class Corpus:
         return rank
 
     def token_store(self, vocab_size: int) -> TokenStore:
-        """Every passage tokenized once per vocabulary size, then cached."""
+        """Every passage's ``passage_tokens``, split and looked up in one pass
+        on the first call for a vocabulary size, then cached."""
         store = self._token_stores.get(vocab_size)
         if store is None:
-            seqs = [passage_tokens(p, vocab_size) for p in self.passages]
-            indptr = np.zeros(len(seqs) + 1, dtype=np.int64)
-            indptr[1:] = np.cumsum([len(s) for s in seqs], dtype=np.int64)
-            ids = np.fromiter(chain.from_iterable(seqs), dtype=np.int32,
-                              count=int(indptr[-1]))
+            table = _word_ids(vocab_size)
+            words = [_words(p.encoding_text())[:PASSAGE_LENGTH] for p in self.passages]
+            indptr = np.zeros(len(words) + 1, dtype=np.int64)
+            indptr[1:] = np.cumsum([len(w) for w in words], dtype=np.int64)
+            ids = np.fromiter(map(table.__getitem__, chain.from_iterable(words)),
+                              dtype=np.int32, count=int(indptr[-1]))
             indptr.flags.writeable = False
             ids.flags.writeable = False
             store = self._token_stores[vocab_size] = TokenStore(indptr, ids)

@@ -176,6 +176,21 @@ def _batch_loss_grad(emb: np.ndarray, qtoks: list[np.ndarray], ptoks: list[np.nd
     return loss, idx, _scatter_rows(np.concatenate([du, dv]), counts)
 
 
+def rows_at(ufunc: np.ufunc, table: np.ndarray, idx: np.ndarray, rows: np.ndarray) -> None:
+    """``ufunc.at(table, idx, rows)`` for a C-contiguous 2-D table, in place.
+
+    The updates go through the raveled table at ``idx[i] * dim + j``, where
+    numpy's 1-D ``ufunc.at`` is several times faster than its 2-D form.  Both
+    apply them index by index and column by column, so the bytes are equal,
+    duplicate indices included.
+    """
+    if not table.flags.c_contiguous:
+        raise ValueError("rows_at needs a C-contiguous table")
+    dim = table.shape[1]
+    flat = np.asarray(idx, dtype=np.intp)[:, None] * dim + np.arange(dim)
+    ufunc.at(table.reshape(-1), flat.ravel(), rows.ravel())
+
+
 def _scatter_rows(grad: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Row i of ``grad`` over ``counts[i]``, once per token of that row, in row order."""
     return np.repeat(grad / np.maximum(counts, 1)[:, None], counts, axis=0)
@@ -222,7 +237,7 @@ def train_de(pairs: list[TrainPair], config: DeTrainConfig,
             bp = [ptoks[i] for i in sel]
             loss, idx, rows = _batch_loss_grad(emb, bq, bp, config.temperature)
             if idx.size:
-                np.subtract.at(emb, idx, config.learning_rate * rows)
+                rows_at(np.subtract, emb, idx, config.learning_rate * rows)
             losses.append(loss)
         epoch_loss = float(np.mean(losses))
         if not math.isfinite(epoch_loss):

@@ -16,6 +16,7 @@ term with the query; de and hybrid rank every passage.
 from __future__ import annotations
 
 import json
+import math
 import os
 
 import numpy as np
@@ -102,25 +103,93 @@ def _restrict_qrels(qrels: QrelSet, queries: list[Query]) -> QrelSet:
 
 def _sweep(bm25_scores: np.ndarray, cos: np.ndarray, values: list[float],
            id_rank: np.ndarray, cutoff: int):
-    """Yield (lam, fused scores, top_k_order of them) for each ascending weight.
+    """Yield (lam, top_k_order of the fused scores, their scores) per ascending weight.
 
-    Each weight after the first is warm-started from the previous weight's
-    top ``cutoff``: the lowest of their scores at the new weight, the floor,
-    is at most the new ``cutoff``-th best score, so every passage below it
-    can be left out.  The kept passages (``>=``, so ties and -0.0 stay)
-    give the same first ``cutoff`` as a full ``top_k_order``.  A NaN floor
-    falls back to the full one, which sorts NaN last.
+    The first weight ranks every passage.  The later ones rank only the
+    passages whose cosine can lift them into their top ``cutoff``
+    (``_cosine_bound``), each warm-started from the previous weight's top
+    ``cutoff`` (``_warm_sweep``).  The orders equal full ``top_k_order``s at
+    every weight, and the scores are ``(bm25_scores + lam * cos)[order]``
+    bit for bit.
     """
-    order = None
+    total = bm25_scores + values[0] * cos
+    order = top_k_order(total, id_rank, cutoff)
+    yield values[0], order, total[order]
+    later = values[1:]
+    if not later:
+        return
+    bound = _cosine_bound(bm25_scores, cos, later, order, cutoff)
+    keep = None if bound is None else np.flatnonzero(cos >= bound)
+    if keep is None or keep.size == len(cos):
+        yield from _warm_sweep(bm25_scores, cos, later, id_rank, cutoff, order)
+        return
+    # the first weight's top is kept: each scores at least F(lam) at every lam
+    for lam, sub, scores in _warm_sweep(bm25_scores[keep], cos[keep], later,
+                                        id_rank[keep], cutoff, np.searchsorted(keep, order)):
+        yield lam, keep[sub], scores
+
+
+def _cosine_bound(bm25_scores: np.ndarray, cos: np.ndarray, later: list[float],
+                  top: np.ndarray, cutoff: int) -> float | None:
+    """A cosine below which no passage ranks in the top ``cutoff`` at any
+    weight of ``later``, or None when every passage must be ranked.
+
+    ``top`` is the top ``cutoff`` at a smaller weight.  At a later weight
+    lam, F(lam), the lowest fused score in ``top``, is at most the
+    ``cutoff``-th best, and a passage scores at most B + lam * cos, B the
+    highest bm25 score.  So a passage with cos < theta = min over later lam
+    of (F(lam) - B) / lam scores below F(lam) at every later weight.
+
+    Rounding: let u = 2**-53, Mb = max |bm25| and Mc = max |cos|.  Rounding
+    is monotone, so a computed fused score is at most the computed
+    B + lam * cos, which is within 2.01 u (Mb + lam * Mc) of the exact one.
+    As |F(lam) - B| <= 2.01 (Mb + lam * Mc), the computed (F(lam) - B) / lam
+    is within 4.01 u (Mb / lam + Mc) of the exact one.  So a cosine below
+    theta - 6.02 u (Mb / lam + Mc) scores strictly below the computed F(lam),
+    not even tying it.  The slack 16 u (Mb / lam1 + Mc), lam1 the smallest
+    later weight, covers that at every later weight plus the rounding of
+    theta - slack, at most 2.01 u (Mb / lam1 + Mc).
+
+    None when there are at most ``cutoff`` passages, a later weight is <= 0
+    or not finite, or a bm25 score, a cosine or an F(lam) is not finite.
+    """
+    if len(bm25_scores) <= cutoff or not 0 < later[0] <= later[-1] < math.inf:
+        return None
+    big_b = float(np.abs(bm25_scores).max())
+    big_c = float(np.abs(cos).max())
+    if not (math.isfinite(big_b) and math.isfinite(big_c)):
+        return None
+    lams = np.asarray(later)
+    floors = (bm25_scores[top] + lams[:, None] * cos[top]).min(axis=1)
+    if not np.isfinite(floors).all():
+        return None
+    theta = float(((floors - bm25_scores.max()) / lams).min())
+    # 8 eps = 16 u; only an overflow makes the bound infinite or NaN
+    bound = theta - 8 * np.finfo(np.float64).eps * (big_b / later[0] + big_c)
+    return bound if math.isfinite(bound) else None
+
+
+def _warm_sweep(bm25_scores: np.ndarray, cos: np.ndarray, values: list[float],
+                id_rank: np.ndarray, cutoff: int, order: np.ndarray):
+    """``_sweep``'s yields over the passages given, each weight warm-started
+    from the previous weight's top ``cutoff``; ``order`` is the top of the
+    weight before ``values[0]``.
+
+    The lowest of their scores at the new weight, the floor, is at most the
+    new ``cutoff``-th best score, so every passage below it can be left out.
+    The kept passages (``>=``, so ties and -0.0 stay) give the same first
+    ``cutoff`` as a full ``top_k_order``.  A NaN floor falls back to the
+    full one, which sorts NaN last.
+    """
     for lam in values:
         total = bm25_scores + lam * cos
-        floor = np.nan if order is None else total[order].min()
+        floor = total[order].min()
         if np.isnan(floor):
             order = top_k_order(total, id_rank, cutoff)
         else:
             keep = np.flatnonzero(total >= floor)
             order = keep[top_k_order(total[keep], id_rank[keep], cutoff)]
-        yield lam, total, order
+        yield lam, order, total[order]
 
 
 def tune_lambda(index: HybridIndex, queries: list[Query], qrels: QrelSet,
@@ -131,7 +200,9 @@ def tune_lambda(index: HybridIndex, queries: list[Query], qrels: QrelSet,
     Evaluates each candidate weight on the given queries and returns the best;
     exact ties go to the smallest weight.  Each query is scored once and
     re-weighted per candidate (``_sweep``), keeping only each weight's
-    top-``cutoff`` list.
+    top-``cutoff`` list.  After the smallest weight, only passages whose
+    cosine can lift them into some weight's top ``cutoff`` are re-weighted
+    (``_cosine_bound``, with a slack for the rounding of the fused sums), so the lists equal full rankings bit for bit.
     """
     values = sorted({float(g) for g in grid})
     if not values:
@@ -149,10 +220,10 @@ def tune_lambda(index: HybridIndex, queries: list[Query], qrels: QrelSet,
     ids = index.ids
     for q in queries:
         bm25_scores, cos = index.score_components(q)
-        for lam, total, order in _sweep(bm25_scores, cos, values, index.bm25.id_rank,
-                                        cutoff):
+        for lam, order, scores in _sweep(bm25_scores, cos, values, index.bm25.id_rank,
+                                         cutoff):
             rankings[lam][q.id] = list(zip([ids[i] for i in order.tolist()],
-                                           total[order].tolist()))
+                                           scores.tolist()))
 
     best_lam = None
     best_mean = -1.0

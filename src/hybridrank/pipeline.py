@@ -10,7 +10,6 @@ sampled from (bm25 / de / hybrid / mixed).
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import os

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .corpus import _WORD_RE, Corpus, Query
+from .corpus import Corpus, Query
 from .dense import DeTrainConfig, EncoderParams, de_retrieve, encode_corpus, \
     normalize_rows, train_de, TrainPair
 
@@ -24,6 +24,7 @@ CROP_MAX_TOKENS = 16
 MIN_QUERY_TOKENS = 3
 
 _SENTENCE_SPLIT = re.compile(r"(?<=[.?!])\s+")
+_WORD_RE = re.compile(r"\w+")
 
 
 @dataclass(frozen=True)

@@ -34,9 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import DEFAULT_VOCAB_SIZE, Corpus, QrelSet, Query, TokenSequence, \
-    TokenStore, query_tokens
-from .dense import DEFAULT_DIM, INIT_SCALE
+from .corpus import DEFAULT_VOCAB_SIZE, Corpus, QrelSet, Query, TokenStore, query_tokens
+from .dense import DEFAULT_DIM, INIT_SCALE, rows_at
 from .evaluation import RunFile
 from .npzio import deterministic_savez, load_npz
 from .results import CandidateItem, CandidateList
@@ -137,11 +136,11 @@ def init_reranker(vocab_size: int = DEFAULT_VOCAB_SIZE, dim: int = DEFAULT_DIM,
     )
 
 
-def score_pair(params: RerankerParams, query: TokenSequence,
-               passage: TokenSequence) -> float:
-    """Cross-attention score for one (query, passage) pair: a one-item list."""
-    return float(score_list(params, np.asarray(query.tokens, dtype=np.int64),
-                            [np.asarray(passage.tokens, dtype=np.int64)])[0])
+def score_pair(params: RerankerParams, query: tuple[int, ...],
+               passage: tuple[int, ...]) -> float:
+    """Cross-attention score for one (query, passage) pair of token ids: a one-item list."""
+    return float(score_list(params, np.asarray(query, dtype=np.int64),
+                            [np.asarray(passage, dtype=np.int64)])[0])
 
 
 def listwise_loss(scores, labels) -> float:
@@ -346,7 +345,7 @@ def _batch_loss_grad(params: RerankerParams, qidx, qmask, pidx, pmask, imask,
 
     de_u = dz_u.T @ qk + np.outer(c, w)
     real = qmask.ravel()
-    np.add.at(de_u, inv_q[real], dq[real] @ params.w_q.T)
+    rows_at(np.add, de_u, inv_q[real], dq[real] @ params.w_q.T)
     grads = {"w_q": dw_q, "w_k": dw_k, "w_v": dw_v, "readout": dreadout,
              "bias": float(g.sum()), "emb_idx": uniq, "emb_rows": de_u}
     return float(losses.mean()), grads

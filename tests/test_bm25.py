@@ -50,7 +50,7 @@ def retrieve(index, query, k):
 
 def test_idf_single_passage_hand_value():
     stats = compute_stats(_corpus(["solo"]), vocab_size=VOCAB)
-    term = tokenize("solo", VOCAB, 8).tokens[0]
+    term = tokenize("solo", VOCAB, 8)[0]
     assert stats.idf[term] == pytest.approx(math.log(0.5 / 1.5 + 1.0), abs=1e-12)
     assert stats.idf[term] == pytest.approx(0.287682, abs=1e-6)
 
@@ -59,7 +59,7 @@ def test_idf_ubiquitous_term_small_positive():
     n = 500
     stats = compute_stats(_corpus(["common"] * 5 + [f"common extra{i}" for i in range(n - 5)]),
                           vocab_size=VOCAB)
-    term = tokenize("common", VOCAB, 8).tokens[0]
+    term = tokenize("common", VOCAB, 8)[0]
     expected = math.log((n - n + 0.5) / (n + 0.5) + 1.0)
     assert stats.idf[term] == pytest.approx(expected, rel=1e-12)
     assert 0 < stats.idf[term] < 0.01
@@ -90,7 +90,7 @@ def test_encode_passage_hand_weight():
     corpus = _corpus(["t t f1 f2 f3 f4 f5 f6 f7 f8",
                       "g1 g2 g3 g4 g5 g6 g7 g8 g9 g10"])
     stats = compute_stats(corpus, vocab_size=VOCAB)
-    term = tokenize("t", VOCAB, 8).tokens[0]
+    term = tokenize("t", VOCAB, 8)[0]
     vec = encode_passage(corpus.get("d0"), stats, Bm25Params(k=0.9, b=0.8))
     expected = stats.idf[term] * 2 * 1.9 / 2.9
     assert vec[term] == pytest.approx(expected, rel=1e-12)
@@ -101,7 +101,7 @@ def test_encode_passage_hand_weight():
 def test_encode_passage_b_zero_ignores_length():
     short = _corpus(["term", "x " * 9])  # very different lengths
     stats = compute_stats(short, vocab_size=VOCAB)
-    term = tokenize("term", VOCAB, 8).tokens[0]
+    term = tokenize("term", VOCAB, 8)[0]
     vec = encode_passage(short.get("d0"), stats, Bm25Params(k=0.9, b=0.0))
     assert vec[term] == pytest.approx(stats.idf[term] * 1.9 / 1.9, rel=1e-12)
 
@@ -115,8 +115,8 @@ def test_encode_passage_empty_text_gives_empty_vector():
 
 def test_encode_query_term_counts():
     vec = encode_query(Query("q", "apple apple pie"), vocab_size=VOCAB)
-    apple = tokenize("apple", VOCAB, 8).tokens[0]
-    pie = tokenize("pie", VOCAB, 8).tokens[0]
+    apple = tokenize("apple", VOCAB, 8)[0]
+    pie = tokenize("pie", VOCAB, 8)[0]
     assert vec == {apple: 2.0, pie: 1.0}
 
 
@@ -160,7 +160,7 @@ def test_dot_identity_matches_direct_formula():
         for p in corpus:
             direct = 0.0
             pcounts = {}
-            for t in tokenize(p.encoding_text(), VOCAB, PASSAGE_LENGTH).tokens:
+            for t in tokenize(p.encoding_text(), VOCAB, PASSAGE_LENGTH):
                 pcounts[t] = pcounts.get(t, 0) + 1
             m = sum(pcounts.values())
             for t, qc in qcounts.items():
@@ -250,9 +250,9 @@ def test_bm25_list_is_the_passages_sharing_a_query_term(params):
         for i in range(10):
             words = rng.choices(WORDS + ["unseen1", "unseen2"], k=rng.randint(1, 3))
             q = Query(f"q{trial}-{i}", " ".join(words))
-            terms = set(tokenize(q.text, VOCAB, 64).tokens)
+            terms = set(tokenize(q.text, VOCAB, 64))
             sharing = {p.id for p in corpus
-                       if terms & set(tokenize(p.encoding_text(), VOCAB, 512).tokens)}
+                       if terms & set(tokenize(p.encoding_text(), VOCAB, 512))}
             assert {it.passage_id for it in retrieve(index, q, len(corpus)).items} == sharing
 
 

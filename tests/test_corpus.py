@@ -1,14 +1,17 @@
 """Tests for the data model, tokenizer and file formats."""
 
 import os
+import re
 import subprocess
 import sys
 import textwrap
 
+import numpy as np
 import pytest
 
 import hybridrank
 from hybridrank.corpus import (
+    _words,
     Corpus,
     Passage,
     QrelSet,
@@ -26,21 +29,19 @@ from hybridrank.corpus import (
 # ---------------------------------------------------------------- tokenize
 
 def test_tokenize_empty_text():
-    seq = tokenize("", vocab_size=1000, max_length=64)
-    assert seq.tokens == ()
-    assert seq.original_length == 0
+    assert tokenize("", vocab_size=1000, max_length=64) == ()
 
 
 def test_tokenize_case_folding():
     seq = tokenize("Apple apple", vocab_size=1000, max_length=64)
     assert len(seq) == 2
-    assert seq.tokens[0] == seq.tokens[1]
+    assert seq[0] == seq[1]
 
 
-def test_tokenize_truncation_records_original_length():
+def test_tokenize_truncation_keeps_the_first_words():
     seq = tokenize("a b c d", vocab_size=1000, max_length=2)
-    assert len(seq.tokens) == 2
-    assert seq.original_length == 4
+    assert seq == tokenize("a b", vocab_size=1000, max_length=64)
+    assert len(set(tokenize("a b c d", vocab_size=1000, max_length=4))) == 4
 
 
 def test_tokenize_length_never_exceeds_max():
@@ -52,19 +53,19 @@ def test_tokenize_length_never_exceeds_max():
 def test_tokenize_ids_below_vocab_size():
     for vocab in (2, 17, 32768):
         seq = tokenize("the quick brown fox, jumps; over-the lazy dog", vocab, 64)
-        assert all(0 <= t < vocab for t in seq.tokens)
+        assert all(0 <= t < vocab for t in seq)
 
 
 def test_tokenize_splits_on_punctuation():
     a = tokenize("alpha,beta.gamma", 4096, 16)
     b = tokenize("alpha beta gamma", 4096, 16)
-    assert a.tokens == b.tokens
+    assert a == b
 
 
 def test_tokenize_deterministic_across_processes():
     # The hash must not depend on the process salt (PYTHONHASHSEED).
     code = ("from hybridrank.corpus import tokenize;"
-            "print(tokenize('Deterministic Hashing!', 32768, 64).tokens)")
+            "print(tokenize('Deterministic Hashing!', 32768, 64))")
     # the children import hybridrank from where this process found it
     package_root = os.path.dirname(os.path.dirname(os.path.abspath(hybridrank.__file__)))
     outs = set()
@@ -77,7 +78,32 @@ def test_tokenize_deterministic_across_processes():
         assert child.returncode == 0, f"PYTHONHASHSEED={n} child failed:\n{child.stderr}"
         outs.add(child.stdout)
     assert len(outs) == 1
-    assert outs == {repr(tokenize("Deterministic Hashing!", 32768, 64).tokens) + "\n"}
+    assert outs == {repr(tokenize("Deterministic Hashing!", 32768, 64)) + "\n"}
+
+
+# ASCII punctuation and the separators str.split() and \s treat differently,
+# digits and "_", non-ASCII letters, digits and marks, and letters whose
+# lowercase form changes length or turns ASCII: the Kelvin sign lowercases to
+# "k", "İ" to "i" plus a combining dot, and a final sigma depends on context
+_SPLIT_ALPHABET = ("aZ09_ .,;:!?'\"-()[]{}<>/\\|@#$%^&*+=~`\t\n\r\x0b\x0c"
+                   "\x1c\x1d\x1e\x1f\x85\xa0\u2028\u3000\u200b"
+                   "ǅ²٣ﬁİ\u212aΣσßẞéé\u0301\u0307\u0663½Ⅻ㐀ー・")
+
+
+def test_word_splitter_equals_the_word_regex():
+    rng = np.random.default_rng(17)
+    oracle = re.compile(r"\w+")
+    for trial in range(4000):
+        n = int(rng.integers(0, 40))
+        if trial % 2:
+            codes = rng.integers(0, 0x110000, size=n)
+        else:
+            codes = [ord(_SPLIT_ALPHABET[i]) for i in rng.integers(0, len(_SPLIT_ALPHABET), n)]
+        text = "".join(map(chr, codes))
+        assert _words(text) == oracle.findall(text.lower()), repr(text)
+    for text in ("ǅ² ٣ﬁ", "İstanbul", "\u212aelvin", "ΣΑΣ ΣΑΣ.", "a\x1cb\x1fc\x0bd_e"):
+        assert _words(text) == oracle.findall(text.lower()), repr(text)
+    assert _words("\u212a") == ["k"]
 
 
 def test_tokenize_rejects_bad_sizes():

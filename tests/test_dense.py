@@ -25,6 +25,7 @@ from hybridrank.dense import (
     load_encodings,
     load_params,
     normalize_rows,
+    rows_at,
     save_encodings,
     save_params,
     train_de,
@@ -39,7 +40,7 @@ def distinct_words(n, vocab=VOCAB):
     i = 0
     while len(words) < n:
         w = f"tok{i}"
-        t = tokenize(w, vocab, 4).tokens[0]
+        t = tokenize(w, vocab, 4)[0]
         if t not in seen:
             seen.add(t)
             words.append(w)
@@ -51,7 +52,7 @@ def params_with_rows(assignments, dim, vocab=VOCAB):
     """EncoderParams whose embedding rows are zero except for given word vectors."""
     emb = np.zeros((vocab, dim))
     for word, vec in assignments.items():
-        emb[tokenize(word, vocab, 4).tokens[0]] = vec
+        emb[tokenize(word, vocab, 4)[0]] = vec
     return EncoderParams(embeddings=emb, dim=dim, seed=0)
 
 
@@ -60,26 +61,26 @@ def params_with_rows(assignments, dim, vocab=VOCAB):
 def test_encode_single_token_is_its_row():
     w, = distinct_words(1)
     p = params_with_rows({w: [1.0, 2.0, 3.0]}, dim=3)
-    vec = encode(p, tokenize(w, VOCAB, 8).tokens)
+    vec = encode(p, tokenize(w, VOCAB, 8))
     assert np.array_equal(vec, [1.0, 2.0, 3.0])
 
 
 def test_encode_opposite_rows_cancel():
     a, b = distinct_words(2)
     p = params_with_rows({a: [1.0, -1.0], b: [-1.0, 1.0]}, dim=2)
-    vec = encode(p, tokenize(f"{a} {b}", VOCAB, 8).tokens)
+    vec = encode(p, tokenize(f"{a} {b}", VOCAB, 8))
     assert np.array_equal(vec, [0.0, 0.0])
 
 
 def test_encode_empty_sequence_zero_vector():
     p = init_params(VOCAB, 4, seed=0)
-    assert np.array_equal(encode(p, tokenize("", VOCAB, 8).tokens), np.zeros(4))
+    assert np.array_equal(encode(p, tokenize("", VOCAB, 8)), np.zeros(4))
 
 
 def test_encode_is_mean_not_sum():
     a, b = distinct_words(2)
     p = params_with_rows({a: [2.0], b: [4.0]}, dim=1)
-    assert encode(p, tokenize(f"{a} {b}", VOCAB, 8).tokens)[0] == pytest.approx(3.0)
+    assert encode(p, tokenize(f"{a} {b}", VOCAB, 8))[0] == pytest.approx(3.0)
 
 
 def test_cosine_identical_vectors():
@@ -155,12 +156,12 @@ def test_encode_corpus_equals_per_passage_encode(dim):
     corpus = Corpus([Passage(f"d{i}", "", t) for i, t in enumerate(texts)])
     p = EncoderParams(embeddings=rng.normal(size=(VOCAB, dim)), dim=dim, seed=0)
     encoded = encode_corpus(p, corpus)
-    ref = np.stack([encode(p, tokenize(q.encoding_text(), VOCAB, PASSAGE_LENGTH).tokens)
+    ref = np.stack([encode(p, tokenize(q.encoding_text(), VOCAB, PASSAGE_LENGTH))
                     for q in corpus])
     assert np.array_equal(encoded, ref)
     assert not encoded.any(axis=1)[0]
     # the long passage pools the ids of its first PASSAGE_LENGTH words only
-    ids = [tokenize(w, VOCAB, 1).tokens[0] for w in long_words]
+    ids = [tokenize(w, VOCAB, 1)[0] for w in long_words]
     assert np.array_equal(encoded[-1], p.embeddings[ids[:PASSAGE_LENGTH]].mean(axis=0))
     assert not np.allclose(encoded[-1], p.embeddings[ids].mean(axis=0))
 
@@ -384,6 +385,25 @@ def test_de_retrieve_exact_token_match_wins():
     result = de_retrieve(p, corpus, Query("q", a), 3, passage_matrix=_rows(p, corpus))
     assert result.items[0].passage_id == "match"
     assert result.items[0].score == pytest.approx(1.0)
+
+
+def test_rows_at_equals_the_2d_ufunc_at_byte_for_byte():
+    # duplicate indices make the order of the updates visible in the rounding
+    rng = np.random.default_rng(5)
+    for dtype in (np.float64, np.float32):
+        for ufunc in (np.add, np.subtract):
+            for trial in range(20):
+                table = rng.normal(size=(int(rng.integers(1, 9)), int(rng.integers(1, 6))))
+                table = (table * 10.0 ** rng.integers(-8, 9, size=table.shape)).astype(dtype)
+                idx = rng.integers(0, table.shape[0], size=int(rng.integers(0, 40)))
+                rows = (rng.normal(size=(idx.size, table.shape[1]))
+                        * 10.0 ** rng.integers(-8, 9, size=(idx.size, 1))).astype(dtype)
+                expected = table.copy()
+                ufunc.at(expected, idx, rows)
+                rows_at(ufunc, table, idx, rows)
+                assert table.tobytes() == expected.tobytes(), (dtype, ufunc, trial)
+    with pytest.raises(ValueError):
+        rows_at(np.add, np.zeros((4, 3)).T, np.array([0]), np.ones((1, 4)))
 
 
 def test_de_retrieve_tie_broken_by_id():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import hybridrank.hybrid
 from hybridrank.bm25 import Bm25Index, dot, encode_passage, encode_query
 from hybridrank.corpus import Corpus, Passage, QrelSet, Query, passage_tokens, \
     query_tokens, tokenize
@@ -27,7 +28,7 @@ def _distinct_words(n):
     i = 0
     while len(words) < n:
         w = f"tok{i}"
-        t = tokenize(w, VOCAB, 4).tokens[0]
+        t = tokenize(w, VOCAB, 4)[0]
         if t not in seen:
             seen.add(t)
             words.append(w)
@@ -88,8 +89,8 @@ def test_hybrid_score_direct_sum_example():
     a, b = _distinct_words(2)
     corpus = Corpus([Passage("p", "", f"{a} {b}")])
     emb = np.zeros((VOCAB, 2))
-    emb[tokenize(a, VOCAB, 4).tokens[0]] = [1.0, 0.0]
-    emb[tokenize(b, VOCAB, 4).tokens[0]] = [0.0, 1.0]
+    emb[tokenize(a, VOCAB, 4)[0]] = [1.0, 0.0]
+    emb[tokenize(b, VOCAB, 4)[0]] = [0.0, 1.0]
     encoder = EncoderParams(embeddings=emb, dim=2, seed=0)
     index = _index(corpus, encoder, 2.0)
     q = Query("q", a)
@@ -146,9 +147,9 @@ def test_hybrid_retrieve_three_passage_construction():
         Passage("balanced", "", f"{probe} {sem} {lex}"),     # some of both
     ])
     emb = np.zeros((VOCAB, 2))  # probe embeds to zero
-    emb[tokenize(lex, VOCAB, 4).tokens[0]] = [0.5, 0.0]
-    emb[tokenize(sem, VOCAB, 4).tokens[0]] = [0.0, 1.0]
-    emb[tokenize(qsem, VOCAB, 4).tokens[0]] = [0.0, 1.0]
+    emb[tokenize(lex, VOCAB, 4)[0]] = [0.5, 0.0]
+    emb[tokenize(sem, VOCAB, 4)[0]] = [0.0, 1.0]
+    emb[tokenize(qsem, VOCAB, 4)[0]] = [0.0, 1.0]
     encoder = EncoderParams(embeddings=emb, dim=2, seed=0)
     # query shares only the probe token and points at the semantic axis
     q = Query("q", f"{probe} {qsem}")
@@ -200,9 +201,9 @@ def test_rank_monotonicity_equal_bm25():
     a, b, c = _distinct_words(3)
     corpus = Corpus([Passage("near", "", f"{a} {b}"), Passage("far", "", f"{a} {c}")])
     emb = np.zeros((VOCAB, 2))
-    emb[tokenize(a, VOCAB, 4).tokens[0]] = [1.0, 0.0]
-    emb[tokenize(b, VOCAB, 4).tokens[0]] = [1.0, 0.2]
-    emb[tokenize(c, VOCAB, 4).tokens[0]] = [-1.0, 0.0]
+    emb[tokenize(a, VOCAB, 4)[0]] = [1.0, 0.0]
+    emb[tokenize(b, VOCAB, 4)[0]] = [1.0, 0.2]
+    emb[tokenize(c, VOCAB, 4)[0]] = [-1.0, 0.0]
     encoder = EncoderParams(embeddings=emb, dim=2, seed=0)
     q = Query("q", a)
     for lam in (0.5, 10.0, 1e4):
@@ -239,12 +240,12 @@ def test_tune_lambda_beats_endpoints_when_both_channels_matter():
     queries = []
     emb = np.zeros((VOCAB, 4))
     for i, w in enumerate(words[:20]):
-        emb[tokenize(w, VOCAB, 4).tokens[0]] = rng.normal(size=4)
+        emb[tokenize(w, VOCAB, 4)[0]] = rng.normal(size=4)
     for i in range(10):
         w_doc, w_syn = words[2 * i], words[2 * i + 1]
         # make the synonym's embedding close to the document word's
-        t_doc = tokenize(w_doc, VOCAB, 4).tokens[0]
-        t_syn = tokenize(w_syn, VOCAB, 4).tokens[0]
+        t_doc = tokenize(w_doc, VOCAB, 4)[0]
+        t_syn = tokenize(w_syn, VOCAB, 4)[0]
         emb[t_syn] = emb[t_doc] + rng.normal(scale=0.05, size=4)
         passages.append(Passage(f"d{i}", "", f"{w_doc} filler{i} extra{i}"))
         qtext = w_doc if i % 2 == 0 else w_syn
@@ -306,7 +307,7 @@ def test_tune_lambda_streamed_agrees_with_per_lambda_retrieval_on_tie_heavy_grid
                          for j in rng.permutation(40)])
         emb = np.zeros((VOCAB, 4))
         for w in rng.choice(words, size=3, replace=False):
-            emb[tokenize(w, VOCAB, 4).tokens[0]] = rng.choice([-1.0, 1.0], size=4)
+            emb[tokenize(w, VOCAB, 4)[0]] = rng.choice([-1.0, 1.0], size=4)
         encoder = EncoderParams(embeddings=emb, dim=4, seed=0)
         index = _index(corpus, encoder, 0.0)
         queries = [Query(f"q{i}", " ".join(rng.choice(words, size=2))) for i in range(8)]
@@ -319,15 +320,16 @@ def test_tune_lambda_streamed_agrees_with_per_lambda_retrieval_on_tie_heavy_grid
 
 
 def _assert_sweep_equals_full_top_k(bm25_scores, cos, values, id_rank, cutoff):
-    """Each warm-started order equals a full top_k_order at that weight."""
+    """Each swept order equals a full top_k_order at that weight, and its
+    scores are the full fused scores' entries, bit for bit."""
     with np.errstate(invalid="ignore"):  # inf * 0 is NaN on purpose
         swept = list(_sweep(bm25_scores, cos, values, id_rank, cutoff))
         expected = [bm25_scores + lam * cos for lam in values]
     assert [lam for lam, _, _ in swept] == values
-    for (lam, total, order), full in zip(swept, expected):
-        assert np.array_equal(total, full, equal_nan=True)
+    for (lam, order, scores), full in zip(swept, expected):
         assert np.array_equal(order, top_k_order(full, id_rank, cutoff)), lam
-    return [order.tolist() for _, _, order in swept]
+        assert scores.tobytes() == full[order].tobytes(), lam
+    return [order.tolist() for _, order, _ in swept]
 
 
 def test_sweep_keeps_a_score_exactly_at_the_floor():
@@ -372,6 +374,55 @@ def test_sweep_tie_heavy_random_scores():
                                         rng.permutation(n), int(rng.integers(1, 6)))
 
 
+def _record_kept(monkeypatch) -> list:
+    """Record, per ``_sweep`` call, the passages its cosine bound keeps."""
+    kept = []
+    cosine_bound = hybridrank.hybrid._cosine_bound
+
+    def recording(bm25_scores, cos, *args):
+        bound = cosine_bound(bm25_scores, cos, *args)
+        kept.append(np.arange(len(cos)) if bound is None else np.flatnonzero(cos >= bound))
+        return bound
+
+    monkeypatch.setattr(hybridrank.hybrid, "_cosine_bound", recording)
+    return kept
+
+
+def test_sweep_ranks_fewer_passages_after_the_first_weight(monkeypatch):
+    # bm25-like and cosine-like scores drawn from small pools of floats, so
+    # fused scores tie often, over the default grid
+    kept = _record_kept(monkeypatch)
+    rng = np.random.default_rng(12)
+    values = list(DEFAULT_LAMBDA_GRID)
+    sizes = []
+    for _ in range(40):
+        n = int(rng.integers(20, 400))
+        sizes.append(n)
+        bm25_pool = np.concatenate([[0.0], rng.gamma(2.0, 3.0, size=5)])
+        cos_pool = rng.uniform(-0.4, 0.9, size=8)
+        bm25_scores = rng.choice(bm25_pool, size=n)
+        cos = rng.choice(cos_pool, size=n)
+        _assert_sweep_equals_full_top_k(bm25_scores, cos, values, rng.permutation(n),
+                                        int(rng.integers(1, 12)))
+    assert len(kept) == 40
+    assert all(k.size < n for k, n in zip(kept, sizes))
+
+
+def test_sweep_keeps_a_cosine_exactly_at_the_bound(monkeypatch):
+    # Exact dyadic arithmetic.  Weight 0 keeps passages 0 and 4 (bm25 4.0).
+    # At weights 1 and 2 their lowest fused score is 4.0, so the bound is
+    # theta = (4.0 - 4.0) / lam = 0: passage 3 sits exactly on it and stays,
+    # passage 5 is 2**-50 below it, inside the rounding slack, and stays,
+    # and passage 2 is far below it and is left out.
+    kept = _record_kept(monkeypatch)
+    bm25_scores = np.array([4.0, 3.0, 3.5, 0.0, 4.0, 0.5])
+    cos = np.array([0.0, 0.5, -0.25, 0.0, 0.25, -2.0 ** -50])
+    orders = _assert_sweep_equals_full_top_k(bm25_scores, cos, [0.0, 1.0, 2.0],
+                                             np.array([5, 4, 3, 2, 1, 0]), 2)
+    assert kept[0].tolist() == [0, 1, 3, 4, 5]
+    assert orders == [[4, 0], [4, 0], [4, 1]]
+
+
 @pytest.mark.filterwarnings("ignore:invalid value encountered in multiply")
 def test_tune_lambda_with_infinite_weight_agrees_with_per_lambda_retrieval():
     # 8 passages under a cutoff of 10.  Every other query's tokens get zero
@@ -380,7 +431,7 @@ def test_tune_lambda_with_infinite_weight_agrees_with_per_lambda_retrieval():
         corpus, encoder, _, queries = _random_setup(20 + seed, n_passages=8)
         emb = encoder.embeddings.copy()
         for q in queries[::2]:
-            emb[list(tokenize(q.text, VOCAB, 64).tokens)] = 0.0
+            emb[list(tokenize(q.text, VOCAB, 64))] = 0.0
         index = _index(corpus, EncoderParams(emb, 8, 0), 600.0)
         assert np.isnan(index.score_components(queries[0])[1] * np.inf).all()
         qrels = QrelSet({(q.id, corpus.ids()[i]): 1 for i, q in enumerate(queries)})

@@ -23,7 +23,7 @@ def _distinct_words(n):
     i = 0
     while len(words) < n:
         w = f"tok{i}"
-        t = tokenize(w, VOCAB, 4).tokens[0]
+        t = tokenize(w, VOCAB, 4)[0]
         if t not in seen:
             seen.add(t)
             words.append(w)
@@ -143,9 +143,9 @@ def _embedding_corpus():
     """Two passages with controlled embeddings: w_a -> axis 0, w_b -> axis 1."""
     a, b, c = _distinct_words(3)
     emb = np.zeros((VOCAB, 2))
-    emb[tokenize(a, VOCAB, 4).tokens[0]] = [1.0, 0.0]
-    emb[tokenize(b, VOCAB, 4).tokens[0]] = [0.0, 1.0]
-    emb[tokenize(c, VOCAB, 4).tokens[0]] = [1.0, 0.1]
+    emb[tokenize(a, VOCAB, 4)[0]] = [1.0, 0.0]
+    emb[tokenize(b, VOCAB, 4)[0]] = [0.0, 1.0]
+    emb[tokenize(c, VOCAB, 4)[0]] = [1.0, 0.1]
     corpus = Corpus([Passage("pa", "", a), Passage("pb", "", b)])
     de = EncoderParams(embeddings=emb, dim=2, seed=0)
     return corpus, de, (a, b, c)
@@ -171,8 +171,8 @@ def test_filter_source_must_win_ties():
     # so a pair claiming "pb" is dropped even though it ties for 1-NN
     a, b = _distinct_words(2)
     emb = np.zeros((VOCAB, 2))
-    emb[tokenize(a, VOCAB, 4).tokens[0]] = [1.0, 0.0]
-    emb[tokenize(b, VOCAB, 4).tokens[0]] = [1.0, 0.0]
+    emb[tokenize(a, VOCAB, 4)[0]] = [1.0, 0.0]
+    emb[tokenize(b, VOCAB, 4)[0]] = [1.0, 0.0]
     corpus = Corpus([Passage("pa", "", a), Passage("pb", "", b)])
     de = EncoderParams(embeddings=emb, dim=2, seed=0)
     claims_pb = SyntheticPair(Query("q", a), "pb")

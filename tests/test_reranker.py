@@ -72,7 +72,7 @@ def test_score_pair_single_token_attention_is_identity():
     p = _random_params(1)
     q = _tok("solo")
     d = _tok("lone")
-    e_p = p.embeddings[d.tokens[0]]
+    e_p = p.embeddings[d[0]]
     expected = float(p.readout @ (e_p @ p.w_v) + p.bias)
     assert score_pair(p, q, d) == pytest.approx(expected, rel=1e-12)
     p2 = p.copy()
@@ -99,8 +99,8 @@ def test_score_list_matches_score_pair():
     q = _tok("what is fused scoring")
     passages = ["short one", "a much longer passage with many more tokens in it",
                 "medium sized text here"]
-    toks = [np.asarray(_tok(t, 512).tokens, dtype=np.int64) for t in passages]
-    fused = score_list(p, np.asarray(q.tokens, dtype=np.int64), toks)
+    toks = [np.asarray(_tok(t, 512), dtype=np.int64) for t in passages]
+    fused = score_list(p, np.asarray(q, dtype=np.int64), toks)
     for i, t in enumerate(passages):
         assert fused[i] == pytest.approx(score_pair(p, q, _tok(t, 512)), rel=1e-12)
 

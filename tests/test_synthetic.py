@@ -114,7 +114,7 @@ def test_word_pools_are_hash_disjoint():
     doc, syn, filler = _word_pools(200)
     all_words = doc + syn + filler
     assert len(set(all_words)) == len(all_words)
-    hashes = [tokenize(w, DEFAULT_VOCAB_SIZE, 1).tokens[0] for w in all_words]
+    hashes = [tokenize(w, DEFAULT_VOCAB_SIZE, 1)[0] for w in all_words]
     assert len(set(hashes)) == len(hashes)
 
 

@@ -1,6 +1,7 @@
 """Tests for the corpus token store and truncation: one tokenization per
 passage and vocabulary size, queries and passages cut at the tokenizer's lengths."""
 
+import hashlib
 import sys
 from collections import Counter
 
@@ -8,12 +9,14 @@ import numpy as np
 import pytest
 
 import hybridrank.bm25
+import hybridrank.corpus
 import hybridrank.dense
 import hybridrank.reranker
-from hybridrank.corpus import PASSAGE_LENGTH, QUERY_LENGTH, Corpus, Passage, Query, \
-    passage_tokens, tokenize
+from hybridrank.corpus import DEFAULT_VOCAB_SIZE, PASSAGE_LENGTH, QUERY_LENGTH, Corpus, \
+    Passage, Query, passage_tokens, tokenize
 from hybridrank.evaluation import RunFile
 from hybridrank.results import CandidateItem, CandidateList
+from hybridrank.synthetic import SyntheticCorpusSpec, make_synthetic_corpus
 
 VOCAB = 512
 DIM = 8
@@ -21,7 +24,7 @@ LONG_WORDS = [f"w{i}" for i in range(PASSAGE_LENGTH + 30)]
 
 
 def _word_ids(words, vocab=VOCAB):
-    return [tokenize(w, vocab, 1).tokens[0] for w in words]
+    return [tokenize(w, vocab, 1)[0] for w in words]
 
 
 def _corpus():
@@ -55,6 +58,17 @@ def test_store_equals_per_passage_tokenize():
             arr[0] = 1
 
 
+def test_store_of_the_default_synthetic_corpus_is_unchanged():
+    # sha256 of the ids (int32) then indptr (int64), little-endian, for the
+    # default spec at seed 0, recorded from the regex tokenizer this one replaced
+    store = make_synthetic_corpus(SyntheticCorpusSpec(seed=0)).corpus \
+        .token_store(DEFAULT_VOCAB_SIZE)
+    h = hashlib.sha256(store.ids.astype("<i4").tobytes())
+    h.update(store.indptr.astype("<i8").tobytes())
+    assert h.hexdigest() == \
+        "a3982f73e006f73f2d6e5b2835cb94c54b63ed1babedbe238ac920adb7814062"
+
+
 def test_a_long_query_is_cut_at_query_length_in_every_channel():
     # "keep" is the QUERY_LENGTH-th word of the long query and "drop" the next:
     # BM25 scoring, the cosines and rerank all see "keep" and none sees "drop"
@@ -84,20 +98,21 @@ def test_a_long_query_is_cut_at_query_length_in_every_channel():
         assert keep != keep_drop
 
 
-def _count_tokenize_calls(monkeypatch) -> Counter:
-    """Count the texts given to ``tokenize`` through every hybridrank module's name."""
+def _count_split_calls(monkeypatch) -> Counter:
+    """Count the texts given to the word splitter, ``corpus._words``, the one
+    step every tokenization path goes through."""
     texts: Counter = Counter()
+    split = hybridrank.corpus._words
 
-    def counting(text, *args, **kwargs):
+    def counting(text):
         texts[text] += 1
-        return tokenize(text, *args, **kwargs)
+        return split(text)
 
-    modules = [m for name, m in sys.modules.items()
+    holders = [m for name, m in sys.modules.items()
                if (name == "hybridrank" or name.startswith("hybridrank."))
-               and getattr(m, "tokenize", None) is tokenize]
-    assert sys.modules["hybridrank.corpus"] in modules
-    for m in modules:
-        monkeypatch.setattr(m, "tokenize", counting)
+               and getattr(m, "_words", None) is split]
+    assert holders == [hybridrank.corpus]
+    monkeypatch.setattr(hybridrank.corpus, "_words", counting)
     return texts
 
 
@@ -115,7 +130,7 @@ def test_each_passage_is_tokenized_once_across_index_encoder_and_reranker(monkey
              for i, q in enumerate(queries)]
     run = RunFile("first", {q.id: [(pid, -float(j)) for j, pid in enumerate(ids)]
                             for q in queries})
-    texts = _count_tokenize_calls(monkeypatch)
+    texts = _count_split_calls(monkeypatch)
 
     hybridrank.bm25.Bm25Index(corpus, vocab_size=VOCAB)
     hybridrank.dense.encode_corpus(hybridrank.dense.init_params(VOCAB, DIM), corpus)
