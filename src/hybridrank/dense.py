@@ -39,6 +39,8 @@ DEFAULT_DIM = 64
 INIT_SCALE = 0.05
 # bytes of the (rows, length, dim) gather _pooled averages at once
 _POOL_BYTES = 1 << 20
+# rows whose squares row_norms holds at once (2 MiB at dim 64, float64)
+_NORM_ROWS = 4096
 
 
 @dataclass
@@ -101,9 +103,21 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.dot(a, b) / (na * nb))
 
 
+def row_norms(matrix: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(matrix, axis=1)``, taken over blocks of rows.
+
+    Each row reduces on its own, so the result is bit-equal to the full call,
+    but the squared temporary holds one block instead of the whole table.
+    """
+    if len(matrix) <= _NORM_ROWS:
+        return np.linalg.norm(matrix, axis=1)
+    return np.concatenate([np.linalg.norm(matrix[start:start + _NORM_ROWS], axis=1)
+                           for start in range(0, len(matrix), _NORM_ROWS)])
+
+
 def normalize_rows(matrix: np.ndarray) -> np.ndarray:
     """L2-normalize rows; zero rows stay zero."""
-    norms = np.linalg.norm(matrix, axis=1, keepdims=True)
+    norms = row_norms(matrix)[:, None]
     safe = np.where(norms == 0.0, 1.0, norms)
     return matrix / safe
 
@@ -218,7 +232,9 @@ def train_de(pairs: list[TrainPair], config: DeTrainConfig,
         raise ValueError("pairs must be nonempty")
     if init is None:
         init = init_params(config.vocab_size, config.dim, config.seed)
-    emb = init.embeddings.copy()
+        emb = init.embeddings  # drawn here, so no caller holds it
+    else:
+        emb = init.embeddings.copy()
     out = EncoderParams(embeddings=emb, dim=init.dim, seed=init.seed)
     if config.epochs == 0:
         return out

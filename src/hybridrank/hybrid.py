@@ -24,7 +24,7 @@ import numpy as np
 from .bm25 import Bm25Index, load_index, save_index
 from .corpus import QrelSet, Query
 from .dense import EncoderParams, load_encodings, load_params, query_cosines, \
-    save_encodings, save_params
+    row_norms, save_encodings, save_params
 from .evaluation import RunFile, compute_metric
 from .npzio import write_json
 from .results import CandidateList, ranked_list, top_k, top_k_order
@@ -50,7 +50,7 @@ class HybridIndex:
             raise ValueError(
                 f"dense_rows shape {dense_rows.shape} does not match "
                 f"{(len(bm25_index), encoder.dim)}")
-        norms = np.linalg.norm(dense_rows, axis=1)
+        norms = row_norms(dense_rows)
         if not np.all((np.abs(norms - 1.0) < 1e-6) | (norms == 0.0)):
             raise ValueError("dense_rows must be L2-normalized (zero rows allowed)")
         self.bm25 = bm25_index

@@ -5,6 +5,14 @@ An .npz artifact holds a JSON header (a uint8 array named ``header`` with a
 current time, so identical arrays saved twice give different file bytes.
 Reproducible-manifest runs need equal bytes, so entries are written with a
 fixed timestamp instead.  np.load reads the result like any other .npz.
+
+Each entry is streamed into the archive: numpy's .npy header (format 1.0, the
+version np.save picks for every plain dtype), then the array's own buffer.  No
+in-memory copy of the .npy is made, and the bytes equal those of
+``ZipFile.writestr`` on a ``np.lib.format.write_array`` buffer, because
+zipfile rewrites the local header with the final size and CRC.  Like
+``writestr``, an entry is a zip64 entry when its size times 1.05 exceeds
+``zipfile.ZIP64_LIMIT``.
 """
 
 from __future__ import annotations
@@ -24,11 +32,16 @@ def deterministic_savez(path, header: dict, **arrays) -> None:
                                      dtype=np.uint8)
     with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED) as zf:
         for name in sorted(arrays):
-            buf = io.BytesIO()
-            np.lib.format.write_array(buf, np.ascontiguousarray(arrays[name]),
-                                      allow_pickle=False)
-            zf.writestr(zipfile.ZipInfo(name + ".npy", date_time=_EPOCH),
-                        buf.getvalue())
+            arr = np.ascontiguousarray(arrays[name])
+            header_buf = io.BytesIO()
+            np.lib.format.write_array_header_1_0(
+                header_buf, np.lib.format.header_data_from_array_1_0(arr))
+            npy_header = header_buf.getvalue()
+            zip64 = (len(npy_header) + arr.nbytes) * 1.05 > zipfile.ZIP64_LIMIT
+            with zf.open(zipfile.ZipInfo(name + ".npy", date_time=_EPOCH), "w",
+                         force_zip64=zip64) as entry:
+                entry.write(npy_header)
+                entry.write(arr.reshape(-1).view(np.uint8))
 
 
 def load_npz(path, format_tag: str) -> tuple[dict, dict[str, np.ndarray]]:

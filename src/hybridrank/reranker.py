@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import DEFAULT_VOCAB_SIZE, Corpus, QrelSet, Query, TokenStore, query_tokens
-from .dense import DEFAULT_DIM, INIT_SCALE, rows_at
+from .dense import DEFAULT_DIM, INIT_SCALE, row_norms, rows_at
 from .evaluation import RunFile
 from .npzio import deterministic_savez, load_npz
 from .results import CandidateItem, CandidateList
@@ -120,7 +120,7 @@ def init_reranker(vocab_size: int = DEFAULT_VOCAB_SIZE, dim: int = DEFAULT_DIM,
         if emb.ndim != 2:
             raise ValueError("embeddings must be a 2-d matrix")
         vocab_size, dim = emb.shape
-    norms = np.linalg.norm(emb, axis=1)
+    norms = row_norms(emb)
     nonzero = norms[norms > 0]
     typical = float(nonzero.mean()) if nonzero.size else 1.0
     gain = math.sqrt(attention_scale * math.sqrt(dim)) / max(typical, 1e-12)

@@ -11,6 +11,7 @@ from hybridrank.dense import (
     DeTrainConfig,
     EncoderParams,
     TrainPair,
+    _NORM_ROWS,
     _POOL_BYTES,
     _batch_loss_grad,
     _pooled,
@@ -25,6 +26,7 @@ from hybridrank.dense import (
     load_encodings,
     load_params,
     normalize_rows,
+    row_norms,
     rows_at,
     save_encodings,
     save_params,
@@ -108,6 +110,31 @@ def test_normalize_rows_keeps_zero_rows():
     out = normalize_rows(m)
     assert np.allclose(out[0], [0.6, 0.8])
     assert np.array_equal(out[1], [0.0, 0.0])
+
+
+def _with_zero_rows(n, dtype):
+    m = np.random.default_rng(n).normal(size=(n, 64)).astype(dtype)
+    m[::7] = 0.0
+    return m
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n", [0, 1, _NORM_ROWS - 1, _NORM_ROWS, _NORM_ROWS + 1, 20_000])
+def test_row_norms_bit_equal_to_full_norm(n, dtype):
+    m = _with_zero_rows(n, dtype)
+    out, ref = row_norms(m), np.linalg.norm(m, axis=1)
+    assert out.dtype == ref.dtype and out.shape == ref.shape
+    assert out.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n", [0, _NORM_ROWS + 1])
+def test_normalize_rows_bit_equal_to_full_norm_quotient(n, dtype):
+    m = _with_zero_rows(n, dtype)
+    norm = np.linalg.norm(m, axis=1, keepdims=True)
+    ref = m / np.where(norm == 0, 1, norm)
+    out = normalize_rows(m)
+    assert out.dtype == ref.dtype and out.tobytes() == ref.tobytes()
 
 
 # ---------------------------------------------------------------- pooling
@@ -352,6 +379,15 @@ def test_train_de_does_not_mutate_init():
     snapshot = init.embeddings.copy()
     train_de(pairs, DeTrainConfig(epochs=2, vocab_size=VOCAB, dim=8, seed=2), init=init)
     assert np.array_equal(init.embeddings, snapshot)
+
+
+def test_train_de_fresh_init_equals_explicit_seed_init():
+    _, pairs = _toy_training_pairs(8)
+    cfg = DeTrainConfig(epochs=2, vocab_size=VOCAB, dim=8, seed=3)
+    fresh = train_de(pairs, cfg)
+    given = train_de(pairs, cfg, init=init_params(cfg.vocab_size, cfg.dim, cfg.seed))
+    assert fresh.embeddings.tobytes() == given.embeddings.tobytes()
+    assert (fresh.dim, fresh.seed) == (given.dim, given.seed)
 
 
 def test_de_train_config_validation():
