@@ -4,7 +4,9 @@ Means are taken over the queries that have at least one judged-relevant
 passage in the qrels; such a query missing from a run scores 0 rather than
 being dropped, so runs that fail to retrieve anything are not rewarded.
 Queries appearing in a run without any relevant judgment are excluded from
-the mean and reported.
+the mean and reported.  Every metric is computed from the 1-based ranks
+of a query's relevant passages (``query_metric``), whether they come from a
+run or are counted without one (``hybrid.lambda_curve``).
 """
 
 from __future__ import annotations
@@ -61,62 +63,59 @@ def _judged_queries(run: RunFile, qrels: QrelSet) -> tuple[list[str], list[str]]
     return universe, excluded
 
 
-def mrr_at_k(run: RunFile, qrels: QrelSet, k: int = 10) -> MetricReport:
-    """Reciprocal rank of the first relevant passage within the top k."""
-    if k < 1:
+def query_metric(metric_id: str, k: int, grades: list[int],
+                 hits: list[tuple[int, int]]) -> float:
+    """One query's ``metric_id``@k from where its relevant passages rank.
+
+    ``grades`` holds the grade of each of the query's judged-relevant
+    passages, ``hits`` the (1-based rank, grade) of those that were ranked,
+    each passage once.  nDCG sums only the relevant hits, in rank order: a
+    passage of grade 0 between them would add 0.0, which changes no sum.
+    """
+    top = sorted(hit for hit in hits if hit[0] <= k)
+    if metric_id == "mrr":
+        return 1.0 / top[0][0] if top else 0.0
+    if metric_id == "recall":
+        return len(top) / len(grades)
+    dcg = 0.0
+    for rank, grade in top:
+        dcg += grade / log2(rank + 1)
+    ideal = sorted(grades, reverse=True)[:k]
+    idcg = sum(g / log2(r + 1) for r, g in enumerate(ideal, start=1))
+    return dcg / idcg if idcg > 0 else 0.0
+
+
+def compute_metric(run: RunFile, qrels: QrelSet, metric_id: str, cutoff: int) -> MetricReport:
+    """``query_metric`` of each judged query's ranking in ``run``, and their
+    mean in sorted query id order."""
+    if metric_id not in METRIC_IDS:
+        raise ValueError(f"unknown metric {metric_id!r}; expected one of {METRIC_IDS}")
+    if cutoff < 1:
         raise ValueError("k must be >= 1")
     universe, excluded = _judged_queries(run, qrels)
     per_query = {}
     for qid in universe:
-        value = 0.0
-        for rank, (pid, _) in enumerate(run.rankings.get(qid, [])[:k], start=1):
-            if qrels.grade(qid, pid) > 0:
-                value = 1.0 / rank
-                break
-        per_query[qid] = value
+        relevant = qrels.relevant(qid)
+        hits = [(rank, relevant[pid]) for rank, (pid, _) in
+                enumerate(run.rankings.get(qid, [])[:cutoff], start=1) if pid in relevant]
+        per_query[qid] = query_metric(metric_id, cutoff, list(relevant.values()), hits)
     mean = sum(per_query.values()) / len(per_query)
-    return MetricReport("mrr", k, per_query, mean, excluded)
+    return MetricReport(metric_id, cutoff, per_query, mean, excluded)
+
+
+def mrr_at_k(run: RunFile, qrels: QrelSet, k: int = 10) -> MetricReport:
+    """Reciprocal rank of the first relevant passage within the top k."""
+    return compute_metric(run, qrels, "mrr", k)
 
 
 def ndcg_at_k(run: RunFile, qrels: QrelSet, k: int = 10) -> MetricReport:
     """Linear-gain DCG (grade / log2(rank+1)) normalized by the ideal ordering."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    universe, excluded = _judged_queries(run, qrels)
-    per_query = {}
-    for qid in universe:
-        dcg = 0.0
-        for rank, (pid, _) in enumerate(run.rankings.get(qid, [])[:k], start=1):
-            dcg += qrels.grade(qid, pid) / log2(rank + 1)
-        ideal = sorted(qrels.relevant(qid).values(), reverse=True)[:k]
-        idcg = sum(g / log2(r + 1) for r, g in enumerate(ideal, start=1))
-        per_query[qid] = dcg / idcg if idcg > 0 else 0.0
-    mean = sum(per_query.values()) / len(per_query)
-    return MetricReport("ndcg", k, per_query, mean, excluded)
+    return compute_metric(run, qrels, "ndcg", k)
 
 
 def recall_at_k(run: RunFile, qrels: QrelSet, k: int = 100) -> MetricReport:
     """Fraction of a query's relevant passages found in the top k."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    universe, excluded = _judged_queries(run, qrels)
-    per_query = {}
-    for qid in universe:
-        relevant = set(qrels.relevant(qid))
-        top = {pid for pid, _ in run.rankings.get(qid, [])[:k]}
-        per_query[qid] = len(relevant & top) / len(relevant)
-    mean = sum(per_query.values()) / len(per_query)
-    return MetricReport("recall", k, per_query, mean, excluded)
-
-
-def compute_metric(run: RunFile, qrels: QrelSet, metric_id: str, cutoff: int) -> MetricReport:
-    if metric_id == "mrr":
-        return mrr_at_k(run, qrels, cutoff)
-    if metric_id == "ndcg":
-        return ndcg_at_k(run, qrels, cutoff)
-    if metric_id == "recall":
-        return recall_at_k(run, qrels, cutoff)
-    raise ValueError(f"unknown metric {metric_id!r}; expected one of {METRIC_IDS}")
+    return compute_metric(run, qrels, "recall", k)
 
 
 def reported_metrics(run: RunFile, qrels: QrelSet) -> dict[str, MetricReport]:

@@ -11,6 +11,11 @@ BM25 scores (``Bm25Index.scores``) and cosines (``dense.query_cosines``).
 ``HybridIndex.cut`` turns them into any first stage's top k.  The bm25 stage
 keeps only passages that score > 0, which are exactly the passages sharing a
 term with the query; de and hybrid rank every passage.
+
+``tune_lambda`` picks the weight from a grid by counting, not ranking: per
+weight it needs only the rank of each relevant passage, which is one plus
+the passages that score above it or tie it with a smaller id
+(``lambda_curve``).
 """
 
 from __future__ import annotations
@@ -25,9 +30,9 @@ from .bm25 import Bm25Index, load_index, save_index
 from .corpus import QrelSet, Query
 from .dense import EncoderParams, load_encodings, load_params, query_cosines, \
     row_norms, save_encodings, save_params
-from .evaluation import RunFile, compute_metric
+from .evaluation import METRIC_IDS, query_metric
 from .npzio import write_json
-from .results import CandidateList, ranked_list, top_k, top_k_order
+from .results import CandidateList, ranked_list, top_k
 
 HYBRID_FORMAT = "hybridrank-hybrid-v1"
 FIRST_STAGES = ("bm25", "de", "hybrid")
@@ -39,8 +44,8 @@ class HybridIndex:
 
     def __init__(self, bm25_index: Bm25Index, encoder: EncoderParams,
                  dense_rows: np.ndarray, lam: float):
-        if lam < 0:
-            raise ValueError(f"lam must be >= 0, got {lam}")
+        if not 0 <= lam < math.inf:
+            raise ValueError(f"lam must be finite and >= 0, got {lam}")
         if encoder.vocab_size != bm25_index.stats.vocab_size:
             raise ValueError(
                 f"encoder vocab_size {encoder.vocab_size} != index vocab_size "
@@ -92,146 +97,109 @@ def hybrid_retrieve(index: HybridIndex, query: Query, k_results: int) -> Candida
                                             k_results))
 
 
-def _restrict_qrels(qrels: QrelSet, queries: list[Query]) -> QrelSet:
-    wanted = {q.id for q in queries}
-    subset = QrelSet()
-    for (qid, pid), grade in qrels.judgments.items():
-        if qid in wanted:
-            subset.set(qid, pid, grade)
-    return subset
+def _contenders(bm25_scores: np.ndarray, cos: np.ndarray, rel: np.ndarray,
+                lams: np.ndarray, reach: float) -> np.ndarray:
+    """Corpus positions of the passages that may precede or tie a passage of
+    ``rel`` in the fused ranking at some weight of ``lams``.
 
+    ``lams`` ascend, finite and >= 0.  ``reach`` is M = max |bm25| + lams[-1]
+    * max |cos|; an M that overflows keeps every passage.  Fused scores are
+    linear in lam, so a passage below every passage of ``rel`` at lams[0]
+    and at lams[-1] is below them at every weight between, and is left out.
 
-def _sweep(bm25_scores: np.ndarray, cos: np.ndarray, values: list[float],
-           id_rank: np.ndarray, cutoff: int):
-    """Yield (lam, top_k_order of the fused scores, their scores) per ascending weight.
-
-    The first weight ranks every passage.  The later ones rank only the
-    passages whose cosine can lift them into their top ``cutoff``
-    (``_cosine_bound``), each warm-started from the previous weight's top
-    ``cutoff`` (``_warm_sweep``).  The orders equal full ``top_k_order``s at
-    every weight, and the scores are ``(bm25_scores + lam * cos)[order]``
-    bit for bit.
+    Rounding: let u = 2**-53.  A computed fused score at a weight in range
+    is within 2.01 u M of the exact one (one rounding of lam * cos and one
+    of the sum).  At each end, the threshold m - s (m the lowest computed
+    score in ``rel``, s = 8 eps M = 16 u M, itself computed within
+    0.01 u M) is computed within 1.01 u M.  So a passage computed below it
+    at both ends is, exactly, more than s - 5.04 u M > 10.9 u M below every
+    passage of ``rel`` at both ends, hence at every weight between, and
+    computed more than 10.9 u M - 4.02 u M below it: strictly, so it does
+    not even tie.  This holds barring underflow, which would need
+    |lam * cos| below 2**-1022.
     """
-    total = bm25_scores + values[0] * cos
-    order = top_k_order(total, id_rank, cutoff)
-    yield values[0], order, total[order]
-    later = values[1:]
-    if not later:
-        return
-    bound = _cosine_bound(bm25_scores, cos, later, order, cutoff)
-    keep = None if bound is None else np.flatnonzero(cos >= bound)
-    if keep is None or keep.size == len(cos):
-        yield from _warm_sweep(bm25_scores, cos, later, id_rank, cutoff, order)
-        return
-    # the first weight's top is kept: each scores at least F(lam) at every lam
-    for lam, sub, scores in _warm_sweep(bm25_scores[keep], cos[keep], later,
-                                        id_rank[keep], cutoff, np.searchsorted(keep, order)):
-        yield lam, keep[sub], scores
+    slack = 8 * np.finfo(np.float64).eps * reach
+    below = np.ones(len(cos), dtype=bool)
+    for lam in (lams[0], lams[-1]):
+        fused = bm25_scores + lam * cos
+        # with no passage of rel in the corpus the floor is inf: none is kept
+        below &= fused < fused[rel].min(initial=math.inf) - slack
+    return np.flatnonzero(~below)
 
 
-def _cosine_bound(bm25_scores: np.ndarray, cos: np.ndarray, later: list[float],
-                  top: np.ndarray, cutoff: int) -> float | None:
-    """A cosine below which no passage ranks in the top ``cutoff`` at any
-    weight of ``later``, or None when every passage must be ranked.
+def _relevant_ranks(index: HybridIndex, query: Query, rel: np.ndarray,
+                    lams: np.ndarray) -> np.ndarray:
+    """(weights, passages) array: the 1-based rank of each passage at corpus
+    position ``rel`` in the fused ranking at each weight of ``lams``.
 
-    ``top`` is the top ``cutoff`` at a smaller weight.  At a later weight
-    lam, F(lam), the lowest fused score in ``top``, is at most the
-    ``cutoff``-th best, and a passage scores at most B + lam * cos, B the
-    highest bm25 score.  So a passage with cos < theta = min over later lam
-    of (F(lam) - B) / lam scores below F(lam) at every later weight.
-
-    Rounding: let u = 2**-53, Mb = max |bm25| and Mc = max |cos|.  Rounding
-    is monotone, so a computed fused score is at most the computed
-    B + lam * cos, which is within 2.01 u (Mb + lam * Mc) of the exact one.
-    As |F(lam) - B| <= 2.01 (Mb + lam * Mc), the computed (F(lam) - B) / lam
-    is within 4.01 u (Mb / lam + Mc) of the exact one.  So a cosine below
-    theta - 6.02 u (Mb / lam + Mc) scores strictly below the computed F(lam),
-    not even tying it.  The slack 16 u (Mb / lam1 + Mc), lam1 the smallest
-    later weight, covers that at every later weight plus the rounding of
-    theta - slack, at most 2.01 u (Mb / lam1 + Mc).
-
-    None when there are at most ``cutoff`` passages, a later weight is <= 0
-    or not finite, or a bm25 score, a cosine or an F(lam) is not finite.
+    Passage r's rank is 1 plus the passages scoring above it plus those
+    tying it with a smaller id rank: its place in ``top_k_order``, found
+    without a sort, over the ``_contenders`` only.  A bm25 score or cosine
+    that is not finite raises, naming the query.
     """
-    if len(bm25_scores) <= cutoff or not 0 < later[0] <= later[-1] < math.inf:
-        return None
-    big_b = float(np.abs(bm25_scores).max())
-    big_c = float(np.abs(cos).max())
+    bm25_scores, cos = index.score_components(query)
+    big_b, big_c = float(np.abs(bm25_scores).max()), float(np.abs(cos).max())
     if not (math.isfinite(big_b) and math.isfinite(big_c)):
-        return None
-    lams = np.asarray(later)
-    floors = (bm25_scores[top] + lams[:, None] * cos[top]).min(axis=1)
-    if not np.isfinite(floors).all():
-        return None
-    theta = float(((floors - bm25_scores.max()) / lams).min())
-    # 8 eps = 16 u; only an overflow makes the bound infinite or NaN
-    bound = theta - 8 * np.finfo(np.float64).eps * (big_b / later[0] + big_c)
-    return bound if math.isfinite(bound) else None
+        raise ValueError(f"query {query.id!r} has a bm25 score or cosine that is not finite")
+    keep = _contenders(bm25_scores, cos, rel, lams, big_b + lams[-1] * big_c)
+    id_rank = index.bm25.id_rank[keep]
+    at = np.searchsorted(keep, rel)
+    fused = bm25_scores[keep] + lams[:, None] * cos[keep]
+    # (weights, kept, rel) by broadcasting
+    other, mine = fused[:, :, None], fused[:, None, at]
+    ahead = (other > mine) | ((other == mine) & (id_rank[:, None] < id_rank[at]))
+    return 1 + ahead.sum(axis=1)
 
 
-def _warm_sweep(bm25_scores: np.ndarray, cos: np.ndarray, values: list[float],
-                id_rank: np.ndarray, cutoff: int, order: np.ndarray):
-    """``_sweep``'s yields over the passages given, each weight warm-started
-    from the previous weight's top ``cutoff``; ``order`` is the top of the
-    weight before ``values[0]``.
+def lambda_curve(index: HybridIndex, queries: list[Query], qrels: QrelSet,
+                 grid: tuple[float, ...], metric: str = "mrr",
+                 cutoff: int = 10) -> dict[float, float]:
+    """Mean ``metric``@``cutoff`` of the fused ranking at each grid weight,
+    ascending, over the ``queries`` that have a relevant judgment.
 
-    The lowest of their scores at the new weight, the floor, is at most the
-    new ``cutoff``-th best score, so every passage below it can be left out.
-    The kept passages (``>=``, so ties and -0.0 stay) give the same first
-    ``cutoff`` as a full ``top_k_order``.  A NaN floor falls back to the
-    full one, which sorts NaN last.
+    The means are those of ranking every passage at each weight
+    (``top_k_order``) and scoring the lists with ``compute_metric`` against
+    the judgments of ``queries``, bit for bit.  Each judged query is scored
+    once and only the ranks of its relevant passages are counted
+    (``_relevant_ranks``); a judged passage absent from the corpus is never
+    ranked.
     """
-    for lam in values:
-        total = bm25_scores + lam * cos
-        floor = total[order].min()
-        if np.isnan(floor):
-            order = top_k_order(total, id_rank, cutoff)
-        else:
-            keep = np.flatnonzero(total >= floor)
-            order = keep[top_k_order(total[keep], id_rank[keep], cutoff)]
-        yield lam, order, total[order]
+    values = sorted({float(g) for g in grid})
+    if not values:
+        raise ValueError("lambda grid must be nonempty")
+    bad = [lam for lam in values if not 0 <= lam < math.inf]
+    if bad:
+        raise ValueError(f"lambda grid values must be finite and >= 0, got {bad[0]}")
+    if metric not in METRIC_IDS:
+        raise ValueError(f"unknown metric {metric!r}; expected one of {METRIC_IDS}")
+    if cutoff < 1:
+        raise ValueError(f"cutoff must be >= 1, got {cutoff}")
+    by_id = {q.id: q for q in queries}
+    judged = sorted(qid for qid in by_id if qrels.relevant(qid))
+    if not judged:
+        raise ValueError("no judged queries: no query has a relevant passage in the qrels")
+    position = {pid: i for i, pid in enumerate(index.ids)}
+    lams = np.asarray(values)
+    rows = []
+    for qid in judged:
+        grades = qrels.relevant(qid)
+        rel = [pid for pid in grades if pid in position]
+        ranks = _relevant_ranks(index, by_id[qid],
+                                np.array([position[pid] for pid in rel], dtype=np.int64),
+                                lams)
+        rows.append([query_metric(metric, cutoff, list(grades.values()),
+                                  [(rank, grades[pid]) for rank, pid in zip(row, rel)])
+                     for row in ranks.tolist()])
+    return {lam: sum(row[j] for row in rows) / len(rows) for j, lam in enumerate(values)}
 
 
 def tune_lambda(index: HybridIndex, queries: list[Query], qrels: QrelSet,
                 grid: tuple[float, ...] = DEFAULT_LAMBDA_GRID, metric: str = "mrr",
                 cutoff: int = 10) -> float:
-    """Pick the fusion weight from a grid by mean retrieval quality.
-
-    Evaluates each candidate weight on the given queries and returns the best;
-    exact ties go to the smallest weight.  Each query is scored once and
-    re-weighted per candidate (``_sweep``), keeping only each weight's
-    top-``cutoff`` list.  After the smallest weight, only passages whose
-    cosine can lift them into some weight's top ``cutoff`` are re-weighted
-    (``_cosine_bound``, with a slack for the rounding of the fused sums), so the lists equal full rankings bit for bit.
-    """
-    values = sorted({float(g) for g in grid})
-    if not values:
-        raise ValueError("lambda grid must be nonempty")
-    if values[0] < 0:
-        raise ValueError(f"lambda grid values must be >= 0, got {values[0]}")
-    if cutoff < 1:
-        raise ValueError(f"cutoff must be >= 1, got {cutoff}")
-    if not queries:
-        raise ValueError("tune_lambda needs at least one query")
-    subset = _restrict_qrels(qrels, queries)
-
-    # lam -> {query id: top-cutoff (passage id, score)}
-    rankings: dict[float, dict[str, list[tuple[str, float]]]] = {lam: {} for lam in values}
-    ids = index.ids
-    for q in queries:
-        bm25_scores, cos = index.score_components(q)
-        for lam, order, scores in _sweep(bm25_scores, cos, values, index.bm25.id_rank,
-                                         cutoff):
-            rankings[lam][q.id] = list(zip([ids[i] for i in order.tolist()],
-                                           scores.tolist()))
-
-    best_lam = None
-    best_mean = -1.0
-    for lam in values:
-        mean = compute_metric(RunFile("tune", rankings[lam]), subset, metric, cutoff).mean
-        if best_lam is None or mean > best_mean:
-            best_lam, best_mean = lam, mean
-    return best_lam
+    """The grid weight with the best ``lambda_curve`` mean; exact ties go to
+    the smallest weight."""
+    curve = lambda_curve(index, queries, qrels, grid, metric, cutoff)
+    return max(curve, key=curve.get)
 
 
 def save_hybrid_index(index: HybridIndex, prefix) -> None:

@@ -96,8 +96,8 @@ class ExperimentConfig:
             raise ValueError(f"tune_metric must be one of {METRIC_IDS}")
         if self.run_depth < 1 or self.rerank_top_k < 1:
             raise ValueError("run_depth and rerank_top_k must be >= 1")
-        if self.fixed_lambda is not None and self.fixed_lambda < 0:
-            raise ValueError("fixed_lambda must be >= 0")
+        if self.fixed_lambda is not None and not 0 <= self.fixed_lambda < np.inf:
+            raise ValueError(f"fixed_lambda must be finite and >= 0, got {self.fixed_lambda}")
 
 
 def _seeded(base: int, offset: int) -> int:

@@ -100,6 +100,32 @@ def test_ndcg_never_exceeds_one():
     assert all(v <= 1.0 + 1e-12 for v in report.per_query.values())
 
 
+def _ndcg_per_rank(run, qrels, k):
+    """nDCG summed over every rank of the top k, relevant or not: the
+    per-rank loop the shared metric formula replaced, kept as its oracle."""
+    per_query = {}
+    for qid in qrels.query_ids():
+        dcg = 0.0
+        for rank, (pid, _) in enumerate(run.rankings.get(qid, [])[:k], start=1):
+            dcg += qrels.grade(qid, pid) / math.log2(rank + 1)
+        ideal = sorted(qrels.relevant(qid).values(), reverse=True)[:k]
+        idcg = sum(g / math.log2(r + 1) for r, g in enumerate(ideal, start=1))
+        per_query[qid] = dcg / idcg if idcg > 0 else 0.0
+    return per_query, sum(per_query.values()) / len(per_query)
+
+
+def test_ndcg_bits_equal_the_per_rank_sum():
+    # zero-grade and unjudged passages sit between graded relevant ones
+    qrels = QrelSet({("q1", "a"): 3, ("q1", "z0"): 0, ("q1", "b"): 1, ("q1", "c"): 2,
+                     ("q1", "far"): 2, ("q2", "d"): 1, ("q2", "z1"): 0})
+    run = run_of({"q1": [("x", 9.0), ("c", 8.0), ("z0", 7.0), ("y", 6.0), ("a", 5.0),
+                         ("w", 4.0), ("b", 3.0), ("far", 2.0)],
+                  "q2": [("z1", 2.0), ("u", 1.5), ("d", 1.0)]})
+    for k in (1, 2, 5, 7, 10):
+        report = ndcg_at_k(run, qrels, k)
+        assert (report.per_query, report.mean) == _ndcg_per_rank(run, qrels, k)
+
+
 # ---------------------------------------------------------------- recall
 
 def test_recall_all_found():

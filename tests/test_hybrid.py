@@ -1,5 +1,8 @@
 """Tests for score-level BM25 + dense fusion and the fusion-weight grid search."""
 
+import math
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -9,11 +12,12 @@ from hybridrank.corpus import Corpus, Passage, QrelSet, Query, passage_tokens, \
     query_tokens, tokenize
 from hybridrank.dense import EncoderParams, cosine, de_retrieve, encode, encode_corpus, \
     init_params, normalize_rows
+from hybridrank.evaluation import RunFile, compute_metric
 from hybridrank.hybrid import (
     DEFAULT_LAMBDA_GRID,
     HybridIndex,
-    _sweep,
     hybrid_retrieve,
+    lambda_curve,
     load_hybrid_index,
     save_hybrid_index,
     tune_lambda,
@@ -319,125 +323,179 @@ def test_tune_lambda_streamed_agrees_with_per_lambda_retrieval_on_tie_heavy_grid
             assert fast == slow, (seed, cutoff)
 
 
-def _assert_sweep_equals_full_top_k(bm25_scores, cos, values, id_rank, cutoff):
-    """Each swept order equals a full top_k_order at that weight, and its
-    scores are the full fused scores' entries, bit for bit."""
-    with np.errstate(invalid="ignore"):  # inf * 0 is NaN on purpose
-        swept = list(_sweep(bm25_scores, cos, values, id_rank, cutoff))
-        expected = [bm25_scores + lam * cos for lam in values]
-    assert [lam for lam, _, _ in swept] == values
-    for (lam, order, scores), full in zip(swept, expected):
-        assert np.array_equal(order, top_k_order(full, id_rank, cutoff)), lam
-        assert scores.tobytes() == full[order].tobytes(), lam
-    return [order.tolist() for _, order, _ in swept]
+# ---------------------------------------------------------------- λ curves
+
+# metric ids and cutoffs every curve is checked at
+CURVE_METRICS = (("mrr", 1), ("mrr", 3), ("mrr", 10), ("ndcg", 3), ("ndcg", 10),
+                 ("recall", 5), ("recall", 100))
 
 
-def test_sweep_keeps_a_score_exactly_at_the_floor():
-    # lam 0 keeps passages 0 and 1; at lam 1 the floor is passage 1's 2.0,
-    # and passage 2 scores exactly 2.0 and wins the tie by id
-    bm25_scores = np.array([3.0, 2.0, 1.0, 0.0])
-    cos = np.array([0.0, 0.0, 1.0, 0.5])
-    id_rank = np.array([0, 2, 1, 3])
-    orders = _assert_sweep_equals_full_top_k(bm25_scores, cos, [0.0, 1.0], id_rank, 2)
-    assert orders == [[0, 1], [0, 2]]
+class _Scored:
+    """A stand-in index whose queries' (bm25 scores, cosines) are given.
+
+    Passage i's id is "p" and its zero-padded id rank, so ``id_rank`` is the
+    order of the ids, as in a real index."""
+
+    def __init__(self, components, id_rank):
+        self.components = components  # query id -> (bm25 scores, cosines)
+        self.ids = [f"p{r:04d}" for r in id_rank]
+        self.bm25 = SimpleNamespace(id_rank=np.asarray(id_rank, dtype=np.int64))
+
+    def score_components(self, query):
+        return self.components[query.id]
 
 
-def test_sweep_nan_floor_falls_back_to_full_top_k():
-    # at lam = inf a zero cosine fuses to NaN; passage 0 carries it into the
-    # floor, and NaN scores must still sort last
-    bm25_scores = np.array([5.0, 4.0, 3.0, 2.0, 1.0])
-    cos = np.array([0.0, 0.5, -0.5, 0.25, 0.0])
-    id_rank = np.arange(5)
-    orders = _assert_sweep_equals_full_top_k(bm25_scores, cos, [0.0, np.inf, np.inf],
-                                             id_rank, 3)
-    assert orders[1] == [1, 3, 2]
+def _oracle_curve(index, queries, qrels, grid, metric, cutoff):
+    """lambda_curve the long way: a full top_k_order of every query at every
+    weight, then compute_metric on the tuned queries' judgments."""
+    wanted = {q.id for q in queries}
+    subset = QrelSet({key: g for key, g in qrels.judgments.items() if key[0] in wanted})
+    scored = {q.id: index.score_components(q) for q in queries}
+    curve = {}
+    for lam in sorted(set(grid)):
+        rankings = {}
+        for qid, (bm25_scores, cos) in scored.items():
+            fused = bm25_scores + lam * cos
+            order = top_k_order(fused, index.bm25.id_rank, cutoff).tolist()
+            rankings[qid] = [(index.ids[i], float(fused[i])) for i in order]
+        curve[lam] = compute_metric(RunFile("t", rankings), subset, metric, cutoff).mean
+    return curve
+
+
+def _assert_curves_match(index, queries, qrels, grid):
+    for metric, cutoff in CURVE_METRICS:
+        got = lambda_curve(index, queries, qrels, grid, metric, cutoff)
+        expected = _oracle_curve(index, queries, qrels, grid, metric, cutoff)
+        assert list(got) == list(expected), (metric, cutoff)
+        assert got == expected, (metric, cutoff)
+
+
+def _record_kept(monkeypatch) -> list:
+    """Record, per query lambda_curve counts, the passages its filter keeps."""
+    kept = []
+    contenders = hybridrank.hybrid._contenders
+
+    def recording(*args):
+        kept.append(contenders(*args))
+        return kept[-1]
+
+    monkeypatch.setattr(hybridrank.hybrid, "_contenders", recording)
+    return kept
+
+
+def _scored_fixture(rng, n, bm25_pool, cos_pool, n_queries=6):
+    """Tie-heavy queries over n passages with shuffled ids.
+
+    Scores are drawn from small pools.  Each query has 0-3 judged passages,
+    graded 0-3.  q0 also judges a passage absent from the corpus, q1 has no
+    relevant judgment, and a judged query is left out of the queries returned.
+    """
+    id_rank = rng.permutation(n)
+    index = _Scored({}, id_rank)
+    queries, qrels = [], QrelSet()
+    for i in range(n_queries + 1):
+        q = Query(f"q{i}", "x")
+        index.components[q.id] = (rng.choice(bm25_pool, size=n), rng.choice(cos_pool, size=n))
+        for pos in rng.choice(n, size=min(n, int(rng.integers(0, 4))), replace=False):
+            qrels.set(q.id, index.ids[pos], 0 if i == 1 else int(rng.integers(0, 4)))
+        queries.append(q)
+    qrels.set("q0", "absent", 2)
+    qrels.set(queries[-1].id, index.ids[0], 1)
+    return index, queries[:-1], qrels
+
+
+def test_sweep_tie_heavy_random_scores():
+    rng = np.random.default_rng(8)
+    for _ in range(40):
+        index, queries, qrels = _scored_fixture(
+            rng, int(rng.integers(2, 40)), [0.0, -0.0, 1.0, 2.0, 3.0],
+            [0.0, -0.0, 0.5, -0.5, 1.0])
+        grid = rng.choice([0.0, 0.5, 1.0, 2.0, 4.0], size=4, replace=False)
+        _assert_curves_match(index, queries, qrels, tuple(grid.tolist()))
 
 
 def test_sweep_corpus_no_larger_than_cutoff():
     rng = np.random.default_rng(3)
     for n in (1, 3, 5):
-        bm25_scores = rng.choice([0.0, -0.0, 1.0, 2.5], size=n)
-        cos = rng.choice([0.0, -0.0, 0.5, -1.0], size=n)
-        for cutoff in (n, n + 4):
-            _assert_sweep_equals_full_top_k(bm25_scores, cos, [0.0, 1.0, 2.0, np.inf],
-                                            rng.permutation(n), cutoff)
+        index, queries, qrels = _scored_fixture(rng, n, [0.0, -0.0, 1.0, 2.5],
+                                                [0.0, -0.0, 0.5, -1.0])
+        _assert_curves_match(index, queries, qrels, (0.0, 1.0, 2.0, 1e6))
 
 
-def test_sweep_tie_heavy_random_scores():
-    rng = np.random.default_rng(8)
-    for _ in range(50):
-        n = int(rng.integers(2, 40))
-        bm25_scores = rng.choice([0.0, -0.0, 1.0, 2.0, 3.0], size=n)
-        cos = rng.choice([0.0, -0.0, 0.5, -0.5, 1.0], size=n)
-        values = sorted(rng.choice([0.0, 0.5, 1.0, 2.0, 4.0], size=4, replace=False))
-        _assert_sweep_equals_full_top_k(bm25_scores, cos, [float(v) for v in values],
-                                        rng.permutation(n), int(rng.integers(1, 6)))
+def test_sweep_keeps_a_score_exactly_at_the_floor():
+    # p0002 (passage 1) is relevant.  At lam 1 passage 2 scores exactly its
+    # 2.0, the filter's floor there, so it is kept; it wins the tie by id,
+    # and the relevant passage drops from rank 2 to rank 3
+    index = _Scored({"q": (np.array([3.0, 2.0, 1.0, 0.0]), np.array([0.0, 0.0, 1.0, 0.5]))},
+                    [0, 2, 1, 3])
+    queries, qrels = [Query("q", "x")], QrelSet({("q", "p0002"): 1})
+    assert lambda_curve(index, queries, qrels, (1.0, 0.0)) == {0.0: 0.5, 1.0: 1 / 3}
+    _assert_curves_match(index, queries, qrels, (0.0, 1.0))
 
 
-def _record_kept(monkeypatch) -> list:
-    """Record, per ``_sweep`` call, the passages its cosine bound keeps."""
-    kept = []
-    cosine_bound = hybridrank.hybrid._cosine_bound
-
-    def recording(bm25_scores, cos, *args):
-        bound = cosine_bound(bm25_scores, cos, *args)
-        kept.append(np.arange(len(cos)) if bound is None else np.flatnonzero(cos >= bound))
-        return bound
-
-    monkeypatch.setattr(hybridrank.hybrid, "_cosine_bound", recording)
-    return kept
-
-
-def test_sweep_ranks_fewer_passages_after_the_first_weight(monkeypatch):
+def test_sweep_counts_few_passages_per_query(monkeypatch):
     # bm25-like and cosine-like scores drawn from small pools of floats, so
     # fused scores tie often, over the default grid
     kept = _record_kept(monkeypatch)
     rng = np.random.default_rng(12)
-    values = list(DEFAULT_LAMBDA_GRID)
-    sizes = []
-    for _ in range(40):
+    for _ in range(20):
         n = int(rng.integers(20, 400))
-        sizes.append(n)
-        bm25_pool = np.concatenate([[0.0], rng.gamma(2.0, 3.0, size=5)])
-        cos_pool = rng.uniform(-0.4, 0.9, size=8)
-        bm25_scores = rng.choice(bm25_pool, size=n)
-        cos = rng.choice(cos_pool, size=n)
-        _assert_sweep_equals_full_top_k(bm25_scores, cos, values, rng.permutation(n),
-                                        int(rng.integers(1, 12)))
-    assert len(kept) == 40
-    assert all(k.size < n for k, n in zip(kept, sizes))
+        index, queries, qrels = _scored_fixture(
+            rng, n, np.concatenate([[0.0], rng.gamma(2.0, 3.0, size=5)]),
+            rng.uniform(-0.4, 0.9, size=8), n_queries=2)
+        kept.clear()
+        _assert_curves_match(index, queries, qrels, DEFAULT_LAMBDA_GRID)
+        assert kept and all(k.size < n for k in kept)
 
 
-def test_sweep_keeps_a_cosine_exactly_at_the_bound(monkeypatch):
-    # Exact dyadic arithmetic.  Weight 0 keeps passages 0 and 4 (bm25 4.0).
-    # At weights 1 and 2 their lowest fused score is 4.0, so the bound is
-    # theta = (4.0 - 4.0) / lam = 0: passage 3 sits exactly on it and stays,
-    # passage 5 is 2**-50 below it, inside the rounding slack, and stays,
-    # and passage 2 is far below it and is left out.
+def test_sweep_keeps_a_passage_exactly_on_the_slack_edge(monkeypatch):
+    # Exact dyadic arithmetic.  M = max|bm25| + 4 * max|cos| = 8, so the
+    # slack is 8 eps * 8 = 2**-46.  Relevant passage 0 scores 4.0 at every
+    # weight.  Passage 1 sits exactly on the threshold 4 - 2**-46 at both
+    # ends and is kept; passage 2 is 2**-45 below it and passage 3 far
+    # below, and both are left out.  Passage 4 ties passage 0 at lam 4 and
+    # loses by id; passage 5 beats it at lam 0 and 1.
     kept = _record_kept(monkeypatch)
-    bm25_scores = np.array([4.0, 3.0, 3.5, 0.0, 4.0, 0.5])
-    cos = np.array([0.0, 0.5, -0.25, 0.0, 0.25, -2.0 ** -50])
-    orders = _assert_sweep_equals_full_top_k(bm25_scores, cos, [0.0, 1.0, 2.0],
-                                             np.array([5, 4, 3, 2, 1, 0]), 2)
-    assert kept[0].tolist() == [0, 1, 3, 4, 5]
-    assert orders == [[4, 0], [4, 0], [4, 1]]
+    bm25_scores = np.array([4.0, 4.0 - 2.0 ** -46, 4.0 - 2.0 ** -45, 3.0, 0.0, 4.5])
+    cos = np.array([0.0, 0.0, 0.0, -1.0, 1.0, -0.25])
+    index = _Scored({"q": (bm25_scores, cos)}, [0, 1, 2, 3, 4, 5])
+    queries, qrels = [Query("q", "x")], QrelSet({("q", "p0000"): 1})
+    assert lambda_curve(index, queries, qrels, (0.0, 1.0, 4.0)) == \
+        {0.0: 0.5, 1.0: 0.5, 4.0: 1.0}
+    assert kept[0].tolist() == [0, 1, 4, 5]
+    _assert_curves_match(index, queries, qrels, (0.0, 1.0, 4.0))
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered in multiply")
-def test_tune_lambda_with_infinite_weight_agrees_with_per_lambda_retrieval():
-    # 8 passages under a cutoff of 10.  Every other query's tokens get zero
-    # embedding rows, so its cosines are 0 and fuse to NaN at lam = inf.
-    for seed in range(3):
-        corpus, encoder, _, queries = _random_setup(20 + seed, n_passages=8)
-        emb = encoder.embeddings.copy()
-        for q in queries[::2]:
-            emb[list(tokenize(q.text, VOCAB, 64))] = 0.0
-        index = _index(corpus, EncoderParams(emb, 8, 0), 600.0)
-        assert np.isnan(index.score_components(queries[0])[1] * np.inf).all()
-        qrels = QrelSet({(q.id, corpus.ids()[i]): 1 for i, q in enumerate(queries)})
-        grid = (0.0, 1.0, float("inf"))
-        assert tune_lambda(index, queries, qrels, grid=grid) == \
-            _tune_lambda_per_lambda(index, queries, qrels, grid)
+def test_sweep_on_a_real_index():
+    corpus, encoder, index, queries = _random_setup(15)
+    rng = np.random.default_rng(15)
+    ids = corpus.ids()
+    qrels = QrelSet()
+    for q in queries[1:]:  # queries[0] has no judgment
+        for pid in rng.choice(ids, size=int(rng.integers(1, 4)), replace=False):
+            qrels.set(q.id, str(pid), int(rng.integers(1, 4)))
+    qrels.set(queries[1].id, "not-in-corpus", 1)
+    _assert_curves_match(index, queries[:-1], qrels, (0.0, 0.5, 1.0, 5.0, 600.0))
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_tune_lambda_rejects_non_finite_weights(bad):
+    corpus, encoder, index, queries = _random_setup(20, n_passages=8)
+    qrels = QrelSet({(q.id, corpus.ids()[i]): 1 for i, q in enumerate(queries)})
+    with pytest.raises(ValueError, match="finite"):
+        tune_lambda(index, queries, qrels, grid=(0.0, 1.0, bad))
+
+
+def test_tune_lambda_stops_at_a_non_finite_cosine_naming_the_query():
+    corpus, encoder, _, queries = _random_setup(21)
+    emb = encoder.embeddings.copy()
+    emb[tokenize("zzzunseen", VOCAB, 4)[0]] = np.nan
+    index = _index(corpus, EncoderParams(emb, 8, 0), 1.0)
+    queries = queries + [Query("qnan", queries[0].text + " zzzunseen")]
+    qrels = QrelSet({(q.id, corpus.ids()[i]): 1 for i, q in enumerate(queries)})
+    with pytest.raises(ValueError, match="'qnan'.*not finite"):
+        tune_lambda(index, queries, qrels, grid=(0.0, 1.0))
+    assert tune_lambda(index, queries[:-1], qrels, grid=(0.0, 1.0)) in (0.0, 1.0)
 
 
 def test_tune_lambda_no_judged_queries_rejected():
@@ -455,14 +513,17 @@ def test_tune_lambda_validates_grid():
         tune_lambda(index, queries, qrels, grid=(-1.0,))
     with pytest.raises(ValueError, match="cutoff"):
         tune_lambda(index, queries, qrels, grid=(1.0,), cutoff=0)
+    with pytest.raises(ValueError, match="unknown metric"):
+        tune_lambda(index, queries, qrels, grid=(1.0,), metric="map")
 
 
 # ---------------------------------------------------------------- validation / io
 
 def test_hybrid_index_validates_inputs():
     corpus, encoder, index, _ = _random_setup(12)
-    with pytest.raises(ValueError, match="lam"):
-        index.with_lambda(-1.0)
+    for bad in (-1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="lam"):
+            index.with_lambda(bad)
     rows = index.dense_rows.copy()
     rows[0] *= 3.0  # break normalization
     with pytest.raises(ValueError, match="normalized"):

@@ -6,10 +6,12 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 
+from hybridrank import pipeline
 from hybridrank.bm25 import Bm25Index
-from hybridrank.corpus import load_corpus, load_queries
+from hybridrank.corpus import load_corpus, load_queries, tokenize
 from hybridrank.dense import DeTrainConfig, de_retrieve
 from hybridrank.evaluation import read_run
 from hybridrank.hybrid import hybrid_retrieve, load_hybrid_index
@@ -157,8 +159,9 @@ def test_config_validation():
         ExperimentConfig(**kwargs, seed=-1)
     with pytest.raises(ValueError):
         ExperimentConfig(**kwargs, rerank_top_k=0)
-    with pytest.raises(ValueError):
-        ExperimentConfig(**kwargs, fixed_lambda=-5.0)
+    for bad in (-5.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="fixed_lambda"):
+            ExperimentConfig(**kwargs, fixed_lambda=bad)
 
 
 # ------------------------------------------------------------- experiments
@@ -290,6 +293,30 @@ def test_supervised_training_needs_matching_qrels(data_dir, tmp_path):
     with pytest.raises(StageError) as err:
         run_experiment(cfg)
     assert err.value.stage == "train-de"
+
+
+def test_non_finite_cosine_stops_at_tune_lambda(data_dir, tmp_path, monkeypatch):
+    # the first train query gains a word no passage has, whose embedding row
+    # the trained encoder then holds as NaN: that query's cosines are NaN
+    queries = (data_dir / "train_queries.tsv").read_text().splitlines()
+    qid = queries[0].split("\t")[0]
+    queries[0] += " zzzunseen"
+    path = tmp_path / "train_queries.tsv"
+    path.write_text("\n".join(queries) + "\n")
+    trained = pipeline.train_de
+
+    def nan_row(pairs, config):
+        params = trained(pairs, config)
+        emb = params.embeddings.copy()
+        emb[tokenize("zzzunseen", params.vocab_size, 4)[0]] = np.nan
+        return dataclasses.replace(params, embeddings=emb)
+
+    monkeypatch.setattr(pipeline, "train_de", nan_row)
+    cfg = _config(data_dir, tmp_path / "w", training_source="none",
+                  train_queries=str(path))
+    with pytest.raises(StageError, match=f"query '{qid}'.*not finite") as err:
+        run_experiment(cfg)
+    assert err.value.stage == "tune-lambda"
 
 
 def test_fixed_lambda_skips_tuning(data_dir, tmp_path):
