@@ -191,15 +191,23 @@ class Corpus:
 
     def token_store(self, vocab_size: int) -> TokenStore:
         """Every passage's ``passage_tokens``, split and looked up in one pass
-        on the first call for a vocabulary size, then cached."""
+        on the first call for a vocabulary size, then cached.  Passages are
+        split one at a time, so only one passage's words are held at once."""
         store = self._token_stores.get(vocab_size)
         if store is None:
             table = _word_ids(vocab_size)
-            words = [_words(p.encoding_text())[:PASSAGE_LENGTH] for p in self.passages]
-            indptr = np.zeros(len(words) + 1, dtype=np.int64)
-            indptr[1:] = np.cumsum([len(w) for w in words], dtype=np.int64)
-            ids = np.fromiter(map(table.__getitem__, chain.from_iterable(words)),
-                              dtype=np.int32, count=int(indptr[-1]))
+            lengths = []
+
+            def passage_words():
+                for p in self.passages:
+                    words = _words(p.encoding_text())[:PASSAGE_LENGTH]
+                    lengths.append(len(words))
+                    yield words
+
+            ids = np.fromiter(map(table.__getitem__, chain.from_iterable(passage_words())),
+                              dtype=np.int32)
+            indptr = np.zeros(len(lengths) + 1, dtype=np.int64)
+            indptr[1:] = np.cumsum(lengths, dtype=np.int64)
             indptr.flags.writeable = False
             ids.flags.writeable = False
             store = self._token_stores[vocab_size] = TokenStore(indptr, ids)

@@ -32,7 +32,7 @@ def deterministic_savez(path, header: dict, **arrays) -> None:
                                      dtype=np.uint8)
     with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED) as zf:
         for name in sorted(arrays):
-            arr = np.ascontiguousarray(arrays[name])
+            arr = np.asarray(arrays[name], order="C")  # keeps a 0-d array 0-d
             header_buf = io.BytesIO()
             np.lib.format.write_array_header_1_0(
                 header_buf, np.lib.format.header_data_from_array_1_0(arr))

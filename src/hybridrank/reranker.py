@@ -13,8 +13,8 @@ scalar per token, r = E W_v readout, and
 
 This is exact, not an approximation.  Keys and r depend on the token alone, so
 scoring and training work once per distinct token of a batch rather than once
-per token position; one forward pass (_forward) serves score_pair,
-score_list, rerank and the training step.
+per token position; one forward pass (_forward) serves rerank and the
+training step.
 
 Keys are contracted through the query side: the logits of a batch's query rows
 against its U distinct tokens are z_u = (Q W_k^T) E_u^T / sqrt(d), so the
@@ -24,6 +24,10 @@ before items, (B, P, n) for ids and (B, Lq, P, n) for attention, so the
 softmax over positions reduces across rows n wide rather than along a short
 innermost axis.  Masked positions point at a sentinel column of z_u whose
 logit is _MASK_LOGIT and whose r is 0; it is dropped from every gradient sum.
+
+Training works in float32 on the embedding rows of the ids its lists use, a
+few hundred of the vocabulary's rows, renumbered in id order.  Every other row
+of the trained table is its init row rounded through float32.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ from .results import CandidateItem, CandidateList
 
 RERANKER_FORMAT = "hybridrank-reranker-v1"
 _MASK_LOGIT = -1e30
+_ROUND_ROWS = 4096  # rows per block in _float32_rounded
 
 
 @dataclass
@@ -134,58 +139,6 @@ def init_reranker(vocab_size: int = DEFAULT_VOCAB_SIZE, dim: int = DEFAULT_DIM,
         bias=0.0,
         seed=seed,
     )
-
-
-def score_pair(params: RerankerParams, query: tuple[int, ...],
-               passage: tuple[int, ...]) -> float:
-    """Cross-attention score for one (query, passage) pair of token ids: a one-item list."""
-    return float(score_list(params, np.asarray(query, dtype=np.int64),
-                            [np.asarray(passage, dtype=np.int64)])[0])
-
-
-def listwise_loss(scores, labels) -> float:
-    """-sum_j y_j log softmax(s)_j with graded labels as multipliers."""
-    s = np.asarray(scores, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.float64)
-    if s.shape != y.shape or s.ndim != 1 or s.size == 0:
-        raise ValueError("scores and labels must be equal-length nonempty vectors")
-    if np.any(y < 0):
-        raise ValueError("labels must be >= 0")
-    if not np.any(y > 0):
-        raise ValueError("at least one label must be > 0")
-    m = s.max()
-    lse = m + math.log(np.exp(s - m).sum())
-    return float(y.sum() * lse - y @ s)
-
-
-def listwise_loss_grad(scores, labels) -> tuple[float, np.ndarray]:
-    """(loss, dloss/dscores); gradient is (sum y) * softmax(s) - y."""
-    s = np.asarray(scores, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.float64)
-    loss = listwise_loss(s, y)
-    e = np.exp(s - s.max())
-    p = e / e.sum()
-    return loss, y.sum() * p - y
-
-
-def _pad_passages(ptoks: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    width = max(t.size for t in ptoks)
-    idx = np.zeros((len(ptoks), width), dtype=np.int64)
-    mask = np.zeros((len(ptoks), width), dtype=bool)
-    for i, t in enumerate(ptoks):
-        idx[i, :t.size] = t
-        mask[i, :t.size] = True
-    return idx, mask
-
-
-def score_list(params: RerankerParams, qtok: np.ndarray,
-               ptoks: list[np.ndarray]) -> np.ndarray:
-    """Scores of many passages against one query: a one-list batch."""
-    if qtok.size == 0:
-        raise ValueError("query has no tokens")
-    if any(t.size == 0 for t in ptoks):
-        raise ValueError("every passage needs at least one token")
-    return _score_padded(params, qtok, *_pad_passages(ptoks))
 
 
 def _score_padded(params: RerankerParams, qtok: np.ndarray, pidx: np.ndarray,
@@ -396,6 +349,9 @@ def train_reranker(lists: list[CandidateList], queries: list[Query], corpus: Cor
                    config: RerankTrainConfig, init: RerankerParams) -> RerankerParams:
     """Mini-batch SGD over candidate lists from ``init``; deterministic under the seed.
 
+    Training runs in float32 on a table of only the embedding rows whose ids
+    the lists use; the result is float64.  Its other rows are the init rows
+    rounded through float32, so it equals training the whole float32 table.
     Raises ValueError naming the step whose batch loss is not finite.
     """
     if not lists:
@@ -406,13 +362,23 @@ def train_reranker(lists: list[CandidateList], queries: list[Query], corpus: Cor
     # stacked once; each step slices its lists to their own widest Lq, P and n
     qidx, qmask, pidx, pmask, imask, labels = _stack_lists(batches)
     sizes = np.array([(b.qtok.size, b.pidx.shape[1], b.pidx.shape[0]) for b in batches])
+    # only the rows of ids the lists use (padding id included) are trained,
+    # renumbered in id order, so each step's distinct tokens, gathers and
+    # gradient sums are those of the full table
+    seen = np.zeros(init.vocab_size, dtype=bool)
+    seen[qidx] = True
+    seen[pidx] = True
+    used = np.flatnonzero(seen)
+    row = np.zeros(init.vocab_size, dtype=np.int32)
+    row[used] = np.arange(used.size)
+    qidx, pidx = row[qidx], row[pidx]
     rng = np.random.default_rng(config.seed)
     order = rng.permutation(len(batches))
     cursor = 0
     lr = config.learning_rate
     # training runs in float32 (deterministic; a default-config step takes about
     # 2/3 of its float64 time); stored params stay float64
-    work = _with_dtype(init, np.float32)
+    work = _with_dtype(init, np.float32, used)
     for step in range(config.steps):
         if cursor + config.batch_size > len(batches):
             order = rng.permutation(len(batches))
@@ -433,14 +399,28 @@ def train_reranker(lists: list[CandidateList], queries: list[Query], corpus: Cor
         work.readout -= frac * grads["readout"]
         work.bias -= float(frac * grads["bias"])
         work.embeddings[grads["emb_idx"]] -= frac * grads["emb_rows"]
-    return _with_dtype(work, np.float64)
+    out = _with_dtype(work, np.float64)
+    out.embeddings = _float32_rounded(init.embeddings)
+    out.embeddings[used] = work.embeddings
+    return out
 
 
-def _with_dtype(params: RerankerParams, dtype) -> RerankerParams:
-    """A copy of ``params`` with every array in ``dtype`` and a float bias."""
-    return RerankerParams(*(getattr(params, name).astype(dtype) for name in
-                            ("embeddings", "w_q", "w_k", "w_v", "readout")),
+def _with_dtype(params: RerankerParams, dtype, rows=slice(None)) -> RerankerParams:
+    """A copy of ``params`` with every array in ``dtype``, only the embedding
+    ``rows``, and a float bias."""
+    return RerankerParams(params.embeddings[rows].astype(dtype),
+                          *(getattr(params, name).astype(dtype)
+                            for name in ("w_q", "w_k", "w_v", "readout")),
                           float(params.bias), params.seed)
+
+
+def _float32_rounded(table: np.ndarray) -> np.ndarray:
+    """``table.astype(np.float32).astype(np.float64)``, cast in blocks of rows
+    so that no full float32 temporary exists."""
+    out = np.empty(table.shape, dtype=np.float64)
+    for start in range(0, len(table), _ROUND_ROWS):
+        out[start:start + _ROUND_ROWS] = table[start:start + _ROUND_ROWS].astype(np.float32)
+    return out
 
 
 def build_candidate_lists(run: RunFile, qrels: QrelSet, window: SamplingWindow,

@@ -20,7 +20,7 @@ def writestr_savez(path, header: dict, **arrays) -> None:
     with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED) as zf:
         for name in sorted(arrays):
             buf = io.BytesIO()
-            np.lib.format.write_array(buf, np.ascontiguousarray(arrays[name]),
+            np.lib.format.write_array(buf, np.asarray(arrays[name], order="C"),
                                       allow_pickle=False)
             zf.writestr(zipfile.ZipInfo(name + ".npy", date_time=_EPOCH),
                         buf.getvalue())
@@ -53,7 +53,7 @@ def test_bytes_equal_writestr_and_round_trip(tmp_path, case):
     assert header == {"format": FORMAT, "case": case}
     assert sorted(loaded) == sorted(arrays)
     for name, arr in arrays.items():
-        expected = np.ascontiguousarray(arr)  # ndim >= 1: a 0-d value loads as shape (1,)
+        expected = np.asarray(arr, order="C")  # a 0-d value loads as shape (), as with np.savez
         assert loaded[name].dtype == expected.dtype
         assert loaded[name].shape == expected.shape
         assert np.array_equal(loaded[name], expected)

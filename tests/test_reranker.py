@@ -1,6 +1,7 @@
 """Tests for the cross-attention reranker: scoring, loss, sampling, training."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,21 +16,17 @@ from hybridrank.reranker import (
     _ListBatch,
     _batch_loss_grad,
     _forward,
-    _pad_passages,
     _prepare_lists,
+    _score_padded,
     _stack_lists,
     _store_rows,
     build_candidate_lists,
     init_reranker,
-    listwise_loss,
-    listwise_loss_grad,
     load_candidate_lists,
     load_reranker,
     rerank,
     save_candidate_lists,
     save_reranker,
-    score_list,
-    score_pair,
     train_reranker,
 )
 
@@ -57,6 +54,61 @@ def _random_params(seed=0):
         w_v=rng.normal(0, 0.3, size=(DIM, DIM)),
         readout=rng.normal(0, 0.3, size=DIM), bias=float(rng.normal()),
         seed=seed)
+
+
+# ------------------------------------------- reference scorer and loss
+# Oracles the model code is checked against: a list scored through its own
+# padded rows, and the listwise loss and its gradient for one list.
+
+def score_pair(params, query, passage) -> float:
+    """Cross-attention score for one (query, passage) pair of token ids: a one-item list."""
+    return float(score_list(params, np.asarray(query, dtype=np.int64),
+                            [np.asarray(passage, dtype=np.int64)])[0])
+
+
+def listwise_loss(scores, labels) -> float:
+    """-sum_j y_j log softmax(s)_j with graded labels as multipliers."""
+    s = np.asarray(scores, dtype=np.float64)
+    y = np.asarray(labels, dtype=np.float64)
+    if s.shape != y.shape or s.ndim != 1 or s.size == 0:
+        raise ValueError("scores and labels must be equal-length nonempty vectors")
+    if np.any(y < 0):
+        raise ValueError("labels must be >= 0")
+    if not np.any(y > 0):
+        raise ValueError("at least one label must be > 0")
+    m = s.max()
+    lse = m + math.log(np.exp(s - m).sum())
+    return float(y.sum() * lse - y @ s)
+
+
+def listwise_loss_grad(scores, labels) -> tuple[float, np.ndarray]:
+    """(loss, dloss/dscores); gradient is (sum y) * softmax(s) - y."""
+    s = np.asarray(scores, dtype=np.float64)
+    y = np.asarray(labels, dtype=np.float64)
+    loss = listwise_loss(s, y)
+    e = np.exp(s - s.max())
+    p = e / e.sum()
+    return loss, y.sum() * p - y
+
+
+def _pad_passages(ptoks) -> tuple[np.ndarray, np.ndarray]:
+    """Token id rows padded with id 0 to the longest, and their mask."""
+    width = max(t.size for t in ptoks)
+    idx = np.zeros((len(ptoks), width), dtype=np.int64)
+    mask = np.zeros((len(ptoks), width), dtype=bool)
+    for i, t in enumerate(ptoks):
+        idx[i, :t.size] = t
+        mask[i, :t.size] = True
+    return idx, mask
+
+
+def score_list(params, qtok, ptoks) -> np.ndarray:
+    """Scores of many passages against one query: a one-list batch."""
+    if qtok.size == 0:
+        raise ValueError("query has no tokens")
+    if any(t.size == 0 for t in ptoks):
+        raise ValueError("every passage needs at least one token")
+    return _score_padded(params, qtok, *_pad_passages(ptoks))
 
 
 # ---------------------------------------------------------------- score_pair
@@ -574,6 +626,97 @@ def test_train_equals_stacking_each_step():
     for name in ("embeddings", "w_q", "w_k", "w_v", "readout"):
         assert np.array_equal(getattr(out, name), getattr(ref, name))
     assert out.bias == ref.bias
+
+
+def _train_full_table(lists, queries, corpus, cfg, init):
+    """train_reranker's SGD loop over the whole float32 embedding table."""
+    batches = _prepare_lists(lists, queries, corpus, init.vocab_size)
+    rng = np.random.default_rng(cfg.seed)
+    order = rng.permutation(len(batches))
+    cursor = 0
+    work = reranker._with_dtype(init, np.float32)
+    for step in range(cfg.steps):
+        if cursor + cfg.batch_size > len(batches):
+            order = rng.permutation(len(batches))
+            cursor = 0
+        take = order[cursor:cursor + cfg.batch_size]
+        cursor += cfg.batch_size
+        _, g = _batch_loss_grad(work, *_stack_lists([batches[i] for i in take]))
+        frac = np.float32(cfg.learning_rate * (1.0 - step / cfg.steps) / take.size)
+        work.w_q -= frac * g["w_q"]
+        work.w_k -= frac * g["w_k"]
+        work.w_v -= frac * g["w_v"]
+        work.readout -= frac * g["readout"]
+        work.bias -= float(frac * g["bias"])
+        work.embeddings[g["emb_idx"]] -= frac * g["emb_rows"]
+    return reranker._with_dtype(work, np.float64)
+
+
+def test_train_leaves_unused_rows_at_their_float32_rounding():
+    corpus, queries, lists = _ragged_corpus_and_lists(seed=4)
+    init = _random_params(2)
+    cfg = RerankTrainConfig(steps=12, batch_size=3, learning_rate=0.2, seed=1)
+    out = train_reranker(lists, queries, corpus, cfg, init=init)
+    rounded = init.embeddings.astype(np.float32).astype(np.float64)
+    # ids of the lists' real tokens, and rows neither they nor padding use
+    used = np.unique(np.concatenate(
+        [t for b in _prepare_lists(lists, queries, corpus, VOCAB)
+         for t in (b.qtok, b.pidx[b.pmask])]))
+    unused = np.setdiff1d(np.arange(VOCAB), np.append(used, 0))
+    assert unused.size > VOCAB // 2
+    assert np.array_equal(out.embeddings[unused], rounded[unused])
+    assert not np.array_equal(out.embeddings[used], rounded[used])
+
+
+def _unpadded_corpus_and_lists(seed=0):
+    """Lists that need no padding and never use id 0: every query has two
+    tokens, every passage three and every list three items, none of them id 0."""
+    rng = np.random.default_rng(seed)
+    words = [w for w in (f"u{i}" for i in range(60)) if _tok(w)[0] != 0][:30]
+    passages = [Passage(f"d{i}", "", " ".join(rng.choice(words, size=3, replace=False)))
+                for i in range(12)]
+    queries = [Query(f"q{i}", " ".join(rng.choice(words, size=2, replace=False)))
+               for i in range(5)]
+    from hybridrank.results import CandidateItem, CandidateList
+    lists = [CandidateList(query_id=q.id, items=[
+        CandidateItem(passage_id=f"d{p}", score=0.0, rank=j + 1, label=int(j == 0))
+        for j, p in enumerate(rng.choice(12, size=3, replace=False))])
+        for q in queries]
+    return Corpus(passages), queries, lists
+
+
+def test_train_without_padding_or_id_zero_equals_full_table():
+    corpus, queries, lists = _unpadded_corpus_and_lists(seed=3)
+    qidx, qmask, pidx, pmask, imask, _ = _stack_lists(
+        _prepare_lists(lists, queries, corpus, VOCAB))
+    assert qmask.all() and pmask.all() and imask.all()
+    assert 0 not in qidx and 0 not in pidx
+    cfg = RerankTrainConfig(steps=9, batch_size=2, learning_rate=0.3, seed=6)
+    init = _random_params(3)
+    out = train_reranker(lists, queries, corpus, cfg, init=init)
+    ref = _train_full_table(lists, queries, corpus, cfg, init)
+    for name in ("embeddings", "w_q", "w_k", "w_v", "readout"):
+        assert np.array_equal(getattr(out, name), getattr(ref, name))
+    assert out.bias == ref.bias
+    assert np.array_equal(out.embeddings[0],
+                          init.embeddings[0].astype(np.float32).astype(np.float64))
+
+
+def test_train_traced_peak_stays_near_one_table():
+    # default 32,768 x 64 table: the float64 result is the only full-size
+    # allocation; no full float32 copy of init is made
+    corpus, queries, lists = _toy_corpus_and_lists()
+    init = init_reranker(seed=1)
+    corpus.token_store(init.vocab_size)
+    cfg = RerankTrainConfig(steps=3, batch_size=2, seed=1)
+    tracemalloc.start()
+    try:
+        out = train_reranker(lists, queries, corpus, cfg, init=init)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.embeddings.shape == init.embeddings.shape == (32768, 64)
+    assert peak < 1.2 * init.embeddings.nbytes
 
 
 def test_train_steps_keep_their_own_batch_shapes(monkeypatch):

@@ -3,6 +3,7 @@ passage and vocabulary size, queries and passages cut at the tokenizer's lengths
 
 import hashlib
 import sys
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -67,6 +68,21 @@ def test_store_of_the_default_synthetic_corpus_is_unchanged():
     h.update(store.indptr.astype("<i8").tobytes())
     assert h.hexdigest() == \
         "a3982f73e006f73f2d6e5b2835cb94c54b63ed1babedbe238ac920adb7814062"
+
+
+def test_store_is_built_one_passage_at_a_time():
+    # 2,000 passages of 200 words: every passage's word list at once would
+    # take about 15 times the store's 1.6 MB
+    words = [f"w{i}" for i in range(200)]
+    corpus = Corpus([Passage(f"p{i}", "", " ".join(words)) for i in range(2000)])
+    tracemalloc.start()
+    try:
+        store = corpus.token_store(VOCAB)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert store.ids.size == 2000 * 200
+    assert peak < 3 * (store.ids.nbytes + store.indptr.nbytes)
 
 
 def test_a_long_query_is_cut_at_query_length_in_every_channel():
