@@ -20,16 +20,8 @@ from math import log
 
 import numpy as np
 
-from .corpus import (
-    DEFAULT_VOCAB_SIZE,
-    PASSAGE_LENGTH,
-    QUERY_LENGTH,
-    Corpus,
-    Passage,
-    Query,
-    passage_tokens,
-    query_tokens,
-)
+from .corpus import PASSAGE_LENGTH, QUERY_LENGTH, VOCAB_SIZE, Corpus, Passage, Query, \
+    passage_tokens, query_tokens
 from .npzio import deterministic_savez, load_npz
 from .results import id_rank
 
@@ -59,10 +51,9 @@ class Bm25Stats:
     idf: dict[int, float]
     avg_length: float
     lengths: dict[str, int]
-    vocab_size: int = DEFAULT_VOCAB_SIZE
 
 
-def compute_stats(corpus: Corpus, vocab_size: int = DEFAULT_VOCAB_SIZE) -> Bm25Stats:
+def compute_stats(corpus: Corpus) -> Bm25Stats:
     """IDF, average length and per-passage lengths over a nonempty corpus."""
     n = len(corpus)
     if n == 0:
@@ -70,18 +61,17 @@ def compute_stats(corpus: Corpus, vocab_size: int = DEFAULT_VOCAB_SIZE) -> Bm25S
     df: Counter = Counter()
     lengths: dict[str, int] = {}
     for p in corpus:
-        c = Counter(passage_tokens(p, vocab_size))
+        c = Counter(passage_tokens(p))
         lengths[p.id] = sum(c.values())
         df.update(c.keys())
     idf = {t: log((n - d + 0.5) / (d + 0.5) + 1.0) for t, d in df.items()}
     avg_length = sum(lengths.values()) / n
-    return Bm25Stats(doc_count=n, idf=idf, avg_length=avg_length, lengths=lengths,
-                     vocab_size=vocab_size)
+    return Bm25Stats(doc_count=n, idf=idf, avg_length=avg_length, lengths=lengths)
 
 
 def encode_passage(passage: Passage, stats: Bm25Stats, params: Bm25Params) -> SparseVector:
     """Sparse passage vector whose dot product with a query vector is BM25."""
-    counts = Counter(passage_tokens(passage, stats.vocab_size))
+    counts = Counter(passage_tokens(passage))
     m = sum(counts.values())
     if m == 0:
         return {}
@@ -95,9 +85,9 @@ def encode_passage(passage: Passage, stats: Bm25Stats, params: Bm25Params) -> Sp
     return vec
 
 
-def encode_query(query: Query, vocab_size: int = DEFAULT_VOCAB_SIZE) -> SparseVector:
+def encode_query(query: Query) -> SparseVector:
     """Query vector of raw term counts."""
-    counts = Counter(query_tokens(query, vocab_size))
+    counts = Counter(query_tokens(query))
     return {t: float(c) for t, c in counts.items()}
 
 
@@ -117,27 +107,25 @@ class Bm25Index:
     ``weights``; the weights are ``encode_passage``'s, bit for bit.
     """
 
-    def __init__(self, corpus: Corpus, params: Bm25Params | None = None,
-                 vocab_size: int = DEFAULT_VOCAB_SIZE):
+    def __init__(self, corpus: Corpus, params: Bm25Params | None = None):
         params = params or Bm25Params()
         n = len(corpus)
         if n == 0:
             raise ValueError("cannot compute BM25 statistics over an empty corpus")
-        store = corpus.token_store(vocab_size)
+        store = corpus.token_store()
         lengths = np.diff(store.indptr)
         # one (passage, term, count) per distinct term of a passage, by passage
-        keys, cnt = np.unique(np.repeat(np.arange(n), lengths) * vocab_size + store.ids,
+        keys, cnt = np.unique(np.repeat(np.arange(n), lengths) * VOCAB_SIZE + store.ids,
                               return_counts=True)
-        doc, term = np.divmod(keys, vocab_size)
-        df = np.bincount(term, minlength=vocab_size)
+        doc, term = np.divmod(keys, VOCAB_SIZE)
+        df = np.bincount(term, minlength=VOCAB_SIZE)
         present = np.flatnonzero(df)
         idf = [log((n - d + 0.5) / (d + 0.5) + 1.0) for d in df[present].tolist()]
         stats = Bm25Stats(doc_count=n, idf=dict(zip(present.tolist(), idf)),
                           avg_length=int(lengths.sum()) / n,
-                          lengths=dict(zip(corpus.ids(), lengths.tolist())),
-                          vocab_size=vocab_size)
+                          lengths=dict(zip(corpus.ids(), lengths.tolist())))
         # encode_passage's operations in its order, so the weights are its bits
-        idf_of = np.zeros(vocab_size, dtype=np.float64)
+        idf_of = np.zeros(VOCAB_SIZE, dtype=np.float64)
         idf_of[present] = idf
         norm = params.k * (1.0 - params.b + params.b * lengths / stats.avg_length)
         cnt = cnt.astype(np.float64)
@@ -158,7 +146,7 @@ class Bm25Index:
 
     def scores(self, query: Query) -> np.ndarray:
         """BM25 score of every passage, corpus order; 0.0 where no term is shared."""
-        qvec = encode_query(query, self.stats.vocab_size)
+        qvec = encode_query(query)
         scores = np.zeros(len(self.ids), dtype=np.float64)
         # ascending term order, so scores do not depend on the query's word order
         terms = sorted(qvec)
@@ -173,15 +161,16 @@ class Bm25Index:
 def save_index(index: Bm25Index, path) -> None:
     """Persist the index so reloaded scoring is bit-for-bit identical.
 
-    The header records the truncation lengths the index was built with, so
-    ``load_index`` can reject a file whose tokens were cut differently.
+    The header records the vocabulary size and truncation lengths the index
+    was built with, so ``load_index`` can reject a file whose tokens were
+    hashed or cut differently.
     """
     idf_terms = sorted(index.stats.idf)
     header = {
         "format": INDEX_FORMAT,
         "k": index.params.k,
         "b": index.params.b,
-        "vocab_size": index.stats.vocab_size,
+        "vocab_size": VOCAB_SIZE,
         "max_length": PASSAGE_LENGTH,
         "query_max_length": QUERY_LENGTH,
         "doc_count": index.stats.doc_count,
@@ -198,14 +187,16 @@ def save_index(index: Bm25Index, path) -> None:
 
 
 def load_index(path) -> Bm25Index:
-    """Raises ValueError unless the file's truncation lengths are the tokenizer's."""
+    """Raises ValueError unless the file's vocabulary size and truncation
+    lengths are the tokenizer's."""
     header, data = load_npz(path, INDEX_FORMAT)
-    lengths = (header["max_length"], header["query_max_length"])
-    if lengths != (PASSAGE_LENGTH, QUERY_LENGTH):
+    sizes = (header["vocab_size"], header["max_length"], header["query_max_length"])
+    if sizes != (VOCAB_SIZE, PASSAGE_LENGTH, QUERY_LENGTH):
         raise ValueError(
-            f"{path}: index built with max_length {lengths[0]} and query_max_length "
-            f"{lengths[1]}; the tokenizer's PASSAGE_LENGTH is {PASSAGE_LENGTH} and "
-            f"QUERY_LENGTH is {QUERY_LENGTH}")
+            f"{path}: index built with vocab_size {sizes[0]}, max_length {sizes[1]} "
+            f"and query_max_length {sizes[2]}; the tokenizer's VOCAB_SIZE is "
+            f"{VOCAB_SIZE}, PASSAGE_LENGTH is {PASSAGE_LENGTH} and QUERY_LENGTH is "
+            f"{QUERY_LENGTH}")
     index = Bm25Index.__new__(Bm25Index)
     index.params = Bm25Params(k=header["k"], b=header["b"])
     index.stats = Bm25Stats(
@@ -213,7 +204,6 @@ def load_index(path) -> Bm25Index:
         idf=dict(zip(data["idf_terms"].tolist(), data["idf_values"].tolist())),
         avg_length=header["avg_length"],
         lengths=dict(zip(header["ids"], header["lengths"])),
-        vocab_size=header["vocab_size"],
     )
     index.ids = list(header["ids"])
     index.terms = data["terms"]

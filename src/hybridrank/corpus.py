@@ -5,23 +5,23 @@ Formats:
     queries  TSV: id<TAB>text
     qrels    TREC style, whitespace separated: qid 0 docid grade
 
-This module is the one that knows how text becomes token ids, truncation
-included: a query keeps its first ``QUERY_LENGTH`` tokens (``query_tokens``),
-a passage its first ``PASSAGE_LENGTH`` (``passage_tokens``).  Every other
-module asks for ids by vocabulary size alone.
+This module is the one that knows how text becomes token ids: the vocabulary
+size ``VOCAB_SIZE`` and the truncation lengths.  A query keeps its first
+``QUERY_LENGTH`` tokens (``query_tokens``), a passage its first
+``PASSAGE_LENGTH`` (``passage_tokens``).  Every other module asks for ids by
+query or passage alone, and sizes its tables by ``VOCAB_SIZE``.
 
 A text's words are the ``\w+`` runs of its lowercased form.  ``_words`` finds
 them without a regex: ``str.translate`` maps every character that is not a
 word character (CPython's ``\w``: ``isalnum()`` or ``"_"``) to a space, and
 ``str.split()`` cuts at the spaces.  A word's id is the little-endian
-blake2b-64 of its UTF-8 bytes modulo the vocabulary size, computed once per
-word and vocabulary size and then looked up in that size's table.
+blake2b-64 of its UTF-8 bytes modulo ``VOCAB_SIZE``, computed once per word
+and then looked up in the one word table.
 
-``Corpus.token_store(vocab_size)`` runs the splitter and the table over every
-passage in one pass on the first call for that vocabulary size and caches the
-result: one read-only CSR store per vocabulary size and corpus, equal to
-``passage_tokens`` passage by passage.  The BM25 index, the dual encoder's
-``encode_corpus`` and the reranker read slices of it.
+``Corpus.token_store()`` runs the splitter and the table over every passage in
+one pass on the first call and caches the result: one read-only CSR store per
+corpus, equal to ``passage_tokens`` passage by passage.  The BM25 index, the
+dual encoder's ``encode_corpus`` and the reranker read slices of it.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import hashlib
 import json
 from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 from itertools import chain
 from types import MappingProxyType
 
@@ -38,7 +38,7 @@ import numpy as np
 
 from .results import id_rank
 
-DEFAULT_VOCAB_SIZE = 32768
+VOCAB_SIZE = 32768
 QUERY_LENGTH = 64
 PASSAGE_LENGTH = 512
 
@@ -62,24 +62,16 @@ def _words(text: str) -> list[str]:
 
 
 class _WordIds(dict):
-    """word -> id for one vocabulary size, each hashed on first sight."""
-
-    def __init__(self, vocab_size: int):
-        super().__init__()
-        self.vocab_size = vocab_size
+    """word -> id, each hashed on first sight."""
 
     def __missing__(self, word: str) -> int:
         digest = hashlib.blake2b(word.encode("utf-8"), digest_size=8).digest()
-        out = self[word] = int.from_bytes(digest, "little") % self.vocab_size
+        out = self[word] = int.from_bytes(digest, "little") % VOCAB_SIZE
         return out
 
 
-@cache
-def _word_ids(vocab_size: int) -> _WordIds:
-    """The one word table of a vocabulary size, shared by every corpus and query."""
-    if vocab_size < 2:
-        raise ValueError(f"vocab_size must be >= 2, got {vocab_size}")
-    return _WordIds(vocab_size)
+# the one word table, shared by every corpus and query
+_WORD_IDS = _WordIds()
 
 
 @dataclass(frozen=True)
@@ -99,25 +91,24 @@ class Query:
     text: str
 
 
-def tokenize(text: str, vocab_size: int = DEFAULT_VOCAB_SIZE,
-             max_length: int = PASSAGE_LENGTH) -> tuple[int, ...]:
+def tokenize(text: str, max_length: int) -> tuple[int, ...]:
     """Ids of the first ``max_length`` words of ``text`` (see the module docstring).
 
     Deterministic across runs and platforms (blake2b, no process salt).
     """
     if max_length < 1:
         raise ValueError(f"max_length must be >= 1, got {max_length}")
-    return tuple(map(_word_ids(vocab_size).__getitem__, _words(text)[:max_length]))
+    return tuple(map(_WORD_IDS.__getitem__, _words(text)[:max_length]))
 
 
-def query_tokens(query: Query, vocab_size: int) -> tuple[int, ...]:
+def query_tokens(query: Query) -> tuple[int, ...]:
     """Token ids of a query's text: its first ``QUERY_LENGTH`` tokens."""
-    return tokenize(query.text, vocab_size, QUERY_LENGTH)
+    return tokenize(query.text, QUERY_LENGTH)
 
 
-def passage_tokens(passage: Passage, vocab_size: int) -> tuple[int, ...]:
+def passage_tokens(passage: Passage) -> tuple[int, ...]:
     """Token ids of a passage's ``encoding_text()``: its first ``PASSAGE_LENGTH`` tokens."""
-    return tokenize(passage.encoding_text(), vocab_size, PASSAGE_LENGTH)
+    return tokenize(passage.encoding_text(), PASSAGE_LENGTH)
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,7 +116,7 @@ class TokenStore:
     """Token ids of every passage of a corpus, CSR by corpus position.
 
     ``store[i]``, that is ``ids[indptr[i]:indptr[i + 1]]``, holds
-    ``passage_tokens(corpus[i], vocab_size)``.
+    ``passage_tokens(corpus[i])``, ids below ``VOCAB_SIZE``.
     Both arrays are read-only.
     """
 
@@ -155,7 +146,7 @@ class Corpus:
             self._index[p.id] = pos
         self.passages = list(passages)
         self._ids = list(self._index)
-        self._token_stores: dict[int, TokenStore] = {}
+        self._token_store: TokenStore | None = None
 
     def __len__(self) -> int:
         return len(self.passages)
@@ -189,13 +180,11 @@ class Corpus:
         rank.flags.writeable = False
         return rank
 
-    def token_store(self, vocab_size: int) -> TokenStore:
+    def token_store(self) -> TokenStore:
         """Every passage's ``passage_tokens``, split and looked up in one pass
-        on the first call for a vocabulary size, then cached.  Passages are
-        split one at a time, so only one passage's words are held at once."""
-        store = self._token_stores.get(vocab_size)
-        if store is None:
-            table = _word_ids(vocab_size)
+        on the first call, then cached.  Passages are split one at a time, so
+        only one passage's words are held at once."""
+        if self._token_store is None:
             lengths = []
 
             def passage_words():
@@ -204,14 +193,14 @@ class Corpus:
                     lengths.append(len(words))
                     yield words
 
-            ids = np.fromiter(map(table.__getitem__, chain.from_iterable(passage_words())),
+            ids = np.fromiter(map(_WORD_IDS.__getitem__, chain.from_iterable(passage_words())),
                               dtype=np.int32)
             indptr = np.zeros(len(lengths) + 1, dtype=np.int64)
             indptr[1:] = np.cumsum(lengths, dtype=np.int64)
             indptr.flags.writeable = False
             ids.flags.writeable = False
-            store = self._token_stores[vocab_size] = TokenStore(indptr, ids)
-        return store
+            self._token_store = TokenStore(indptr, ids)
+        return self._token_store
 
 
 class QrelSet:

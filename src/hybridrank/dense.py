@@ -22,14 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import (
-    DEFAULT_VOCAB_SIZE,
-    Corpus,
-    Passage,
-    Query,
-    passage_tokens,
-    query_tokens,
-)
+from .corpus import VOCAB_SIZE, Corpus, Passage, Query, passage_tokens, query_tokens
 from .npzio import deterministic_savez, load_npz
 from .results import CandidateList, ranked_list, top_k
 
@@ -45,13 +38,12 @@ _NORM_ROWS = 4096
 
 @dataclass
 class EncoderParams:
-    embeddings: np.ndarray  # (vocab_size, dim) float64
-    dim: int
+    embeddings: np.ndarray  # (VOCAB_SIZE, dim) float64
     seed: int
 
     @property
-    def vocab_size(self) -> int:
-        return self.embeddings.shape[0]
+    def dim(self) -> int:
+        return self.embeddings.shape[1]
 
 
 @dataclass(frozen=True)
@@ -67,7 +59,6 @@ class DeTrainConfig:
     learning_rate: float = 0.5
     temperature: float = 0.05
     seed: int = 0
-    vocab_size: int = DEFAULT_VOCAB_SIZE
     dim: int = DEFAULT_DIM
 
     def __post_init__(self):
@@ -79,12 +70,11 @@ class DeTrainConfig:
             raise ValueError("learning_rate must be > 0")
 
 
-def init_params(vocab_size: int = DEFAULT_VOCAB_SIZE, dim: int = DEFAULT_DIM,
-                seed: int = 0) -> EncoderParams:
+def init_params(dim: int = DEFAULT_DIM, seed: int = 0) -> EncoderParams:
     """Fresh parameters, i.i.d. uniform in [-0.05, 0.05]."""
     rng = np.random.default_rng(seed)
-    emb = rng.uniform(-INIT_SCALE, INIT_SCALE, size=(vocab_size, dim))
-    return EncoderParams(embeddings=emb, dim=dim, seed=seed)
+    emb = rng.uniform(-INIT_SCALE, INIT_SCALE, size=(VOCAB_SIZE, dim))
+    return EncoderParams(embeddings=emb, seed=seed)
 
 
 def encode(params: EncoderParams, tokens: tuple[int, ...]) -> np.ndarray:
@@ -124,15 +114,13 @@ def normalize_rows(matrix: np.ndarray) -> np.ndarray:
 
 def encode_corpus(params: EncoderParams, corpus: Corpus) -> np.ndarray:
     """(n_passages, dim) matrix of mean-pooled passage encodings, corpus order."""
-    store = corpus.token_store(params.vocab_size)
+    store = corpus.token_store()
     return _pooled(params.embeddings, store.ids, store.indptr)
 
 
-def _tokenize_pairs(pairs: list[TrainPair],
-                    vocab_size: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    qtoks = [np.asarray(query_tokens(p.query, vocab_size), dtype=np.int64) for p in pairs]
-    ptoks = [np.asarray(passage_tokens(p.positive, vocab_size), dtype=np.int64)
-             for p in pairs]
+def _tokenize_pairs(pairs: list[TrainPair]) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    qtoks = [np.asarray(query_tokens(p.query), dtype=np.int64) for p in pairs]
+    ptoks = [np.asarray(passage_tokens(p.positive), dtype=np.int64) for p in pairs]
     return qtoks, ptoks
 
 
@@ -214,7 +202,7 @@ def in_batch_loss(params: EncoderParams, batch: list[TrainPair], tau: float) -> 
     """Mean in-batch softmax cross entropy over the batch (log-sum-exp stabilized)."""
     if not batch:
         raise ValueError("batch must be nonempty")
-    qtoks, ptoks = _tokenize_pairs(batch, params.vocab_size)
+    qtoks, ptoks = _tokenize_pairs(batch)
     return _batch_loss_grad(params.embeddings, qtoks, ptoks, tau)[0]
 
 
@@ -231,15 +219,15 @@ def train_de(pairs: list[TrainPair], config: DeTrainConfig,
     if not pairs:
         raise ValueError("pairs must be nonempty")
     if init is None:
-        init = init_params(config.vocab_size, config.dim, config.seed)
+        init = init_params(config.dim, config.seed)
         emb = init.embeddings  # drawn here, so no caller holds it
     else:
         emb = init.embeddings.copy()
-    out = EncoderParams(embeddings=emb, dim=init.dim, seed=init.seed)
+    out = EncoderParams(embeddings=emb, seed=init.seed)
     if config.epochs == 0:
         return out
 
-    qtoks, ptoks = _tokenize_pairs(pairs, init.vocab_size)
+    qtoks, ptoks = _tokenize_pairs(pairs)
     rng = np.random.default_rng(config.seed)
     n = len(pairs)
     first_epoch_loss = None
@@ -277,7 +265,7 @@ def query_cosines(params: EncoderParams, passage_matrix: np.ndarray,
 
     A query that encodes to the zero vector gets +0.0 throughout.
     """
-    qvec = encode(params, query_tokens(query, params.vocab_size))
+    qvec = encode(params, query_tokens(query))
     qn = np.linalg.norm(qvec)
     if qn == 0.0:
         return np.zeros(len(passage_matrix), dtype=np.float64)
@@ -298,15 +286,24 @@ def de_retrieve(params: EncoderParams, corpus: Corpus, query: Query, k_results: 
 
 
 def save_params(params: EncoderParams, path) -> None:
-    header = {"format": PARAMS_FORMAT, "vocab_size": params.vocab_size,
+    header = {"format": PARAMS_FORMAT, "vocab_size": len(params.embeddings),
               "dim": params.dim, "seed": params.seed}
     deterministic_savez(path, header, embeddings=params.embeddings)
 
 
 def load_params(path) -> EncoderParams:
+    """Raises ValueError unless the table has one row per vocabulary id."""
     header, data = load_npz(path, PARAMS_FORMAT)
-    return EncoderParams(embeddings=data["embeddings"], dim=header["dim"],
+    return EncoderParams(embeddings=vocabulary_table(data["embeddings"], path),
                          seed=header["seed"])
+
+
+def vocabulary_table(embeddings: np.ndarray, path) -> np.ndarray:
+    """``embeddings`` if it has ``VOCAB_SIZE`` rows; else ValueError naming ``path``."""
+    if len(embeddings) != VOCAB_SIZE:
+        raise ValueError(f"{path}: embeddings table has {len(embeddings)} rows; the "
+                         f"tokenizer's VOCAB_SIZE is {VOCAB_SIZE}")
+    return embeddings
 
 
 def save_encodings(ids: list[str], matrix: np.ndarray, path) -> None:

@@ -11,7 +11,6 @@ run or are counted without one (``hybrid.lambda_curve``).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from math import isfinite, log2
 
@@ -47,13 +46,6 @@ class MetricReport:
     mean: float
     excluded: list[str] = field(default_factory=list)
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {"metric": self.metric_id, "cutoff": self.cutoff, "mean": self.mean,
-             "num_queries": len(self.per_query), "num_excluded": len(self.excluded),
-             "per_query": dict(sorted(self.per_query.items()))},
-            indent=2, sort_keys=False)
-
 
 def _judged_queries(run: RunFile, qrels: QrelSet) -> tuple[list[str], list[str]]:
     universe = qrels.query_ids()
@@ -66,6 +58,11 @@ def _judged_queries(run: RunFile, qrels: QrelSet) -> tuple[list[str], list[str]]
 def query_metric(metric_id: str, k: int, grades: list[int],
                  hits: list[tuple[int, int]]) -> float:
     """One query's ``metric_id``@k from where its relevant passages rank.
+
+    - mrr: reciprocal rank of the first relevant passage within the top k.
+    - ndcg: linear-gain DCG (grade / log2(rank + 1)) normalized by the ideal
+      ordering.
+    - recall: fraction of the query's relevant passages found in the top k.
 
     ``grades`` holds the grade of each of the query's judged-relevant
     passages, ``hits`` the (1-based rank, grade) of those that were ranked,
@@ -101,21 +98,6 @@ def compute_metric(run: RunFile, qrels: QrelSet, metric_id: str, cutoff: int) ->
         per_query[qid] = query_metric(metric_id, cutoff, list(relevant.values()), hits)
     mean = sum(per_query.values()) / len(per_query)
     return MetricReport(metric_id, cutoff, per_query, mean, excluded)
-
-
-def mrr_at_k(run: RunFile, qrels: QrelSet, k: int = 10) -> MetricReport:
-    """Reciprocal rank of the first relevant passage within the top k."""
-    return compute_metric(run, qrels, "mrr", k)
-
-
-def ndcg_at_k(run: RunFile, qrels: QrelSet, k: int = 10) -> MetricReport:
-    """Linear-gain DCG (grade / log2(rank+1)) normalized by the ideal ordering."""
-    return compute_metric(run, qrels, "ndcg", k)
-
-
-def recall_at_k(run: RunFile, qrels: QrelSet, k: int = 100) -> MetricReport:
-    """Fraction of a query's relevant passages found in the top k."""
-    return compute_metric(run, qrels, "recall", k)
 
 
 def reported_metrics(run: RunFile, qrels: QrelSet) -> dict[str, MetricReport]:

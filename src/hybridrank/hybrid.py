@@ -46,10 +46,6 @@ class HybridIndex:
                  dense_rows: np.ndarray, lam: float):
         if not 0 <= lam < math.inf:
             raise ValueError(f"lam must be finite and >= 0, got {lam}")
-        if encoder.vocab_size != bm25_index.stats.vocab_size:
-            raise ValueError(
-                f"encoder vocab_size {encoder.vocab_size} != index vocab_size "
-                f"{bm25_index.stats.vocab_size}")
         dense_rows = np.asarray(dense_rows, dtype=np.float64)
         if dense_rows.shape != (len(bm25_index), encoder.dim):
             raise ValueError(

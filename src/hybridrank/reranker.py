@@ -38,8 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import DEFAULT_VOCAB_SIZE, Corpus, QrelSet, Query, TokenStore, query_tokens
-from .dense import DEFAULT_DIM, INIT_SCALE, row_norms, rows_at
+from .corpus import VOCAB_SIZE, Corpus, QrelSet, Query, TokenStore, query_tokens
+from .dense import DEFAULT_DIM, INIT_SCALE, row_norms, rows_at, vocabulary_table
 from .evaluation import RunFile
 from .npzio import deterministic_savez, load_npz
 from .results import CandidateItem, CandidateList
@@ -51,17 +51,13 @@ _ROUND_ROWS = 4096  # rows per block in _float32_rounded
 
 @dataclass
 class RerankerParams:
-    embeddings: np.ndarray  # (vocab_size, dim) float64
+    embeddings: np.ndarray  # (VOCAB_SIZE, dim) float64
     w_q: np.ndarray         # (dim, dim)
     w_k: np.ndarray         # (dim, dim)
     w_v: np.ndarray         # (dim, dim)
     readout: np.ndarray     # (dim,)
     bias: float
     seed: int
-
-    @property
-    def vocab_size(self) -> int:
-        return self.embeddings.shape[0]
 
     @property
     def dim(self) -> int:
@@ -108,8 +104,7 @@ class RerankTrainConfig:
             raise ValueError("learning_rate must be > 0")
 
 
-def init_reranker(vocab_size: int = DEFAULT_VOCAB_SIZE, dim: int = DEFAULT_DIM,
-                  seed: int = 0, embeddings: np.ndarray | None = None,
+def init_reranker(dim: int = DEFAULT_DIM, seed: int = 0, embeddings: np.ndarray | None = None,
                   attention_scale: float = 3.0) -> RerankerParams:
     """Fresh parameters; identity-like attention, optionally warm-started.
 
@@ -119,12 +114,12 @@ def init_reranker(vocab_size: int = DEFAULT_VOCAB_SIZE, dim: int = DEFAULT_DIM,
     """
     rng = np.random.default_rng(seed)
     if embeddings is None:
-        emb = rng.uniform(-INIT_SCALE, INIT_SCALE, size=(vocab_size, dim))
+        emb = rng.uniform(-INIT_SCALE, INIT_SCALE, size=(VOCAB_SIZE, dim))
     else:
         emb = np.array(embeddings, dtype=np.float64)
         if emb.ndim != 2:
             raise ValueError("embeddings must be a 2-d matrix")
-        vocab_size, dim = emb.shape
+        dim = emb.shape[1]
     norms = row_norms(emb)
     nonzero = norms[norms > 0]
     typical = float(nonzero.mean()) if nonzero.size else 1.0
@@ -185,16 +180,16 @@ def _stack_lists(blists: list[_ListBatch]):
     return qidx, qmask, pidx, pmask, imask, labels
 
 
-def _distinct(ids: np.ndarray, vocab_size: int) -> tuple[np.ndarray, np.ndarray]:
+def _distinct(ids: np.ndarray, n_rows: int) -> tuple[np.ndarray, np.ndarray]:
     """(uniq, inv): the sorted distinct ids, and each id's row in uniq.
 
-    Ids are < vocab_size, so marking a vocabulary-sized table avoids the sort
-    in np.unique(return_inverse=True): about 6x faster on a default batch.
+    Ids are < n_rows, so marking a table of n_rows avoids the sort in
+    np.unique(return_inverse=True): about 6x faster on a default batch.
     """
-    seen = np.zeros(vocab_size, dtype=bool)
+    seen = np.zeros(n_rows, dtype=bool)
     seen[ids] = True
     uniq = np.flatnonzero(seen)
-    row = np.empty(vocab_size, dtype=np.intp)
+    row = np.empty(n_rows, dtype=np.intp)
     row[uniq] = np.arange(uniq.size)
     return uniq, row[ids]
 
@@ -214,8 +209,9 @@ def _forward(params: RerankerParams, qidx, qmask, pidx, pmask):
     nb, lq_max = qidx.shape
     d = params.dim
     dtype = params.embeddings.dtype
+    # sized by the table given: training passes only the rows its lists use
     uniq, inv = _distinct(np.concatenate([qidx.ravel(), pidx.ravel()]),
-                          params.vocab_size)
+                          len(params.embeddings))
     nu = uniq.size                                             # the sentinel's column
     inv_q = inv[:qidx.size]                                    # (B·Lq,)
     inv_p = np.where(pmask, inv[qidx.size:].reshape(pidx.shape), nu)  # (B, P, n)
@@ -304,9 +300,9 @@ def _batch_loss_grad(params: RerankerParams, qidx, qmask, pidx, pmask, imask,
     return float(losses.mean()), grads
 
 
-def _token_ids(query: Query, vocab_size: int) -> np.ndarray:
+def _token_ids(query: Query) -> np.ndarray:
     """int64 token ids of a query; ValueError naming it when empty."""
-    tok = np.asarray(query_tokens(query, vocab_size), dtype=np.int64)
+    tok = np.asarray(query_tokens(query), dtype=np.int64)
     if tok.size == 0:
         raise ValueError(f"query {query.id!r} has no tokens")
     return tok
@@ -330,15 +326,15 @@ def _store_rows(store: TokenStore, corpus: Corpus,
     return idx, mask
 
 
-def _prepare_lists(lists: list[CandidateList], queries: list[Query], corpus: Corpus,
-                   vocab_size: int) -> list[_ListBatch]:
+def _prepare_lists(lists: list[CandidateList], queries: list[Query],
+                   corpus: Corpus) -> list[_ListBatch]:
     by_id = {q.id: q for q in queries}
-    store = corpus.token_store(vocab_size)
+    store = corpus.token_store()
     out = []
     for cl in lists:
         if cl.query_id not in by_id:
             raise KeyError(f"no query text for query id {cl.query_id!r}")
-        qtok = _token_ids(by_id[cl.query_id], vocab_size)
+        qtok = _token_ids(by_id[cl.query_id])
         pidx, pmask = _store_rows(store, corpus, cl.passage_ids())
         labels = np.asarray([it.label for it in cl.items], dtype=np.float64)
         out.append(_ListBatch(qtok, pidx, pmask, labels))
@@ -358,18 +354,18 @@ def train_reranker(lists: list[CandidateList], queries: list[Query], corpus: Cor
         raise ValueError("lists must be nonempty")
     if config.steps == 0:
         return init.copy()
-    batches = _prepare_lists(lists, queries, corpus, init.vocab_size)
+    batches = _prepare_lists(lists, queries, corpus)
     # stacked once; each step slices its lists to their own widest Lq, P and n
     qidx, qmask, pidx, pmask, imask, labels = _stack_lists(batches)
     sizes = np.array([(b.qtok.size, b.pidx.shape[1], b.pidx.shape[0]) for b in batches])
     # only the rows of ids the lists use (padding id included) are trained,
     # renumbered in id order, so each step's distinct tokens, gathers and
     # gradient sums are those of the full table
-    seen = np.zeros(init.vocab_size, dtype=bool)
+    seen = np.zeros(len(init.embeddings), dtype=bool)
     seen[qidx] = True
     seen[pidx] = True
     used = np.flatnonzero(seen)
-    row = np.zeros(init.vocab_size, dtype=np.int32)
+    row = np.zeros(len(init.embeddings), dtype=np.int32)
     row[used] = np.arange(used.size)
     qidx, pidx = row[qidx], row[pidx]
     rng = np.random.default_rng(config.seed)
@@ -486,7 +482,7 @@ def rerank(params: RerankerParams, run: RunFile, queries: list[Query],
     if top_k < 1:
         raise ValueError(f"top_k must be >= 1, got {top_k}")
     by_id = {q.id: q for q in queries}
-    store = corpus.token_store(params.vocab_size)
+    store = corpus.token_store()
     rankings: dict[str, list[tuple[str, float]]] = {}
     for qid, ranking in run.rankings.items():
         if qid not in by_id:
@@ -496,7 +492,7 @@ def rerank(params: RerankerParams, run: RunFile, queries: list[Query],
         if not block:  # nothing retrieved, nothing to rescore
             rankings[qid] = []
             continue
-        qtok = _token_ids(by_id[qid], params.vocab_size)
+        qtok = _token_ids(by_id[qid])
         pids = [pid for pid, _ in block]
         scores = _score_padded(params, qtok, *_store_rows(store, corpus, pids))
         order = np.argsort(-scores, kind="stable")
@@ -538,15 +534,16 @@ def load_candidate_lists(path) -> list[CandidateList]:
 
 
 def save_reranker(params: RerankerParams, path) -> None:
-    header = {"format": RERANKER_FORMAT, "vocab_size": params.vocab_size,
+    header = {"format": RERANKER_FORMAT, "vocab_size": len(params.embeddings),
               "dim": params.dim, "seed": params.seed, "bias": params.bias}
     deterministic_savez(path, header, embeddings=params.embeddings, w_q=params.w_q,
                         w_k=params.w_k, w_v=params.w_v, readout=params.readout)
 
 
 def load_reranker(path) -> RerankerParams:
+    """Raises ValueError unless the table has one row per vocabulary id."""
     header, data = load_npz(path, RERANKER_FORMAT)
-    return RerankerParams(embeddings=data["embeddings"], w_q=data["w_q"],
-                          w_k=data["w_k"], w_v=data["w_v"],
+    return RerankerParams(embeddings=vocabulary_table(data["embeddings"], path),
+                          w_q=data["w_q"], w_k=data["w_k"], w_v=data["w_v"],
                           readout=data["readout"], bias=float(header["bias"]),
                           seed=int(header["seed"]))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import DEFAULT_VOCAB_SIZE, Corpus, Passage, QrelSet, Query, \
+from .corpus import Corpus, Passage, QrelSet, Query, \
     save_corpus, save_qrels, save_queries, tokenize
 
 _CONSONANTS = "bcdfghjklmnprstvwz"
@@ -97,7 +97,7 @@ def _word_pools(table_size: int) -> tuple[list[str], list[str], list[str]]:
     while len(words) < need:
         w = syl[(i // len(syl)) % len(syl)] + syl[i % len(syl)] + syl[(i * 7 + 3) % len(syl)]
         i += 1
-        h = tokenize(w, DEFAULT_VOCAB_SIZE, 1)[0]
+        h = tokenize(w, 1)[0]
         if h in used_hashes:
             continue
         used_hashes.add(h)

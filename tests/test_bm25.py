@@ -18,13 +18,13 @@ from hybridrank.bm25 import (
     load_index,
     save_index,
 )
-from hybridrank.corpus import PASSAGE_LENGTH, QUERY_LENGTH, Corpus, Passage, Query, tokenize
+from hybridrank.corpus import PASSAGE_LENGTH, QUERY_LENGTH, VOCAB_SIZE, Corpus, Passage, Query, \
+    tokenize
 from hybridrank.dense import EncoderParams
 from hybridrank.hybrid import HybridIndex
 from hybridrank.npzio import deterministic_savez, load_npz
 from hybridrank.results import ranked_list
 
-VOCAB = 4096
 
 
 def _corpus(texts, prefix="d"):
@@ -41,7 +41,7 @@ WORDS = [f"w{i}" for i in range(120)]
 
 def retrieve(index, query, k):
     """The bm25 first stage's top k, cut the way the pipeline cuts it."""
-    hybrid = HybridIndex(index, EncoderParams(np.zeros((VOCAB, 1)), 1, 0),
+    hybrid = HybridIndex(index, EncoderParams(np.zeros((VOCAB_SIZE, 1)), 0),
                          np.zeros((len(index), 1)), 0.0)
     return ranked_list(query.id, *hybrid.cut("bm25", *hybrid.score_components(query), k))
 
@@ -49,17 +49,16 @@ def retrieve(index, query, k):
 # ---------------------------------------------------------------- stats / idf
 
 def test_idf_single_passage_hand_value():
-    stats = compute_stats(_corpus(["solo"]), vocab_size=VOCAB)
-    term = tokenize("solo", VOCAB, 8)[0]
+    stats = compute_stats(_corpus(["solo"]))
+    term = tokenize("solo", 8)[0]
     assert stats.idf[term] == pytest.approx(math.log(0.5 / 1.5 + 1.0), abs=1e-12)
     assert stats.idf[term] == pytest.approx(0.287682, abs=1e-6)
 
 
 def test_idf_ubiquitous_term_small_positive():
     n = 500
-    stats = compute_stats(_corpus(["common"] * 5 + [f"common extra{i}" for i in range(n - 5)]),
-                          vocab_size=VOCAB)
-    term = tokenize("common", VOCAB, 8)[0]
+    stats = compute_stats(_corpus(["common"] * 5 + [f"common extra{i}" for i in range(n - 5)]))
+    term = tokenize("common", 8)[0]
     expected = math.log((n - n + 0.5) / (n + 0.5) + 1.0)
     assert stats.idf[term] == pytest.approx(expected, rel=1e-12)
     assert 0 < stats.idf[term] < 0.01
@@ -67,12 +66,12 @@ def test_idf_ubiquitous_term_small_positive():
 
 def test_idf_never_negative_random():
     rng = random.Random(7)
-    stats = compute_stats(_random_corpus(rng, 60, WORDS), vocab_size=VOCAB)
+    stats = compute_stats(_random_corpus(rng, 60, WORDS))
     assert all(v >= 0.0 for v in stats.idf.values())
 
 
 def test_avg_length_uniform():
-    stats = compute_stats(_corpus(["a b c d e f g h i j"] * 4), vocab_size=VOCAB)
+    stats = compute_stats(_corpus(["a b c d e f g h i j"] * 4))
     assert stats.avg_length == 10.0
     assert all(length == 10 for length in stats.lengths.values())
 
@@ -89,8 +88,8 @@ def test_encode_passage_hand_weight():
     # weight = idf * 2 * 1.9 / (2 + 0.9); pick idf from a 2-passage corpus.
     corpus = _corpus(["t t f1 f2 f3 f4 f5 f6 f7 f8",
                       "g1 g2 g3 g4 g5 g6 g7 g8 g9 g10"])
-    stats = compute_stats(corpus, vocab_size=VOCAB)
-    term = tokenize("t", VOCAB, 8)[0]
+    stats = compute_stats(corpus)
+    term = tokenize("t", 8)[0]
     vec = encode_passage(corpus.get("d0"), stats, Bm25Params(k=0.9, b=0.8))
     expected = stats.idf[term] * 2 * 1.9 / 2.9
     assert vec[term] == pytest.approx(expected, rel=1e-12)
@@ -100,32 +99,32 @@ def test_encode_passage_hand_weight():
 
 def test_encode_passage_b_zero_ignores_length():
     short = _corpus(["term", "x " * 9])  # very different lengths
-    stats = compute_stats(short, vocab_size=VOCAB)
-    term = tokenize("term", VOCAB, 8)[0]
+    stats = compute_stats(short)
+    term = tokenize("term", 8)[0]
     vec = encode_passage(short.get("d0"), stats, Bm25Params(k=0.9, b=0.0))
     assert vec[term] == pytest.approx(stats.idf[term] * 1.9 / 1.9, rel=1e-12)
 
 
 def test_encode_passage_empty_text_gives_empty_vector():
     corpus = _corpus(["real text here"])
-    stats = compute_stats(corpus, vocab_size=VOCAB)
+    stats = compute_stats(corpus)
     ghost = Passage("ghost", "", "!!! ...")  # tokenizes to nothing
     assert encode_passage(ghost, stats, Bm25Params()) == {}
 
 
 def test_encode_query_term_counts():
-    vec = encode_query(Query("q", "apple apple pie"), vocab_size=VOCAB)
-    apple = tokenize("apple", VOCAB, 8)[0]
-    pie = tokenize("pie", VOCAB, 8)[0]
+    vec = encode_query(Query("q", "apple apple pie"))
+    apple = tokenize("apple", 8)[0]
+    pie = tokenize("pie", 8)[0]
     assert vec == {apple: 2.0, pie: 1.0}
 
 
 def test_encode_query_empty():
-    assert encode_query(Query("q", "..."), vocab_size=VOCAB) == {}
+    assert encode_query(Query("q", "...")) == {}
 
 
 def test_encode_query_repeated_token():
-    vec = encode_query(Query("q", " ".join(["echo"] * 5)), vocab_size=VOCAB)
+    vec = encode_query(Query("q", " ".join(["echo"] * 5)))
     assert list(vec.values()) == [5.0]
 
 
@@ -152,15 +151,15 @@ def test_dot_identity_matches_direct_formula():
     rng = random.Random(11)
     corpus = _random_corpus(rng, 40, WORDS)
     params = Bm25Params()
-    stats = compute_stats(corpus, vocab_size=VOCAB)
+    stats = compute_stats(corpus)
     queries = [Query(f"q{i}", " ".join(rng.choices(WORDS, k=rng.randint(1, 6))))
                for i in range(15)]
     for q in queries:
-        qcounts = encode_query(q, vocab_size=VOCAB)
+        qcounts = encode_query(q)
         for p in corpus:
             direct = 0.0
             pcounts = {}
-            for t in tokenize(p.encoding_text(), VOCAB, PASSAGE_LENGTH):
+            for t in tokenize(p.encoding_text(), PASSAGE_LENGTH):
                 pcounts[t] = pcounts.get(t, 0) + 1
             m = sum(pcounts.values())
             for t, qc in qcounts.items():
@@ -176,7 +175,7 @@ def test_dot_identity_matches_direct_formula():
 def test_passage_weights_nonnegative():
     rng = random.Random(3)
     corpus = _random_corpus(rng, 30, WORDS)
-    stats = compute_stats(corpus, vocab_size=VOCAB)
+    stats = compute_stats(corpus)
     for p in corpus:
         vec = encode_passage(p, stats, Bm25Params())
         assert all(w >= 0.0 for w in vec.values())
@@ -184,25 +183,25 @@ def test_passage_weights_nonnegative():
 
 def test_query_count_monotonicity():
     corpus = _corpus(["target word appears here", "unrelated filler text"])
-    stats = compute_stats(corpus, vocab_size=VOCAB)
+    stats = compute_stats(corpus)
     params = Bm25Params()
     vec = encode_passage(corpus.get("d0"), stats, params)
-    s1 = dot(encode_query(Query("q", "target"), vocab_size=VOCAB), vec)
-    s2 = dot(encode_query(Query("q", "target target"), vocab_size=VOCAB), vec)
+    s1 = dot(encode_query(Query("q", "target")), vec)
+    s2 = dot(encode_query(Query("q", "target target")), vec)
     assert s2 >= s1 > 0
 
 
 # ---------------------------------------------------------------- retrieval
 
 def test_retrieve_no_shared_terms_empty():
-    index = Bm25Index(_corpus(["alpha beta", "gamma delta"]), vocab_size=VOCAB)
+    index = Bm25Index(_corpus(["alpha beta", "gamma delta"]))
     result = retrieve(index, Query("q", "zzz-unseen-term"), 5)
     assert result.items == []
 
 
 def test_retrieve_tie_broken_by_passage_id():
     # two identical passages tie exactly; ascending id wins
-    index = Bm25Index(_corpus(["same text", "same text"]), vocab_size=VOCAB)
+    index = Bm25Index(_corpus(["same text", "same text"]))
     result = retrieve(index, Query("q", "same"), 2)
     assert [it.passage_id for it in result.items] == ["d0", "d1"]
     assert result.items[0].score == result.items[1].score
@@ -210,7 +209,7 @@ def test_retrieve_tie_broken_by_passage_id():
 
 def test_retrieve_ranks_consecutive_and_scores_descending():
     rng = random.Random(23)
-    index = Bm25Index(_random_corpus(rng, 50, WORDS), vocab_size=VOCAB)
+    index = Bm25Index(_random_corpus(rng, 50, WORDS))
     result = retrieve(index, Query("q", "w1 w2 w3"), 20)
     assert [it.rank for it in result.items] == list(range(1, len(result.items) + 1))
     scores = [it.score for it in result.items]
@@ -222,12 +221,12 @@ def test_retrieve_matches_bruteforce_oracle():
     rng = random.Random(5)
     corpus = _random_corpus(rng, 80, WORDS)
     params = Bm25Params()
-    stats = compute_stats(corpus, vocab_size=VOCAB)
-    index = Bm25Index(corpus, params=params, vocab_size=VOCAB)
+    stats = compute_stats(corpus)
+    index = Bm25Index(corpus, params=params)
     vecs = {p.id: encode_passage(p, stats, params) for p in corpus}
     for i in range(15):
         q = Query(f"q{i}", " ".join(rng.choices(WORDS, k=rng.randint(1, 5))))
-        qvec = encode_query(q, vocab_size=VOCAB)
+        qvec = encode_query(q)
         brute = [(pid, dot(qvec, vec)) for pid, vec in vecs.items()]
         brute = [(pid, s) for pid, s in brute
                  if qvec.keys() & vecs[pid].keys()]  # matched-terms rule
@@ -246,18 +245,18 @@ def test_bm25_list_is_the_passages_sharing_a_query_term(params):
     rng = random.Random(31)
     for trial in range(5):
         corpus = _random_corpus(rng, 40, WORDS)
-        index = Bm25Index(corpus, params=params, vocab_size=VOCAB)
+        index = Bm25Index(corpus, params=params)
         for i in range(10):
             words = rng.choices(WORDS + ["unseen1", "unseen2"], k=rng.randint(1, 3))
             q = Query(f"q{trial}-{i}", " ".join(words))
-            terms = set(tokenize(q.text, VOCAB, 64))
+            terms = set(tokenize(q.text, 64))
             sharing = {p.id for p in corpus
-                       if terms & set(tokenize(p.encoding_text(), VOCAB, 512))}
+                       if terms & set(tokenize(p.encoding_text(), 512))}
             assert {it.passage_id for it in retrieve(index, q, len(corpus)).items} == sharing
 
 
 def test_retrieve_fewer_matches_than_k():
-    index = Bm25Index(_corpus(["only match here", "nothing shared"]), vocab_size=VOCAB)
+    index = Bm25Index(_corpus(["only match here", "nothing shared"]))
     result = retrieve(index, Query("q", "match"), 10)
     assert len(result.items) == 1
 
@@ -276,9 +275,9 @@ def test_index_postings_equal_passage_vectors():
     # "..." has no tokens, so its vector is empty and it posts nowhere
     corpus = _corpus(["...", "w1 w1 w1"] + [" ".join(rng.choices(WORDS, k=rng.randint(1, 30)))
                                            for _ in range(30)])
-    stats = compute_stats(corpus, VOCAB)
+    stats = compute_stats(corpus)
     for params in (Bm25Params(k=1.2, b=0.6), Bm25Params(k=0.0, b=1.0), Bm25Params(b=0.0)):
-        index = Bm25Index(corpus, params=params, vocab_size=VOCAB)
+        index = Bm25Index(corpus, params=params)
         assert index.stats == stats
         from_postings = [dict() for _ in corpus]
         for i, t in enumerate(index.terms.tolist()):
@@ -298,7 +297,7 @@ def test_index_postings_equal_passage_vectors():
 def test_index_save_load_bitwise_scores(tmp_path):
     rng = random.Random(9)
     corpus = _random_corpus(rng, 40, WORDS)
-    index = Bm25Index(corpus, vocab_size=VOCAB)
+    index = Bm25Index(corpus)
     path = tmp_path / "bm25.npz"
     save_index(index, path)
     loaded = load_index(path)
@@ -318,8 +317,8 @@ def test_index_save_load_bitwise_scores(tmp_path):
 def test_index_save_deterministic_bytes(tmp_path):
     corpus = _corpus(["alpha beta gamma", "beta gamma delta"])
     p1, p2 = tmp_path / "a.npz", tmp_path / "b.npz"
-    save_index(Bm25Index(corpus, vocab_size=VOCAB), p1)
-    save_index(Bm25Index(corpus, vocab_size=VOCAB), p2)
+    save_index(Bm25Index(corpus), p1)
+    save_index(Bm25Index(corpus), p2)
     assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -330,16 +329,16 @@ def test_load_index_rejects_wrong_format(tmp_path):
         load_index(path)
 
 
-@pytest.mark.parametrize("key", ["max_length", "query_max_length"])
+@pytest.mark.parametrize("key", ["vocab_size", "max_length", "query_max_length"])
 def test_load_index_rejects_other_truncation_lengths(tmp_path, key):
     path = tmp_path / "bm25.npz"
-    save_index(Bm25Index(_corpus(["alpha beta", "beta gamma"]), vocab_size=VOCAB), path)
+    save_index(Bm25Index(_corpus(["alpha beta", "beta gamma"])), path)
     header, arrays = load_npz(path, INDEX_FORMAT)
-    assert (header["max_length"], header["query_max_length"]) == (PASSAGE_LENGTH,
-                                                                  QUERY_LENGTH)
+    assert (header["vocab_size"], header["max_length"], header["query_max_length"]) == \
+        (VOCAB_SIZE, PASSAGE_LENGTH, QUERY_LENGTH)
     header[key] += 1
     deterministic_savez(path, header, **arrays)
-    named = (rf"\b{key} {header[key]}\b.*PASSAGE_LENGTH is {PASSAGE_LENGTH} "
-             f"and QUERY_LENGTH is {QUERY_LENGTH}")
+    named = (rf"\b{key} {header[key]}\b.*VOCAB_SIZE is {VOCAB_SIZE}, PASSAGE_LENGTH is "
+             f"{PASSAGE_LENGTH} and QUERY_LENGTH is {QUERY_LENGTH}")
     with pytest.raises(ValueError, match=named):
         load_index(path)

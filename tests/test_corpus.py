@@ -22,6 +22,7 @@ from hybridrank.corpus import (
     save_corpus,
     save_qrels,
     save_queries,
+    VOCAB_SIZE,
     tokenize,
 )
 
@@ -29,43 +30,42 @@ from hybridrank.corpus import (
 # ---------------------------------------------------------------- tokenize
 
 def test_tokenize_empty_text():
-    assert tokenize("", vocab_size=1000, max_length=64) == ()
+    assert tokenize("", max_length=64) == ()
 
 
 def test_tokenize_case_folding():
-    seq = tokenize("Apple apple", vocab_size=1000, max_length=64)
+    seq = tokenize("Apple apple", max_length=64)
     assert len(seq) == 2
     assert seq[0] == seq[1]
 
 
 def test_tokenize_truncation_keeps_the_first_words():
-    seq = tokenize("a b c d", vocab_size=1000, max_length=2)
-    assert seq == tokenize("a b", vocab_size=1000, max_length=64)
-    assert len(set(tokenize("a b c d", vocab_size=1000, max_length=4))) == 4
+    seq = tokenize("a b c d", max_length=2)
+    assert seq == tokenize("a b", max_length=64)
+    assert len(set(tokenize("a b c d", max_length=4))) == 4
 
 
 def test_tokenize_length_never_exceeds_max():
     for text in ("", "one", "a b c", "lots " * 50):
         for max_length in (1, 3, 8):
-            assert len(tokenize(text, 1000, max_length)) <= max_length
+            assert len(tokenize(text, max_length)) <= max_length
 
 
 def test_tokenize_ids_below_vocab_size():
-    for vocab in (2, 17, 32768):
-        seq = tokenize("the quick brown fox, jumps; over-the lazy dog", vocab, 64)
-        assert all(0 <= t < vocab for t in seq)
+    seq = tokenize("the quick brown fox, jumps; over-the lazy dog", 64)
+    assert all(0 <= t < VOCAB_SIZE for t in seq)
 
 
 def test_tokenize_splits_on_punctuation():
-    a = tokenize("alpha,beta.gamma", 4096, 16)
-    b = tokenize("alpha beta gamma", 4096, 16)
+    a = tokenize("alpha,beta.gamma", 16)
+    b = tokenize("alpha beta gamma", 16)
     assert a == b
 
 
 def test_tokenize_deterministic_across_processes():
     # The hash must not depend on the process salt (PYTHONHASHSEED).
     code = ("from hybridrank.corpus import tokenize;"
-            "print(tokenize('Deterministic Hashing!', 32768, 64))")
+            "print(tokenize('Deterministic Hashing!', 64))")
     # the children import hybridrank from where this process found it
     package_root = os.path.dirname(os.path.dirname(os.path.abspath(hybridrank.__file__)))
     outs = set()
@@ -78,7 +78,7 @@ def test_tokenize_deterministic_across_processes():
         assert child.returncode == 0, f"PYTHONHASHSEED={n} child failed:\n{child.stderr}"
         outs.add(child.stdout)
     assert len(outs) == 1
-    assert outs == {repr(tokenize("Deterministic Hashing!", 32768, 64)) + "\n"}
+    assert outs == {repr(tokenize("Deterministic Hashing!", 64)) + "\n"}
 
 
 # ASCII punctuation and the separators str.split() and \s treat differently,
@@ -108,9 +108,7 @@ def test_word_splitter_equals_the_word_regex():
 
 def test_tokenize_rejects_bad_sizes():
     with pytest.raises(ValueError):
-        tokenize("x", vocab_size=1, max_length=4)
-    with pytest.raises(ValueError):
-        tokenize("x", vocab_size=100, max_length=0)
+        tokenize("x", max_length=0)
 
 
 # ---------------------------------------------------------------- Corpus

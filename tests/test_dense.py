@@ -1,12 +1,14 @@
 """Tests for the embedding-bag dual encoder: pooling, cosine, loss, training."""
 
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
 
-from hybridrank.corpus import PASSAGE_LENGTH, Corpus, Passage, Query, query_tokens, tokenize
+from hybridrank.corpus import PASSAGE_LENGTH, VOCAB_SIZE, Corpus, Passage, Query, query_tokens, \
+    tokenize
 from hybridrank.dense import (
     DeTrainConfig,
     EncoderParams,
@@ -33,16 +35,15 @@ from hybridrank.dense import (
     train_de,
 )
 
-VOCAB = 512
 
 
-def distinct_words(n, vocab=VOCAB):
-    """n words whose hashed term ids are pairwise distinct under this vocab."""
+def distinct_words(n):
+    """n words whose hashed term ids are pairwise distinct."""
     words, seen = [], set()
     i = 0
     while len(words) < n:
         w = f"tok{i}"
-        t = tokenize(w, vocab, 4)[0]
+        t = tokenize(w, 4)[0]
         if t not in seen:
             seen.add(t)
             words.append(w)
@@ -50,12 +51,12 @@ def distinct_words(n, vocab=VOCAB):
     return words
 
 
-def params_with_rows(assignments, dim, vocab=VOCAB):
+def params_with_rows(assignments, dim):
     """EncoderParams whose embedding rows are zero except for given word vectors."""
-    emb = np.zeros((vocab, dim))
+    emb = np.zeros((VOCAB_SIZE, dim))
     for word, vec in assignments.items():
-        emb[tokenize(word, vocab, 4)[0]] = vec
-    return EncoderParams(embeddings=emb, dim=dim, seed=0)
+        emb[tokenize(word, 4)[0]] = vec
+    return EncoderParams(embeddings=emb, seed=0)
 
 
 # ---------------------------------------------------------------- encode/cosine
@@ -63,26 +64,26 @@ def params_with_rows(assignments, dim, vocab=VOCAB):
 def test_encode_single_token_is_its_row():
     w, = distinct_words(1)
     p = params_with_rows({w: [1.0, 2.0, 3.0]}, dim=3)
-    vec = encode(p, tokenize(w, VOCAB, 8))
+    vec = encode(p, tokenize(w, 8))
     assert np.array_equal(vec, [1.0, 2.0, 3.0])
 
 
 def test_encode_opposite_rows_cancel():
     a, b = distinct_words(2)
     p = params_with_rows({a: [1.0, -1.0], b: [-1.0, 1.0]}, dim=2)
-    vec = encode(p, tokenize(f"{a} {b}", VOCAB, 8))
+    vec = encode(p, tokenize(f"{a} {b}", 8))
     assert np.array_equal(vec, [0.0, 0.0])
 
 
 def test_encode_empty_sequence_zero_vector():
-    p = init_params(VOCAB, 4, seed=0)
-    assert np.array_equal(encode(p, tokenize("", VOCAB, 8)), np.zeros(4))
+    p = init_params(4, seed=0)
+    assert np.array_equal(encode(p, tokenize("", 8)), np.zeros(4))
 
 
 def test_encode_is_mean_not_sum():
     a, b = distinct_words(2)
     p = params_with_rows({a: [2.0], b: [4.0]}, dim=1)
-    assert encode(p, tokenize(f"{a} {b}", VOCAB, 8))[0] == pytest.approx(3.0)
+    assert encode(p, tokenize(f"{a} {b}", 8))[0] == pytest.approx(3.0)
 
 
 def test_cosine_identical_vectors():
@@ -99,8 +100,8 @@ def test_cosine_orthogonal_and_zero():
 def test_shared_towers_same_text_same_vector():
     # one embedding table serves both sides: identical token input,
     # identical vector, regardless of which "side" the caller has in mind
-    p = init_params(VOCAB, 8, seed=3)
-    q = encode(p, query_tokens(Query("q", "shared input text"), VOCAB))
+    p = init_params(8, seed=3)
+    q = encode(p, query_tokens(Query("q", "shared input text")))
     d = encode_corpus(p, Corpus([Passage("d", "", "shared input text")]))[0]
     assert np.array_equal(q, d)
 
@@ -156,17 +157,17 @@ def _csr(rows):
 @pytest.mark.parametrize("dim", [1, 3, 64])
 def test_pooled_equals_per_row_mean(dim):
     rng = np.random.default_rng(dim)
-    emb = rng.normal(size=(VOCAB, dim))
+    emb = rng.normal(size=(VOCAB_SIZE, dim))
     lengths = [0, 1, 1, 2, 5, 0, 5, 5, 17, 130, 1, 0, 2, 9, 9]
-    rows = [rng.integers(0, VOCAB, size=n) for n in lengths]
+    rows = [rng.integers(0, VOCAB_SIZE, size=n) for n in lengths]
     assert np.array_equal(_pooled(emb, *_csr(rows)), _per_row_mean(emb, rows))
 
 
 def test_pooled_length_group_larger_than_one_chunk():
     rng = np.random.default_rng(4)
-    emb = rng.normal(size=(VOCAB, 64))
-    rows = [rng.integers(0, VOCAB, size=600) for _ in range(8)]
-    rows.insert(3, rng.integers(0, VOCAB, size=3))
+    emb = rng.normal(size=(VOCAB_SIZE, 64))
+    rows = [rng.integers(0, VOCAB_SIZE, size=600) for _ in range(8)]
+    rows.insert(3, rng.integers(0, VOCAB_SIZE, size=3))
     assert 8 * 600 * 64 * emb.itemsize > 2 * _POOL_BYTES  # the 600 group spans 3 chunks
     assert np.array_equal(_pooled(emb, *_csr(rows)), _per_row_mean(emb, rows))
 
@@ -181,14 +182,14 @@ def test_encode_corpus_equals_per_passage_encode(dim):
     texts = (["--"] + [" ".join(rng.choice(words, size=int(n)))
                        for n in rng.integers(1, 12, size=60)] + [" ".join(long_words)])
     corpus = Corpus([Passage(f"d{i}", "", t) for i, t in enumerate(texts)])
-    p = EncoderParams(embeddings=rng.normal(size=(VOCAB, dim)), dim=dim, seed=0)
+    p = EncoderParams(embeddings=rng.normal(size=(VOCAB_SIZE, dim)), seed=0)
     encoded = encode_corpus(p, corpus)
-    ref = np.stack([encode(p, tokenize(q.encoding_text(), VOCAB, PASSAGE_LENGTH))
+    ref = np.stack([encode(p, tokenize(q.encoding_text(), PASSAGE_LENGTH))
                     for q in corpus])
     assert np.array_equal(encoded, ref)
     assert not encoded.any(axis=1)[0]
     # the long passage pools the ids of its first PASSAGE_LENGTH words only
-    ids = [tokenize(w, VOCAB, 1)[0] for w in long_words]
+    ids = [tokenize(w, 1)[0] for w in long_words]
     assert np.array_equal(encoded[-1], p.embeddings[ids[:PASSAGE_LENGTH]].mean(axis=0))
     assert not np.allclose(encoded[-1], p.embeddings[ids].mean(axis=0))
 
@@ -204,9 +205,9 @@ def test_scatter_rows_equal_per_row_repeat():
 
 def test_batch_loss_grad_scatters_every_token_in_row_order():
     rng = np.random.default_rng(6)
-    emb = rng.normal(size=(VOCAB, 4))
-    qtoks = [rng.integers(0, VOCAB, size=n) for n in (3, 0, 1)]
-    ptoks = [rng.integers(0, VOCAB, size=n) for n in (2, 5, 0)]
+    emb = rng.normal(size=(VOCAB_SIZE, 4))
+    qtoks = [rng.integers(0, VOCAB_SIZE, size=n) for n in (3, 0, 1)]
+    ptoks = [rng.integers(0, VOCAB_SIZE, size=n) for n in (2, 5, 0)]
     _, idx, rows = _batch_loss_grad(emb, qtoks, ptoks, tau=0.5)
     assert np.array_equal(idx, np.concatenate(qtoks + ptoks))
     assert rows.shape == (idx.size, 4)
@@ -215,7 +216,7 @@ def test_batch_loss_grad_scatters_every_token_in_row_order():
 # ---------------------------------------------------------------- loss
 
 def test_in_batch_loss_single_pair_exactly_zero():
-    p = init_params(VOCAB, 8, seed=1)
+    p = init_params(8, seed=1)
     pair = TrainPair(Query("q", "some query"), Passage("d", "", "some passage"))
     assert in_batch_loss(p, [pair], tau=0.05) == 0.0
 
@@ -232,7 +233,7 @@ def test_in_batch_loss_two_pair_fixture():
 
 
 def test_in_batch_loss_permutation_invariant():
-    p = init_params(VOCAB, 8, seed=2)
+    p = init_params(8, seed=2)
     words = distinct_words(6)
     batch = [TrainPair(Query(f"q{i}", words[2 * i]), Passage(f"p{i}", "", words[2 * i + 1]))
              for i in range(3)]
@@ -246,7 +247,7 @@ def test_in_batch_loss_bounds():
     for trial in range(10):
         tau = float(rng.uniform(0.05, 1.0))
         n = int(rng.integers(1, 5))
-        p = init_params(VOCAB, 6, seed=trial)
+        p = init_params(6, seed=trial)
         words = distinct_words(2 * n)
         batch = [TrainPair(Query(f"q{i}", words[2 * i]),
                            Passage(f"p{i}", "", words[2 * i + 1]))
@@ -257,7 +258,7 @@ def test_in_batch_loss_bounds():
 
 def test_in_batch_loss_empty_batch_rejected():
     with pytest.raises(ValueError):
-        in_batch_loss(init_params(VOCAB, 4, 0), [], tau=0.05)
+        in_batch_loss(init_params(4, 0), [], tau=0.05)
 
 
 def test_in_batch_gradient_matches_finite_differences():
@@ -266,14 +267,14 @@ def test_in_batch_gradient_matches_finite_differences():
         dim = int(rng.integers(2, 9))
         n = int(rng.integers(2, 5))
         tau = float(rng.uniform(0.2, 1.0))
-        params = init_params(VOCAB, dim, seed=100 + trial)
+        params = init_params(dim, seed=100 + trial)
         params.embeddings = rng.normal(0, 0.5, size=params.embeddings.shape)
         words = distinct_words(2 * n)
         batch = [TrainPair(Query(f"q{i}", f"{words[2 * i]} {words[2 * i + 1]}"),
                            Passage(f"p{i}", "", words[(2 * i + 1) % (2 * n)]))
                  for i in range(n)]
         # the scatter update train_de applies, summed per embedding row
-        qtoks, ptoks = _tokenize_pairs(batch, VOCAB)
+        qtoks, ptoks = _tokenize_pairs(batch)
         _, idx, rows = _batch_loss_grad(params.embeddings, qtoks, ptoks, tau)
         dense = np.zeros_like(params.embeddings)
         np.add.at(dense, idx, rows)
@@ -305,15 +306,15 @@ def _toy_training_pairs(n=24):
 
 def test_train_de_zero_epochs_returns_init_unchanged():
     _, pairs = _toy_training_pairs(8)
-    init = init_params(VOCAB, 8, seed=5)
+    init = init_params(8, seed=5)
     before = init.embeddings.copy()
-    out = train_de(pairs, DeTrainConfig(epochs=0, vocab_size=VOCAB, dim=8, seed=5))
+    out = train_de(pairs, DeTrainConfig(epochs=0, dim=8, seed=5))
     assert np.array_equal(out.embeddings, before)
 
 
 def test_train_de_deterministic():
     _, pairs = _toy_training_pairs(12)
-    cfg = DeTrainConfig(epochs=3, batch_size=4, vocab_size=VOCAB, dim=8, seed=9)
+    cfg = DeTrainConfig(epochs=3, batch_size=4, dim=8, seed=9)
     a = train_de(pairs, cfg)
     b = train_de(pairs, cfg)
     assert np.array_equal(a.embeddings, b.embeddings)
@@ -321,8 +322,8 @@ def test_train_de_deterministic():
 
 def test_train_de_improves_loss():
     _, pairs = _toy_training_pairs(24)
-    cfg = DeTrainConfig(epochs=10, batch_size=8, vocab_size=VOCAB, dim=16, seed=1)
-    init = init_params(VOCAB, 16, seed=1)
+    cfg = DeTrainConfig(epochs=10, batch_size=8, dim=16, seed=1)
+    init = init_params(16, seed=1)
     before = in_batch_loss(init, pairs, cfg.temperature)
     trained = train_de(pairs, cfg, init=init)
     after = in_batch_loss(trained, pairs, cfg.temperature)
@@ -332,10 +333,10 @@ def test_train_de_improves_loss():
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_train_de_stops_on_non_finite_loss():
     _, pairs = _toy_training_pairs(8)
-    init = init_params(VOCAB, 8, seed=5)
+    init = init_params(8, seed=5)
     init.embeddings[:] = np.inf
     with pytest.raises(ValueError, match="epoch 1"):
-        train_de(pairs, DeTrainConfig(epochs=2, vocab_size=VOCAB, dim=8), init=init)
+        train_de(pairs, DeTrainConfig(epochs=2, dim=8), init=init)
 
 
 def test_train_de_converged_run_does_not_warn():
@@ -343,9 +344,9 @@ def test_train_de_converged_run_does_not_warn():
     # order alone moves the epoch mean (here up to ~4e-4 nats either way)
     _, pairs = _toy_training_pairs(12)
     converged = train_de(pairs, DeTrainConfig(epochs=20, batch_size=4,
-                                              vocab_size=VOCAB, dim=8, seed=3))
+                                              dim=8, seed=3))
     for seed in range(4):
-        cfg = DeTrainConfig(epochs=3, batch_size=4, vocab_size=VOCAB, dim=8, seed=seed)
+        cfg = DeTrainConfig(epochs=3, batch_size=4, dim=8, seed=seed)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             train_de(pairs, cfg, init=converged)
@@ -360,9 +361,9 @@ def test_train_de_worse_run_still_warns():
     corpus = Corpus([Passage("da", "", a), Passage("db", "", b)])
     pa = TrainPair(Query("qa", c), corpus.get("da"))
     pb = TrainPair(Query("qb", d), corpus.get("db"))
-    fit = train_de([pa, pb], DeTrainConfig(epochs=50, batch_size=2, vocab_size=VOCAB,
+    fit = train_de([pa, pb], DeTrainConfig(epochs=50, batch_size=2,
                                            dim=8, seed=0))
-    cfg = DeTrainConfig(epochs=2, batch_size=2, learning_rate=1e-9, vocab_size=VOCAB,
+    cfg = DeTrainConfig(epochs=2, batch_size=2, learning_rate=1e-9,
                         dim=8, seed=0)
     with pytest.warns(UserWarning, match=r"did not improve.*final 0\.693147"):
         train_de([pa, pa, pb, pb], cfg, init=fit)
@@ -375,17 +376,17 @@ def test_train_de_empty_pairs_rejected():
 
 def test_train_de_does_not_mutate_init():
     _, pairs = _toy_training_pairs(8)
-    init = init_params(VOCAB, 8, seed=2)
+    init = init_params(8, seed=2)
     snapshot = init.embeddings.copy()
-    train_de(pairs, DeTrainConfig(epochs=2, vocab_size=VOCAB, dim=8, seed=2), init=init)
+    train_de(pairs, DeTrainConfig(epochs=2, dim=8, seed=2), init=init)
     assert np.array_equal(init.embeddings, snapshot)
 
 
 def test_train_de_fresh_init_equals_explicit_seed_init():
     _, pairs = _toy_training_pairs(8)
-    cfg = DeTrainConfig(epochs=2, vocab_size=VOCAB, dim=8, seed=3)
+    cfg = DeTrainConfig(epochs=2, dim=8, seed=3)
     fresh = train_de(pairs, cfg)
-    given = train_de(pairs, cfg, init=init_params(cfg.vocab_size, cfg.dim, cfg.seed))
+    given = train_de(pairs, cfg, init=init_params(cfg.dim, cfg.seed))
     assert fresh.embeddings.tobytes() == given.embeddings.tobytes()
     assert (fresh.dim, fresh.seed) == (given.dim, given.seed)
 
@@ -407,7 +408,7 @@ def _rows(params, corpus):
 
 def test_de_retrieve_single_passage_corpus():
     corpus = Corpus([Passage("only", "", "anything at all")])
-    p = init_params(VOCAB, 8, seed=0)
+    p = init_params(8, seed=0)
     result = de_retrieve(p, corpus, Query("q", "whatever"), 5,
                          passage_matrix=_rows(p, corpus))
     assert [it.passage_id for it in result.items] == ["only"]
@@ -453,16 +454,39 @@ def test_de_retrieve_tie_broken_by_id():
 # ---------------------------------------------------------------- persistence
 
 def test_params_roundtrip_bit_exact(tmp_path):
-    p = init_params(VOCAB, 8, seed=11)
+    p = init_params(8, seed=11)
     path = tmp_path / "de.npz"
     save_params(p, path)
     loaded = load_params(path)
     assert np.array_equal(loaded.embeddings, p.embeddings)
     assert (loaded.dim, loaded.seed) == (p.dim, p.seed)
+    assert loaded.dim == loaded.embeddings.shape[1] == 8
+
+
+def test_dim_is_the_width_of_the_table():
+    p = EncoderParams(np.zeros((VOCAB_SIZE, 4)), seed=0)
+    assert p.dim == 4
+    # the empty query and a real one pool to vectors of one width
+    assert encode(p, ()).shape == encode(p, tokenize("word", 8)).shape == (4,)
+
+
+@pytest.mark.parametrize("load", ["params", "reranker"])
+def test_loaders_reject_a_table_not_sized_by_the_vocabulary(tmp_path, load):
+    from hybridrank.reranker import init_reranker, load_reranker, save_reranker
+    path = tmp_path / f"{load}.npz"
+    if load == "params":
+        save_params(EncoderParams(np.zeros((512, 4)), seed=0), path)
+        loader = load_params
+    else:
+        save_reranker(init_reranker(seed=0, embeddings=np.zeros((512, 4))), path)
+        loader = load_reranker
+    with pytest.raises(ValueError, match=rf"{re.escape(str(path))}.* 512 rows.*"
+                                         rf"VOCAB_SIZE is {VOCAB_SIZE}"):
+        loader(path)
 
 
 def test_params_deterministic_bytes(tmp_path):
-    p = init_params(VOCAB, 8, seed=11)
+    p = init_params(8, seed=11)
     a, b = tmp_path / "a.npz", tmp_path / "b.npz"
     save_params(p, a)
     save_params(p, b)
@@ -472,14 +496,14 @@ def test_params_deterministic_bytes(tmp_path):
 def test_params_format_tag_checked(tmp_path):
     from hybridrank.reranker import init_reranker, save_reranker
     path = tmp_path / "reranker.npz"
-    save_reranker(init_reranker(VOCAB, 4, seed=0), path)
+    save_reranker(init_reranker(4, seed=0), path)
     with pytest.raises(ValueError, match="format"):
         load_params(path)
 
 
 def test_encodings_roundtrip(tmp_path):
     corpus, _ = _toy_training_pairs(6)
-    p = init_params(VOCAB, 8, seed=1)
+    p = init_params(8, seed=1)
     matrix = encode_corpus(p, corpus)
     path = tmp_path / "enc.npz"
     save_encodings(corpus.ids(), matrix, path)

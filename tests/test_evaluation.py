@@ -6,14 +6,10 @@ import pytest
 
 from hybridrank.corpus import QrelSet
 from hybridrank.evaluation import (
-    MetricReport,
     RunFile,
     compute_metric,
     format_metric_table,
-    mrr_at_k,
-    ndcg_at_k,
     read_run,
-    recall_at_k,
     write_run,
 )
 
@@ -27,25 +23,25 @@ def run_of(rankings):
 def test_mrr_relevant_at_rank_one():
     qrels = QrelSet({("q1", "d1"): 1})
     run = run_of({"q1": [("d1", 9.0), ("d2", 8.0)]})
-    assert mrr_at_k(run, qrels, 10).mean == 1.0
+    assert compute_metric(run, qrels, "mrr", 10).mean == 1.0
 
 
 def test_mrr_relevant_at_rank_three():
     qrels = QrelSet({("q1", "d3"): 1})
     run = run_of({"q1": [("d1", 3.0), ("d2", 2.0), ("d3", 1.0)]})
-    assert mrr_at_k(run, qrels, 10).mean == pytest.approx(1 / 3)
+    assert compute_metric(run, qrels, "mrr", 10).mean == pytest.approx(1 / 3)
 
 
 def test_mrr_relevant_beyond_cutoff_scores_zero():
     qrels = QrelSet({("q1", "deep"): 1})
     ranking = [(f"d{i}", float(100 - i)) for i in range(10)] + [("deep", 1.0)]
-    assert mrr_at_k(run_of({"q1": ranking}), qrels, 10).mean == 0.0
+    assert compute_metric(run_of({"q1": ranking}), qrels, "mrr", 10).mean == 0.0
 
 
 def test_mrr_query_missing_from_run_scores_zero():
     qrels = QrelSet({("q1", "d1"): 1, ("q2", "d2"): 1})
     run = run_of({"q1": [("d1", 1.0)]})  # q2 retrieved nothing
-    report = mrr_at_k(run, qrels, 10)
+    report = compute_metric(run, qrels, "mrr", 10)
     assert report.per_query == {"q1": 1.0, "q2": 0.0}
     assert report.mean == 0.5
 
@@ -53,14 +49,14 @@ def test_mrr_query_missing_from_run_scores_zero():
 def test_mrr_unjudged_run_query_excluded_and_reported():
     qrels = QrelSet({("q1", "d1"): 1})
     run = run_of({"q1": [("d1", 2.0)], "stray": [("d9", 1.0)]})
-    report = mrr_at_k(run, qrels, 10)
+    report = compute_metric(run, qrels, "mrr", 10)
     assert report.mean == 1.0
     assert report.excluded == ["stray"]
 
 
 def test_mrr_no_judged_queries_rejected():
     with pytest.raises(ValueError):
-        mrr_at_k(run_of({"q1": [("d1", 1.0)]}), QrelSet({("q1", "d1"): 0}), 10)
+        compute_metric(run_of({"q1": [("d1", 1.0)]}), QrelSet({("q1", "d1"): 0}), "mrr", 10)
 
 
 # ---------------------------------------------------------------- ndcg
@@ -68,19 +64,19 @@ def test_mrr_no_judged_queries_rejected():
 def test_ndcg_single_relevant_at_rank_one():
     qrels = QrelSet({("q1", "d1"): 1})
     run = run_of({"q1": [("d1", 2.0), ("d2", 1.0)]})
-    assert ndcg_at_k(run, qrels, 10).mean == pytest.approx(1.0)
+    assert compute_metric(run, qrels, "ndcg", 10).mean == pytest.approx(1.0)
 
 
 def test_ndcg_single_relevant_at_rank_three():
     qrels = QrelSet({("q1", "d3"): 1})
     run = run_of({"q1": [("d1", 3.0), ("d2", 2.0), ("d3", 1.0)]})
-    assert ndcg_at_k(run, qrels, 10).mean == pytest.approx(0.5)  # 1/log2(4)
+    assert compute_metric(run, qrels, "ndcg", 10).mean == pytest.approx(0.5)  # 1/log2(4)
 
 
 def test_ndcg_two_relevants_perfect_order():
     qrels = QrelSet({("q1", "d1"): 1, ("q1", "d2"): 1})
     run = run_of({"q1": [("d1", 2.0), ("d2", 1.0)]})
-    assert ndcg_at_k(run, qrels, 10).mean == pytest.approx(1.0)
+    assert compute_metric(run, qrels, "ndcg", 10).mean == pytest.approx(1.0)
 
 
 def test_ndcg_graded_ideal_ordering():
@@ -89,14 +85,14 @@ def test_ndcg_graded_ideal_ordering():
     run = run_of({"q1": [("lo", 2.0), ("hi", 1.0)]})
     dcg = 1 / math.log2(2) + 3 / math.log2(3)
     idcg = 3 / math.log2(2) + 1 / math.log2(3)
-    assert ndcg_at_k(run, qrels, 10).mean == pytest.approx(dcg / idcg)
+    assert compute_metric(run, qrels, "ndcg", 10).mean == pytest.approx(dcg / idcg)
 
 
 def test_ndcg_never_exceeds_one():
     qrels = QrelSet({("q1", "a"): 2, ("q1", "b"): 1, ("q2", "c"): 1})
     run = run_of({"q1": [("a", 3.0), ("b", 2.0), ("x", 1.0)],
                   "q2": [("y", 2.0), ("c", 1.0)]})
-    report = ndcg_at_k(run, qrels, 10)
+    report = compute_metric(run, qrels, "ndcg", 10)
     assert all(v <= 1.0 + 1e-12 for v in report.per_query.values())
 
 
@@ -122,7 +118,7 @@ def test_ndcg_bits_equal_the_per_rank_sum():
                          ("w", 4.0), ("b", 3.0), ("far", 2.0)],
                   "q2": [("z1", 2.0), ("u", 1.5), ("d", 1.0)]})
     for k in (1, 2, 5, 7, 10):
-        report = ndcg_at_k(run, qrels, k)
+        report = compute_metric(run, qrels, "ndcg", k)
         assert (report.per_query, report.mean) == _ndcg_per_rank(run, qrels, k)
 
 
@@ -131,26 +127,26 @@ def test_ndcg_bits_equal_the_per_rank_sum():
 def test_recall_all_found():
     qrels = QrelSet({("q1", f"d{i}"): 1 for i in range(3)})
     run = run_of({"q1": [(f"d{i}", float(9 - i)) for i in range(3)]})
-    assert recall_at_k(run, qrels, 100).mean == 1.0
+    assert compute_metric(run, qrels, "recall", 100).mean == 1.0
 
 
 def test_recall_half_found():
     qrels = QrelSet({("q1", f"d{i}"): 1 for i in range(4)})
     run = run_of({"q1": [("d0", 3.0), ("d1", 2.0), ("x", 1.0)]})
-    assert recall_at_k(run, qrels, 100).mean == 0.5
+    assert compute_metric(run, qrels, "recall", 100).mean == 0.5
 
 
 def test_recall_none_found():
     qrels = QrelSet({("q1", "d1"): 1})
     run = run_of({"q1": [("x", 2.0), ("y", 1.0)]})
-    assert recall_at_k(run, qrels, 100).mean == 0.0
+    assert compute_metric(run, qrels, "recall", 100).mean == 0.0
 
 
 def test_recall_respects_cutoff():
     qrels = QrelSet({("q1", "deep"): 1})
     ranking = [(f"d{i}", float(10 - i)) for i in range(5)] + [("deep", 0.5)]
-    assert recall_at_k(run_of({"q1": ranking}), qrels, 5).mean == 0.0
-    assert recall_at_k(run_of({"q1": ranking}), qrels, 6).mean == 1.0
+    assert compute_metric(run_of({"q1": ranking}), qrels, "recall", 5).mean == 0.0
+    assert compute_metric(run_of({"q1": ranking}), qrels, "recall", 6).mean == 1.0
 
 
 # ---------------------------------------------------------------- shared properties
@@ -169,7 +165,7 @@ def test_metrics_invariant_to_grade_zero_judgments():
 def test_oracle_ordering_achieves_perfect_ndcg():
     qrels = QrelSet({("q1", "a"): 3, ("q1", "b"): 2, ("q1", "c"): 1})
     run = run_of({"q1": [("a", 3.0), ("b", 2.0), ("c", 1.0)]})
-    assert ndcg_at_k(run, qrels, 10).mean == pytest.approx(1.0)
+    assert compute_metric(run, qrels, "ndcg", 10).mean == pytest.approx(1.0)
 
 
 def test_five_query_hand_fixture():
@@ -187,29 +183,23 @@ def test_five_query_hand_fixture():
         "q4": [("x", 5.0)],                              # miss
         # q5 absent from the run entirely
     })
-    mrr = mrr_at_k(run, qrels, 10)
+    mrr = compute_metric(run, qrels, "mrr", 10)
     assert mrr.per_query == {"q1": 1.0, "q2": pytest.approx(1 / 3), "q3": 1.0,
                              "q4": 0.0, "q5": 0.0}
     assert mrr.mean == pytest.approx((1 + 1 / 3 + 1 + 0 + 0) / 5, abs=1e-9)
 
-    ndcg = ndcg_at_k(run, qrels, 10)
+    ndcg = compute_metric(run, qrels, "ndcg", 10)
     q3 = (1 / math.log2(2) + 2 / math.log2(3)) / (2 / math.log2(2) + 1 / math.log2(3))
     assert ndcg.per_query["q3"] == pytest.approx(q3, abs=1e-9)
     assert ndcg.mean == pytest.approx((1.0 + 0.5 + q3 + 0.0 + 0.0) / 5, abs=1e-9)
 
-    recall = recall_at_k(run, qrels, 100)
+    recall = compute_metric(run, qrels, "recall", 100)
     assert recall.mean == pytest.approx((1 + 1 + 1 + 0 + 0) / 5, abs=1e-9)
 
 
 def test_compute_metric_unknown_id():
     with pytest.raises(ValueError, match="unknown metric"):
         compute_metric(run_of({}), QrelSet({("q", "d"): 1}), "map", 10)
-
-
-def test_metric_report_json():
-    report = MetricReport("mrr", 10, {"q1": 1.0}, 1.0, excluded=["s"])
-    text = report.to_json()
-    assert '"mean": 1.0' in text and '"num_excluded": 1' in text
 
 
 # ---------------------------------------------------------------- run files

@@ -8,7 +8,7 @@ import pytest
 
 import hybridrank.hybrid
 from hybridrank.bm25 import Bm25Index, dot, encode_passage, encode_query
-from hybridrank.corpus import Corpus, Passage, QrelSet, Query, passage_tokens, \
+from hybridrank.corpus import VOCAB_SIZE, Corpus, Passage, QrelSet, Query, passage_tokens, \
     query_tokens, tokenize
 from hybridrank.dense import EncoderParams, cosine, de_retrieve, encode, encode_corpus, \
     init_params, normalize_rows
@@ -24,7 +24,6 @@ from hybridrank.hybrid import (
 )
 from hybridrank.results import ranked_list, top_k_order
 
-VOCAB = 512
 
 
 def _distinct_words(n):
@@ -32,7 +31,7 @@ def _distinct_words(n):
     i = 0
     while len(words) < n:
         w = f"tok{i}"
-        t = tokenize(w, VOCAB, 4)[0]
+        t = tokenize(w, 4)[0]
         if t not in seen:
             seen.add(t)
             words.append(w)
@@ -43,7 +42,7 @@ def _distinct_words(n):
 def _index(corpus, encoder, lam):
     """A hybrid index over ``corpus`` the way the pipeline builds one."""
     rows = normalize_rows(encode_corpus(encoder, corpus))
-    return HybridIndex(Bm25Index(corpus, vocab_size=VOCAB), encoder, rows, lam)
+    return HybridIndex(Bm25Index(corpus), encoder, rows, lam)
 
 
 def _bm25_list(index, query, k):
@@ -56,7 +55,7 @@ def _random_setup(seed, n_passages=30):
     texts = [" ".join(rng.choice(words, size=rng.integers(3, 10)))
              for _ in range(n_passages)]
     corpus = Corpus([Passage(f"d{i:03d}", "", t) for i, t in enumerate(texts)])
-    encoder = init_params(VOCAB, 8, seed=seed)
+    encoder = init_params(8, seed=seed)
     index = _index(corpus, encoder, 2.0)
     queries = [Query(f"q{i}", " ".join(rng.choice(words, size=3))) for i in range(8)]
     return corpus, encoder, index, queries
@@ -78,12 +77,12 @@ def _fused_scores(index, query):
 def test_hybrid_score_decomposition_identity():
     corpus, encoder, index, queries = _random_setup(0)
     for q in queries:
-        qvec = encode_query(q, VOCAB)
-        qdense = encode(encoder, query_tokens(q, VOCAB))
+        qvec = encode_query(q)
+        qdense = encode(encoder, query_tokens(q))
         fused = _fused_scores(index, q)
         for p in corpus:
             pvec = encode_passage(p, index.bm25.stats, index.bm25.params)
-            pdense = encode(encoder, passage_tokens(p, VOCAB))
+            pdense = encode(encoder, passage_tokens(p))
             expected = dot(qvec, pvec) + index.lam * cosine(qdense, pdense)
             assert abs(fused[p.id] - expected) <= 1e-9
 
@@ -92,15 +91,15 @@ def test_hybrid_score_direct_sum_example():
     # bm25 dot 3.0, cosine 0.5, lam 2 -> 4.0, assembled from synthetic components
     a, b = _distinct_words(2)
     corpus = Corpus([Passage("p", "", f"{a} {b}")])
-    emb = np.zeros((VOCAB, 2))
-    emb[tokenize(a, VOCAB, 4)[0]] = [1.0, 0.0]
-    emb[tokenize(b, VOCAB, 4)[0]] = [0.0, 1.0]
-    encoder = EncoderParams(embeddings=emb, dim=2, seed=0)
+    emb = np.zeros((VOCAB_SIZE, 2))
+    emb[tokenize(a, 4)[0]] = [1.0, 0.0]
+    emb[tokenize(b, 4)[0]] = [0.0, 1.0]
+    encoder = EncoderParams(embeddings=emb, seed=0)
     index = _index(corpus, encoder, 2.0)
     q = Query("q", a)
     bm25_part = index.bm25.scores(q)
-    cos_part = cosine(encode(encoder, query_tokens(q, VOCAB)),
-                      encode(encoder, passage_tokens(corpus[0], VOCAB)))
+    cos_part = cosine(encode(encoder, query_tokens(q)),
+                      encode(encoder, passage_tokens(corpus[0])))
     expected = float(bm25_part[0]) + 2.0 * cos_part
     assert _fused_scores(index, q)["p"] == pytest.approx(expected, abs=1e-12)
 
@@ -150,11 +149,11 @@ def test_hybrid_retrieve_three_passage_construction():
         Passage("semantic", "", sem),                        # embedding match only
         Passage("balanced", "", f"{probe} {sem} {lex}"),     # some of both
     ])
-    emb = np.zeros((VOCAB, 2))  # probe embeds to zero
-    emb[tokenize(lex, VOCAB, 4)[0]] = [0.5, 0.0]
-    emb[tokenize(sem, VOCAB, 4)[0]] = [0.0, 1.0]
-    emb[tokenize(qsem, VOCAB, 4)[0]] = [0.0, 1.0]
-    encoder = EncoderParams(embeddings=emb, dim=2, seed=0)
+    emb = np.zeros((VOCAB_SIZE, 2))  # probe embeds to zero
+    emb[tokenize(lex, 4)[0]] = [0.5, 0.0]
+    emb[tokenize(sem, 4)[0]] = [0.0, 1.0]
+    emb[tokenize(qsem, 4)[0]] = [0.0, 1.0]
+    encoder = EncoderParams(embeddings=emb, seed=0)
     # query shares only the probe token and points at the semantic axis
     q = Query("q", f"{probe} {qsem}")
     lam = 2.0
@@ -180,17 +179,17 @@ def test_hybrid_retrieve_matches_materialized_concatenation():
     for lam in (0.0, 1.0, 600.0):
         idx = index.with_lambda(lam)
         # materialize [sparse | dense] per passage; dense rows are unit norm
-        mats = np.zeros((n, VOCAB + encoder.dim))
+        mats = np.zeros((n, VOCAB_SIZE + encoder.dim))
         for i, p in enumerate(corpus):
             for t, w in encode_passage(p, idx.bm25.stats, idx.bm25.params).items():
                 mats[i, t] = w
-            mats[i, VOCAB:] = idx.dense_rows[i]
+            mats[i, VOCAB_SIZE:] = idx.dense_rows[i]
         for q in queries:
-            qcat = np.zeros(VOCAB + encoder.dim)
-            for t, w in encode_query(q, VOCAB).items():
+            qcat = np.zeros(VOCAB_SIZE + encoder.dim)
+            for t, w in encode_query(q).items():
                 qcat[t] = w
-            qdense = encode(encoder, query_tokens(q, VOCAB))
-            qcat[VOCAB:] = lam * qdense / np.linalg.norm(qdense)
+            qdense = encode(encoder, query_tokens(q))
+            qcat[VOCAB_SIZE:] = lam * qdense / np.linalg.norm(qdense)
             brute = mats @ qcat
             got = hybrid_retrieve(idx, q, 10)
             pos = {pid: i for i, pid in enumerate(idx.ids)}
@@ -204,11 +203,11 @@ def test_rank_monotonicity_equal_bm25():
     """With equal BM25 scores the higher-cosine passage wins for any lam > 0."""
     a, b, c = _distinct_words(3)
     corpus = Corpus([Passage("near", "", f"{a} {b}"), Passage("far", "", f"{a} {c}")])
-    emb = np.zeros((VOCAB, 2))
-    emb[tokenize(a, VOCAB, 4)[0]] = [1.0, 0.0]
-    emb[tokenize(b, VOCAB, 4)[0]] = [1.0, 0.2]
-    emb[tokenize(c, VOCAB, 4)[0]] = [-1.0, 0.0]
-    encoder = EncoderParams(embeddings=emb, dim=2, seed=0)
+    emb = np.zeros((VOCAB_SIZE, 2))
+    emb[tokenize(a, 4)[0]] = [1.0, 0.0]
+    emb[tokenize(b, 4)[0]] = [1.0, 0.2]
+    emb[tokenize(c, 4)[0]] = [-1.0, 0.0]
+    encoder = EncoderParams(embeddings=emb, seed=0)
     q = Query("q", a)
     for lam in (0.5, 10.0, 1e4):
         index = _index(corpus, encoder, lam)
@@ -229,7 +228,7 @@ def test_tune_lambda_single_value_grid():
 
 def test_tune_lambda_all_zero_dense_ties_to_smallest():
     corpus, _, _, queries = _random_setup(7)
-    encoder = EncoderParams(embeddings=np.zeros((VOCAB, 4)), dim=4, seed=0)
+    encoder = EncoderParams(embeddings=np.zeros((VOCAB_SIZE, 4)), seed=0)
     index = _index(corpus, encoder, 1.0)
     qrels = QrelSet({(q.id, corpus.ids()[i]): 1 for i, q in enumerate(queries)})
     assert tune_lambda(index, queries, qrels, grid=(300.0, 50.0, 150.0)) == 50.0
@@ -242,31 +241,31 @@ def test_tune_lambda_beats_endpoints_when_both_channels_matter():
     passages = []
     qrels = QrelSet()
     queries = []
-    emb = np.zeros((VOCAB, 4))
+    emb = np.zeros((VOCAB_SIZE, 4))
     for i, w in enumerate(words[:20]):
-        emb[tokenize(w, VOCAB, 4)[0]] = rng.normal(size=4)
+        emb[tokenize(w, 4)[0]] = rng.normal(size=4)
     for i in range(10):
         w_doc, w_syn = words[2 * i], words[2 * i + 1]
         # make the synonym's embedding close to the document word's
-        t_doc = tokenize(w_doc, VOCAB, 4)[0]
-        t_syn = tokenize(w_syn, VOCAB, 4)[0]
+        t_doc = tokenize(w_doc, 4)[0]
+        t_syn = tokenize(w_syn, 4)[0]
         emb[t_syn] = emb[t_doc] + rng.normal(scale=0.05, size=4)
         passages.append(Passage(f"d{i}", "", f"{w_doc} filler{i} extra{i}"))
         qtext = w_doc if i % 2 == 0 else w_syn
         queries.append(Query(f"q{i}", qtext))
         qrels.set(f"q{i}", f"d{i}", 1)
     corpus = Corpus(passages)
-    encoder = EncoderParams(embeddings=emb, dim=4, seed=0)
+    encoder = EncoderParams(embeddings=emb, seed=0)
     index = _index(corpus, encoder, 1.0)
     grid = (0.0, 0.5, 1.0, 2.0, 4.0, 8.0)
     best = tune_lambda(index, queries, qrels, grid=grid)
 
     def mean_mrr(lam):
-        from hybridrank.evaluation import RunFile, mrr_at_k
+        from hybridrank.evaluation import RunFile, compute_metric
         rankings = {q.id: [(it.passage_id, it.score)
                            for it in hybrid_retrieve(index.with_lambda(lam), q, 10).items]
                     for q in queries}
-        return mrr_at_k(RunFile("t", rankings), qrels, 10).mean
+        return compute_metric(RunFile("t", rankings), qrels, "mrr", 10).mean
 
     assert mean_mrr(best) >= mean_mrr(grid[0]) - 1e-12
     assert mean_mrr(best) >= mean_mrr(grid[-1]) - 1e-12
@@ -275,7 +274,7 @@ def test_tune_lambda_beats_endpoints_when_both_channels_matter():
 def _tune_lambda_per_lambda(index, queries, qrels, grid, cutoff=10):
     """Oracle for tune_lambda: a full hybrid_retrieve per weight, mean MRR on
     the tuned queries' judgments, exact ties to the smallest weight."""
-    from hybridrank.evaluation import RunFile, mrr_at_k
+    from hybridrank.evaluation import RunFile, compute_metric
     wanted = {q.id for q in queries}
     subset = QrelSet({key: g for key, g in qrels.judgments.items() if key[0] in wanted})
     best_lam, best_mean = None, -1.0
@@ -283,7 +282,7 @@ def _tune_lambda_per_lambda(index, queries, qrels, grid, cutoff=10):
         rankings = {q.id: [(it.passage_id, it.score) for it in
                            hybrid_retrieve(index.with_lambda(lam), q, cutoff).items]
                     for q in queries}
-        mean = mrr_at_k(RunFile("t", rankings), subset, cutoff).mean
+        mean = compute_metric(RunFile("t", rankings), subset, "mrr", cutoff).mean
         if best_lam is None or mean > best_mean:
             best_lam, best_mean = lam, mean
     return best_lam
@@ -309,10 +308,10 @@ def test_tune_lambda_streamed_agrees_with_per_lambda_retrieval_on_tie_heavy_grid
         rng = np.random.default_rng(seed)
         corpus = Corpus([Passage(f"d{j:03d}", "", texts[int(rng.integers(4))])
                          for j in rng.permutation(40)])
-        emb = np.zeros((VOCAB, 4))
+        emb = np.zeros((VOCAB_SIZE, 4))
         for w in rng.choice(words, size=3, replace=False):
-            emb[tokenize(w, VOCAB, 4)[0]] = rng.choice([-1.0, 1.0], size=4)
-        encoder = EncoderParams(embeddings=emb, dim=4, seed=0)
+            emb[tokenize(w, 4)[0]] = rng.choice([-1.0, 1.0], size=4)
+        encoder = EncoderParams(embeddings=emb, seed=0)
         index = _index(corpus, encoder, 0.0)
         queries = [Query(f"q{i}", " ".join(rng.choice(words, size=2))) for i in range(8)]
         ids = corpus.ids()
@@ -489,8 +488,8 @@ def test_tune_lambda_rejects_non_finite_weights(bad):
 def test_tune_lambda_stops_at_a_non_finite_cosine_naming_the_query():
     corpus, encoder, _, queries = _random_setup(21)
     emb = encoder.embeddings.copy()
-    emb[tokenize("zzzunseen", VOCAB, 4)[0]] = np.nan
-    index = _index(corpus, EncoderParams(emb, 8, 0), 1.0)
+    emb[tokenize("zzzunseen", 4)[0]] = np.nan
+    index = _index(corpus, EncoderParams(emb, 0), 1.0)
     queries = queries + [Query("qnan", queries[0].text + " zzzunseen")]
     qrels = QrelSet({(q.id, corpus.ids()[i]): 1 for i, q in enumerate(queries)})
     with pytest.raises(ValueError, match="'qnan'.*not finite"):

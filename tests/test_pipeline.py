@@ -308,7 +308,7 @@ def test_non_finite_cosine_stops_at_tune_lambda(data_dir, tmp_path, monkeypatch)
     def nan_row(pairs, config):
         params = trained(pairs, config)
         emb = params.embeddings.copy()
-        emb[tokenize("zzzunseen", params.vocab_size, 4)[0]] = np.nan
+        emb[tokenize("zzzunseen", 4)[0]] = np.nan
         return dataclasses.replace(params, embeddings=emb)
 
     monkeypatch.setattr(pipeline, "train_de", nan_row)

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from hybridrank.corpus import Corpus, Passage, Query, passage_tokens, query_tokens, tokenize
+from hybridrank.corpus import VOCAB_SIZE, Corpus, Passage, Query, passage_tokens, query_tokens, \
+    tokenize
 from hybridrank.dense import DeTrainConfig, EncoderParams, cosine, encode, init_params
 from hybridrank.qgen import (
     QgenConfig,
@@ -15,7 +16,6 @@ from hybridrank.qgen import (
     split_sentences,
 )
 
-VOCAB = 512
 
 
 def _distinct_words(n):
@@ -23,7 +23,7 @@ def _distinct_words(n):
     i = 0
     while len(words) < n:
         w = f"tok{i}"
-        t = tokenize(w, VOCAB, 4)[0]
+        t = tokenize(w, 4)[0]
         if t not in seen:
             seen.add(t)
             words.append(w)
@@ -142,18 +142,18 @@ def test_sample_corpus_n_too_large_returns_whole():
 def _embedding_corpus():
     """Two passages with controlled embeddings: w_a -> axis 0, w_b -> axis 1."""
     a, b, c = _distinct_words(3)
-    emb = np.zeros((VOCAB, 2))
-    emb[tokenize(a, VOCAB, 4)[0]] = [1.0, 0.0]
-    emb[tokenize(b, VOCAB, 4)[0]] = [0.0, 1.0]
-    emb[tokenize(c, VOCAB, 4)[0]] = [1.0, 0.1]
+    emb = np.zeros((VOCAB_SIZE, 2))
+    emb[tokenize(a, 4)[0]] = [1.0, 0.0]
+    emb[tokenize(b, 4)[0]] = [0.0, 1.0]
+    emb[tokenize(c, 4)[0]] = [1.0, 0.1]
     corpus = Corpus([Passage("pa", "", a), Passage("pb", "", b)])
-    de = EncoderParams(embeddings=emb, dim=2, seed=0)
+    de = EncoderParams(embeddings=emb, seed=0)
     return corpus, de, (a, b, c)
 
 
 def test_filter_single_passage_keeps_all():
     corpus = Corpus([Passage("solo", "", "just one passage")])
-    de = init_params(VOCAB, 4, seed=0)
+    de = init_params(4, seed=0)
     pairs = [SyntheticPair(Query("q0", "whatever text"), "solo")]
     assert round_trip_filter(pairs, de, corpus) == pairs
 
@@ -170,11 +170,11 @@ def test_filter_source_must_win_ties():
     # query equidistant from both passages: tie goes to ascending id "pa",
     # so a pair claiming "pb" is dropped even though it ties for 1-NN
     a, b = _distinct_words(2)
-    emb = np.zeros((VOCAB, 2))
-    emb[tokenize(a, VOCAB, 4)[0]] = [1.0, 0.0]
-    emb[tokenize(b, VOCAB, 4)[0]] = [1.0, 0.0]
+    emb = np.zeros((VOCAB_SIZE, 2))
+    emb[tokenize(a, 4)[0]] = [1.0, 0.0]
+    emb[tokenize(b, 4)[0]] = [1.0, 0.0]
     corpus = Corpus([Passage("pa", "", a), Passage("pb", "", b)])
-    de = EncoderParams(embeddings=emb, dim=2, seed=0)
+    de = EncoderParams(embeddings=emb, seed=0)
     claims_pb = SyntheticPair(Query("q", a), "pb")
     claims_pa = SyntheticPair(Query("q2", a), "pa")
     assert round_trip_filter([claims_pb, claims_pa], de, corpus) == [claims_pa]
@@ -185,7 +185,7 @@ def test_filter_subset_order_and_idempotence():
     words = _distinct_words(24)
     corpus = Corpus([Passage(f"d{i}", "", " ".join(words[3 * i: 3 * i + 3]))
                      for i in range(8)])
-    de = init_params(VOCAB, 8, seed=1)
+    de = init_params(8, seed=1)
     pairs = [SyntheticPair(Query(f"q{i}", " ".join(rng.choice(words, size=2))),
                            f"d{i % 8}") for i in range(20)]
     once = round_trip_filter(pairs, de, corpus)
@@ -199,13 +199,13 @@ def test_filter_survivors_validated_by_exhaustive_oracle():
     words = _distinct_words(30)
     corpus = Corpus([Passage(f"d{i}", "", " ".join(words[3 * i: 3 * i + 3]))
                      for i in range(10)])
-    de = init_params(VOCAB, 6, seed=2)
+    de = init_params(6, seed=2)
     pairs = [SyntheticPair(Query(f"q{i}", " ".join(rng.choice(words, size=3))),
                            f"d{i % 10}") for i in range(30)]
     kept = set(p.query.id for p in round_trip_filter(pairs, de, corpus))
     for pair in pairs:
-        qvec = encode(de, query_tokens(pair.query, VOCAB))
-        sims = [(cosine(qvec, encode(de, passage_tokens(p, VOCAB))), p.id)
+        qvec = encode(de, query_tokens(pair.query))
+        sims = [(cosine(qvec, encode(de, passage_tokens(p))), p.id)
                 for p in corpus]
         best = max(sims, key=lambda t: (t[0], [-ord(ch) for ch in t[1]]))
         # oracle: max cosine, ties to ascending id
@@ -227,7 +227,7 @@ def _sentence_corpus(n=16):
 def test_iterative_train_zero_finetune_keeps_de0():
     corpus = _sentence_corpus(8)
     gen = QgenConfig(mode="sentence", max_per_passage=1, seed=0, fine_tune_epochs=0)
-    de = DeTrainConfig(epochs=2, batch_size=4, vocab_size=VOCAB, dim=8, seed=3)
+    de = DeTrainConfig(epochs=2, batch_size=4, dim=8, seed=3)
     de0, de1, report = iterative_train(corpus, gen, de)
     assert np.array_equal(de0.embeddings, de1.embeddings)
 
@@ -235,7 +235,7 @@ def test_iterative_train_zero_finetune_keeps_de0():
 def test_iterative_train_report_counts():
     corpus = _sentence_corpus(12)
     gen = QgenConfig(mode="sentence", max_per_passage=1, seed=0)
-    de = DeTrainConfig(epochs=3, batch_size=4, vocab_size=VOCAB, dim=8, seed=3)
+    de = DeTrainConfig(epochs=3, batch_size=4, dim=8, seed=3)
     de0, de1, report = iterative_train(corpus, gen, de)
     assert report["before"] == 12
     assert 0 < report["after"] <= report["before"]

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hybridrank.corpus import Corpus, Passage, QrelSet, Query, tokenize
+from hybridrank.corpus import VOCAB_SIZE, Corpus, Passage, QrelSet, Query, tokenize
 from hybridrank import reranker
 from hybridrank.evaluation import RunFile
 from hybridrank.reranker import (
@@ -30,17 +30,16 @@ from hybridrank.reranker import (
     train_reranker,
 )
 
-VOCAB = 512
 DIM = 8
 
 
 def _tok(text, max_length=64):
-    return tokenize(text, VOCAB, max_length)
+    return tokenize(text, max_length)
 
 
 def _zero_params(bias=0.0):
     return RerankerParams(
-        embeddings=np.zeros((VOCAB, DIM)), w_q=np.zeros((DIM, DIM)),
+        embeddings=np.zeros((VOCAB_SIZE, DIM)), w_q=np.zeros((DIM, DIM)),
         w_k=np.zeros((DIM, DIM)), w_v=np.zeros((DIM, DIM)),
         readout=np.zeros(DIM), bias=bias, seed=0)
 
@@ -48,7 +47,7 @@ def _zero_params(bias=0.0):
 def _random_params(seed=0):
     rng = np.random.default_rng(seed)
     return RerankerParams(
-        embeddings=rng.normal(0, 0.3, size=(VOCAB, DIM)),
+        embeddings=rng.normal(0, 0.3, size=(VOCAB_SIZE, DIM)),
         w_q=rng.normal(0, 0.3, size=(DIM, DIM)),
         w_k=rng.normal(0, 0.3, size=(DIM, DIM)),
         w_v=rng.normal(0, 0.3, size=(DIM, DIM)),
@@ -368,7 +367,7 @@ def _dense_forward_list(params, qtok, pidx, pmask):
 
 def _dense_list_loss_grad(params, qtok, pidx, pmask, labels):
     """Per-position reference loss and gradients for one list; the embedding
-    gradient is dense, (vocab, d)."""
+    gradient is dense, (VOCAB_SIZE, d)."""
     scores, (e_q, q, e_p, k, v, a, pooled) = _dense_forward_list(
         params, qtok, pidx, pmask)
     loss, g = listwise_loss_grad(scores, labels)
@@ -407,7 +406,7 @@ def test_full_objective_gradient_matches_finite_differences():
 def _check_gradient_by_finite_differences(n_lists):
     corpus, queries, lists = _toy_corpus_and_lists(n_lists=max(2, n_lists), seed=3)
     params = _random_params(7)
-    batches = _prepare_lists(lists, queries, corpus, VOCAB)[:n_lists]
+    batches = _prepare_lists(lists, queries, corpus)[:n_lists]
     stacked = _stack_lists(batches)
     _, grads = _batch_loss_grad(params, *stacked)
     h = 1e-4
@@ -486,7 +485,7 @@ def _token_sharing_batches():
 
 def _toy_batches():
     corpus, queries, lists = _toy_corpus_and_lists(n_lists=6, n_items=5, seed=5)
-    return _prepare_lists(lists, queries, corpus, VOCAB)
+    return _prepare_lists(lists, queries, corpus)
 
 
 def test_batched_gradient_equals_per_list_sum():
@@ -531,7 +530,7 @@ def test_scores_equal_dense_reference():
 
 def test_train_zero_steps_returns_init_unchanged():
     corpus, queries, lists = _toy_corpus_and_lists()
-    init = init_reranker(VOCAB, DIM, seed=3)
+    init = init_reranker(DIM, seed=3)
     cfg = RerankTrainConfig(steps=0, seed=3)
     out = train_reranker(lists, queries, corpus, cfg, init=init)
     assert np.array_equal(out.embeddings, init.embeddings)
@@ -549,7 +548,7 @@ def test_one_training_step_is_sgd_on_the_reference_gradient():
     cfg = RerankTrainConfig(steps=1, batch_size=4, learning_rate=lr, seed=5)
     out = train_reranker(lists, queries, corpus, cfg, init=init)
     acc = None
-    for b in _prepare_lists(lists, queries, corpus, VOCAB):
+    for b in _prepare_lists(lists, queries, corpus):
         _, g = _dense_list_loss_grad(init, b.qtok, b.pidx, b.pmask, b.labels)
         acc = g if acc is None else {k: acc[k] + g[k] for k in acc}
     for name, key in (("embeddings", "emb"), ("w_q", "w_q"), ("w_k", "w_k"),
@@ -565,8 +564,8 @@ def test_one_training_step_is_sgd_on_the_reference_gradient():
 def test_train_deterministic():
     corpus, queries, lists = _toy_corpus_and_lists()
     cfg = RerankTrainConfig(steps=40, batch_size=2, learning_rate=0.05, seed=4)
-    a = train_reranker(lists, queries, corpus, cfg, init=init_reranker(VOCAB, DIM, seed=4))
-    b = train_reranker(lists, queries, corpus, cfg, init=init_reranker(VOCAB, DIM, seed=4))
+    a = train_reranker(lists, queries, corpus, cfg, init=init_reranker(DIM, seed=4))
+    b = train_reranker(lists, queries, corpus, cfg, init=init_reranker(DIM, seed=4))
     for name in ("embeddings", "w_q", "w_k", "w_v", "readout"):
         assert np.array_equal(getattr(a, name), getattr(b, name))
     assert a.bias == b.bias
@@ -602,7 +601,7 @@ def test_train_equals_stacking_each_step():
     init = _random_params(4)
     out = train_reranker(lists, queries, corpus, cfg, init=init)
 
-    batches = _prepare_lists(lists, queries, corpus, VOCAB)
+    batches = _prepare_lists(lists, queries, corpus)
     assert len({(b.qtok.size, *b.pidx.shape) for b in batches}) > 3
     rng = np.random.default_rng(cfg.seed)
     order = rng.permutation(len(batches))
@@ -630,7 +629,7 @@ def test_train_equals_stacking_each_step():
 
 def _train_full_table(lists, queries, corpus, cfg, init):
     """train_reranker's SGD loop over the whole float32 embedding table."""
-    batches = _prepare_lists(lists, queries, corpus, init.vocab_size)
+    batches = _prepare_lists(lists, queries, corpus)
     rng = np.random.default_rng(cfg.seed)
     order = rng.permutation(len(batches))
     cursor = 0
@@ -660,10 +659,10 @@ def test_train_leaves_unused_rows_at_their_float32_rounding():
     rounded = init.embeddings.astype(np.float32).astype(np.float64)
     # ids of the lists' real tokens, and rows neither they nor padding use
     used = np.unique(np.concatenate(
-        [t for b in _prepare_lists(lists, queries, corpus, VOCAB)
+        [t for b in _prepare_lists(lists, queries, corpus)
          for t in (b.qtok, b.pidx[b.pmask])]))
-    unused = np.setdiff1d(np.arange(VOCAB), np.append(used, 0))
-    assert unused.size > VOCAB // 2
+    unused = np.setdiff1d(np.arange(VOCAB_SIZE), np.append(used, 0))
+    assert unused.size > VOCAB_SIZE // 2
     assert np.array_equal(out.embeddings[unused], rounded[unused])
     assert not np.array_equal(out.embeddings[used], rounded[used])
 
@@ -688,7 +687,7 @@ def _unpadded_corpus_and_lists(seed=0):
 def test_train_without_padding_or_id_zero_equals_full_table():
     corpus, queries, lists = _unpadded_corpus_and_lists(seed=3)
     qidx, qmask, pidx, pmask, imask, _ = _stack_lists(
-        _prepare_lists(lists, queries, corpus, VOCAB))
+        _prepare_lists(lists, queries, corpus))
     assert qmask.all() and pmask.all() and imask.all()
     assert 0 not in qidx and 0 not in pidx
     cfg = RerankTrainConfig(steps=9, batch_size=2, learning_rate=0.3, seed=6)
@@ -707,7 +706,7 @@ def test_train_traced_peak_stays_near_one_table():
     # allocation; no full float32 copy of init is made
     corpus, queries, lists = _toy_corpus_and_lists()
     init = init_reranker(seed=1)
-    corpus.token_store(init.vocab_size)
+    corpus.token_store()
     cfg = RerankTrainConfig(steps=3, batch_size=2, seed=1)
     tracemalloc.start()
     try:
@@ -737,7 +736,7 @@ def test_train_steps_keep_their_own_batch_shapes(monkeypatch):
     real = reranker._batch_loss_grad
     monkeypatch.setattr(reranker, "_batch_loss_grad", recording)
     cfg = RerankTrainConfig(steps=24, batch_size=2, seed=3)
-    train_reranker(lists, queries, corpus, cfg, init=init_reranker(VOCAB, DIM, seed=3))
+    train_reranker(lists, queries, corpus, cfg, init=init_reranker(DIM, seed=3))
     assert len(shapes) == 24
     for q_shape, p_shape, l_shape, q_max, p_max, l_max in shapes:
         assert (q_shape, p_shape, l_shape) == (q_max, p_max, l_max)
@@ -749,7 +748,7 @@ def test_train_steps_keep_their_own_batch_shapes(monkeypatch):
 def _mean_list_loss(params, lists, queries, corpus):
     """Mean listwise loss over the lists under fixed parameters, one list at a time."""
     total = 0.0
-    for b in _prepare_lists(lists, queries, corpus, VOCAB):
+    for b in _prepare_lists(lists, queries, corpus):
         qidx, qmask, pidx, pmask, _, labels = _stack_lists([b])
         scores, _ = _forward(params, qidx, qmask, pidx, pmask)
         total += listwise_loss(scores[0], labels[0])
@@ -758,7 +757,7 @@ def _mean_list_loss(params, lists, queries, corpus):
 
 def test_train_reduces_loss():
     corpus, queries, lists = _toy_corpus_and_lists(n_lists=8, n_items=5, seed=2)
-    init = init_reranker(VOCAB, DIM, seed=0)
+    init = init_reranker(DIM, seed=0)
     before = _mean_list_loss(init, lists, queries, corpus)
     cfg = RerankTrainConfig(steps=150, batch_size=4, learning_rate=0.05, seed=0)
     trained = train_reranker(lists, queries, corpus, cfg, init=init)
@@ -768,7 +767,7 @@ def test_train_reduces_loss():
 
 def test_train_does_not_mutate_init():
     corpus, queries, lists = _toy_corpus_and_lists()
-    init = init_reranker(VOCAB, DIM, seed=6)
+    init = init_reranker(DIM, seed=6)
     snap = init.embeddings.copy()
     train_reranker(lists, queries, corpus, RerankTrainConfig(steps=10), init=init)
     assert np.array_equal(init.embeddings, snap)
@@ -778,14 +777,14 @@ def test_train_output_is_float64():
     corpus, queries, lists = _toy_corpus_and_lists()
     cfg = RerankTrainConfig(steps=5, seed=1)
     out = train_reranker(lists, queries, corpus, cfg,
-                         init=init_reranker(VOCAB, DIM, seed=1))
+                         init=init_reranker(DIM, seed=1))
     for name in ("embeddings", "w_q", "w_k", "w_v", "readout"):
         assert getattr(out, name).dtype == np.float64
 
 
 def test_train_stops_on_non_finite_loss():
     corpus, queries, lists = _toy_corpus_and_lists()
-    init = init_reranker(VOCAB, DIM, seed=2)
+    init = init_reranker(DIM, seed=2)
     init.readout[0] = np.nan
     cfg = RerankTrainConfig(steps=5, seed=2)
     with pytest.raises(ValueError, match="step 1"):
@@ -803,14 +802,14 @@ def test_train_names_a_passage_without_tokens():
     lists[1].items[2].passage_id = "dots"
     cfg = RerankTrainConfig(steps=1)
     with pytest.raises(ValueError, match="passage 'dots' has no tokens"):
-        train_reranker(lists, queries, corpus, cfg, init=init_reranker(VOCAB, DIM))
+        train_reranker(lists, queries, corpus, cfg, init=init_reranker(DIM))
 
 
 def test_train_empty_lists_rejected():
     corpus, queries, _ = _toy_corpus_and_lists()
     with pytest.raises(ValueError):
         train_reranker([], queries, corpus, RerankTrainConfig(),
-                       init=init_reranker(VOCAB, DIM))
+                       init=init_reranker(DIM))
 
 
 def test_train_config_validation():
@@ -823,8 +822,8 @@ def test_train_config_validation():
 
 
 def test_init_reranker_structure_and_determinism():
-    a = init_reranker(VOCAB, DIM, seed=5)
-    b = init_reranker(VOCAB, DIM, seed=5)
+    a = init_reranker(DIM, seed=5)
+    b = init_reranker(DIM, seed=5)
     assert np.array_equal(a.embeddings, b.embeddings)
     assert np.array_equal(a.readout, b.readout)
     assert np.array_equal(a.w_v, np.eye(DIM))
@@ -834,7 +833,7 @@ def test_init_reranker_structure_and_determinism():
 
 
 def test_init_reranker_warm_start_copies():
-    emb = np.full((VOCAB, DIM), 0.25)
+    emb = np.full((VOCAB_SIZE, DIM), 0.25)
     p = init_reranker(seed=0, embeddings=emb)
     emb[0, 0] = 99.0
     assert p.embeddings[0, 0] == 0.25
@@ -922,7 +921,7 @@ def test_rerank_names_a_passage_without_tokens():
 
 def test_store_rows_equal_per_row_padding():
     corpus, _, _ = _toy_corpus_and_lists(seed=7)
-    store = corpus.token_store(VOCAB)
+    store = corpus.token_store()
     pids = ["d3", "d0", "d19", "d3", "d7", "d12"]
     idx, mask = _store_rows(store, corpus, pids)
     ref_idx, ref_mask = _pad_passages([store[corpus.position(p)] for p in pids])
@@ -933,7 +932,7 @@ def test_store_rows_equal_per_row_padding():
 def test_store_rows_names_the_first_passage_without_tokens():
     corpus, _, _ = _toy_corpus_and_lists()
     corpus = Corpus(list(corpus) + [Passage("dots", "", "..."), Passage("dash", "", "-")])
-    store = corpus.token_store(VOCAB)
+    store = corpus.token_store()
     with pytest.raises(ValueError, match="passage 'dash' has no tokens"):
         _store_rows(store, corpus, ["d1", "dash", "d2", "dots"])
 
@@ -997,7 +996,7 @@ def test_load_candidate_lists_error_position(tmp_path):
 
 
 def test_reranker_params_roundtrip(tmp_path):
-    p = init_reranker(VOCAB, DIM, seed=21)
+    p = init_reranker(DIM, seed=21)
     p.bias = -0.75
     path = tmp_path / "rr.npz"
     save_reranker(p, path)
@@ -1010,6 +1009,6 @@ def test_reranker_params_roundtrip(tmp_path):
 def test_load_reranker_rejects_other_formats(tmp_path):
     from hybridrank.dense import init_params, save_params
     path = tmp_path / "de.npz"
-    save_params(init_params(VOCAB, DIM, 0), path)
+    save_params(init_params(DIM, 0), path)
     with pytest.raises(ValueError, match="format"):
         load_reranker(path)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from hybridrank.bm25 import Bm25Index
-from hybridrank.corpus import DEFAULT_VOCAB_SIZE, load_corpus, load_qrels, \
+from hybridrank.corpus import VOCAB_SIZE, load_corpus, load_qrels, \
     load_queries, tokenize
 from hybridrank.dense import EncoderParams
 from hybridrank.hybrid import HybridIndex
@@ -20,7 +20,7 @@ SMALL = SyntheticCorpusSpec(n_passages=300, n_train_queries=40, n_test_queries=3
 
 def _bm25_top10(index, query):
     """Ids of the bm25 first stage's top 10, cut the way the pipeline cuts it."""
-    hybrid = HybridIndex(index, EncoderParams(np.zeros((DEFAULT_VOCAB_SIZE, 1)), 1, 0),
+    hybrid = HybridIndex(index, EncoderParams(np.zeros((VOCAB_SIZE, 1)), 0),
                          np.zeros((len(index), 1)), 0.0)
     return hybrid.cut("bm25", *hybrid.score_components(query), 10)[0]
 
@@ -114,7 +114,7 @@ def test_word_pools_are_hash_disjoint():
     doc, syn, filler = _word_pools(200)
     all_words = doc + syn + filler
     assert len(set(all_words)) == len(all_words)
-    hashes = [tokenize(w, DEFAULT_VOCAB_SIZE, 1)[0] for w in all_words]
+    hashes = [tokenize(w, 1)[0] for w in all_words]
     assert len(set(hashes)) == len(hashes)
 
 

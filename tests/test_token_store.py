@@ -1,5 +1,5 @@
 """Tests for the corpus token store and truncation: one tokenization per
-passage and vocabulary size, queries and passages cut at the tokenizer's lengths."""
+passage, queries and passages cut at the tokenizer's lengths."""
 
 import hashlib
 import sys
@@ -13,19 +13,18 @@ import hybridrank.bm25
 import hybridrank.corpus
 import hybridrank.dense
 import hybridrank.reranker
-from hybridrank.corpus import DEFAULT_VOCAB_SIZE, PASSAGE_LENGTH, QUERY_LENGTH, Corpus, \
-    Passage, Query, passage_tokens, tokenize
+from hybridrank.corpus import PASSAGE_LENGTH, QUERY_LENGTH, Corpus, Passage, Query, \
+    passage_tokens, tokenize
 from hybridrank.evaluation import RunFile
 from hybridrank.results import CandidateItem, CandidateList
 from hybridrank.synthetic import SyntheticCorpusSpec, make_synthetic_corpus
 
-VOCAB = 512
 DIM = 8
 LONG_WORDS = [f"w{i}" for i in range(PASSAGE_LENGTH + 30)]
 
 
-def _word_ids(words, vocab=VOCAB):
-    return [tokenize(w, vocab, 1)[0] for w in words]
+def _word_ids(words):
+    return [tokenize(w, 1)[0] for w in words]
 
 
 def _corpus():
@@ -38,22 +37,18 @@ def _corpus():
 
 def test_store_equals_per_passage_tokenize():
     corpus = _corpus()
-    store = corpus.token_store(VOCAB)
+    store = corpus.token_store()
     assert store.indptr.shape == (len(corpus) + 1,) and store.indptr[0] == 0
     assert store.ids.dtype == np.int32
     for i, p in enumerate(corpus):
-        expected = passage_tokens(p, VOCAB)
+        expected = passage_tokens(p)
         assert store[i].tolist() == list(expected)
         assert store.indptr[i + 1] - store.indptr[i] == len(expected)
     assert store.indptr[-1] == store.ids.size
     assert store[0].tolist() == _word_ids("title alpha beta beta gamma".split())
     # the long passage keeps the ids of its first PASSAGE_LENGTH words
     assert store[2].tolist() == _word_ids(LONG_WORDS[:PASSAGE_LENGTH])
-    # cached per vocabulary size, and a new size tokenizes afresh
-    assert corpus.token_store(VOCAB) is store
-    other = corpus.token_store(2 * VOCAB)
-    assert other is not store
-    assert other[2].tolist() == _word_ids(LONG_WORDS[:PASSAGE_LENGTH], 2 * VOCAB)
+    assert corpus.token_store() is store
     for arr in (store.indptr, store.ids, store[0]):
         with pytest.raises(ValueError):
             arr[0] = 1
@@ -62,8 +57,7 @@ def test_store_equals_per_passage_tokenize():
 def test_store_of_the_default_synthetic_corpus_is_unchanged():
     # sha256 of the ids (int32) then indptr (int64), little-endian, for the
     # default spec at seed 0, recorded from the regex tokenizer this one replaced
-    store = make_synthetic_corpus(SyntheticCorpusSpec(seed=0)).corpus \
-        .token_store(DEFAULT_VOCAB_SIZE)
+    store = make_synthetic_corpus(SyntheticCorpusSpec(seed=0)).corpus.token_store()
     h = hashlib.sha256(store.ids.astype("<i4").tobytes())
     h.update(store.indptr.astype("<i8").tobytes())
     assert h.hexdigest() == \
@@ -77,7 +71,7 @@ def test_store_is_built_one_passage_at_a_time():
     corpus = Corpus([Passage(f"p{i}", "", " ".join(words)) for i in range(2000)])
     tracemalloc.start()
     try:
-        store = corpus.token_store(VOCAB)
+        store = corpus.token_store()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -92,10 +86,10 @@ def test_a_long_query_is_cut_at_query_length_in_every_channel():
     filler = " ".join(["filler"] * (QUERY_LENGTH - 1))
     corpus = Corpus([Passage("a", "", "keep alpha"), Passage("b", "", "drop beta"),
                      Passage("c", "", "filler alpha beta")])
-    index = hybridrank.bm25.Bm25Index(corpus, vocab_size=VOCAB)
-    encoder = hybridrank.dense.init_params(VOCAB, DIM, seed=1)
+    index = hybridrank.bm25.Bm25Index(corpus)
+    encoder = hybridrank.dense.init_params(DIM, seed=1)
     rows = hybridrank.dense.normalize_rows(hybridrank.dense.encode_corpus(encoder, corpus))
-    params = hybridrank.reranker.init_reranker(VOCAB, DIM, seed=2)
+    params = hybridrank.reranker.init_reranker(DIM, seed=2)
     run = RunFile("first", {"q": [("a", 3.0), ("b", 2.0), ("c", 1.0)]})
 
     def channels(text):
@@ -148,12 +142,12 @@ def test_each_passage_is_tokenized_once_across_index_encoder_and_reranker(monkey
                             for q in queries})
     texts = _count_split_calls(monkeypatch)
 
-    hybridrank.bm25.Bm25Index(corpus, vocab_size=VOCAB)
-    hybridrank.dense.encode_corpus(hybridrank.dense.init_params(VOCAB, DIM), corpus)
+    hybridrank.bm25.Bm25Index(corpus)
+    hybridrank.dense.encode_corpus(hybridrank.dense.init_params(DIM), corpus)
     rr = hybridrank.reranker
     params = rr.train_reranker(lists, queries, corpus,
                                rr.RerankTrainConfig(steps=2, batch_size=2),
-                               init=rr.init_reranker(VOCAB, DIM))
+                               init=rr.init_reranker(DIM))
     for _ in range(2):
         rr.rerank(params, run, queries, corpus, top_k=len(corpus))
 
