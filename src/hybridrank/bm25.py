@@ -1,4 +1,4 @@
-"""BM25 as an explicit sparse vector model plus an inverted index that scores it.
+"""BM25 as a sparse vector model, held as the inverted index that scores it.
 
 Passage weights follow the standard saturation form
 
@@ -20,8 +20,7 @@ from math import log
 
 import numpy as np
 
-from .corpus import PASSAGE_LENGTH, QUERY_LENGTH, VOCAB_SIZE, Corpus, Passage, Query, \
-    passage_tokens, query_tokens
+from .corpus import PASSAGE_LENGTH, QUERY_LENGTH, VOCAB_SIZE, Corpus, Query, query_tokens
 from .npzio import deterministic_savez, load_npz
 from .results import id_rank
 
@@ -53,50 +52,10 @@ class Bm25Stats:
     lengths: dict[str, int]
 
 
-def compute_stats(corpus: Corpus) -> Bm25Stats:
-    """IDF, average length and per-passage lengths over a nonempty corpus."""
-    n = len(corpus)
-    if n == 0:
-        raise ValueError("cannot compute BM25 statistics over an empty corpus")
-    df: Counter = Counter()
-    lengths: dict[str, int] = {}
-    for p in corpus:
-        c = Counter(passage_tokens(p))
-        lengths[p.id] = sum(c.values())
-        df.update(c.keys())
-    idf = {t: log((n - d + 0.5) / (d + 0.5) + 1.0) for t, d in df.items()}
-    avg_length = sum(lengths.values()) / n
-    return Bm25Stats(doc_count=n, idf=idf, avg_length=avg_length, lengths=lengths)
-
-
-def encode_passage(passage: Passage, stats: Bm25Stats, params: Bm25Params) -> SparseVector:
-    """Sparse passage vector whose dot product with a query vector is BM25."""
-    counts = Counter(passage_tokens(passage))
-    m = sum(counts.values())
-    if m == 0:
-        return {}
-    norm = params.k * (1.0 - params.b + params.b * m / stats.avg_length)
-    vec: SparseVector = {}
-    for t, cnt in counts.items():
-        idf = stats.idf.get(t, 0.0)
-        w = idf * cnt * (params.k + 1.0) / (cnt + norm)
-        if w != 0.0:
-            vec[t] = w
-    return vec
-
-
 def encode_query(query: Query) -> SparseVector:
     """Query vector of raw term counts."""
     counts = Counter(query_tokens(query))
     return {t: float(c) for t, c in counts.items()}
-
-
-def dot(a: SparseVector, b: SparseVector) -> float:
-    # ascending term order makes the sum independent of argument order
-    s = 0.0
-    for t in sorted(a.keys() & b.keys()):
-        s += a[t] * b[t]
-    return s
 
 
 class Bm25Index:
@@ -104,7 +63,8 @@ class Bm25Index:
 
     Term ``terms[i]`` (ascending) posts to the passages at corpus positions
     ``positions[indptr[i]:indptr[i + 1]]`` (ascending) with the matching
-    ``weights``; the weights are ``encode_passage``'s, bit for bit.
+    ``weights``: the passage's weight(t) from the module docstring, with
+    norm = k * (1 - b + b * m / m_avg) taken per passage.
     """
 
     def __init__(self, corpus: Corpus, params: Bm25Params | None = None):
@@ -124,7 +84,8 @@ class Bm25Index:
         stats = Bm25Stats(doc_count=n, idf=dict(zip(present.tolist(), idf)),
                           avg_length=int(lengths.sum()) / n,
                           lengths=dict(zip(corpus.ids(), lengths.tolist())))
-        # encode_passage's operations in its order, so the weights are its bits
+        # idf * cnt * (k + 1) / (cnt + norm), the operations in this order, so a
+        # weight's bits are those of the formula taken one passage at a time
         idf_of = np.zeros(VOCAB_SIZE, dtype=np.float64)
         idf_of[present] = idf
         norm = params.k * (1.0 - params.b + params.b * lengths / stats.avg_length)

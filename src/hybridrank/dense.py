@@ -85,14 +85,6 @@ def encode(params: EncoderParams, tokens: tuple[int, ...]) -> np.ndarray:
     return params.embeddings[idx].mean(axis=0)
 
 
-def cosine(a: np.ndarray, b: np.ndarray) -> float:
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    return float(np.dot(a, b) / (na * nb))
-
-
 def row_norms(matrix: np.ndarray) -> np.ndarray:
     """``np.linalg.norm(matrix, axis=1)``, taken over blocks of rows.
 
@@ -198,14 +190,6 @@ def _scatter_rows(grad: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.repeat(grad / np.maximum(counts, 1)[:, None], counts, axis=0)
 
 
-def in_batch_loss(params: EncoderParams, batch: list[TrainPair], tau: float) -> float:
-    """Mean in-batch softmax cross entropy over the batch (log-sum-exp stabilized)."""
-    if not batch:
-        raise ValueError("batch must be nonempty")
-    qtoks, ptoks = _tokenize_pairs(batch)
-    return _batch_loss_grad(params.embeddings, qtoks, ptoks, tau)[0]
-
-
 def train_de(pairs: list[TrainPair], config: DeTrainConfig,
              init: EncoderParams | None = None) -> EncoderParams:
     """Mini-batch SGD on the in-batch softmax loss.
@@ -286,6 +270,9 @@ def de_retrieve(params: EncoderParams, corpus: Corpus, query: Query, k_results: 
 
 
 def save_params(params: EncoderParams, path) -> None:
+    """Raises ValueError, and writes nothing, unless the table has one row per
+    vocabulary id."""
+    vocabulary_table(params.embeddings, path)
     header = {"format": PARAMS_FORMAT, "vocab_size": len(params.embeddings),
               "dim": params.dim, "seed": params.seed}
     deterministic_savez(path, header, embeddings=params.embeddings)

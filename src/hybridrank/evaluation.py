@@ -133,9 +133,18 @@ def write_run(run: RunFile, path) -> None:
 
 
 def read_run(path) -> RunFile:
-    """Parse a TREC run file, validating consecutive ranks and unique docids."""
+    """Parse a TREC run file, validating consecutive ranks and unique docids.
+
+    A line costs one (passage id, score) tuple and its float: each distinct
+    passage id is held once, as the first str read for it.  Only the query
+    being read keeps a set of its passage ids.  A query whose lines resume
+    after another query's rebuilds its set once and keeps it, so an
+    interleaved file still reads in linear time.
+    """
     rankings: dict[str, list[tuple[str, float]]] = {}
-    seen: dict[str, set[str]] = {}
+    passage_ids: dict[str, str] = {}
+    resumed: dict[str, set[str]] = {}
+    current = None
     run_tag = "run"
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
@@ -150,15 +159,24 @@ def read_run(path) -> RunFile:
                 score = float(score_s)
             except ValueError:
                 raise ValueError(f"{path}: line {lineno}: bad rank or score") from None
-            ranking = rankings.setdefault(qid, [])
+            if qid != current:
+                current = qid
+                ranking = rankings.setdefault(qid, [])
+                if not ranking:
+                    seen = set()
+                elif qid in resumed:
+                    seen = resumed[qid]
+                else:
+                    seen = resumed[qid] = {p for p, _ in ranking}
             if rank != len(ranking) + 1:
                 raise ValueError(
                     f"{path}: line {lineno}: rank {rank} for query {qid!r}, "
                     f"expected {len(ranking) + 1}")
-            if pid in seen.setdefault(qid, set()):
+            if pid in seen:
                 raise ValueError(f"{path}: line {lineno}: duplicate passage {pid!r} "
                                  f"in query {qid!r}")
-            seen[qid].add(pid)
+            pid = passage_ids.setdefault(pid, pid)
+            seen.add(pid)
             ranking.append((pid, score))
     return RunFile(run_tag=run_tag, rankings=rankings)
 

@@ -111,12 +111,16 @@ def init_reranker(dim: int = DEFAULT_DIM, seed: int = 0, embeddings: np.ndarray 
     W_q and W_k start as gain * I with the gain chosen so attention logits for
     typical embedding rows land around +-attention_scale, W_v as I, so the
     initial score is an attention-weighted mean of per-token readouts.
+
+    A float64 ``embeddings`` table is shared, not copied (any other dtype is
+    converted): the caller's table becomes the params' table, which
+    train_reranker only reads.
     """
     rng = np.random.default_rng(seed)
     if embeddings is None:
         emb = rng.uniform(-INIT_SCALE, INIT_SCALE, size=(VOCAB_SIZE, dim))
     else:
-        emb = np.array(embeddings, dtype=np.float64)
+        emb = np.asarray(embeddings, dtype=np.float64)
         if emb.ndim != 2:
             raise ValueError("embeddings must be a 2-d matrix")
         dim = emb.shape[1]
@@ -348,6 +352,7 @@ def train_reranker(lists: list[CandidateList], queries: list[Query], corpus: Cor
     Training runs in float32 on a table of only the embedding rows whose ids
     the lists use; the result is float64.  Its other rows are the init rows
     rounded through float32, so it equals training the whole float32 table.
+    ``init`` is only read, and the result shares no array with it.
     Raises ValueError naming the step whose batch loss is not finite.
     """
     if not lists:
@@ -534,6 +539,9 @@ def load_candidate_lists(path) -> list[CandidateList]:
 
 
 def save_reranker(params: RerankerParams, path) -> None:
+    """Raises ValueError, and writes nothing, unless the table has one row per
+    vocabulary id."""
+    vocabulary_table(params.embeddings, path)
     header = {"format": RERANKER_FORMAT, "vocab_size": len(params.embeddings),
               "dim": params.dim, "seed": params.seed, "bias": params.bias}
     deterministic_savez(path, header, embeddings=params.embeddings, w_q=params.w_q,

@@ -1,0 +1,43 @@
+"""Reference formulas the package is checked against, used by more than one
+test module: the BM25 passage vector and sparse dot product, and the cosine
+of two dense vectors.  The package computes the same values in bulk
+(``bm25.Bm25Index``, ``dense.query_cosines``)."""
+
+from collections import Counter
+
+import numpy as np
+
+from hybridrank.bm25 import Bm25Params, Bm25Stats, SparseVector
+from hybridrank.corpus import Passage, passage_tokens
+
+
+def encode_passage(passage: Passage, stats: Bm25Stats, params: Bm25Params) -> SparseVector:
+    """Sparse passage vector whose dot product with a query vector is BM25."""
+    counts = Counter(passage_tokens(passage))
+    m = sum(counts.values())
+    if m == 0:
+        return {}
+    norm = params.k * (1.0 - params.b + params.b * m / stats.avg_length)
+    vec: SparseVector = {}
+    for t, cnt in counts.items():
+        idf = stats.idf.get(t, 0.0)
+        w = idf * cnt * (params.k + 1.0) / (cnt + norm)
+        if w != 0.0:
+            vec[t] = w
+    return vec
+
+
+def dot(a: SparseVector, b: SparseVector) -> float:
+    # ascending term order makes the sum independent of argument order
+    s = 0.0
+    for t in sorted(a.keys() & b.keys()):
+        s += a[t] * b[t]
+    return s
+
+
+def cosine(a: np.ndarray, b: np.ndarray) -> float:
+    na = float(np.linalg.norm(a))
+    nb = float(np.linalg.norm(b))
+    if na == 0.0 or nb == 0.0:
+        return 0.0
+    return float(np.dot(a, b) / (na * nb))

@@ -2,6 +2,7 @@
 
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,19 +12,17 @@ from hybridrank.bm25 import (
     Bm25Params,
     Bm25Stats,
     INDEX_FORMAT,
-    compute_stats,
-    dot,
-    encode_passage,
     encode_query,
     load_index,
     save_index,
 )
 from hybridrank.corpus import PASSAGE_LENGTH, QUERY_LENGTH, VOCAB_SIZE, Corpus, Passage, Query, \
-    tokenize
+    passage_tokens, tokenize
 from hybridrank.dense import EncoderParams
 from hybridrank.hybrid import HybridIndex
 from hybridrank.npzio import deterministic_savez, load_npz
 from hybridrank.results import ranked_list
+from oracles import dot, encode_passage
 
 
 
@@ -37,6 +36,23 @@ def _random_corpus(rng, n, vocab_words):
 
 
 WORDS = [f"w{i}" for i in range(120)]
+
+
+def compute_stats(corpus: Corpus) -> Bm25Stats:
+    """Oracle: IDF, average length and per-passage lengths over a nonempty
+    corpus, one passage at a time."""
+    n = len(corpus)
+    if n == 0:
+        raise ValueError("cannot compute BM25 statistics over an empty corpus")
+    df: Counter = Counter()
+    lengths: dict[str, int] = {}
+    for p in corpus:
+        c = Counter(passage_tokens(p))
+        lengths[p.id] = sum(c.values())
+        df.update(c.keys())
+    idf = {t: math.log((n - d + 0.5) / (d + 0.5) + 1.0) for t, d in df.items()}
+    avg_length = sum(lengths.values()) / n
+    return Bm25Stats(doc_count=n, idf=idf, avg_length=avg_length, lengths=lengths)
 
 
 def retrieve(index, query, k):

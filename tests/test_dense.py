@@ -10,6 +10,7 @@ import pytest
 from hybridrank.corpus import PASSAGE_LENGTH, VOCAB_SIZE, Corpus, Passage, Query, query_tokens, \
     tokenize
 from hybridrank.dense import (
+    PARAMS_FORMAT,
     DeTrainConfig,
     EncoderParams,
     TrainPair,
@@ -19,11 +20,9 @@ from hybridrank.dense import (
     _pooled,
     _scatter_rows,
     _tokenize_pairs,
-    cosine,
     de_retrieve,
     encode,
     encode_corpus,
-    in_batch_loss,
     init_params,
     load_encodings,
     load_params,
@@ -34,6 +33,8 @@ from hybridrank.dense import (
     save_params,
     train_de,
 )
+from hybridrank.npzio import deterministic_savez
+from oracles import cosine
 
 
 
@@ -214,6 +215,15 @@ def test_batch_loss_grad_scatters_every_token_in_row_order():
 
 
 # ---------------------------------------------------------------- loss
+
+def in_batch_loss(params: EncoderParams, batch: list[TrainPair], tau: float) -> float:
+    """Mean in-batch softmax cross entropy over the batch: the loss train_de's
+    step computes, for one batch of pairs."""
+    if not batch:
+        raise ValueError("batch must be nonempty")
+    qtoks, ptoks = _tokenize_pairs(batch)
+    return _batch_loss_grad(params.embeddings, qtoks, ptoks, tau)[0]
+
 
 def test_in_batch_loss_single_pair_exactly_zero():
     p = init_params(8, seed=1)
@@ -472,17 +482,37 @@ def test_dim_is_the_width_of_the_table():
 
 @pytest.mark.parametrize("load", ["params", "reranker"])
 def test_loaders_reject_a_table_not_sized_by_the_vocabulary(tmp_path, load):
-    from hybridrank.reranker import init_reranker, load_reranker, save_reranker
+    from hybridrank.reranker import RERANKER_FORMAT, load_reranker
+    # the savers refuse such a table, so the file is written the way they write
     path = tmp_path / f"{load}.npz"
+    header = {"vocab_size": 512, "dim": 4, "seed": 0}
     if load == "params":
-        save_params(EncoderParams(np.zeros((512, 4)), seed=0), path)
+        deterministic_savez(path, {"format": PARAMS_FORMAT, **header},
+                            embeddings=np.zeros((512, 4)))
         loader = load_params
     else:
-        save_reranker(init_reranker(seed=0, embeddings=np.zeros((512, 4))), path)
+        eye = np.eye(4)
+        deterministic_savez(path, {"format": RERANKER_FORMAT, "bias": 0.0, **header},
+                            embeddings=np.zeros((512, 4)), w_q=eye, w_k=eye, w_v=eye,
+                            readout=np.zeros(4))
         loader = load_reranker
     with pytest.raises(ValueError, match=rf"{re.escape(str(path))}.* 512 rows.*"
                                          rf"VOCAB_SIZE is {VOCAB_SIZE}"):
         loader(path)
+
+
+@pytest.mark.parametrize("save", ["params", "reranker"])
+def test_savers_refuse_a_table_not_sized_by_the_vocabulary(tmp_path, save):
+    from hybridrank.reranker import init_reranker, save_reranker
+    path = tmp_path / f"{save}.npz"
+    table = np.zeros((512, 4))
+    with pytest.raises(ValueError, match=rf"{re.escape(str(path))}.* 512 rows.*"
+                                         rf"VOCAB_SIZE is {VOCAB_SIZE}"):
+        if save == "params":
+            save_params(EncoderParams(table, seed=0), path)
+        else:
+            save_reranker(init_reranker(seed=0, embeddings=table), path)
+    assert not path.exists()
 
 
 def test_params_deterministic_bytes(tmp_path):

@@ -1,6 +1,8 @@
 """Tests for ranking metrics and the TREC run-file interchange."""
 
 import math
+import random
+import tracemalloc
 
 import pytest
 
@@ -264,6 +266,54 @@ def test_read_run_validates(tmp_path):
     nonnum.write_text("q1 Q0 d1 1 zero t\n")
     with pytest.raises(ValueError, match="bad rank or score"):
         read_run(nonnum)
+
+
+def test_read_run_holds_a_repeated_passage_id_once(tmp_path):
+    path = tmp_path / "r.trec"
+    path.write_text("q1 Q0 d7 1 2.0 t\nq1 Q0 d8 2 1.0 t\nq2 Q0 d7 1 5.0 t\n")
+    rankings = read_run(path).rankings
+    assert rankings["q1"][0][0] is rankings["q2"][0][0]
+
+
+def test_read_run_interleaved_queries_read_as_grouped(tmp_path):
+    grouped = ["q1 Q0 a 1 3.0 t", "q1 Q0 b 2 2.0 t", "q1 Q0 c 3 1.0 t",
+               "q2 Q0 b 1 9.0 t", "q2 Q0 d 2 8.0 t"]
+    interleaved = [grouped[i] for i in (0, 3, 1, 4, 2)]
+    a, b = tmp_path / "grouped.trec", tmp_path / "interleaved.trec"
+    a.write_text("\n".join(grouped) + "\n")
+    b.write_text("\n".join(interleaved) + "\n")
+    assert read_run(b).rankings == read_run(a).rankings
+
+
+def test_read_run_duplicate_in_a_resumed_query_names_its_line(tmp_path):
+    path = tmp_path / "r.trec"
+    path.write_text("q1 Q0 a 1 3.0 t\nq2 Q0 a 1 9.0 t\nq1 Q0 b 2 2.0 t\n"
+                    "q2 Q0 b 2 8.0 t\nq1 Q0 a 3 1.0 t\n")
+    with pytest.raises(ValueError) as exc:
+        read_run(path)
+    assert str(exc.value) == f"{path}: line 5: duplicate passage 'a' in query 'q1'"
+
+
+def test_read_run_peak_memory_per_line(tmp_path):
+    # 200 queries x 250 ranks over 2,000 distinct passage ids.  Held once per
+    # id, with one duplicate set live, the read peaks near its result (about
+    # 4.3 MiB: a tuple, a float and a list slot per line); a new str per line
+    # and a set per query until the end took 8.4 MiB.
+    rng = random.Random(0)
+    ids = [f"p{i:05d}" for i in range(2000)]
+    path = tmp_path / "r.trec"
+    with open(path, "w", encoding="utf-8") as f:
+        for q in range(200):
+            for rank, pid in enumerate(rng.sample(ids, 250), start=1):
+                f.write(f"q{q:03d} Q0 {pid} {rank} {1000.0 - rank!r} t\n")
+    tracemalloc.start()
+    try:
+        run = read_run(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(len(r) for r in run.rankings.values()) == 50_000
+    assert peak < 6 * 2**20
 
 
 def test_empty_ranking_query_simply_absent(tmp_path):

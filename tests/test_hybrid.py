@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 import hybridrank.hybrid
-from hybridrank.bm25 import Bm25Index, dot, encode_passage, encode_query
+from hybridrank.bm25 import Bm25Index, encode_query
 from hybridrank.corpus import VOCAB_SIZE, Corpus, Passage, QrelSet, Query, passage_tokens, \
     query_tokens, tokenize
-from hybridrank.dense import EncoderParams, cosine, de_retrieve, encode, encode_corpus, \
+from hybridrank.dense import EncoderParams, de_retrieve, encode, encode_corpus, \
     init_params, normalize_rows
 from hybridrank.evaluation import RunFile, compute_metric
 from hybridrank.hybrid import (
@@ -23,6 +23,7 @@ from hybridrank.hybrid import (
     tune_lambda,
 )
 from hybridrank.results import ranked_list, top_k_order
+from oracles import cosine, dot, encode_passage
 
 
 

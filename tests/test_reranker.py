@@ -832,11 +832,27 @@ def test_init_reranker_structure_and_determinism():
     assert a.bias == 0.0
 
 
-def test_init_reranker_warm_start_copies():
-    emb = np.full((VOCAB_SIZE, DIM), 0.25)
-    p = init_reranker(seed=0, embeddings=emb)
-    emb[0, 0] = 99.0
-    assert p.embeddings[0, 0] == 0.25
+def test_init_reranker_warm_start_shares_the_table():
+    emb = np.random.default_rng(3).normal(0, 0.3, size=(VOCAB_SIZE, DIM))
+    init = init_reranker(seed=0, embeddings=emb)
+    assert init.embeddings is emb
+    converted = init_reranker(seed=0, embeddings=emb.astype(np.float32))
+    assert converted.embeddings.dtype == np.float64
+    assert np.array_equal(converted.embeddings, emb.astype(np.float32))
+
+    corpus, queries, lists = _toy_corpus_and_lists(seed=2)
+    before = emb.tobytes()
+    train_reranker(lists, queries, corpus,
+                   RerankTrainConfig(steps=3, batch_size=2, seed=1), init=init)
+    assert emb.tobytes() == before
+
+    out = train_reranker(lists, queries, corpus,
+                         RerankTrainConfig(steps=0, seed=1), init=init)
+    for name in ("embeddings", "w_q", "w_k", "w_v", "readout"):
+        value = getattr(out, name)
+        assert np.array_equal(value, getattr(init, name))
+        assert not any(np.shares_memory(value, getattr(init, other))
+                       for other in ("embeddings", "w_q", "w_k", "w_v", "readout"))
 
 
 # ---------------------------------------------------------------- rerank
