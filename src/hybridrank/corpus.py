@@ -128,7 +128,8 @@ class TokenStore:
 
 
 class Corpus:
-    """Ordered passage collection with unique, nonempty ids.
+    """Ordered passage collection with unique, nonempty ids without whitespace,
+    so that every id fits one field of a run file.
 
     ``corpus[i]`` and iteration go by position; ``in``, ``get`` and
     ``position`` go by passage id.
@@ -139,6 +140,8 @@ class Corpus:
         for pos, p in enumerate(passages):
             if not p.id:
                 raise ValueError(f"passage at position {pos} has an empty id")
+            if p.id.split() != [p.id]:
+                raise ValueError(f"passage id {p.id!r} contains whitespace")
             if not p.text:
                 raise ValueError(f"passage {p.id!r} has empty text")
             if p.id in self._index:
@@ -273,7 +276,11 @@ def save_corpus(corpus: Corpus, path) -> None:
 
 
 def load_queries(path) -> list[Query]:
-    """Load TSV queries (id<TAB>text), preserving file order."""
+    """Load TSV queries (id<TAB>text), preserving file order.
+
+    Ids must be nonempty and free of whitespace, so that every id fits one
+    field of a run file.
+    """
     queries: list[Query] = []
     seen: set[str] = set()
     with open(path, encoding="utf-8") as f:
@@ -284,6 +291,9 @@ def load_queries(path) -> list[Query]:
             if "\t" not in line:
                 raise ValueError(f"{path}: line {lineno}: expected id<TAB>text")
             qid, text = line.split("\t", 1)
+            if qid.split() != [qid]:
+                raise ValueError(f"{path}: line {lineno}: query id {qid!r} is empty "
+                                 "or contains whitespace")
             if qid in seen:
                 raise ValueError(f"{path}: line {lineno}: duplicate query id {qid!r}")
             if not text:

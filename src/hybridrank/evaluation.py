@@ -7,15 +7,21 @@ Queries appearing in a run without any relevant judgment are excluded from
 the mean and reported.  Every metric is computed from the 1-based ranks
 of a query's relevant passages (``query_metric``), whether they come from a
 run or are counted without one (``hybrid.lambda_curve``).
+
+A run (``RunFile``) maps each query id to a ``results.Ranking``, the one form
+of a ranked run: an id column and a float64 score column.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
-from math import isfinite, log2
+from math import log2
+
+import numpy as np
 
 from .corpus import QrelSet
-from .results import CandidateList
+from .results import CandidateList, Ranking
 
 METRIC_IDS = ("mrr", "ndcg", "recall")
 # the metrics a run is reported by: name -> (metric id, cutoff)
@@ -25,17 +31,23 @@ REPORTED_METRICS = {"mrr@10": ("mrr", 10), "ndcg@10": ("ndcg", 10),
 
 @dataclass
 class RunFile:
-    """Named per-query rankings: query id -> ordered (passage_id, score)."""
+    """Named per-query rankings: query id -> ``Ranking``.
+
+    Each ranking given, a Ranking or a sequence of (passage_id, score) pairs,
+    is held as a Ranking from construction on.
+    """
 
     run_tag: str
-    rankings: dict[str, list[tuple[str, float]]] = field(default_factory=dict)
+    rankings: dict[str, Ranking] = field(default_factory=dict)
+
+    def __post_init__(self):
+        self.rankings = {qid: Ranking.of(r) for qid, r in self.rankings.items()}
 
     @classmethod
     def from_candidates(cls, lists: list[CandidateList], run_tag: str) -> "RunFile":
-        rankings = {}
-        for cl in lists:
-            rankings[cl.query_id] = [(it.passage_id, it.score) for it in cl.items]
-        return cls(run_tag=run_tag, rankings=rankings)
+        return cls(run_tag, {cl.query_id: Ranking(cl.passage_ids(),
+                                                  [it.score for it in cl.items])
+                             for cl in lists})
 
 
 @dataclass
@@ -93,8 +105,9 @@ def compute_metric(run: RunFile, qrels: QrelSet, metric_id: str, cutoff: int) ->
     per_query = {}
     for qid in universe:
         relevant = qrels.relevant(qid)
-        hits = [(rank, relevant[pid]) for rank, (pid, _) in
-                enumerate(run.rankings.get(qid, [])[:cutoff], start=1) if pid in relevant]
+        ids = run.rankings[qid].ids[:cutoff] if qid in run.rankings else ()
+        hits = [(rank, relevant[pid]) for rank, pid in enumerate(ids, start=1)
+                if pid in relevant]
         per_query[qid] = query_metric(metric_id, cutoff, list(relevant.values()), hits)
     mean = sum(per_query.values()) / len(per_query)
     return MetricReport(metric_id, cutoff, per_query, mean, excluded)
@@ -106,42 +119,68 @@ def reported_metrics(run: RunFile, qrels: QrelSet) -> dict[str, MetricReport]:
             for name, (metric_id, cutoff) in REPORTED_METRICS.items()}
 
 
+def _ranking_fault(qid: str, ranking: Ranking) -> str | None:
+    """Why ``ranking`` cannot be written, at its first faulty rank, or None.
+
+    A rank's passage id must not repeat an earlier one, its score must be
+    finite and not above the score before it; at one rank the checks go in
+    that order.
+    """
+    faults = []
+    if len(set(ranking.ids)) < len(ranking):
+        seen = set()
+        for i, pid in enumerate(ranking.ids):
+            if pid in seen:
+                faults.append((i, 0, f"duplicate passage {pid!r} in query {qid!r}"))
+                break
+            seen.add(pid)
+    scores = ranking.scores
+    bad = np.flatnonzero(~np.isfinite(scores))
+    if bad.size:
+        i = int(bad[0])
+        faults.append((i, 1, f"score {float(scores[i])!r} at rank {i + 1} of query "
+                             f"{qid!r} is not finite"))
+    up = np.flatnonzero(scores[1:] > scores[:-1])
+    if up.size:
+        i = int(up[0]) + 1
+        faults.append((i, 2, f"scores increase at rank {i + 1} of query {qid!r}"))
+    return min(faults)[2] if faults else None
+
+
 def write_run(run: RunFile, path) -> None:
     """TREC format: "qid Q0 docid rank score runtag", rank from 1, full precision.
 
-    Scores must be finite and non-increasing within each query.
+    Within each query, passage ids must be distinct and scores finite and
+    non-increasing.  Every ranking is checked before the file is opened, so a
+    run that fails the checks writes nothing.
     """
-    if not run.run_tag or any(c.isspace() for c in run.run_tag):
-        raise ValueError(f"run_tag must be nonempty without whitespace: {run.run_tag!r}")
+    tag = run.run_tag
+    if not tag or any(c.isspace() for c in tag):
+        raise ValueError(f"run_tag must be nonempty without whitespace: {tag!r}")
+    qids = sorted(run.rankings)
+    for qid in qids:
+        fault = _ranking_fault(qid, run.rankings[qid])
+        if fault:
+            raise ValueError(fault)
     with open(path, "w", encoding="utf-8") as f:
-        for qid in sorted(run.rankings):
+        for qid in qids:
             ranking = run.rankings[qid]
-            seen = set()
-            prev = None
-            for rank, (pid, score) in enumerate(ranking, start=1):
-                if pid in seen:
-                    raise ValueError(f"duplicate passage {pid!r} in query {qid!r}")
-                seen.add(pid)
-                if not isfinite(score):
-                    raise ValueError(
-                        f"score {score!r} at rank {rank} of query {qid!r} is not finite")
-                if prev is not None and score > prev:
-                    raise ValueError(
-                        f"scores increase at rank {rank} of query {qid!r}")
-                prev = score
-                f.write(f"{qid} Q0 {pid} {rank} {score!r} {run.run_tag}\n")
+            ranks = range(1, len(ranking) + 1)
+            f.write("".join([f"{qid} Q0 {pid} {rank} {score!r} {tag}\n" for rank, pid, score
+                             in zip(ranks, ranking.ids, ranking.scores.tolist())]))
 
 
 def read_run(path) -> RunFile:
     """Parse a TREC run file, validating consecutive ranks and unique docids.
 
-    A line costs one (passage id, score) tuple and its float: each distinct
-    passage id is held once, as the first str read for it.  Only the query
-    being read keeps a set of its passage ids.  A query whose lines resume
-    after another query's rebuilds its set once and keeps it, so an
-    interleaved file still reads in linear time.
+    Each query's ids and scores are read into two columns: a line costs an id
+    reference and 8 bytes of score, and each distinct passage id is held
+    once, as the first str read for it.  Only the query being read keeps a
+    set of its passage ids.  A query whose lines resume after another
+    query's rebuilds its set once and keeps it, so an interleaved file still
+    reads in linear time.
     """
-    rankings: dict[str, list[tuple[str, float]]] = {}
+    columns: dict[str, tuple[list[str], array]] = {}
     passage_ids: dict[str, str] = {}
     resumed: dict[str, set[str]] = {}
     current = None
@@ -161,23 +200,27 @@ def read_run(path) -> RunFile:
                 raise ValueError(f"{path}: line {lineno}: bad rank or score") from None
             if qid != current:
                 current = qid
-                ranking = rankings.setdefault(qid, [])
-                if not ranking:
+                if qid not in columns:
+                    columns[qid] = ([], array("d"))
                     seen = set()
                 elif qid in resumed:
                     seen = resumed[qid]
                 else:
-                    seen = resumed[qid] = {p for p, _ in ranking}
-            if rank != len(ranking) + 1:
+                    seen = resumed[qid] = set(columns[qid][0])
+                ids, scores = columns[qid]
+            if rank != len(ids) + 1:
                 raise ValueError(
                     f"{path}: line {lineno}: rank {rank} for query {qid!r}, "
-                    f"expected {len(ranking) + 1}")
+                    f"expected {len(ids) + 1}")
             if pid in seen:
                 raise ValueError(f"{path}: line {lineno}: duplicate passage {pid!r} "
                                  f"in query {qid!r}")
             pid = passage_ids.setdefault(pid, pid)
             seen.add(pid)
-            ranking.append((pid, score))
+            ids.append(pid)
+            scores.append(score)
+    # popped as they are converted, so only one query's columns are held twice
+    rankings = {qid: Ranking(*columns.pop(qid)) for qid in list(columns)}
     return RunFile(run_tag=run_tag, rankings=rankings)
 
 

@@ -72,7 +72,7 @@ class HybridIndex:
                 query_cosines(self.encoder, self.dense_rows, query))
 
     def cut(self, stage: str, bm25_scores: np.ndarray, cos: np.ndarray,
-            k: int) -> tuple[list[str], list[float]]:
+            k: int) -> tuple[list[str], np.ndarray]:
         """Ids and scores of the top k of ``stage`` (one of ``FIRST_STAGES``),
         from a query's score components."""
         if stage == "bm25":

@@ -31,7 +31,7 @@ from .qgen import QgenConfig, iterative_train
 from .reranker import RerankerParams, RerankTrainConfig, SamplingWindow, \
     build_candidate_lists, init_reranker, rerank, save_candidate_lists, \
     save_reranker, train_reranker
-from .results import CandidateList
+from .results import CandidateList, Ranking
 
 TRAINING_SOURCES = ("bm25", "de", "hybrid", "mixed", "none")
 
@@ -304,8 +304,8 @@ class _Experiment:
                 for q in queries:
                     components = index.score_components(q)
                     for stage in stages:
-                        rankings[stage][q.id] = list(zip(
-                            *index.cut(stage, *components, self.config.run_depth)))
+                        rankings[stage][q.id] = Ranking(
+                            *index.cut(stage, *components, self.config.run_depth))
                 for stage in stages:
                     run = RunFile(stage, rankings[stage])
                     write_run(run, self._out(f"run_{stage}_{split}.trec"))

@@ -42,7 +42,7 @@ from .corpus import VOCAB_SIZE, Corpus, QrelSet, Query, TokenStore, query_tokens
 from .dense import DEFAULT_DIM, INIT_SCALE, row_norms, rows_at, vocabulary_table
 from .evaluation import RunFile
 from .npzio import deterministic_savez, load_npz
-from .results import CandidateItem, CandidateList
+from .results import CandidateItem, CandidateList, Ranking
 
 RERANKER_FORMAT = "hybridrank-reranker-v1"
 _MASK_LOGIT = -1e30
@@ -448,27 +448,24 @@ def build_candidate_lists(run: RunFile, qrels: QrelSet, window: SamplingWindow,
             continue
         best_grade = max(relevant.values())
         positive_id = min(p for p, g in relevant.items() if g == best_grade)
-        positive_rank = 0
-        for rank, (pid, _) in enumerate(ranking, start=1):
-            if pid == positive_id:
-                positive_rank = rank
-                break
-        pool = [(rank, pid, score)
-                for rank, (pid, score) in enumerate(ranking, start=1)
-                if window.skip < rank <= window.depth and relevant.get(pid, 0) == 0]
+        ids, scores = ranking.ids, ranking.scores
+        positive_rank = ids.index(positive_id) + 1 if positive_id in ids else 0
+        pool = [rank for rank in range(window.skip + 1, min(window.depth, len(ids)) + 1)
+                if relevant.get(ids[rank - 1], 0) == 0]
         if len(pool) < window.n_negatives:
             short.append(qid)
             chosen = list(range(len(pool)))
         else:
             chosen = sorted(rng.choice(len(pool), size=window.n_negatives,
                                        replace=False).tolist())
-        pos_score = dict(ranking).get(positive_id, 0.0)
-        items = [CandidateItem(passage_id=positive_id, score=float(pos_score),
+        pos_score = float(scores[positive_rank - 1]) if positive_rank else 0.0
+        items = [CandidateItem(passage_id=positive_id, score=pos_score,
                                rank=1, label=relevant[positive_id],
                                retriever_rank=positive_rank)]
         for j, c in enumerate(chosen, start=2):
-            rank, pid, score = pool[c]
-            items.append(CandidateItem(passage_id=pid, score=float(score), rank=j,
+            rank = pool[c]
+            items.append(CandidateItem(passage_id=ids[rank - 1],
+                                       score=float(scores[rank - 1]), rank=j,
                                        label=0, retriever_rank=rank))
         lists.append(CandidateList(query_id=qid, items=items))
     report = {"lists": len(lists), "dropped_no_positive": dropped,
@@ -488,23 +485,21 @@ def rerank(params: RerankerParams, run: RunFile, queries: list[Query],
         raise ValueError(f"top_k must be >= 1, got {top_k}")
     by_id = {q.id: q for q in queries}
     store = corpus.token_store()
-    rankings: dict[str, list[tuple[str, float]]] = {}
+    rankings: dict[str, Ranking] = {}
     for qid, ranking in run.rankings.items():
         if qid not in by_id:
             raise KeyError(f"no query text for query id {qid!r}")
-        block = ranking[:top_k]
-        tail = ranking[top_k:]
-        if not block:  # nothing retrieved, nothing to rescore
-            rankings[qid] = []
+        if not ranking:  # nothing retrieved, nothing to rescore
+            rankings[qid] = ranking
             continue
         qtok = _token_ids(by_id[qid])
-        pids = [pid for pid, _ in block]
+        pids = ranking.ids[:top_k]
         scores = _score_padded(params, qtok, *_store_rows(store, corpus, pids))
         order = np.argsort(-scores, kind="stable")
-        tail_scores = (float(scores.min()) - 1.0) - np.arange(len(tail))
-        rankings[qid] = (list(zip([pids[i] for i in order.tolist()],
-                                  scores[order].tolist()))
-                         + list(zip([pid for pid, _ in tail], tail_scores.tolist())))
+        tail = (float(scores.min()) - 1.0) - np.arange(len(ranking) - len(pids))
+        rankings[qid] = Ranking(tuple(map(pids.__getitem__, order.tolist()))
+                                + ranking.ids[top_k:],
+                                np.concatenate([scores[order], tail]))
     return RunFile(run_tag=run_tag or f"{run.run_tag}-rerank", rankings=rankings)
 
 

@@ -1,10 +1,70 @@
-"""Ranked candidate lists shared by all retrievers and the reranker."""
+"""Ranked runs and candidate lists shared by all retrievers and the reranker.
+
+``Ranking`` is the one form of a ranked run: one query's passage ids and
+their scores, best first, held as an id tuple and a read-only float64 array.
+First stages, the reranker, run files and metrics all read and write it.
+"""
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from operator import eq
 
 import numpy as np
+
+
+class Ranking(Sequence):
+    """One query's ranked (passage_id, score) pairs, as two columns.
+
+    ``ids`` is a tuple of passage ids and ``scores`` a read-only float64 array
+    of the same length, so an entry costs an id reference and 8 bytes rather
+    than a tuple and a float object.  Iteration and indexing yield
+    ``(str, float)`` pairs with Python floats, slicing yields a Ranking, and a
+    Ranking compares equal to a list or tuple of equal pairs.  The scores are
+    copied; nothing checks ids or order (``evaluation.write_run`` does).
+    """
+
+    __slots__ = ("ids", "scores")
+
+    def __init__(self, ids=(), scores=()):
+        ids = tuple(ids)
+        scores = np.array(scores, dtype=np.float64)
+        if scores.shape != (len(ids),):
+            raise ValueError(f"{len(ids)} ids but scores of shape {scores.shape}")
+        scores.flags.writeable = False
+        self.ids = ids
+        self.scores = scores
+
+    @classmethod
+    def of(cls, pairs) -> "Ranking":
+        """``pairs`` itself if it is a Ranking, else its (passage_id, score) pairs."""
+        if isinstance(pairs, Ranking):
+            return pairs
+        return cls(*zip(*pairs)) if len(pairs) else cls()
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return Ranking(self.ids[index], self.scores[index])
+        return self.ids[index], float(self.scores[index])
+
+    def __iter__(self):
+        return zip(self.ids, self.scores.tolist())
+
+    def __eq__(self, other):
+        if isinstance(other, Ranking):
+            return self.ids == other.ids and np.array_equal(self.scores, other.scores)
+        if isinstance(other, (list, tuple)):
+            return len(other) == len(self) and all(map(eq, self, other))
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"Ranking({list(self)!r})"
 
 
 @dataclass
@@ -31,22 +91,22 @@ class CandidateList:
         return [it.passage_id for it in self.items]
 
 
-def ranked_list(query_id: str, ids: list[str], scores: list[float]) -> CandidateList:
+def ranked_list(query_id: str, ids: list[str], scores: np.ndarray) -> CandidateList:
     """Ranks 1.. for ``ids`` in rank order, each with its entry of ``scores``."""
     # positional fields (passage_id, score, rank): about half the cost of keywords
-    return CandidateList(query_id, list(map(CandidateItem, ids, scores,
+    return CandidateList(query_id, list(map(CandidateItem, ids, scores.tolist(),
                                             range(1, len(ids) + 1))))
 
 
 def top_k(scores: np.ndarray, id_rank: np.ndarray, ids: list[str],
-          k: int) -> tuple[list[str], list[float]]:
+          k: int) -> tuple[list[str], np.ndarray]:
     """Ids and scores of the k best entries of ``scores``, in ``top_k_order``.
 
-    ``ids[i]`` and ``id_rank[i]`` belong to ``scores[i]``.  The scores come
-    from ``ndarray.tolist()``, the same Python floats as ``float(scores[i])``.
+    ``ids[i]`` and ``id_rank[i]`` belong to ``scores[i]``; the scores are a
+    new array, ``scores[order]``.
     """
     order = top_k_order(scores, id_rank, k)
-    return [ids[i] for i in order.tolist()], scores[order].tolist()
+    return [ids[i] for i in order.tolist()], scores[order]
 
 
 def id_rank(ids) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Tests for the data model, tokenizer and file formats."""
 
+import json
 import os
 import re
 import subprocess
@@ -25,6 +26,7 @@ from hybridrank.corpus import (
     VOCAB_SIZE,
     tokenize,
 )
+from hybridrank.evaluation import RunFile, read_run, write_run
 
 
 # ---------------------------------------------------------------- tokenize
@@ -130,6 +132,13 @@ def test_corpus_rejects_duplicate_and_empty_ids():
         Corpus([Passage("ok", "", "")])
 
 
+def test_corpus_rejects_ids_with_whitespace():
+    for pid in ("p 1", "p\t1", " p", "p\u00a0", "p\u2028", "p\x1c1"):
+        with pytest.raises(ValueError) as exc:
+            Corpus([Passage("ok", "", "x"), Passage(pid, "", "y")])
+        assert repr(pid) in str(exc.value)
+
+
 def test_passage_encoding_text_concatenates_title():
     assert Passage("p", "A Title", "Body text").encoding_text() == "A Title. Body text"
     assert Passage("p", "", "Body text").encoding_text() == "Body text"
@@ -186,6 +195,47 @@ def test_load_queries_duplicate_id(tmp_path):
     path.write_text("q1\ta\nq1\tb\n")
     with pytest.raises(ValueError, match="q1"):
         load_queries(path)
+
+
+def test_load_queries_rejects_empty_ids_and_ids_with_whitespace(tmp_path):
+    path = tmp_path / "q.tsv"
+    for qid in ("q 1", " q1", "q1\u00a0", "q\x0b1", ""):
+        path.write_text(f"q0\tfine\n{qid}\ttext\n", encoding="utf-8")
+        with pytest.raises(ValueError) as exc:
+            load_queries(path)
+        assert "line 2" in str(exc.value) and repr(qid) in str(exc.value)
+
+
+# ids of every kind a loader might be handed
+_CANDIDATE_IDS = ["p1", "P-1.0", "-0.0", "Q0", "1", "é", "a/b#c", "x_y:z", "p 1", "p\t1",
+                  " p", "p\u00a0", "p\u2028", "p\u3000", "p\x1c1", "p\x0b", "p\x85",
+                  "p\r1", "p\n1", ""]
+
+
+def test_every_id_the_loaders_accept_round_trips_a_run_file(tmp_path):
+    passage_ids, query_ids = [], []
+    for i, cid in enumerate(_CANDIDATE_IDS):
+        corpus_path, query_path = tmp_path / f"c{i}.jsonl", tmp_path / f"q{i}.tsv"
+        corpus_path.write_text(json.dumps({"id": cid, "text": "x"}) + "\n",
+                               encoding="utf-8")
+        with open(query_path, "w", encoding="utf-8", newline="") as f:
+            f.write(f"{cid}\ttext\n")
+        try:
+            passage_ids += load_corpus(corpus_path).ids()
+        except ValueError:
+            pass
+        try:
+            query_ids += [q.id for q in load_queries(query_path)]
+        except ValueError:
+            pass
+    assert passage_ids == ["p1", "P-1.0", "-0.0", "Q0", "1", "é", "a/b#c", "x_y:z"]
+    # "p\t1\ttext" is query "p" with text "1\ttext"
+    assert query_ids == passage_ids + ["p"]
+    run = RunFile("t", {qid: [(pid, float(-j)) for j, pid in enumerate(passage_ids)]
+                        for qid in query_ids})
+    path = tmp_path / "run.trec"
+    write_run(run, path)
+    assert read_run(path).rankings == run.rankings
 
 
 def test_load_queries_empty_file(tmp_path):

@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -127,6 +128,19 @@ def test_row_norms_bit_equal_to_full_norm(n, dtype):
     out, ref = row_norms(m), np.linalg.norm(m, axis=1)
     assert out.dtype == ref.dtype and out.shape == ref.shape
     assert out.tobytes() == ref.tobytes()
+
+
+def test_normalize_rows_divides_in_place_without_a_second_table():
+    m = _with_zero_rows(20_000, np.float64)
+    tracemalloc.start()
+    try:
+        out = normalize_rows(m)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out is m
+    # the table is 9.8 MiB; a divided copy of it would show here
+    assert peak < 2**20
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

@@ -1,12 +1,16 @@
 """Tests for ranking metrics and the TREC run-file interchange."""
 
 import math
+import os
 import random
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
+from hybridrank import pipeline
 from hybridrank.corpus import QrelSet
+from hybridrank.dense import DeTrainConfig
 from hybridrank.evaluation import (
     RunFile,
     compute_metric,
@@ -14,6 +18,9 @@ from hybridrank.evaluation import (
     read_run,
     write_run,
 )
+from hybridrank.reranker import RerankTrainConfig, SamplingWindow
+from hybridrank.synthetic import SyntheticCorpusSpec, make_synthetic_corpus, \
+    save_synthetic_data
 
 
 def run_of(rankings):
@@ -296,9 +303,10 @@ def test_read_run_duplicate_in_a_resumed_query_names_its_line(tmp_path):
 
 def test_read_run_peak_memory_per_line(tmp_path):
     # 200 queries x 250 ranks over 2,000 distinct passage ids.  Held once per
-    # id, with one duplicate set live, the read peaks near its result (about
-    # 4.3 MiB: a tuple, a float and a list slot per line); a new str per line
-    # and a set per query until the end took 8.4 MiB.
+    # id in two columns per query, with one duplicate set live, the read peaks
+    # near 1.0 MiB (an id reference and 8 bytes of score per line).  A tuple
+    # and a float per line took 4.3 MiB, and a new str per line and a set per
+    # query until the end 8.4 MiB.
     rng = random.Random(0)
     ids = [f"p{i:05d}" for i in range(2000)]
     path = tmp_path / "r.trec"
@@ -313,7 +321,7 @@ def test_read_run_peak_memory_per_line(tmp_path):
     finally:
         tracemalloc.stop()
     assert sum(len(r) for r in run.rankings.values()) == 50_000
-    assert peak < 6 * 2**20
+    assert peak < 2 * 2**20
 
 
 def test_empty_ranking_query_simply_absent(tmp_path):
@@ -322,6 +330,115 @@ def test_empty_ranking_query_simply_absent(tmp_path):
     write_run(run, path)
     loaded = read_run(path)
     assert "q2" not in loaded.rankings  # nothing retrieved, nothing written
+
+
+def _per_pair_write_run(run: RunFile, path) -> None:
+    """write_run as one loop over (passage_id, score) pairs, checking each
+    line before writing it: the reference for write_run's bytes and errors."""
+    if not run.run_tag or any(c.isspace() for c in run.run_tag):
+        raise ValueError(f"run_tag must be nonempty without whitespace: {run.run_tag!r}")
+    with open(path, "w", encoding="utf-8") as f:
+        for qid in sorted(run.rankings):
+            ranking = run.rankings[qid]
+            seen = set()
+            prev = None
+            for rank, (pid, score) in enumerate(ranking, start=1):
+                if pid in seen:
+                    raise ValueError(f"duplicate passage {pid!r} in query {qid!r}")
+                seen.add(pid)
+                if not math.isfinite(score):
+                    raise ValueError(
+                        f"score {score!r} at rank {rank} of query {qid!r} is not finite")
+                if prev is not None and score > prev:
+                    raise ValueError(
+                        f"scores increase at rank {rank} of query {qid!r}")
+                prev = score
+                f.write(f"{qid} Q0 {pid} {rank} {score!r} {run.run_tag}\n")
+
+
+def _assert_written_as_per_pair(run, tmp_path):
+    got, ref = tmp_path / "got.trec", tmp_path / "ref.trec"
+    write_run(run, got)
+    _per_pair_write_run(run, ref)
+    assert got.read_bytes() == ref.read_bytes()
+    return got
+
+
+def test_write_run_bytes_equal_per_pair_writer_on_edge_scores(tmp_path):
+    run = RunFile("t", {
+        "q2": [("a", 1e16), ("b", 1.0), ("c", 1e-05), ("d", 5e-324), ("e", 0.0),
+               ("f", -0.0), ("g", -0.0), ("h", -1e-05), ("i", -1e16)],
+        "q1": [("x", 2.0), ("y", 2.0), ("z", 2.0)],      # tied
+        "q3": [],                                        # empty
+        "q10": [("only", 0.1000000000000000055511151231257827)],
+    })
+    path = _assert_written_as_per_pair(run, tmp_path)
+    text = path.read_text()
+    assert " -0.0 t\n" in text and " 5e-324 t\n" in text and " 1e+16 t\n" in text
+    assert read_run(path).rankings["q2"] == run.rankings["q2"]
+
+
+def test_write_run_bytes_equal_per_pair_writer_on_random_runs(tmp_path):
+    rng = random.Random(3)
+    values = [0.0, -0.0, 5e-324, 1e-05, 0.1, 1.0, 2.5, 1e16, -3.0]
+    for trial in range(20):
+        rankings = {}
+        for q in range(rng.randrange(0, 5)):
+            scores = sorted((rng.choice(values) for _ in range(rng.randrange(0, 30))),
+                            reverse=True)
+            rankings[f"q{rng.randrange(100)}"] = [(f"d{i}", s) for i, s in enumerate(scores)]
+        _assert_written_as_per_pair(RunFile("t", rankings), tmp_path)
+
+
+def test_write_run_bytes_equal_per_pair_writer_on_pipeline_runs(tmp_path, monkeypatch):
+    # the tests/test_cli.py config: every run file the pipeline writes
+    data = tmp_path / "data"
+    paths = save_synthetic_data(make_synthetic_corpus(SyntheticCorpusSpec(
+        n_passages=60, n_train_queries=12, n_test_queries=8, seed=2)), data)
+    config = pipeline.ExperimentConfig(
+        **paths, workdir=str(tmp_path / "run"), seed=4,
+        de=DeTrainConfig(epochs=2, batch_size=4, dim=16),
+        reranker=RerankTrainConfig(steps=20, batch_size=4, learning_rate=0.05),
+        window=SamplingWindow(skip=0, depth=20, n_negatives=6),
+        lambda_grid=(0.0, 50.0, 300.0), run_depth=30, rerank_top_k=10)
+    written = []
+
+    def checked(run, path):
+        written.append(os.path.basename(path))
+        write_run(run, path)
+        _per_pair_write_run(run, tmp_path / "ref.trec")
+        assert (tmp_path / "ref.trec").read_bytes() == Path(path).read_bytes(), path
+
+    monkeypatch.setattr(pipeline, "write_run", checked)
+    pipeline.run_experiment(config)
+    assert sorted(written) == ["run_bm25_test.trec", "run_de_test.trec",
+                               "run_hybrid_test.trec", "run_hybrid_train.trec",
+                               "run_rerank_hybrid_on_bm25.trec"]
+
+
+@pytest.mark.parametrize("rankings", [
+    {"q": [("d", 2.0), ("d", 1.0)]},
+    {"q": [("a", 3.0), ("b", 2.0), ("c", 2.0), ("b", 1.0)]},
+    {"q": [("a", 1.0), ("b", float("nan"))]},
+    {"q": [("a", 1.0), ("b", 0.5), ("c", float("-inf"))]},
+    {"q": [("a", float("inf"))]},
+    {"q": [("a", 1.0), ("b", 2.0)]},
+    {"q": [("a", 3.0), ("b", 1.0), ("c", 1.5), ("a", 0.0)]},
+    # two faults at one rank: duplicate before non-finite before increase
+    {"q": [("a", 1.0), ("a", float("nan"))]},
+    {"q": [("a", 1.0), ("b", float("inf"))]},
+    {"q": [("a", float("nan")), ("b", 2.0)]},
+    # the first query in sorted order fails first
+    {"q2": [("a", 1.0), ("b", 2.0)], "q1": [("a", 1.0), ("a", 0.0)]},
+])
+def test_write_run_errors_equal_per_pair_writer(tmp_path, rankings):
+    run = RunFile("t", rankings)
+    with pytest.raises(ValueError) as ref:
+        _per_pair_write_run(run, tmp_path / "ref.trec")
+    with pytest.raises(ValueError) as got:
+        write_run(run, tmp_path / "got.trec")
+    assert str(got.value) == str(ref.value)
+    assert not (tmp_path / "got.trec").exists()
 
 
 # ---------------------------------------------------------------- table

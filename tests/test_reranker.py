@@ -857,13 +857,14 @@ def test_init_reranker_warm_start_shares_the_table():
 
 # ---------------------------------------------------------------- rerank
 
-def _rerank_fixture(seed=0):
+def _rerank_fixture(seed=0, **rankings):
+    """Toy corpus, queries and a run; ``rankings`` replace or add queries."""
     corpus, queries, _ = _toy_corpus_and_lists(seed=seed)
-    rankings = {
+    base = {
         "q0": [(f"d{i}", float(10 - i)) for i in range(8)],
         "q1": [(f"d{i}", float(5 - i)) for i in range(3)],
     }
-    return corpus, queries, RunFile("base", rankings)
+    return corpus, queries, RunFile("base", {**base, **rankings})
 
 
 def test_rerank_top_k_one_keeps_input_order():
@@ -911,23 +912,22 @@ def test_rerank_scores_come_from_score_pair():
 
 
 def test_rerank_empty_ranking_stays_empty():
-    corpus, queries, run = _rerank_fixture()
-    run.rankings["q0"] = []
+    corpus, queries, run = _rerank_fixture(q0=[])
     out = rerank(_random_params(12), run, queries, corpus, top_k=5)
     assert out.rankings["q0"] == []
 
 
 def test_rerank_unknown_passage_named():
-    corpus, queries, run = _rerank_fixture()
-    run.rankings["q0"][0] = ("ghost", 11.0)
+    corpus, queries, run = _rerank_fixture(
+        q0=[("ghost", 11.0)] + [(f"d{i}", float(10 - i)) for i in range(1, 8)])
     with pytest.raises(KeyError, match="ghost"):
         rerank(_random_params(13), run, queries, corpus, top_k=5)
 
 
 def test_rerank_names_a_passage_without_tokens():
-    corpus, queries, run = _rerank_fixture()
+    corpus, queries, run = _rerank_fixture(
+        q0=[(f"d{i}", float(10 - i)) for i in range(8)] + [("dots", -1.0)])
     corpus = _with_tokenless_passage(corpus)
-    run.rankings["q0"].append(("dots", -1.0))
     # below top_k it is not rescored
     out = rerank(_random_params(13), run, queries, corpus, top_k=5)
     assert out.rankings["q0"][-1][0] == "dots"
@@ -976,8 +976,7 @@ def test_rerank_order_and_tail_equal_per_item_reference(monkeypatch):
 
 
 def test_rerank_missing_query_text_named():
-    corpus, queries, run = _rerank_fixture()
-    run.rankings["mystery"] = [("d1", 1.0)]
+    corpus, queries, run = _rerank_fixture(mystery=[("d1", 1.0)])
     with pytest.raises(KeyError, match="mystery"):
         rerank(_random_params(14), run, queries, corpus, top_k=5)
 
