@@ -127,9 +127,21 @@ class TokenStore:
         return self.ids[self.indptr[pos]:self.indptr[pos + 1]]
 
 
+def _id_fault(item_id: str) -> str | None:
+    """Why an id cannot be one field of a UTF-8 run file, or None if it can."""
+    if item_id.split() != [item_id]:
+        return "is empty or contains whitespace"
+    try:
+        item_id.encode("utf-8")
+    except UnicodeEncodeError:  # a lone surrogate, as JSON's "\ud800" decodes to
+        return "does not encode as UTF-8"
+    return None
+
+
 class Corpus:
-    """Ordered passage collection with unique, nonempty ids without whitespace,
-    so that every id fits one field of a run file.
+    """Ordered passage collection with unique ids that are nonempty, free of
+    whitespace and encodable as UTF-8, so that every id fits one field of a
+    run file.
 
     ``corpus[i]`` and iteration go by position; ``in``, ``get`` and
     ``position`` go by passage id.
@@ -138,10 +150,9 @@ class Corpus:
     def __init__(self, passages: list[Passage]):
         self._index: dict[str, int] = {}
         for pos, p in enumerate(passages):
-            if not p.id:
-                raise ValueError(f"passage at position {pos} has an empty id")
-            if p.id.split() != [p.id]:
-                raise ValueError(f"passage id {p.id!r} contains whitespace")
+            fault = _id_fault(p.id)
+            if fault:
+                raise ValueError(f"passage at position {pos}: id {p.id!r} {fault}")
             if not p.text:
                 raise ValueError(f"passage {p.id!r} has empty text")
             if p.id in self._index:
@@ -278,8 +289,8 @@ def save_corpus(corpus: Corpus, path) -> None:
 def load_queries(path) -> list[Query]:
     """Load TSV queries (id<TAB>text), preserving file order.
 
-    Ids must be nonempty and free of whitespace, so that every id fits one
-    field of a run file.
+    Ids must be nonempty, free of whitespace and encodable as UTF-8, so that
+    every id fits one field of a run file.
     """
     queries: list[Query] = []
     seen: set[str] = set()
@@ -291,9 +302,9 @@ def load_queries(path) -> list[Query]:
             if "\t" not in line:
                 raise ValueError(f"{path}: line {lineno}: expected id<TAB>text")
             qid, text = line.split("\t", 1)
-            if qid.split() != [qid]:
-                raise ValueError(f"{path}: line {lineno}: query id {qid!r} is empty "
-                                 "or contains whitespace")
+            fault = _id_fault(qid)
+            if fault:
+                raise ValueError(f"{path}: line {lineno}: query id {qid!r} {fault}")
             if qid in seen:
                 raise ValueError(f"{path}: line {lineno}: duplicate query id {qid!r}")
             if not text:

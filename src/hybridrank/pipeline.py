@@ -1,11 +1,11 @@
 """End-to-end experiment orchestration with a reproducibility manifest.
 
-A run goes: BM25 index -> dual encoder (supervised from train qrels, or the
-generate/filter/fine-tune loop) -> fusion-weight tuning -> first-stage runs ->
-candidate-list sampling -> reranker training -> rerank -> metrics.  Every file
-read or written lands in a manifest of content hashes; identical configs give
-identical manifests.  Rerankers are named by the run their training lists were
-sampled from (bm25 / de / hybrid / mixed).
+A run goes: BM25 index -> dual encoder (supervised from train qrels) ->
+fusion-weight tuning -> first-stage runs -> candidate-list sampling ->
+reranker training -> rerank -> metrics.  Every file read or written lands in
+a manifest of content hashes; identical configs give identical manifests.
+Rerankers are named by the run their training lists were sampled from
+(bm25 / de / hybrid / mixed).
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .evaluation import METRIC_IDS, RunFile, format_metric_table, reported_metri
 from .hybrid import DEFAULT_LAMBDA_GRID, FIRST_STAGES, HybridIndex, save_hybrid_index, \
     tune_lambda
 from .npzio import write_json
-from .qgen import QgenConfig, iterative_train
 from .reranker import RerankerParams, RerankTrainConfig, SamplingWindow, \
     build_candidate_lists, init_reranker, rerank, save_candidate_lists, \
     save_reranker, train_reranker
@@ -37,7 +36,6 @@ TRAINING_SOURCES = ("bm25", "de", "hybrid", "mixed", "none")
 
 # offsets mixed into config.seed so each stage gets its own stream
 _SEED_DE = 1
-_SEED_QGEN = 2
 _SEED_MIX = 6
 _SEED_SAMPLE = {"bm25": 3, "de": 4, "hybrid": 5}
 _SEED_RERANKER = {"bm25": 11, "de": 12, "hybrid": 13, "mixed": 14}
@@ -74,7 +72,6 @@ class ExperimentConfig:
     seed: int = 0
     bm25: Bm25Params = Bm25Params()
     de: DeTrainConfig = DeTrainConfig()
-    qgen: QgenConfig | None = None
     reranker: RerankTrainConfig = RerankTrainConfig()
     window: SamplingWindow = SamplingWindow(skip=0, depth=250, n_negatives=50)
     lambda_grid: tuple[float, ...] | None = None
@@ -104,16 +101,16 @@ def _seeded(base: int, offset: int) -> int:
     return base * 1000 + offset
 
 
+# section -> (its type, the fields a config file may set)
 _CONFIG_SECTIONS = {
-    "bm25": ("k", "b"),
-    "de": ("batch_size", "epochs", "learning_rate", "temperature", "dim"),
-    "qgen": ("mode", "max_per_passage", "sample_passages", "fine_tune_epochs"),
-    "reranker": ("steps", "batch_size", "learning_rate"),
-    "window": ("skip", "depth", "n_negatives"),
+    "bm25": (Bm25Params, ("k", "b")),
+    "de": (DeTrainConfig, ("batch_size", "epochs", "learning_rate", "temperature", "dim")),
+    "reranker": (RerankTrainConfig, ("steps", "batch_size", "learning_rate")),
+    "window": (SamplingWindow, ("skip", "depth", "n_negatives")),
 }
 _TOP_LEVEL_KEYS = (
     "corpus", "train_queries", "test_queries", "train_qrels", "test_qrels",
-    "workdir", "seed", "bm25", "de", "qgen", "reranker", "window", "lambda_grid",
+    "workdir", "seed", "bm25", "de", "reranker", "window", "lambda_grid",
     "fixed_lambda", "tune_metric", "run_depth", "rerank_top_k", "training_source",
     "rerank_first_stage",
 )
@@ -124,10 +121,7 @@ def config_to_dict(config: ExperimentConfig) -> dict:
     for key in _TOP_LEVEL_KEYS:
         value = getattr(config, key)
         if key in _CONFIG_SECTIONS:
-            if value is None:
-                out[key] = None
-            else:
-                out[key] = {f: getattr(value, f) for f in _CONFIG_SECTIONS[key]}
+            out[key] = {f: getattr(value, f) for f in _CONFIG_SECTIONS[key][1]}
         elif key == "lambda_grid":
             out[key] = list(value) if value is not None else None
         else:
@@ -135,30 +129,21 @@ def config_to_dict(config: ExperimentConfig) -> dict:
     return out
 
 
-def _section(name: str, data: dict, cls, **fixed):
-    allowed = set(_CONFIG_SECTIONS[name])
-    unknown = set(data) - allowed
-    if unknown:
-        raise ValueError(f"config section {name!r}: unknown keys {sorted(unknown)}")
-    return cls(**data, **fixed)
-
-
 def config_from_dict(data: dict) -> ExperimentConfig:
     unknown = set(data) - set(_TOP_LEVEL_KEYS)
     if unknown:
         raise ValueError(f"config: unknown keys {sorted(unknown)}")
     kwargs = dict(data)
-    if "bm25" in kwargs and kwargs["bm25"] is not None:
-        kwargs["bm25"] = _section("bm25", kwargs["bm25"], Bm25Params)
-    if "de" in kwargs and kwargs["de"] is not None:
-        kwargs["de"] = _section("de", kwargs["de"], DeTrainConfig)
-    if "qgen" in kwargs and kwargs["qgen"] is not None:
-        kwargs["qgen"] = _section("qgen", kwargs["qgen"], QgenConfig)
-    if "reranker" in kwargs and kwargs["reranker"] is not None:
-        kwargs["reranker"] = _section("reranker", kwargs["reranker"],
-                                      RerankTrainConfig)
-    if "window" in kwargs and kwargs["window"] is not None:
-        kwargs["window"] = _section("window", kwargs["window"], SamplingWindow)
+    for name, (cls, fields) in _CONFIG_SECTIONS.items():
+        if name in kwargs:
+            section = kwargs[name]
+            if not isinstance(section, dict):
+                raise ValueError(f"config section {name!r} must be an object, "
+                                 f"got {section!r}")
+            unknown = set(section) - set(fields)
+            if unknown:
+                raise ValueError(f"config section {name!r}: unknown keys {sorted(unknown)}")
+            kwargs[name] = cls(**section)
     if kwargs.get("lambda_grid") is not None:
         kwargs["lambda_grid"] = tuple(float(v) for v in kwargs["lambda_grid"])
     return ExperimentConfig(**kwargs)
@@ -212,7 +197,6 @@ class _Experiment:
         self._list_reports: dict[str, dict] = {}
         self._rerankers: dict[str, RerankerParams] = {}
         self._rerank_runs: dict[tuple[str, str], RunFile] = {}
-        self.qgen_report: dict | None = None
         self.encoder: EncoderParams | None = None
         self.hybrid_index: HybridIndex | None = None
 
@@ -242,25 +226,13 @@ class _Experiment:
         if self.encoder is None:
             with _stage("train-de"):
                 c = self.config
-                de_cfg = replace(c.de, seed=_seeded(c.seed, _SEED_DE))
-                if c.qgen is not None:
-                    gen_cfg = replace(c.qgen, seed=_seeded(c.seed, _SEED_QGEN))
-                    de0, de1, report = iterative_train(self.corpus, gen_cfg, de_cfg)
-                    save_params(de0, self._out("de0_params.npz"))
-                    write_json(report, self._out("qgen_filter.json"))
-                    self.qgen_report = report
-                    self.encoder = de1
-                else:
-                    pairs = []
-                    for q in self.train_queries:
-                        for pid in sorted(self.train_qrels.relevant(q.id)):
-                            pairs.append(TrainPair(query=q,
-                                                   positive=self.corpus.get(pid)))
-                    if not pairs:
-                        raise ValueError(
-                            "no supervised (query, passage) pairs in train qrels; "
-                            "provide a qgen section to train without supervision")
-                    self.encoder = train_de(pairs, de_cfg)
+                pairs = []
+                for q in self.train_queries:
+                    for pid in sorted(self.train_qrels.relevant(q.id)):
+                        pairs.append(TrainPair(query=q, positive=self.corpus.get(pid)))
+                if not pairs:
+                    raise ValueError("no supervised (query, passage) pairs in train qrels")
+                self.encoder = train_de(pairs, replace(c.de, seed=_seeded(c.seed, _SEED_DE)))
                 save_params(self.encoder, self._out("de_params.npz"))
         return self.encoder
 
@@ -400,7 +372,6 @@ def run_experiment(config: ExperimentConfig) -> dict:
         "lambda": exp.hybrid_index.lam,
         "metrics": metrics,
         "reranked_run": reranked_name,
-        "qgen": exp.qgen_report,
         "flagged_lists": {s: r.get("short_pool", [])
                           for s, r in exp._list_reports.items()},
     }

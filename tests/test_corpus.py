@@ -139,6 +139,16 @@ def test_corpus_rejects_ids_with_whitespace():
         assert repr(pid) in str(exc.value)
 
 
+def test_load_corpus_rejects_an_id_that_does_not_encode_as_utf8(tmp_path):
+    # JSON's "\ud800" escape decodes to a lone surrogate, which no run file can hold
+    path = tmp_path / "c.jsonl"
+    path.write_text('{"id": "ok", "text": "x"}\n{"id": "p\\ud800", "text": "y"}\n',
+                    encoding="utf-8")
+    with pytest.raises(ValueError, match="UTF-8") as exc:
+        load_corpus(path)
+    assert repr("p\ud800") in str(exc.value)
+
+
 def test_passage_encoding_text_concatenates_title():
     assert Passage("p", "A Title", "Body text").encoding_text() == "A Title. Body text"
     assert Passage("p", "", "Body text").encoding_text() == "Body text"
@@ -209,7 +219,7 @@ def test_load_queries_rejects_empty_ids_and_ids_with_whitespace(tmp_path):
 # ids of every kind a loader might be handed
 _CANDIDATE_IDS = ["p1", "P-1.0", "-0.0", "Q0", "1", "é", "a/b#c", "x_y:z", "p 1", "p\t1",
                   " p", "p\u00a0", "p\u2028", "p\u3000", "p\x1c1", "p\x0b", "p\x85",
-                  "p\r1", "p\n1", ""]
+                  "p\r1", "p\n1", "", "p\ud800"]
 
 
 def test_every_id_the_loaders_accept_round_trips_a_run_file(tmp_path):
@@ -218,7 +228,8 @@ def test_every_id_the_loaders_accept_round_trips_a_run_file(tmp_path):
         corpus_path, query_path = tmp_path / f"c{i}.jsonl", tmp_path / f"q{i}.tsv"
         corpus_path.write_text(json.dumps({"id": cid, "text": "x"}) + "\n",
                                encoding="utf-8")
-        with open(query_path, "w", encoding="utf-8", newline="") as f:
+        with open(query_path, "w", encoding="utf-8", errors="surrogatepass",
+                  newline="") as f:
             f.write(f"{cid}\ttext\n")
         try:
             passage_ids += load_corpus(corpus_path).ids()

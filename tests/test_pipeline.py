@@ -123,9 +123,11 @@ def test_config_rejects_unknown_keys(data_dir, tmp_path):
         config_from_dict(d)
 
 
-@pytest.mark.parametrize("key", ["vocab_size", "query_max_length", "passage_max_length"])
+@pytest.mark.parametrize("key", ["vocab_size", "query_max_length", "passage_max_length",
+                                 "qgen"])
 def test_config_rejects_the_removed_tokenizer_keys(data_dir, tmp_path, key):
-    # the vocabulary size and truncation lengths are the tokenizer's constants
+    # the vocabulary size and truncation lengths are the tokenizer's constants;
+    # "qgen" configured the removed extractive query-generation loop
     d = config_to_dict(_config(data_dir, tmp_path / "w"))
     assert key not in d
     d[key] = 64
@@ -138,6 +140,15 @@ def test_config_rejects_unknown_section_keys(data_dir, tmp_path):
     d["bm25"]["k9"] = 1.0
     with pytest.raises(ValueError, match="k9"):
         config_from_dict(d)
+
+
+@pytest.mark.parametrize("section", ["bm25", "de", "reranker", "window"])
+def test_config_rejects_a_section_that_is_not_an_object(data_dir, tmp_path, section):
+    d = config_to_dict(_config(data_dir, tmp_path / "w"))
+    for bad in (None, [], 1):
+        d[section] = bad
+        with pytest.raises(ValueError, match=f"section '{section}'"):
+            config_from_dict(d)
 
 
 def test_config_grid_becomes_tuple(data_dir, tmp_path):
