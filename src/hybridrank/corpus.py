@@ -242,9 +242,6 @@ class QrelSet:
         self._judgments[(query_id, passage_id)] = int(grade)
         self._by_query.setdefault(query_id, {})[passage_id] = int(grade)
 
-    def grade(self, query_id: str, passage_id: str) -> int:
-        return self._judgments.get((query_id, passage_id), 0)
-
     def relevant(self, query_id: str) -> dict[str, int]:
         """passage_id -> grade for all judged-relevant (grade > 0) passages."""
         return {pid: g for pid, g in self._by_query.get(query_id, {}).items() if g > 0}

@@ -202,24 +202,19 @@ def _scatter_rows(grad: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.repeat(grad / np.maximum(counts, 1)[:, None], counts, axis=0)
 
 
-def train_de(pairs: list[TrainPair], config: DeTrainConfig,
-             init: EncoderParams | None = None) -> EncoderParams:
-    """Mini-batch SGD on the in-batch softmax loss.
+def train_de(pairs: list[TrainPair], config: DeTrainConfig) -> EncoderParams:
+    """Mini-batch SGD on the in-batch softmax loss from ``init_params``.
 
-    Deterministic for fixed (pairs order, config, init). Fresh initialization
-    draws from config.seed; raises ValueError naming the epoch whose mean loss
-    is not finite; warns if the final epoch's mean loss is worse than
-    the first epoch's by more than 1e-3 nats and more than a relative 1e-3, so
-    batch-order noise at a converged loss does not warn.
+    Deterministic for fixed (pairs order, config): the initial table and the
+    batch order both draw from config.seed.  Raises ValueError naming the
+    epoch whose mean loss is not finite; warns if the final epoch's mean loss
+    is worse than the first epoch's by more than 1e-3 nats and more than a
+    relative 1e-3, so batch-order noise at a converged loss does not warn.
     """
     if not pairs:
         raise ValueError("pairs must be nonempty")
-    if init is None:
-        init = init_params(config.dim, config.seed)
-        emb = init.embeddings  # drawn here, so no caller holds it
-    else:
-        emb = init.embeddings.copy()
-    out = EncoderParams(embeddings=emb, seed=init.seed)
+    out = init_params(config.dim, config.seed)
+    emb = out.embeddings  # trained in place: drawn here, so no caller holds it
     if config.epochs == 0:
         return out
 

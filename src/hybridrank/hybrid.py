@@ -12,10 +12,10 @@ BM25 scores (``Bm25Index.scores``) and cosines (``dense.query_cosines``).
 keeps only passages that score > 0, which are exactly the passages sharing a
 term with the query; de and hybrid rank every passage.
 
-``tune_lambda`` picks the weight from a grid by counting, not ranking: per
-weight it needs only the rank of each relevant passage, which is one plus
-the passages that score above it or tie it with a smaller id
-(``lambda_curve``).
+``tune_lambda`` picks the weight from a grid by MRR@10 on judged queries,
+counting, not ranking: per weight it needs only the rank of each relevant
+passage, which is one plus the passages that score above it or tie it with a
+smaller id (``lambda_curve``).
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .bm25 import Bm25Index, load_index, save_index
 from .corpus import QrelSet, Query
 from .dense import EncoderParams, load_encodings, load_params, query_cosines, \
     row_norms, save_encodings, save_params
-from .evaluation import METRIC_IDS, query_metric
+from .evaluation import query_metric
 from .npzio import write_json
 from .results import CandidateList, ranked_list, top_k
 
@@ -148,10 +148,9 @@ def _relevant_ranks(index: HybridIndex, query: Query, rel: np.ndarray,
 
 
 def lambda_curve(index: HybridIndex, queries: list[Query], qrels: QrelSet,
-                 grid: tuple[float, ...], metric: str = "mrr",
-                 cutoff: int = 10) -> dict[float, float]:
-    """Mean ``metric``@``cutoff`` of the fused ranking at each grid weight,
-    ascending, over the ``queries`` that have a relevant judgment.
+                 grid: tuple[float, ...]) -> dict[float, float]:
+    """Mean MRR@10 of the fused ranking at each grid weight, ascending, over
+    the ``queries`` that have a relevant judgment.
 
     The means are those of ranking every passage at each weight
     (``top_k_order``) and scoring the lists with ``compute_metric`` against
@@ -166,10 +165,6 @@ def lambda_curve(index: HybridIndex, queries: list[Query], qrels: QrelSet,
     bad = [lam for lam in values if not 0 <= lam < math.inf]
     if bad:
         raise ValueError(f"lambda grid values must be finite and >= 0, got {bad[0]}")
-    if metric not in METRIC_IDS:
-        raise ValueError(f"unknown metric {metric!r}; expected one of {METRIC_IDS}")
-    if cutoff < 1:
-        raise ValueError(f"cutoff must be >= 1, got {cutoff}")
     by_id = {q.id: q for q in queries}
     judged = sorted(qid for qid in by_id if qrels.relevant(qid))
     if not judged:
@@ -183,37 +178,35 @@ def lambda_curve(index: HybridIndex, queries: list[Query], qrels: QrelSet,
         ranks = _relevant_ranks(index, by_id[qid],
                                 np.array([position[pid] for pid in rel], dtype=np.int64),
                                 lams)
-        rows.append([query_metric(metric, cutoff, list(grades.values()),
+        rows.append([query_metric("mrr", 10, list(grades.values()),
                                   [(rank, grades[pid]) for rank, pid in zip(row, rel)])
                      for row in ranks.tolist()])
     return {lam: sum(row[j] for row in rows) / len(rows) for j, lam in enumerate(values)}
 
 
 def tune_lambda(index: HybridIndex, queries: list[Query], qrels: QrelSet,
-                grid: tuple[float, ...] = DEFAULT_LAMBDA_GRID, metric: str = "mrr",
-                cutoff: int = 10) -> float:
+                grid: tuple[float, ...] = DEFAULT_LAMBDA_GRID) -> float:
     """The grid weight with the best ``lambda_curve`` mean; exact ties go to
     the smallest weight."""
-    curve = lambda_curve(index, queries, qrels, grid, metric, cutoff)
+    curve = lambda_curve(index, queries, qrels, grid)
     return max(curve, key=curve.get)
 
 
-def save_hybrid_index(index: HybridIndex, prefix) -> None:
-    """Write <prefix>.json plus npz parts; reload reproduces scores bit-exactly."""
+def save_hybrid_index(index: HybridIndex, prefix) -> list[str]:
+    """Write <prefix>.json plus npz parts and return the paths written; reload
+    reproduces scores bit-exactly."""
     prefix = str(prefix)
-    save_index(index.bm25, prefix + ".bm25.npz")
-    save_params(index.encoder, prefix + ".encoder.npz")
-    save_encodings(list(index.ids), index.dense_rows, prefix + ".encodings.npz")
+    parts = {name: f"{prefix}.{name}.npz" for name in ("bm25", "encoder", "encodings")}
+    save_index(index.bm25, parts["bm25"])
+    save_params(index.encoder, parts["encoder"])
+    save_encodings(list(index.ids), index.dense_rows, parts["encodings"])
     meta = {
         "format": HYBRID_FORMAT,
         "lambda": index.lam,
-        "files": {
-            "bm25": os.path.basename(prefix) + ".bm25.npz",
-            "encoder": os.path.basename(prefix) + ".encoder.npz",
-            "encodings": os.path.basename(prefix) + ".encodings.npz",
-        },
+        "files": {name: os.path.basename(path) for name, path in parts.items()},
     }
     write_json(meta, prefix + ".json")
+    return [*parts.values(), prefix + ".json"]
 
 
 def load_hybrid_index(prefix) -> HybridIndex:

@@ -14,7 +14,7 @@ import hashlib
 import json
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -22,8 +22,7 @@ from .bm25 import Bm25Index, Bm25Params
 from .corpus import load_corpus, load_qrels, load_queries
 from .dense import DeTrainConfig, EncoderParams, TrainPair, encode_corpus, \
     normalize_rows, save_params, train_de
-from .evaluation import METRIC_IDS, RunFile, format_metric_table, reported_metrics, \
-    write_run
+from .evaluation import RunFile, format_metric_table, reported_metrics, write_run
 from .hybrid import DEFAULT_LAMBDA_GRID, FIRST_STAGES, HybridIndex, save_hybrid_index, \
     tune_lambda
 from .npzio import write_json
@@ -75,8 +74,6 @@ class ExperimentConfig:
     reranker: RerankTrainConfig = RerankTrainConfig()
     window: SamplingWindow = SamplingWindow(skip=0, depth=250, n_negatives=50)
     lambda_grid: tuple[float, ...] | None = None
-    fixed_lambda: float | None = None
-    tune_metric: str = "mrr"
     run_depth: int = 250
     rerank_top_k: int = 50
     training_source: str = "hybrid"
@@ -89,31 +86,25 @@ class ExperimentConfig:
             raise ValueError(f"training_source must be one of {TRAINING_SOURCES}")
         if self.rerank_first_stage not in FIRST_STAGES:
             raise ValueError(f"rerank_first_stage must be one of {FIRST_STAGES}")
-        if self.tune_metric not in METRIC_IDS:
-            raise ValueError(f"tune_metric must be one of {METRIC_IDS}")
         if self.run_depth < 1 or self.rerank_top_k < 1:
             raise ValueError("run_depth and rerank_top_k must be >= 1")
-        if self.fixed_lambda is not None and not 0 <= self.fixed_lambda < np.inf:
-            raise ValueError(f"fixed_lambda must be finite and >= 0, got {self.fixed_lambda}")
 
 
 def _seeded(base: int, offset: int) -> int:
     return base * 1000 + offset
 
 
-# section -> (its type, the fields a config file may set)
-_CONFIG_SECTIONS = {
-    "bm25": (Bm25Params, ("k", "b")),
-    "de": (DeTrainConfig, ("batch_size", "epochs", "learning_rate", "temperature", "dim")),
-    "reranker": (RerankTrainConfig, ("steps", "batch_size", "learning_rate")),
-    "window": (SamplingWindow, ("skip", "depth", "n_negatives")),
-}
-_TOP_LEVEL_KEYS = (
-    "corpus", "train_queries", "test_queries", "train_qrels", "test_qrels",
-    "workdir", "seed", "bm25", "de", "reranker", "window", "lambda_grid",
-    "fixed_lambda", "tune_metric", "run_depth", "rerank_top_k", "training_source",
-    "rerank_first_stage",
-)
+_TOP_LEVEL_KEYS = tuple(f.name for f in fields(ExperimentConfig))
+_REQUIRED_KEYS = tuple(f.name for f in fields(ExperimentConfig) if f.default is MISSING)
+# section -> its type: the fields whose default is a dataclass
+_CONFIG_SECTIONS = {f.name: type(f.default) for f in fields(ExperimentConfig)
+                    if is_dataclass(f.default)}
+
+
+def _section_keys(cls) -> tuple[str, ...]:
+    """The fields a config file may set in a section: all but its seed, which
+    the pipeline derives from the experiment's."""
+    return tuple(f.name for f in fields(cls) if f.name != "seed")
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
@@ -121,7 +112,7 @@ def config_to_dict(config: ExperimentConfig) -> dict:
     for key in _TOP_LEVEL_KEYS:
         value = getattr(config, key)
         if key in _CONFIG_SECTIONS:
-            out[key] = {f: getattr(value, f) for f in _CONFIG_SECTIONS[key][1]}
+            out[key] = {f: getattr(value, f) for f in _section_keys(_CONFIG_SECTIONS[key])}
         elif key == "lambda_grid":
             out[key] = list(value) if value is not None else None
         else:
@@ -130,23 +121,37 @@ def config_to_dict(config: ExperimentConfig) -> dict:
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
+    """Raises ValueError naming the config, or its section, when ``data`` is
+    not an experiment config: not an object, a key unknown or missing, or a
+    value of the wrong type."""
+    if not isinstance(data, dict):
+        raise ValueError(f"config must be a JSON object, got {type(data).__name__}")
     unknown = set(data) - set(_TOP_LEVEL_KEYS)
     if unknown:
         raise ValueError(f"config: unknown keys {sorted(unknown)}")
+    missing = [key for key in _REQUIRED_KEYS if key not in data]
+    if missing:
+        raise ValueError(f"config: missing required keys {missing}")
     kwargs = dict(data)
-    for name, (cls, fields) in _CONFIG_SECTIONS.items():
+    for name, cls in _CONFIG_SECTIONS.items():
         if name in kwargs:
             section = kwargs[name]
             if not isinstance(section, dict):
                 raise ValueError(f"config section {name!r} must be an object, "
                                  f"got {section!r}")
-            unknown = set(section) - set(fields)
+            unknown = set(section) - set(_section_keys(cls))
             if unknown:
                 raise ValueError(f"config section {name!r}: unknown keys {sorted(unknown)}")
-            kwargs[name] = cls(**section)
-    if kwargs.get("lambda_grid") is not None:
-        kwargs["lambda_grid"] = tuple(float(v) for v in kwargs["lambda_grid"])
-    return ExperimentConfig(**kwargs)
+            try:
+                kwargs[name] = cls(**section)
+            except TypeError as exc:
+                raise ValueError(f"config section {name!r}: {exc}") from None
+    try:
+        if kwargs.get("lambda_grid") is not None:
+            kwargs["lambda_grid"] = tuple(float(v) for v in kwargs["lambda_grid"])
+        return ExperimentConfig(**kwargs)
+    except TypeError as exc:
+        raise ValueError(f"config: {exc}") from None
 
 
 def load_config(path) -> ExperimentConfig:
@@ -202,10 +207,9 @@ class _Experiment:
 
     # -- plumbing ---------------------------------------------------------
 
-    def _out(self, name: str, written: bool = True) -> str:
+    def _out(self, name: str) -> str:
         path = os.path.join(self.config.workdir, name)
-        if written and path not in self._written:
-            self._written.append(path)
+        self._written.append(path)
         return path
 
     def load(self) -> None:
@@ -246,20 +250,11 @@ class _Experiment:
                 rows = normalize_rows(encode_corpus(encoder, self.corpus))
                 index = HybridIndex(bm25_index, encoder, rows, lam=0.0)
                 grid = c.lambda_grid if c.lambda_grid is not None else DEFAULT_LAMBDA_GRID
-                if c.fixed_lambda is not None:
-                    lam = float(c.fixed_lambda)
-                else:
-                    lam = tune_lambda(index, self.train_queries, self.train_qrels,
-                                      grid=grid, metric=c.tune_metric)
+                lam = tune_lambda(index, self.train_queries, self.train_qrels, grid=grid)
                 self.hybrid_index = index.with_lambda(lam)
-                save_hybrid_index(self.hybrid_index,
-                                  self._out("hybrid", written=False))
-                for part in ("hybrid.json", "hybrid.bm25.npz",
-                             "hybrid.encoder.npz", "hybrid.encodings.npz"):
-                    self._out(part)
-                write_json({"lambda": lam, "grid": list(grid),
-                            "metric": c.tune_metric, "tuned": c.fixed_lambda is None},
-                           self._out("lambda.json"))
+                self._written += save_hybrid_index(
+                    self.hybrid_index, os.path.join(c.workdir, "hybrid"))
+                write_json({"lambda": lam, "grid": list(grid)}, self._out("lambda.json"))
         return self.hybrid_index
 
     def run(self, first_stage: str, split: str) -> RunFile:

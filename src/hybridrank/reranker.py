@@ -38,8 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import VOCAB_SIZE, Corpus, QrelSet, Query, TokenStore, query_tokens
-from .dense import DEFAULT_DIM, INIT_SCALE, row_norms, rows_at, vocabulary_table
+from .corpus import Corpus, QrelSet, Query, TokenStore, query_tokens
+from .dense import row_norms, rows_at, vocabulary_table
 from .evaluation import RunFile
 from .npzio import deterministic_savez, load_npz
 from .results import CandidateItem, CandidateList, Ranking
@@ -47,6 +47,7 @@ from .results import CandidateItem, CandidateList, Ranking
 RERANKER_FORMAT = "hybridrank-reranker-v1"
 _MASK_LOGIT = -1e30
 _ROUND_ROWS = 4096  # rows per block in _float32_rounded
+_ATTENTION_SCALE = 3.0  # typical attention logits at init are about +-this
 
 
 @dataclass
@@ -104,37 +105,33 @@ class RerankTrainConfig:
             raise ValueError("learning_rate must be > 0")
 
 
-def init_reranker(dim: int = DEFAULT_DIM, seed: int = 0, embeddings: np.ndarray | None = None,
-                  attention_scale: float = 3.0) -> RerankerParams:
-    """Fresh parameters; identity-like attention, optionally warm-started.
+def init_reranker(embeddings: np.ndarray, seed: int = 0) -> RerankerParams:
+    """Parameters warm-started from an ``embeddings`` table, with identity-like
+    attention; the readout is the one draw from ``seed``.
 
     W_q and W_k start as gain * I with the gain chosen so attention logits for
-    typical embedding rows land around +-attention_scale, W_v as I, so the
+    typical embedding rows land around +-_ATTENTION_SCALE, W_v as I, so the
     initial score is an attention-weighted mean of per-token readouts.
 
     A float64 ``embeddings`` table is shared, not copied (any other dtype is
     converted): the caller's table becomes the params' table, which
     train_reranker only reads.
     """
-    rng = np.random.default_rng(seed)
-    if embeddings is None:
-        emb = rng.uniform(-INIT_SCALE, INIT_SCALE, size=(VOCAB_SIZE, dim))
-    else:
-        emb = np.asarray(embeddings, dtype=np.float64)
-        if emb.ndim != 2:
-            raise ValueError("embeddings must be a 2-d matrix")
-        dim = emb.shape[1]
+    emb = np.asarray(embeddings, dtype=np.float64)
+    if emb.ndim != 2:
+        raise ValueError("embeddings must be a 2-d matrix")
+    dim = emb.shape[1]
     norms = row_norms(emb)
     nonzero = norms[norms > 0]
     typical = float(nonzero.mean()) if nonzero.size else 1.0
-    gain = math.sqrt(attention_scale * math.sqrt(dim)) / max(typical, 1e-12)
+    gain = math.sqrt(_ATTENTION_SCALE * math.sqrt(dim)) / max(typical, 1e-12)
     eye = np.eye(dim)
     return RerankerParams(
         embeddings=emb,
         w_q=gain * eye,
         w_k=gain * eye,
         w_v=eye.copy(),
-        readout=rng.normal(0.0, 0.1, size=dim),
+        readout=np.random.default_rng(seed).normal(0.0, 0.1, size=dim),
         bias=0.0,
         seed=seed,
     )

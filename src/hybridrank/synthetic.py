@@ -68,16 +68,6 @@ class SyntheticData:
     train_qrels: QrelSet
     test_qrels: QrelSet
 
-    def queries(self) -> list[Query]:
-        return self.train_queries + self.test_queries
-
-    def qrels(self) -> QrelSet:
-        merged = QrelSet()
-        for src in (self.train_qrels, self.test_qrels):
-            for (qid, pid), grade in src.judgments.items():
-                merged.set(qid, pid, grade)
-        return merged
-
 
 def _syllables() -> list[str]:
     return [c + v for c in _CONSONANTS for v in _VOWELS]

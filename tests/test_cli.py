@@ -78,3 +78,16 @@ def test_help_exits_zero(argv, capsys):
 def test_bad_config_path_returns_one(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "missing.json")]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("change", [
+    lambda config: {}, lambda config: [], lambda config: {**config, "seed": "3"},
+    lambda config: {**config, "bm25": {"k": "x"}}],
+    ids=["empty-object", "list", "string-seed", "string-bm25-k"])
+def test_malformed_config_returns_one_with_an_error_line(tmp_path, capsys, change):
+    path = tmp_path / "config.json"
+    _write_config(tmp_path, path, tmp_path / "w")
+    path.write_text(json.dumps(change(json.loads(path.read_text()))))
+    assert main(["run", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config") and "Traceback" not in err

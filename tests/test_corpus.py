@@ -268,15 +268,15 @@ def test_load_qrels_single_line(tmp_path):
     path = tmp_path / "qrels.txt"
     path.write_text("q1 0 d1 1\n")
     qrels = load_qrels(path)
-    assert qrels.grade("q1", "d1") == 1
-    assert qrels.grade("q1", "other") == 0
+    assert qrels.judgments == {("q1", "d1"): 1}
+    assert qrels.relevant("q1") == {"d1": 1}
 
 
 def test_load_qrels_zero_grade_is_nonrelevant(tmp_path):
     path = tmp_path / "qrels.txt"
     path.write_text("q1 0 d1 0\n")
     qrels = load_qrels(path)
-    assert qrels.grade("q1", "d1") == 0
+    assert qrels.judgments == {("q1", "d1"): 0}
     assert qrels.relevant("q1") == {}
     assert qrels.query_ids() == []
 
@@ -284,7 +284,7 @@ def test_load_qrels_zero_grade_is_nonrelevant(tmp_path):
 def test_load_qrels_later_line_overwrites(tmp_path):
     path = tmp_path / "qrels.txt"
     path.write_text("q1 0 d1 1\nq1 0 d1 2\n")
-    assert load_qrels(path).grade("q1", "d1") == 2
+    assert load_qrels(path).judgments == {("q1", "d1"): 2}
 
 
 def test_load_qrels_non_integer_grade(tmp_path):

@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
+from hybridrank import dense
 from hybridrank.corpus import PASSAGE_LENGTH, VOCAB_SIZE, Corpus, Passage, Query, query_tokens, \
     tokenize
 from hybridrank.dense import (
@@ -333,7 +334,7 @@ def test_train_de_zero_epochs_returns_init_unchanged():
     init = init_params(8, seed=5)
     before = init.embeddings.copy()
     out = train_de(pairs, DeTrainConfig(epochs=0, dim=8, seed=5))
-    assert np.array_equal(out.embeddings, before)
+    assert np.array_equal(out.embeddings, before) and out.seed == 5
 
 
 def test_train_de_deterministic():
@@ -347,36 +348,41 @@ def test_train_de_deterministic():
 def test_train_de_improves_loss():
     _, pairs = _toy_training_pairs(24)
     cfg = DeTrainConfig(epochs=10, batch_size=8, dim=16, seed=1)
-    init = init_params(16, seed=1)
-    before = in_batch_loss(init, pairs, cfg.temperature)
-    trained = train_de(pairs, cfg, init=init)
+    before = in_batch_loss(init_params(16, seed=1), pairs, cfg.temperature)
+    trained = train_de(pairs, cfg)
     after = in_batch_loss(trained, pairs, cfg.temperature)
     assert after < before
 
 
+def _start_from(monkeypatch, params):
+    """Make train_de start from a copy of ``params`` instead of a fresh draw."""
+    monkeypatch.setattr(dense, "init_params", lambda dim, seed: EncoderParams(
+        params.embeddings.copy(), seed))
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_train_de_stops_on_non_finite_loss():
+def test_train_de_stops_on_non_finite_loss(monkeypatch):
     _, pairs = _toy_training_pairs(8)
-    init = init_params(8, seed=5)
-    init.embeddings[:] = np.inf
+    _start_from(monkeypatch, EncoderParams(np.full((VOCAB_SIZE, 8), np.inf), 0))
     with pytest.raises(ValueError, match="epoch 1"):
-        train_de(pairs, DeTrainConfig(epochs=2, dim=8), init=init)
+        train_de(pairs, DeTrainConfig(epochs=2, dim=8))
 
 
-def test_train_de_converged_run_does_not_warn():
+def test_train_de_converged_run_does_not_warn(monkeypatch):
     # continuing a converged run leaves the loss at its floor, where batch
     # order alone moves the epoch mean (here up to ~4e-4 nats either way)
     _, pairs = _toy_training_pairs(12)
     converged = train_de(pairs, DeTrainConfig(epochs=20, batch_size=4,
                                               dim=8, seed=3))
+    _start_from(monkeypatch, converged)
     for seed in range(4):
         cfg = DeTrainConfig(epochs=3, batch_size=4, dim=8, seed=seed)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            train_de(pairs, cfg, init=converged)
+            train_de(pairs, cfg)
 
 
-def test_train_de_worse_run_still_warns():
+def test_train_de_worse_run_still_warns(monkeypatch):
     # Each pair listed twice, in batches of two.  A batch holding a pair and its
     # copy has two identical rows, so its loss is ln 2 whatever the weights; a
     # batch of the two distinct pairs is near 0 for an encoder fit to them.
@@ -389,30 +395,14 @@ def test_train_de_worse_run_still_warns():
                                            dim=8, seed=0))
     cfg = DeTrainConfig(epochs=2, batch_size=2, learning_rate=1e-9,
                         dim=8, seed=0)
+    _start_from(monkeypatch, fit)
     with pytest.warns(UserWarning, match=r"did not improve.*final 0\.693147"):
-        train_de([pa, pa, pb, pb], cfg, init=fit)
+        train_de([pa, pa, pb, pb], cfg)
 
 
 def test_train_de_empty_pairs_rejected():
     with pytest.raises(ValueError):
         train_de([], DeTrainConfig())
-
-
-def test_train_de_does_not_mutate_init():
-    _, pairs = _toy_training_pairs(8)
-    init = init_params(8, seed=2)
-    snapshot = init.embeddings.copy()
-    train_de(pairs, DeTrainConfig(epochs=2, dim=8, seed=2), init=init)
-    assert np.array_equal(init.embeddings, snapshot)
-
-
-def test_train_de_fresh_init_equals_explicit_seed_init():
-    _, pairs = _toy_training_pairs(8)
-    cfg = DeTrainConfig(epochs=2, dim=8, seed=3)
-    fresh = train_de(pairs, cfg)
-    given = train_de(pairs, cfg, init=init_params(cfg.dim, cfg.seed))
-    assert fresh.embeddings.tobytes() == given.embeddings.tobytes()
-    assert (fresh.dim, fresh.seed) == (given.dim, given.seed)
 
 
 def test_de_train_config_validation():
@@ -525,7 +515,7 @@ def test_savers_refuse_a_table_not_sized_by_the_vocabulary(tmp_path, save):
         if save == "params":
             save_params(EncoderParams(table, seed=0), path)
         else:
-            save_reranker(init_reranker(seed=0, embeddings=table), path)
+            save_reranker(init_reranker(table, seed=0), path)
     assert not path.exists()
 
 
@@ -540,7 +530,7 @@ def test_params_deterministic_bytes(tmp_path):
 def test_params_format_tag_checked(tmp_path):
     from hybridrank.reranker import init_reranker, save_reranker
     path = tmp_path / "reranker.npz"
-    save_reranker(init_reranker(4, seed=0), path)
+    save_reranker(init_reranker(init_params(4, 0).embeddings, seed=0), path)
     with pytest.raises(ValueError, match="format"):
         load_params(path)
 

@@ -112,7 +112,7 @@ def _ndcg_per_rank(run, qrels, k):
     for qid in qrels.query_ids():
         dcg = 0.0
         for rank, (pid, _) in enumerate(run.rankings.get(qid, [])[:k], start=1):
-            dcg += qrels.grade(qid, pid) / math.log2(rank + 1)
+            dcg += qrels.judgments.get((qid, pid), 0) / math.log2(rank + 1)
         ideal = sorted(qrels.relevant(qid).values(), reverse=True)[:k]
         idcg = sum(g / math.log2(r + 1) for r, g in enumerate(ideal, start=1))
         per_query[qid] = dcg / idcg if idcg > 0 else 0.0

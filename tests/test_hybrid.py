@@ -272,18 +272,18 @@ def test_tune_lambda_beats_endpoints_when_both_channels_matter():
     assert mean_mrr(best) >= mean_mrr(grid[-1]) - 1e-12
 
 
-def _tune_lambda_per_lambda(index, queries, qrels, grid, cutoff=10):
-    """Oracle for tune_lambda: a full hybrid_retrieve per weight, mean MRR on
-    the tuned queries' judgments, exact ties to the smallest weight."""
+def _tune_lambda_per_lambda(index, queries, qrels, grid):
+    """Oracle for tune_lambda: a full hybrid_retrieve per weight, mean MRR@10
+    on the tuned queries' judgments, exact ties to the smallest weight."""
     from hybridrank.evaluation import RunFile, compute_metric
     wanted = {q.id for q in queries}
     subset = QrelSet({key: g for key, g in qrels.judgments.items() if key[0] in wanted})
     best_lam, best_mean = None, -1.0
     for lam in sorted(set(grid)):
         rankings = {q.id: [(it.passage_id, it.score) for it in
-                           hybrid_retrieve(index.with_lambda(lam), q, cutoff).items]
+                           hybrid_retrieve(index.with_lambda(lam), q, 10).items]
                     for q in queries}
-        mean = compute_metric(RunFile("t", rankings), subset, "mrr", cutoff).mean
+        mean = compute_metric(RunFile("t", rankings), subset, "mrr", 10).mean
         if best_lam is None or mean > best_mean:
             best_lam, best_mean = lam, mean
     return best_lam
@@ -317,18 +317,12 @@ def test_tune_lambda_streamed_agrees_with_per_lambda_retrieval_on_tie_heavy_grid
         queries = [Query(f"q{i}", " ".join(rng.choice(words, size=2))) for i in range(8)]
         ids = corpus.ids()
         qrels = QrelSet({(q.id, ids[int(rng.integers(len(ids)))]): 1 for q in queries})
-        for cutoff in (1, 3, 10):
-            fast = tune_lambda(index, queries, qrels, grid=grid, cutoff=cutoff)
-            slow = _tune_lambda_per_lambda(index, queries, qrels, grid, cutoff=cutoff)
-            assert fast == slow, (seed, cutoff)
+        fast = tune_lambda(index, queries, qrels, grid=grid)
+        slow = _tune_lambda_per_lambda(index, queries, qrels, grid)
+        assert fast == slow, seed
 
 
 # ---------------------------------------------------------------- λ curves
-
-# metric ids and cutoffs every curve is checked at
-CURVE_METRICS = (("mrr", 1), ("mrr", 3), ("mrr", 10), ("ndcg", 3), ("ndcg", 10),
-                 ("recall", 5), ("recall", 100))
-
 
 class _Scored:
     """A stand-in index whose queries' (bm25 scores, cosines) are given.
@@ -345,9 +339,9 @@ class _Scored:
         return self.components[query.id]
 
 
-def _oracle_curve(index, queries, qrels, grid, metric, cutoff):
+def _oracle_curve(index, queries, qrels, grid):
     """lambda_curve the long way: a full top_k_order of every query at every
-    weight, then compute_metric on the tuned queries' judgments."""
+    weight, then compute_metric's MRR@10 on the tuned queries' judgments."""
     wanted = {q.id for q in queries}
     subset = QrelSet({key: g for key, g in qrels.judgments.items() if key[0] in wanted})
     scored = {q.id: index.score_components(q) for q in queries}
@@ -356,18 +350,17 @@ def _oracle_curve(index, queries, qrels, grid, metric, cutoff):
         rankings = {}
         for qid, (bm25_scores, cos) in scored.items():
             fused = bm25_scores + lam * cos
-            order = top_k_order(fused, index.bm25.id_rank, cutoff).tolist()
+            order = top_k_order(fused, index.bm25.id_rank, 10).tolist()
             rankings[qid] = [(index.ids[i], float(fused[i])) for i in order]
-        curve[lam] = compute_metric(RunFile("t", rankings), subset, metric, cutoff).mean
+        curve[lam] = compute_metric(RunFile("t", rankings), subset, "mrr", 10).mean
     return curve
 
 
 def _assert_curves_match(index, queries, qrels, grid):
-    for metric, cutoff in CURVE_METRICS:
-        got = lambda_curve(index, queries, qrels, grid, metric, cutoff)
-        expected = _oracle_curve(index, queries, qrels, grid, metric, cutoff)
-        assert list(got) == list(expected), (metric, cutoff)
-        assert got == expected, (metric, cutoff)
+    got = lambda_curve(index, queries, qrels, grid)
+    expected = _oracle_curve(index, queries, qrels, grid)
+    assert list(got) == list(expected)
+    assert got == expected
 
 
 def _record_kept(monkeypatch) -> list:
@@ -511,10 +504,6 @@ def test_tune_lambda_validates_grid():
         tune_lambda(index, queries, qrels, grid=())
     with pytest.raises(ValueError):
         tune_lambda(index, queries, qrels, grid=(-1.0,))
-    with pytest.raises(ValueError, match="cutoff"):
-        tune_lambda(index, queries, qrels, grid=(1.0,), cutoff=0)
-    with pytest.raises(ValueError, match="unknown metric"):
-        tune_lambda(index, queries, qrels, grid=(1.0,), metric="map")
 
 
 # ---------------------------------------------------------------- validation / io

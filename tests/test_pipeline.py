@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 
 from hybridrank import pipeline
-from hybridrank.bm25 import Bm25Index
-from hybridrank.corpus import load_corpus, load_queries, tokenize
-from hybridrank.dense import DeTrainConfig, de_retrieve
+from hybridrank.bm25 import Bm25Index, encode_query
+from hybridrank.corpus import load_corpus, load_queries, passage_tokens, query_tokens, \
+    tokenize
+from hybridrank.dense import DeTrainConfig, encode
 from hybridrank.evaluation import read_run
 from hybridrank.hybrid import hybrid_retrieve, load_hybrid_index
 from hybridrank.pipeline import (FIRST_STAGES, ExperimentConfig, StageError,
@@ -23,6 +24,7 @@ from hybridrank.reranker import RerankTrainConfig, SamplingWindow
 from hybridrank.results import CandidateItem, CandidateList
 from hybridrank.synthetic import SyntheticCorpusSpec, make_synthetic_corpus, \
     save_synthetic_data
+from oracles import cosine, dot, encode_passage
 
 
 @pytest.fixture(scope="module")
@@ -107,13 +109,43 @@ def test_mix_rejects_empty_side():
 # ------------------------------------------------------------- config io
 
 def test_config_round_trip(data_dir, tmp_path):
-    cfg = _config(data_dir, tmp_path / "w", training_source="mixed",
-                  fixed_lambda=250.0, tune_metric="ndcg")
+    cfg = _config(data_dir, tmp_path / "w", training_source="mixed")
     rebuilt = config_from_dict(config_to_dict(cfg))
     assert rebuilt == cfg
     path = tmp_path / "config.json"
     save_config(cfg, path)
     assert load_config(path) == cfg
+
+
+def _changed(value):
+    """A value of the same type as ``value`` that differs from it."""
+    if dataclasses.is_dataclass(value):
+        field = next(f.name for f in dataclasses.fields(value) if f.name != "seed")
+        return dataclasses.replace(value, **{field: _changed(getattr(value, field))})
+    if isinstance(value, str):
+        return {"hybrid": "de", "bm25": "hybrid"}.get(value, value + "-x")
+    if isinstance(value, tuple):
+        return value + (1234.0,)
+    return value + 1
+
+
+def test_every_config_field_round_trips_through_a_file(data_dir, tmp_path):
+    # the keys a config file holds are the dataclass fields, sections included
+    # (less the seed each section derives from the experiment's), and a change
+    # to any one of them survives save and load
+    base = _config(data_dir, tmp_path / "w")
+    d = config_to_dict(base)
+    assert list(d) == [f.name for f in dataclasses.fields(ExperimentConfig)]
+    for name in ("bm25", "de", "reranker", "window"):
+        section = getattr(base, name)
+        assert list(d[name]) == [f.name for f in dataclasses.fields(section)
+                                 if f.name != "seed"]
+    path = tmp_path / "config.json"
+    for f in dataclasses.fields(ExperimentConfig):
+        cfg = dataclasses.replace(base, **{f.name: _changed(getattr(base, f.name))})
+        assert cfg != base, f.name
+        save_config(cfg, path)
+        assert load_config(path) == cfg, f.name
 
 
 def test_config_rejects_unknown_keys(data_dir, tmp_path):
@@ -124,10 +156,11 @@ def test_config_rejects_unknown_keys(data_dir, tmp_path):
 
 
 @pytest.mark.parametrize("key", ["vocab_size", "query_max_length", "passage_max_length",
-                                 "qgen"])
+                                 "qgen", "fixed_lambda", "tune_metric"])
 def test_config_rejects_the_removed_tokenizer_keys(data_dir, tmp_path, key):
     # the vocabulary size and truncation lengths are the tokenizer's constants;
-    # "qgen" configured the removed extractive query-generation loop
+    # "qgen" configured the removed extractive query-generation loop, and
+    # λ is always tuned, by MRR@10
     d = config_to_dict(_config(data_dir, tmp_path / "w"))
     assert key not in d
     d[key] = 64
@@ -151,6 +184,32 @@ def test_config_rejects_a_section_that_is_not_an_object(data_dir, tmp_path, sect
             config_from_dict(d)
 
 
+@pytest.mark.parametrize("data, match", [
+    ([], "must be a JSON object, got list"),
+    ("config", "must be a JSON object, got str"),
+    ({}, r"missing required keys \['corpus', 'train_queries', 'test_queries', "
+         r"'train_qrels', 'test_qrels', 'workdir'\]"),
+])
+def test_config_rejects_what_is_not_a_config(data, match):
+    with pytest.raises(ValueError, match=match):
+        config_from_dict(data)
+
+
+@pytest.mark.parametrize("key, value, match", [
+    ("seed", "3", "^config: "),
+    ("run_depth", None, "^config: "),
+    ("lambda_grid", 5, "^config: "),
+    ("bm25", {"k": "x"}, "^config section 'bm25': "),
+    ("window", {"depth": "250"}, "^config section 'window': "),
+])
+def test_config_turns_a_wrongly_typed_value_into_a_value_error(data_dir, tmp_path,
+                                                               key, value, match):
+    d = config_to_dict(_config(data_dir, tmp_path / "w"))
+    d[key] = value
+    with pytest.raises(ValueError, match=match):
+        config_from_dict(d)
+
+
 def test_config_grid_becomes_tuple(data_dir, tmp_path):
     d = config_to_dict(_config(data_dir, tmp_path / "w"))
     assert d["lambda_grid"] == [0.0, 300.0, 600.0]
@@ -165,14 +224,9 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(**kwargs, rerank_first_stage="mixed")
     with pytest.raises(ValueError):
-        ExperimentConfig(**kwargs, tune_metric="bleu")
-    with pytest.raises(ValueError):
         ExperimentConfig(**kwargs, seed=-1)
     with pytest.raises(ValueError):
         ExperimentConfig(**kwargs, rerank_top_k=0)
-    for bad in (-5.0, math.inf, math.nan):
-        with pytest.raises(ValueError, match="fixed_lambda"):
-            ExperimentConfig(**kwargs, fixed_lambda=bad)
 
 
 # ------------------------------------------------------------- experiments
@@ -191,6 +245,8 @@ def test_run_experiment_without_reranker(data_dir, tmp_path):
                  "metrics_table.txt", "report.json", "manifest.json",
                  "run_bm25_test.trec", "run_de_test.trec", "run_hybrid_test.trec"):
         assert (workdir / name).exists(), name
+    lam = json.loads((workdir / "lambda.json").read_text())
+    assert lam == {"lambda": report["lambda"], "grid": [0.0, 300.0, 600.0]}
 
 
 def test_run_experiment_with_reranker(data_dir, tmp_path):
@@ -214,11 +270,22 @@ def _pairs(candidates):
     return [(it.passage_id, it.score) for it in candidates.items]
 
 
+def _brute_force_order(scores: dict[str, float], k: int) -> list[str]:
+    """The k best passage ids by score, ties to the smaller id: one np.lexsort
+    over every passage, by descending score and then id rank."""
+    ids = sorted(scores)  # a passage's id rank is its place here
+    values = np.array([scores[pid] for pid in ids])
+    return [ids[i] for i in np.lexsort((np.arange(len(ids)), -values))[:k]]
+
+
 def test_test_split_runs_equal_single_query_retrieval(data_dir, tmp_path):
-    """Each test-split run file holds hybrid_retrieve's / de_retrieve's answer
-    per query, bit for bit, and the bm25 run the passages scoring > 0 of the
-    lambda-0 fused list.  A punctuation-only query encodes to the zero vector,
-    and its cosines stay +0.0."""
+    """Each test-split hybrid run holds hybrid_retrieve's answer per query, bit
+    for bit, and the bm25 run the passages scoring > 0 of the lambda-0 fused
+    list.  The de and hybrid runs equal a brute-force ranking of every passage
+    scored one at a time by the reference formulas: the cosine of the
+    mean-pooled encodings, and BM25 as a sparse dot product.  A
+    punctuation-only query encodes to the zero vector, and its cosines stay
+    +0.0."""
     queries = tmp_path / "test_queries.tsv"
     queries.write_text((data_dir / "test_queries.tsv").read_text() + "q-punct\t?! ...\n")
     cfg = _config(data_dir, tmp_path / "w", training_source="none",
@@ -229,13 +296,21 @@ def test_test_split_runs_equal_single_query_retrieval(data_dir, tmp_path):
             for stage in FIRST_STAGES}
     index = load_hybrid_index(workdir / "hybrid")
     corpus = load_corpus(cfg.corpus)
+    dense = {p.id: encode(index.encoder, passage_tokens(p)) for p in corpus}
+    sparse = {p.id: encode_passage(p, index.bm25.stats, index.bm25.params) for p in corpus}
     depth = cfg.run_depth
     for q in load_queries(queries):
         assert runs["hybrid"][q.id] == _pairs(hybrid_retrieve(index, q, depth))
-        assert runs["de"][q.id] == _pairs(de_retrieve(
-            index.encoder, corpus, q, depth, passage_matrix=index.dense_rows))
         lexical = _pairs(hybrid_retrieve(index.with_lambda(0.0), q, depth))
         assert runs["bm25"].get(q.id, []) == [(p, s) for p, s in lexical if s > 0]
+        qdense, qsparse = encode(index.encoder, query_tokens(q)), encode_query(q)
+        cos = {pid: cosine(qdense, row) for pid, row in dense.items()}
+        fused = {pid: dot(qsparse, sparse[pid]) + index.lam * c for pid, c in cos.items()}
+        for stage, scores in (("de", cos), ("hybrid", fused)):
+            got = runs[stage][q.id]
+            assert list(got.ids) == _brute_force_order(scores, depth), (stage, q.id)
+            assert got.scores.tolist() == pytest.approx([scores[pid] for pid in got.ids],
+                                                        rel=0, abs=1e-9)
     assert "q-punct" not in runs["bm25"]
     assert len(runs["de"]["q-punct"]) == depth
     assert all(s == 0.0 and math.copysign(1.0, s) == 1.0 for _, s in runs["de"]["q-punct"])
@@ -328,16 +403,6 @@ def test_non_finite_cosine_stops_at_tune_lambda(data_dir, tmp_path, monkeypatch)
     with pytest.raises(StageError, match=f"query '{qid}'.*not finite") as err:
         run_experiment(cfg)
     assert err.value.stage == "tune-lambda"
-
-
-def test_fixed_lambda_skips_tuning(data_dir, tmp_path):
-    cfg = _config(data_dir, tmp_path / "w", training_source="none",
-                  fixed_lambda=100.0)
-    report = run_experiment(cfg)
-    assert report["lambda"] == 100.0
-    lam = json.loads((tmp_path / "w" / "lambda.json").read_text())
-    assert lam == {"lambda": 100.0, "grid": [0.0, 300.0, 600.0],
-                   "metric": "mrr", "tuned": False}
 
 
 def test_ablation_matrix_shape(data_dir, tmp_path):

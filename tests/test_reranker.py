@@ -8,6 +8,7 @@ import pytest
 
 from hybridrank.corpus import VOCAB_SIZE, Corpus, Passage, QrelSet, Query, tokenize
 from hybridrank import reranker
+from hybridrank.dense import init_params
 from hybridrank.evaluation import RunFile
 from hybridrank.reranker import (
     RerankTrainConfig,
@@ -35,6 +36,11 @@ DIM = 8
 
 def _tok(text, max_length=64):
     return tokenize(text, max_length)
+
+
+def _init(seed=0, dim=DIM):
+    """init_reranker warm-started from a fresh encoder table of width ``dim``."""
+    return init_reranker(init_params(dim, seed).embeddings, seed=seed)
 
 
 def _zero_params(bias=0.0):
@@ -530,7 +536,7 @@ def test_scores_equal_dense_reference():
 
 def test_train_zero_steps_returns_init_unchanged():
     corpus, queries, lists = _toy_corpus_and_lists()
-    init = init_reranker(DIM, seed=3)
+    init = _init(3)
     cfg = RerankTrainConfig(steps=0, seed=3)
     out = train_reranker(lists, queries, corpus, cfg, init=init)
     assert np.array_equal(out.embeddings, init.embeddings)
@@ -564,8 +570,8 @@ def test_one_training_step_is_sgd_on_the_reference_gradient():
 def test_train_deterministic():
     corpus, queries, lists = _toy_corpus_and_lists()
     cfg = RerankTrainConfig(steps=40, batch_size=2, learning_rate=0.05, seed=4)
-    a = train_reranker(lists, queries, corpus, cfg, init=init_reranker(DIM, seed=4))
-    b = train_reranker(lists, queries, corpus, cfg, init=init_reranker(DIM, seed=4))
+    a = train_reranker(lists, queries, corpus, cfg, init=_init(4))
+    b = train_reranker(lists, queries, corpus, cfg, init=_init(4))
     for name in ("embeddings", "w_q", "w_k", "w_v", "readout"):
         assert np.array_equal(getattr(a, name), getattr(b, name))
     assert a.bias == b.bias
@@ -705,7 +711,7 @@ def test_train_traced_peak_stays_near_one_table():
     # default 32,768 x 64 table: the float64 result is the only full-size
     # allocation; no full float32 copy of init is made
     corpus, queries, lists = _toy_corpus_and_lists()
-    init = init_reranker(seed=1)
+    init = _init(1, dim=64)
     corpus.token_store()
     cfg = RerankTrainConfig(steps=3, batch_size=2, seed=1)
     tracemalloc.start()
@@ -736,7 +742,7 @@ def test_train_steps_keep_their_own_batch_shapes(monkeypatch):
     real = reranker._batch_loss_grad
     monkeypatch.setattr(reranker, "_batch_loss_grad", recording)
     cfg = RerankTrainConfig(steps=24, batch_size=2, seed=3)
-    train_reranker(lists, queries, corpus, cfg, init=init_reranker(DIM, seed=3))
+    train_reranker(lists, queries, corpus, cfg, init=_init(3))
     assert len(shapes) == 24
     for q_shape, p_shape, l_shape, q_max, p_max, l_max in shapes:
         assert (q_shape, p_shape, l_shape) == (q_max, p_max, l_max)
@@ -757,7 +763,7 @@ def _mean_list_loss(params, lists, queries, corpus):
 
 def test_train_reduces_loss():
     corpus, queries, lists = _toy_corpus_and_lists(n_lists=8, n_items=5, seed=2)
-    init = init_reranker(DIM, seed=0)
+    init = _init(0)
     before = _mean_list_loss(init, lists, queries, corpus)
     cfg = RerankTrainConfig(steps=150, batch_size=4, learning_rate=0.05, seed=0)
     trained = train_reranker(lists, queries, corpus, cfg, init=init)
@@ -767,7 +773,7 @@ def test_train_reduces_loss():
 
 def test_train_does_not_mutate_init():
     corpus, queries, lists = _toy_corpus_and_lists()
-    init = init_reranker(DIM, seed=6)
+    init = _init(6)
     snap = init.embeddings.copy()
     train_reranker(lists, queries, corpus, RerankTrainConfig(steps=10), init=init)
     assert np.array_equal(init.embeddings, snap)
@@ -777,14 +783,14 @@ def test_train_output_is_float64():
     corpus, queries, lists = _toy_corpus_and_lists()
     cfg = RerankTrainConfig(steps=5, seed=1)
     out = train_reranker(lists, queries, corpus, cfg,
-                         init=init_reranker(DIM, seed=1))
+                         init=_init(1))
     for name in ("embeddings", "w_q", "w_k", "w_v", "readout"):
         assert getattr(out, name).dtype == np.float64
 
 
 def test_train_stops_on_non_finite_loss():
     corpus, queries, lists = _toy_corpus_and_lists()
-    init = init_reranker(DIM, seed=2)
+    init = _init(2)
     init.readout[0] = np.nan
     cfg = RerankTrainConfig(steps=5, seed=2)
     with pytest.raises(ValueError, match="step 1"):
@@ -802,14 +808,14 @@ def test_train_names_a_passage_without_tokens():
     lists[1].items[2].passage_id = "dots"
     cfg = RerankTrainConfig(steps=1)
     with pytest.raises(ValueError, match="passage 'dots' has no tokens"):
-        train_reranker(lists, queries, corpus, cfg, init=init_reranker(DIM))
+        train_reranker(lists, queries, corpus, cfg, init=_init())
 
 
 def test_train_empty_lists_rejected():
     corpus, queries, _ = _toy_corpus_and_lists()
     with pytest.raises(ValueError):
         train_reranker([], queries, corpus, RerankTrainConfig(),
-                       init=init_reranker(DIM))
+                       init=_init())
 
 
 def test_train_config_validation():
@@ -822,10 +828,17 @@ def test_train_config_validation():
 
 
 def test_init_reranker_structure_and_determinism():
-    a = init_reranker(DIM, seed=5)
-    b = init_reranker(DIM, seed=5)
-    assert np.array_equal(a.embeddings, b.embeddings)
+    table = init_params(DIM, 5).embeddings
+    a = init_reranker(table, seed=5)
+    b = init_reranker(table, seed=5)
     assert np.array_equal(a.readout, b.readout)
+    assert not np.array_equal(a.readout, init_reranker(table, seed=6).readout)
+    # the readout is the seed's first draw; the gain puts typical attention
+    # logits at about +-3
+    assert np.array_equal(a.readout, np.random.default_rng(5).normal(0.0, 0.1, size=DIM))
+    typical = np.linalg.norm(table, axis=1).mean()
+    assert a.w_q[0, 0] == pytest.approx(math.sqrt(3.0 * math.sqrt(DIM)) / typical,
+                                        rel=1e-12)
     assert np.array_equal(a.w_v, np.eye(DIM))
     assert np.allclose(a.w_q, a.w_k)
     assert np.count_nonzero(a.w_q - np.diag(np.diag(a.w_q))) == 0
@@ -834,9 +847,9 @@ def test_init_reranker_structure_and_determinism():
 
 def test_init_reranker_warm_start_shares_the_table():
     emb = np.random.default_rng(3).normal(0, 0.3, size=(VOCAB_SIZE, DIM))
-    init = init_reranker(seed=0, embeddings=emb)
+    init = init_reranker(embeddings=emb, seed=0)
     assert init.embeddings is emb
-    converted = init_reranker(seed=0, embeddings=emb.astype(np.float32))
+    converted = init_reranker(embeddings=emb.astype(np.float32), seed=0)
     assert converted.embeddings.dtype == np.float64
     assert np.array_equal(converted.embeddings, emb.astype(np.float32))
 
@@ -1011,7 +1024,7 @@ def test_load_candidate_lists_error_position(tmp_path):
 
 
 def test_reranker_params_roundtrip(tmp_path):
-    p = init_reranker(DIM, seed=21)
+    p = _init(21)
     p.bias = -0.75
     path = tmp_path / "rr.npz"
     save_reranker(p, path)

@@ -55,8 +55,8 @@ def test_counts_and_id_shapes():
     assert data.corpus[0].id == "p00000"
     assert data.train_queries[0].id == "qtrain0000"
     assert data.test_queries[0].id == "qtest0000"
-    assert len(data.queries()) == 70
-    assert len(data.qrels().judgments) == 70
+    assert len(data.train_qrels.judgments) == 40
+    assert len(data.test_qrels.judgments) == 30
 
 
 def test_each_query_has_one_relevant_target_in_its_half():
@@ -74,7 +74,7 @@ def test_each_query_has_one_relevant_target_in_its_half():
 
 def test_queries_are_four_words_targets_nonempty():
     data = make_synthetic_corpus(SMALL)
-    for q in data.queries():
+    for q in data.train_queries + data.test_queries:
         assert len(q.text.split()) == 4
     for p in data.corpus:
         assert p.text.strip()

@@ -89,7 +89,8 @@ def test_a_long_query_is_cut_at_query_length_in_every_channel():
     index = hybridrank.bm25.Bm25Index(corpus)
     encoder = hybridrank.dense.init_params(DIM, seed=1)
     rows = hybridrank.dense.normalize_rows(hybridrank.dense.encode_corpus(encoder, corpus))
-    params = hybridrank.reranker.init_reranker(DIM, seed=2)
+    params = hybridrank.reranker.init_reranker(
+        hybridrank.dense.init_params(DIM, seed=2).embeddings, seed=2)
     run = RunFile("first", {"q": [("a", 3.0), ("b", 2.0), ("c", 1.0)]})
 
     def channels(text):
@@ -147,7 +148,8 @@ def test_each_passage_is_tokenized_once_across_index_encoder_and_reranker(monkey
     rr = hybridrank.reranker
     params = rr.train_reranker(lists, queries, corpus,
                                rr.RerankTrainConfig(steps=2, batch_size=2),
-                               init=rr.init_reranker(DIM))
+                               init=rr.init_reranker(
+                                   hybridrank.dense.init_params(DIM).embeddings))
     for _ in range(2):
         rr.rerank(params, run, queries, corpus, top_k=len(corpus))
 
