@@ -10,6 +10,11 @@ ln((N - df + 0.5) / (df + 0.5) + 1), which is > 0, so every posting weight and
 every query term count is > 0: a passage scores > 0 exactly when it shares a
 term with the query.  ``Bm25Index.scores`` gives the score vector; the bm25
 first stage is cut from it in ``hybrid``, the one place a query is scored.
+
+The index is saved inside the hybrid index file (``hybrid.save_hybrid_index``):
+``Bm25Index.fields`` gives its header fields (the passage ids, ``k``, ``b`` and
+the tokenizer's ``vocab_size``, ``max_length`` and ``query_max_length``) and its
+four posting arrays, and ``Bm25Index.from_fields`` rebuilds it from them.
 """
 
 from __future__ import annotations
@@ -21,13 +26,12 @@ from math import log
 import numpy as np
 
 from .corpus import PASSAGE_LENGTH, QUERY_LENGTH, VOCAB_SIZE, Corpus, Query, query_tokens
-from .npzio import deterministic_savez, load_npz
 from .results import id_rank
 
 # term-id -> weight, no explicit zero entries
 SparseVector = dict[int, float]
 
-INDEX_FORMAT = "hybridrank-bm25-v1"
+_POSTINGS = ("terms", "indptr", "positions", "weights")
 
 
 @dataclass(frozen=True)
@@ -42,16 +46,6 @@ class Bm25Params:
             raise ValueError(f"b must be in [0, 1], got {self.b}")
 
 
-@dataclass
-class Bm25Stats:
-    """Collection statistics: document count, per-term IDF and length info."""
-
-    doc_count: int
-    idf: dict[int, float]
-    avg_length: float
-    lengths: dict[str, int]
-
-
 def encode_query(query: Query) -> SparseVector:
     """Query vector of raw term counts."""
     counts = Counter(query_tokens(query))
@@ -59,7 +53,7 @@ def encode_query(query: Query) -> SparseVector:
 
 
 class Bm25Index:
-    """Inverted index over BM25 passage vectors, in the CSR form ``save_index`` writes.
+    """Inverted index over BM25 passage vectors, in CSR form.
 
     Term ``terms[i]`` (ascending) posts to the passages at corpus positions
     ``positions[indptr[i]:indptr[i + 1]]`` (ascending) with the matching
@@ -81,14 +75,12 @@ class Bm25Index:
         df = np.bincount(term, minlength=VOCAB_SIZE)
         present = np.flatnonzero(df)
         idf = [log((n - d + 0.5) / (d + 0.5) + 1.0) for d in df[present].tolist()]
-        stats = Bm25Stats(doc_count=n, idf=dict(zip(present.tolist(), idf)),
-                          avg_length=int(lengths.sum()) / n,
-                          lengths=dict(zip(corpus.ids(), lengths.tolist())))
         # idf * cnt * (k + 1) / (cnt + norm), the operations in this order, so a
         # weight's bits are those of the formula taken one passage at a time
         idf_of = np.zeros(VOCAB_SIZE, dtype=np.float64)
         idf_of[present] = idf
-        norm = params.k * (1.0 - params.b + params.b * lengths / stats.avg_length)
+        avg_length = int(lengths.sum()) / n
+        norm = params.k * (1.0 - params.b + params.b * lengths / avg_length)
         cnt = cnt.astype(np.float64)
         w = idf_of[term] * cnt * (params.k + 1.0) / (cnt + norm[doc])
         keep = w != 0.0
@@ -98,12 +90,44 @@ class Bm25Index:
         self.positions = doc[keep][order]
         self.weights = w[keep][order]
         self.params = params
-        self.stats = stats
         self.ids = corpus.ids()
         self.id_rank = corpus.id_rank
 
     def __len__(self) -> int:
         return len(self.ids)
+
+    def fields(self) -> tuple[dict, dict[str, np.ndarray]]:
+        """(JSON header fields, arrays) that ``from_fields`` rebuilds this index
+        from, so that reloaded scoring is bit-for-bit identical.
+
+        The header records the vocabulary size and truncation lengths the
+        index was built with, so a file whose tokens were hashed or cut
+        differently is rejected.
+        """
+        header = {"ids": self.ids, "k": self.params.k, "b": self.params.b,
+                  "vocab_size": VOCAB_SIZE, "max_length": PASSAGE_LENGTH,
+                  "query_max_length": QUERY_LENGTH}
+        return header, {name: getattr(self, name) for name in _POSTINGS}
+
+    @classmethod
+    def from_fields(cls, header: dict, arrays: dict[str, np.ndarray], path) -> "Bm25Index":
+        """The index ``fields`` gave ``header`` and ``arrays``; other keys are
+        ignored.  Raises ValueError naming ``path`` unless the header's
+        vocabulary size and truncation lengths are the tokenizer's."""
+        sizes = (header["vocab_size"], header["max_length"], header["query_max_length"])
+        if sizes != (VOCAB_SIZE, PASSAGE_LENGTH, QUERY_LENGTH):
+            raise ValueError(
+                f"{path}: index built with vocab_size {sizes[0]}, max_length {sizes[1]} "
+                f"and query_max_length {sizes[2]}; the tokenizer's VOCAB_SIZE is "
+                f"{VOCAB_SIZE}, PASSAGE_LENGTH is {PASSAGE_LENGTH} and QUERY_LENGTH is "
+                f"{QUERY_LENGTH}")
+        index = cls.__new__(cls)
+        index.params = Bm25Params(k=header["k"], b=header["b"])
+        index.ids = list(header["ids"])
+        for name in _POSTINGS:
+            setattr(index, name, arrays[name])
+        index.id_rank = id_rank(index.ids)
+        return index
 
     def scores(self, query: Query) -> np.ndarray:
         """BM25 score of every passage, corpus order; 0.0 where no term is shared."""
@@ -117,59 +141,3 @@ class Bm25Index:
             row = slice(self.indptr[i], self.indptr[i + 1])
             scores[self.positions[row]] += qvec[t] * self.weights[row]
         return scores
-
-
-def save_index(index: Bm25Index, path) -> None:
-    """Persist the index so reloaded scoring is bit-for-bit identical.
-
-    The header records the vocabulary size and truncation lengths the index
-    was built with, so ``load_index`` can reject a file whose tokens were
-    hashed or cut differently.
-    """
-    idf_terms = sorted(index.stats.idf)
-    header = {
-        "format": INDEX_FORMAT,
-        "k": index.params.k,
-        "b": index.params.b,
-        "vocab_size": VOCAB_SIZE,
-        "max_length": PASSAGE_LENGTH,
-        "query_max_length": QUERY_LENGTH,
-        "doc_count": index.stats.doc_count,
-        "avg_length": index.stats.avg_length,
-        "ids": index.ids,
-        "lengths": [index.stats.lengths[i] for i in index.ids],
-    }
-    deterministic_savez(
-        path, header, terms=index.terms, indptr=index.indptr,
-        positions=index.positions, weights=index.weights,
-        idf_terms=np.asarray(idf_terms, dtype=np.int64),
-        idf_values=np.asarray([index.stats.idf[t] for t in idf_terms], dtype=np.float64),
-    )
-
-
-def load_index(path) -> Bm25Index:
-    """Raises ValueError unless the file's vocabulary size and truncation
-    lengths are the tokenizer's."""
-    header, data = load_npz(path, INDEX_FORMAT)
-    sizes = (header["vocab_size"], header["max_length"], header["query_max_length"])
-    if sizes != (VOCAB_SIZE, PASSAGE_LENGTH, QUERY_LENGTH):
-        raise ValueError(
-            f"{path}: index built with vocab_size {sizes[0]}, max_length {sizes[1]} "
-            f"and query_max_length {sizes[2]}; the tokenizer's VOCAB_SIZE is "
-            f"{VOCAB_SIZE}, PASSAGE_LENGTH is {PASSAGE_LENGTH} and QUERY_LENGTH is "
-            f"{QUERY_LENGTH}")
-    index = Bm25Index.__new__(Bm25Index)
-    index.params = Bm25Params(k=header["k"], b=header["b"])
-    index.stats = Bm25Stats(
-        doc_count=header["doc_count"],
-        idf=dict(zip(data["idf_terms"].tolist(), data["idf_values"].tolist())),
-        avg_length=header["avg_length"],
-        lengths=dict(zip(header["ids"], header["lengths"])),
-    )
-    index.ids = list(header["ids"])
-    index.terms = data["terms"]
-    index.indptr = data["indptr"]
-    index.positions = data["positions"]
-    index.weights = data["weights"]
-    index.id_rank = id_rank(index.ids)
-    return index

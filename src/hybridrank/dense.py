@@ -12,6 +12,12 @@ Gradients flow through the cosine normalization (full quotient rule).
 ``query_cosines`` is the one place a query becomes cosines against the
 passage rows; ``hybrid`` cuts the de first stage from it, and
 ``de_retrieve`` serves a single query.
+
+``save_params`` writes the encoder alone: an ``npzio`` file (format
+``hybridrank-dense-v1``) with the ``embeddings`` table and a header of
+``vocab_size``, ``dim`` and ``seed``.  The hybrid index file
+(``hybrid.save_hybrid_index``) carries the same table and seed next to the
+L2-normalized passage rows.
 """
 
 from __future__ import annotations
@@ -27,7 +33,6 @@ from .npzio import deterministic_savez, load_npz
 from .results import CandidateList, ranked_list, top_k
 
 PARAMS_FORMAT = "hybridrank-dense-v1"
-ENCODINGS_FORMAT = "hybridrank-encodings-v1"
 DEFAULT_DIM = 64
 INIT_SCALE = 0.05
 # bytes of the (rows, length, dim) gather _pooled averages at once
@@ -298,13 +303,3 @@ def vocabulary_table(embeddings: np.ndarray, path) -> np.ndarray:
         raise ValueError(f"{path}: embeddings table has {len(embeddings)} rows; the "
                          f"tokenizer's VOCAB_SIZE is {VOCAB_SIZE}")
     return embeddings
-
-
-def save_encodings(ids: list[str], matrix: np.ndarray, path) -> None:
-    """Persist (passage id, vector) records for a corpus."""
-    deterministic_savez(path, {"format": ENCODINGS_FORMAT, "ids": ids}, matrix=matrix)
-
-
-def load_encodings(path) -> tuple[list[str], np.ndarray]:
-    header, data = load_npz(path, ENCODINGS_FORMAT)
-    return list(header["ids"]), data["matrix"]

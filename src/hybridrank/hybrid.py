@@ -16,25 +16,30 @@ term with the query; de and hybrid rank every passage.
 counting, not ranking: per weight it needs only the rank of each relevant
 passage, which is one plus the passages that score above it or tie it with a
 smaller id (``lambda_curve``).
+
+``save_hybrid_index`` writes the index as one ``<prefix>.npz`` (``npzio``
+layout, format ``hybridrank-hybrid-v2``) holding what scoring reads.  Its
+header has ``lambda``, the encoder's ``seed`` and the BM25 fields
+(``Bm25Index.fields``: the passage ids, ``k``, ``b`` and the tokenizer
+sizes); its arrays are the four BM25 posting arrays, the encoder's
+``embeddings`` table and the L2-normalized passage rows ``dense_rows``.
 """
 
 from __future__ import annotations
 
-import json
 import math
-import os
+from numbers import Real
 
 import numpy as np
 
-from .bm25 import Bm25Index, load_index, save_index
+from .bm25 import Bm25Index
 from .corpus import QrelSet, Query
-from .dense import EncoderParams, load_encodings, load_params, query_cosines, \
-    row_norms, save_encodings, save_params
+from .dense import EncoderParams, query_cosines, row_norms, vocabulary_table
 from .evaluation import query_metric
-from .npzio import write_json
+from .npzio import deterministic_savez, load_npz
 from .results import CandidateList, ranked_list, top_k
 
-HYBRID_FORMAT = "hybridrank-hybrid-v1"
+HYBRID_FORMAT = "hybridrank-hybrid-v2"
 FIRST_STAGES = ("bm25", "de", "hybrid")
 DEFAULT_LAMBDA_GRID = tuple(float(v) for v in range(50, 751, 50))
 
@@ -147,6 +152,17 @@ def _relevant_ranks(index: HybridIndex, query: Query, rel: np.ndarray,
     return 1 + ahead.sum(axis=1)
 
 
+def lambda_grid(grid) -> tuple[float, ...]:
+    """``grid``'s weights as floats, in its order.  Raises ValueError unless
+    it is a nonempty list or tuple of finite numbers >= 0 (not bools)."""
+    if not isinstance(grid, (list, tuple)) or not grid:
+        raise ValueError(f"lambda grid must be a nonempty list of weights, got {grid!r}")
+    for lam in grid:
+        if isinstance(lam, bool) or not isinstance(lam, Real) or not 0 <= lam < math.inf:
+            raise ValueError(f"lambda grid values must be finite and >= 0, got {lam!r}")
+    return tuple(float(lam) for lam in grid)
+
+
 def lambda_curve(index: HybridIndex, queries: list[Query], qrels: QrelSet,
                  grid: tuple[float, ...]) -> dict[float, float]:
     """Mean MRR@10 of the fused ranking at each grid weight, ascending, over
@@ -159,12 +175,7 @@ def lambda_curve(index: HybridIndex, queries: list[Query], qrels: QrelSet,
     (``_relevant_ranks``); a judged passage absent from the corpus is never
     ranked.
     """
-    values = sorted({float(g) for g in grid})
-    if not values:
-        raise ValueError("lambda grid must be nonempty")
-    bad = [lam for lam in values if not 0 <= lam < math.inf]
-    if bad:
-        raise ValueError(f"lambda grid values must be finite and >= 0, got {bad[0]}")
+    values = sorted(set(lambda_grid(grid)))
     by_id = {q.id: q for q in queries}
     judged = sorted(qid for qid in by_id if qrels.relevant(qid))
     if not judged:
@@ -193,32 +204,25 @@ def tune_lambda(index: HybridIndex, queries: list[Query], qrels: QrelSet,
 
 
 def save_hybrid_index(index: HybridIndex, prefix) -> list[str]:
-    """Write <prefix>.json plus npz parts and return the paths written; reload
-    reproduces scores bit-exactly."""
-    prefix = str(prefix)
-    parts = {name: f"{prefix}.{name}.npz" for name in ("bm25", "encoder", "encodings")}
-    save_index(index.bm25, parts["bm25"])
-    save_params(index.encoder, parts["encoder"])
-    save_encodings(list(index.ids), index.dense_rows, parts["encodings"])
-    meta = {
-        "format": HYBRID_FORMAT,
-        "lambda": index.lam,
-        "files": {name: os.path.basename(path) for name, path in parts.items()},
-    }
-    write_json(meta, prefix + ".json")
-    return [*parts.values(), prefix + ".json"]
+    """Write ``<prefix>.npz`` and return its path in a list; reloading it
+    reproduces scores bit-exactly.  Raises ValueError, and writes nothing,
+    unless the encoder table has one row per vocabulary id."""
+    path = f"{prefix}.npz"
+    vocabulary_table(index.encoder.embeddings, path)
+    header, postings = index.bm25.fields()
+    header |= {"format": HYBRID_FORMAT, "lambda": index.lam, "seed": index.encoder.seed}
+    deterministic_savez(path, header, embeddings=index.encoder.embeddings,
+                        dense_rows=index.dense_rows, **postings)
+    return [path]
 
 
 def load_hybrid_index(prefix) -> HybridIndex:
-    prefix = str(prefix)
-    with open(prefix + ".json", encoding="utf-8") as f:
-        meta = json.load(f)
-    if meta.get("format") != HYBRID_FORMAT:
-        raise ValueError(f"{prefix}.json: unexpected format {meta.get('format')!r}")
-    base = os.path.dirname(prefix)
-    bm25_index = load_index(os.path.join(base, meta["files"]["bm25"]))
-    encoder = load_params(os.path.join(base, meta["files"]["encoder"]))
-    ids, rows = load_encodings(os.path.join(base, meta["files"]["encodings"]))
-    if ids != list(bm25_index.ids):
-        raise ValueError(f"{prefix}: encodings ids do not match the BM25 index")
-    return HybridIndex(bm25_index, encoder, rows, float(meta["lambda"]))
+    """The index ``save_hybrid_index`` wrote to ``<prefix>.npz``.  Raises
+    ValueError unless the file's format, tokenizer sizes and encoder table
+    are this version's."""
+    path = f"{prefix}.npz"
+    header, data = load_npz(path, HYBRID_FORMAT)
+    bm25_index = Bm25Index.from_fields(header, data, path)
+    encoder = EncoderParams(embeddings=vocabulary_table(data["embeddings"], path),
+                            seed=header["seed"])
+    return HybridIndex(bm25_index, encoder, data["dense_rows"], header["lambda"])

@@ -23,8 +23,8 @@ from .corpus import load_corpus, load_qrels, load_queries
 from .dense import DeTrainConfig, EncoderParams, TrainPair, encode_corpus, \
     normalize_rows, save_params, train_de
 from .evaluation import RunFile, format_metric_table, reported_metrics, write_run
-from .hybrid import DEFAULT_LAMBDA_GRID, FIRST_STAGES, HybridIndex, save_hybrid_index, \
-    tune_lambda
+from .hybrid import DEFAULT_LAMBDA_GRID, FIRST_STAGES, HybridIndex, lambda_grid, \
+    save_hybrid_index, tune_lambda
 from .npzio import write_json
 from .reranker import RerankerParams, RerankTrainConfig, SamplingWindow, \
     build_candidate_lists, init_reranker, rerank, save_candidate_lists, \
@@ -120,10 +120,27 @@ def config_to_dict(config: ExperimentConfig) -> dict:
     return out
 
 
+# the JSON values a field of each annotated type takes; a bool takes none
+_FIELD_TYPES = {"int": int, "float": (int, float), "str": str}
+
+
+def _typed(cls, values: dict) -> dict:
+    """``values``, after a TypeError naming the first whose field of ``cls``
+    is an int, float or str field that it does not fit."""
+    annotations = {f.name: f.type for f in fields(cls)}
+    for key, value in values.items():
+        want = _FIELD_TYPES.get(annotations[key])
+        if want is not None and (isinstance(value, bool) or not isinstance(value, want)):
+            raise TypeError(f"{key} must be {annotations[key]}, got {value!r}")
+    return values
+
+
 def config_from_dict(data: dict) -> ExperimentConfig:
     """Raises ValueError naming the config, or its section, when ``data`` is
-    not an experiment config: not an object, a key unknown or missing, or a
-    value of the wrong type."""
+    not an experiment config: not an object, a key unknown or missing, a value
+    of the wrong type (an int field takes an int, a float field an int or a
+    float, a str field a str, and none takes a bool), a lambda grid that
+    ``hybrid.lambda_grid`` rejects, or a value out of range."""
     if not isinstance(data, dict):
         raise ValueError(f"config must be a JSON object, got {type(data).__name__}")
     unknown = set(data) - set(_TOP_LEVEL_KEYS)
@@ -143,14 +160,14 @@ def config_from_dict(data: dict) -> ExperimentConfig:
             if unknown:
                 raise ValueError(f"config section {name!r}: unknown keys {sorted(unknown)}")
             try:
-                kwargs[name] = cls(**section)
-            except TypeError as exc:
+                kwargs[name] = cls(**_typed(cls, section))
+            except (TypeError, ValueError) as exc:
                 raise ValueError(f"config section {name!r}: {exc}") from None
     try:
         if kwargs.get("lambda_grid") is not None:
-            kwargs["lambda_grid"] = tuple(float(v) for v in kwargs["lambda_grid"])
-        return ExperimentConfig(**kwargs)
-    except TypeError as exc:
+            kwargs["lambda_grid"] = lambda_grid(kwargs["lambda_grid"])
+        return ExperimentConfig(**_typed(ExperimentConfig, kwargs))
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"config: {exc}") from None
 
 

@@ -457,12 +457,11 @@ def build_candidate_lists(run: RunFile, qrels: QrelSet, window: SamplingWindow,
                                        replace=False).tolist())
         pos_score = float(scores[positive_rank - 1]) if positive_rank else 0.0
         items = [CandidateItem(passage_id=positive_id, score=pos_score,
-                               rank=1, label=relevant[positive_id],
-                               retriever_rank=positive_rank)]
-        for j, c in enumerate(chosen, start=2):
+                               label=relevant[positive_id], retriever_rank=positive_rank)]
+        for c in chosen:
             rank = pool[c]
             items.append(CandidateItem(passage_id=ids[rank - 1],
-                                       score=float(scores[rank - 1]), rank=j,
+                                       score=float(scores[rank - 1]),
                                        label=0, retriever_rank=rank))
         lists.append(CandidateList(query_id=qid, items=items))
     report = {"lists": len(lists), "dropped_no_positive": dropped,
@@ -521,9 +520,9 @@ def load_candidate_lists(path) -> list[CandidateList]:
             try:
                 row = json.loads(line)
                 items = [CandidateItem(passage_id=it["passage_id"], score=0.0,
-                                       rank=j, label=int(it["label"]),
+                                       label=int(it["label"]),
                                        retriever_rank=int(it["retriever_rank"]))
-                         for j, it in enumerate(row["items"], start=1)]
+                         for it in row["items"]]
                 lists.append(CandidateList(query_id=row["query_id"], items=items))
             except (KeyError, TypeError, ValueError) as exc:
                 raise ValueError(f"{path}: line {lineno}: {exc}") from None

@@ -71,7 +71,6 @@ class Ranking(Sequence):
 class CandidateItem:
     passage_id: str
     score: float
-    rank: int  # 1-based
     label: int = 0
     # rank in the retriever run this item was sampled from; 0 = not retrieved
     retriever_rank: int = 0
@@ -79,7 +78,7 @@ class CandidateItem:
 
 @dataclass
 class CandidateList:
-    """One query's ordered candidates; ranks run 1..n consecutively."""
+    """One query's candidates in rank order, best first."""
 
     query_id: str
     items: list[CandidateItem] = field(default_factory=list)
@@ -92,10 +91,9 @@ class CandidateList:
 
 
 def ranked_list(query_id: str, ids: list[str], scores: np.ndarray) -> CandidateList:
-    """Ranks 1.. for ``ids`` in rank order, each with its entry of ``scores``."""
-    # positional fields (passage_id, score, rank): about half the cost of keywords
-    return CandidateList(query_id, list(map(CandidateItem, ids, scores.tolist(),
-                                            range(1, len(ids) + 1))))
+    """The candidates ``ids``, in rank order, each with its entry of ``scores``."""
+    # positional fields (passage_id, score): about half the cost of keywords
+    return CandidateList(query_id, list(map(CandidateItem, ids, scores.tolist())))
 
 
 def top_k(scores: np.ndarray, id_rank: np.ndarray, ids: list[str],

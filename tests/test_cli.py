@@ -82,8 +82,9 @@ def test_bad_config_path_returns_one(tmp_path, capsys):
 
 @pytest.mark.parametrize("change", [
     lambda config: {}, lambda config: [], lambda config: {**config, "seed": "3"},
-    lambda config: {**config, "bm25": {"k": "x"}}],
-    ids=["empty-object", "list", "string-seed", "string-bm25-k"])
+    lambda config: {**config, "bm25": {"k": "x"}},
+    lambda config: {**config, "run_depth": 30.5}],
+    ids=["empty-object", "list", "string-seed", "string-bm25-k", "float-run-depth"])
 def test_malformed_config_returns_one_with_an_error_line(tmp_path, capsys, change):
     path = tmp_path / "config.json"
     _write_config(tmp_path, path, tmp_path / "w")

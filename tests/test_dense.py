@@ -26,12 +26,10 @@ from hybridrank.dense import (
     encode,
     encode_corpus,
     init_params,
-    load_encodings,
     load_params,
     normalize_rows,
     row_norms,
     rows_at,
-    save_encodings,
     save_params,
     train_de,
 )
@@ -484,16 +482,27 @@ def test_dim_is_the_width_of_the_table():
     assert encode(p, ()).shape == encode(p, tokenize("word", 8)).shape == (4,)
 
 
-@pytest.mark.parametrize("load", ["params", "reranker"])
+@pytest.mark.parametrize("load", ["params", "reranker", "hybrid"])
 def test_loaders_reject_a_table_not_sized_by_the_vocabulary(tmp_path, load):
+    from hybridrank.bm25 import Bm25Index
+    from hybridrank.hybrid import HYBRID_FORMAT, HybridIndex, load_hybrid_index, \
+        save_hybrid_index
+    from hybridrank.npzio import load_npz
     from hybridrank.reranker import RERANKER_FORMAT, load_reranker
     # the savers refuse such a table, so the file is written the way they write
-    path = tmp_path / f"{load}.npz"
+    path = path_arg = tmp_path / f"{load}.npz"
     header = {"vocab_size": 512, "dim": 4, "seed": 0}
     if load == "params":
         deterministic_savez(path, {"format": PARAMS_FORMAT, **header},
                             embeddings=np.zeros((512, 4)))
         loader = load_params
+    elif load == "hybrid":
+        corpus = Corpus([Passage("d0", "", "alpha beta")])
+        save_hybrid_index(HybridIndex(Bm25Index(corpus), init_params(4, 0),
+                                      np.zeros((1, 4)), 0.0), tmp_path / load)
+        hybrid_header, arrays = load_npz(path, HYBRID_FORMAT)
+        deterministic_savez(path, hybrid_header, **{**arrays, "embeddings": np.zeros((512, 4))})
+        loader, path_arg = load_hybrid_index, tmp_path / load  # it takes the prefix
     else:
         eye = np.eye(4)
         deterministic_savez(path, {"format": RERANKER_FORMAT, "bias": 0.0, **header},
@@ -502,11 +511,13 @@ def test_loaders_reject_a_table_not_sized_by_the_vocabulary(tmp_path, load):
         loader = load_reranker
     with pytest.raises(ValueError, match=rf"{re.escape(str(path))}.* 512 rows.*"
                                          rf"VOCAB_SIZE is {VOCAB_SIZE}"):
-        loader(path)
+        loader(path_arg)
 
 
-@pytest.mark.parametrize("save", ["params", "reranker"])
+@pytest.mark.parametrize("save", ["params", "reranker", "hybrid"])
 def test_savers_refuse_a_table_not_sized_by_the_vocabulary(tmp_path, save):
+    from hybridrank.bm25 import Bm25Index
+    from hybridrank.hybrid import HybridIndex, save_hybrid_index
     from hybridrank.reranker import init_reranker, save_reranker
     path = tmp_path / f"{save}.npz"
     table = np.zeros((512, 4))
@@ -514,9 +525,13 @@ def test_savers_refuse_a_table_not_sized_by_the_vocabulary(tmp_path, save):
                                          rf"VOCAB_SIZE is {VOCAB_SIZE}"):
         if save == "params":
             save_params(EncoderParams(table, seed=0), path)
-        else:
+        elif save == "reranker":
             save_reranker(init_reranker(table, seed=0), path)
-    assert not path.exists()
+        else:
+            corpus = Corpus([Passage("d0", "", "alpha beta")])
+            save_hybrid_index(HybridIndex(Bm25Index(corpus), EncoderParams(table, seed=0),
+                                          np.zeros((1, 4)), 0.0), tmp_path / save)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_params_deterministic_bytes(tmp_path):
@@ -533,14 +548,3 @@ def test_params_format_tag_checked(tmp_path):
     save_reranker(init_reranker(init_params(4, 0).embeddings, seed=0), path)
     with pytest.raises(ValueError, match="format"):
         load_params(path)
-
-
-def test_encodings_roundtrip(tmp_path):
-    corpus, _ = _toy_training_pairs(6)
-    p = init_params(8, seed=1)
-    matrix = encode_corpus(p, corpus)
-    path = tmp_path / "enc.npz"
-    save_encodings(corpus.ids(), matrix, path)
-    ids, loaded = load_encodings(path)
-    assert ids == corpus.ids()
-    assert np.array_equal(loaded, matrix)

@@ -8,13 +8,15 @@ import pytest
 
 import hybridrank.hybrid
 from hybridrank.bm25 import Bm25Index, encode_query
-from hybridrank.corpus import VOCAB_SIZE, Corpus, Passage, QrelSet, Query, passage_tokens, \
-    query_tokens, tokenize
+from hybridrank.corpus import PASSAGE_LENGTH, QUERY_LENGTH, VOCAB_SIZE, Corpus, Passage, \
+    QrelSet, Query, passage_tokens, query_tokens, tokenize
 from hybridrank.dense import EncoderParams, de_retrieve, encode, encode_corpus, \
     init_params, normalize_rows
 from hybridrank.evaluation import RunFile, compute_metric
+from hybridrank.npzio import deterministic_savez, load_npz
 from hybridrank.hybrid import (
     DEFAULT_LAMBDA_GRID,
+    HYBRID_FORMAT,
     HybridIndex,
     hybrid_retrieve,
     lambda_curve,
@@ -23,7 +25,7 @@ from hybridrank.hybrid import (
     tune_lambda,
 )
 from hybridrank.results import ranked_list, top_k_order
-from oracles import cosine, dot, encode_passage
+from oracles import compute_stats, cosine, dot, encode_passage
 
 
 
@@ -77,12 +79,13 @@ def _fused_scores(index, query):
 
 def test_hybrid_score_decomposition_identity():
     corpus, encoder, index, queries = _random_setup(0)
+    stats = compute_stats(corpus)
     for q in queries:
         qvec = encode_query(q)
         qdense = encode(encoder, query_tokens(q))
         fused = _fused_scores(index, q)
         for p in corpus:
-            pvec = encode_passage(p, index.bm25.stats, index.bm25.params)
+            pvec = encode_passage(p, stats, index.bm25.params)
             pdense = encode(encoder, passage_tokens(p))
             expected = dot(qvec, pvec) + index.lam * cosine(qdense, pdense)
             assert abs(fused[p.id] - expected) <= 1e-9
@@ -176,13 +179,14 @@ def test_hybrid_retrieve_three_passage_construction():
 def test_hybrid_retrieve_matches_materialized_concatenation():
     """Virtual fusion equals brute-force MIPS over explicit concatenated vectors."""
     corpus, encoder, index, queries = _random_setup(5)
+    stats = compute_stats(corpus)
     n = len(corpus)
     for lam in (0.0, 1.0, 600.0):
         idx = index.with_lambda(lam)
         # materialize [sparse | dense] per passage; dense rows are unit norm
         mats = np.zeros((n, VOCAB_SIZE + encoder.dim))
         for i, p in enumerate(corpus):
-            for t, w in encode_passage(p, idx.bm25.stats, idx.bm25.params).items():
+            for t, w in encode_passage(p, stats, idx.bm25.params).items():
                 mats[i, t] = w
             mats[i, VOCAB_SIZE:] = idx.dense_rows[i]
         for q in queries:
@@ -524,14 +528,55 @@ def test_hybrid_index_validates_inputs():
 def test_hybrid_save_load_bit_exact_scores(tmp_path):
     corpus, encoder, index, queries = _random_setup(13)
     prefix = tmp_path / "hy"
-    save_hybrid_index(index, prefix)
+    assert save_hybrid_index(index, prefix) == [f"{prefix}.npz"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["hy.npz"]
     loaded = load_hybrid_index(prefix)
-    assert loaded.lam == index.lam
+    assert loaded.lam == index.lam and loaded.ids == index.ids
+    assert loaded.bm25.params == index.bm25.params
+    assert loaded.bm25.id_rank.tolist() == corpus.id_rank.tolist()
+    assert loaded.encoder.seed == encoder.seed
+    for a, b in ((index.bm25.terms, loaded.bm25.terms), (index.bm25.indptr, loaded.bm25.indptr),
+                 (index.bm25.positions, loaded.bm25.positions),
+                 (index.bm25.weights, loaded.bm25.weights),
+                 (encoder.embeddings, loaded.encoder.embeddings),
+                 (index.dense_rows, loaded.dense_rows)):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
     for q in queries:
-        a = hybrid_retrieve(index, q, 5)
-        b = hybrid_retrieve(loaded, q, 5)
-        assert [(it.passage_id, it.score) for it in a.items] == \
-               [(it.passage_id, it.score) for it in b.items]
+        for part, loaded_part in zip(index.score_components(q), loaded.score_components(q)):
+            assert part.tobytes() == loaded_part.tobytes()
+        for stage in ("bm25", "de", "hybrid"):
+            a = ranked_list(q.id, *index.cut(stage, *index.score_components(q), 5))
+            b = ranked_list(q.id, *loaded.cut(stage, *loaded.score_components(q), 5))
+            assert a.items == b.items
+
+
+def test_hybrid_save_deterministic_bytes(tmp_path):
+    corpus, encoder, index, _ = _random_setup(15)
+    save_hybrid_index(index, tmp_path / "a")
+    save_hybrid_index(_index(corpus, encoder, index.lam), tmp_path / "b")
+    assert (tmp_path / "a.npz").read_bytes() == (tmp_path / "b.npz").read_bytes()
+
+
+def test_load_hybrid_index_rejects_wrong_format(tmp_path):
+    np.savez(tmp_path / "bad.npz", header=np.frombuffer(b'{"format": "other"}', dtype=np.uint8))
+    with pytest.raises(ValueError, match="format"):
+        load_hybrid_index(tmp_path / "bad")
+
+
+@pytest.mark.parametrize("key", ["vocab_size", "max_length", "query_max_length"])
+def test_load_hybrid_index_rejects_other_tokenizer_sizes(tmp_path, key):
+    _, _, index, _ = _random_setup(16, n_passages=4)
+    save_hybrid_index(index, tmp_path / "hy")
+    path = tmp_path / "hy.npz"
+    header, arrays = load_npz(path, HYBRID_FORMAT)
+    assert (header["vocab_size"], header["max_length"], header["query_max_length"]) == \
+        (VOCAB_SIZE, PASSAGE_LENGTH, QUERY_LENGTH)
+    header[key] += 1
+    deterministic_savez(path, header, **arrays)
+    named = (rf"\b{key} {header[key]}\b.*VOCAB_SIZE is {VOCAB_SIZE}, PASSAGE_LENGTH is "
+             f"{PASSAGE_LENGTH} and QUERY_LENGTH is {QUERY_LENGTH}")
+    with pytest.raises(ValueError, match=named):
+        load_hybrid_index(tmp_path / "hy")
 
 
 def test_de_retrieve_scores_equal_hybrid_cosines_bit_for_bit():

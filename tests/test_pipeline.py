@@ -24,7 +24,7 @@ from hybridrank.reranker import RerankTrainConfig, SamplingWindow
 from hybridrank.results import CandidateItem, CandidateList
 from hybridrank.synthetic import SyntheticCorpusSpec, make_synthetic_corpus, \
     save_synthetic_data
-from oracles import cosine, dot, encode_passage
+from oracles import compute_stats, cosine, dot, encode_passage
 
 
 @pytest.fixture(scope="module")
@@ -63,7 +63,7 @@ def _lists(qids, tag):
     out = []
     for qid in qids:
         items = [CandidateItem(passage_id=f"{tag}-{qid}-{j}", score=float(3 - j),
-                               rank=j + 1, label=1 if j == 0 else 0)
+                               label=1 if j == 0 else 0)
                  for j in range(3)]
         out.append(CandidateList(query_id=qid, items=items))
     return out
@@ -201,6 +201,18 @@ def test_config_rejects_what_is_not_a_config(data, match):
     ("lambda_grid", 5, "^config: "),
     ("bm25", {"k": "x"}, "^config section 'bm25': "),
     ("window", {"depth": "250"}, "^config section 'window': "),
+    ("run_depth", 30.5, "^config: run_depth "),
+    ("seed", 2.5, "^config: seed "),
+    ("rerank_top_k", True, "^config: rerank_top_k "),
+    ("corpus", 5, "^config: corpus "),
+    ("de", {"epochs": 2.5}, "^config section 'de': epochs "),
+    ("reranker", {"steps": 1.5}, "^config section 'reranker': steps "),
+    ("window", {"skip": 0, "depth": 20.0, "n_negatives": 6},
+     "^config section 'window': depth "),
+    ("bm25", {"k": True}, "^config section 'bm25': k "),
+    ("lambda_grid", [math.nan], "^config: lambda grid values must be finite"),
+    ("lambda_grid", "ab", "^config: lambda grid must be a nonempty list"),
+    ("lambda_grid", [], "^config: lambda grid must be a nonempty list"),
 ])
 def test_config_turns_a_wrongly_typed_value_into_a_value_error(data_dir, tmp_path,
                                                                key, value, match):
@@ -245,6 +257,8 @@ def test_run_experiment_without_reranker(data_dir, tmp_path):
                  "metrics_table.txt", "report.json", "manifest.json",
                  "run_bm25_test.trec", "run_de_test.trec", "run_hybrid_test.trec"):
         assert (workdir / name).exists(), name
+    # the hybrid index is one file
+    assert sorted(p for p in os.listdir(workdir) if p.startswith("hybrid")) == ["hybrid.npz"]
     lam = json.loads((workdir / "lambda.json").read_text())
     assert lam == {"lambda": report["lambda"], "grid": [0.0, 300.0, 600.0]}
 
@@ -297,7 +311,8 @@ def test_test_split_runs_equal_single_query_retrieval(data_dir, tmp_path):
     index = load_hybrid_index(workdir / "hybrid")
     corpus = load_corpus(cfg.corpus)
     dense = {p.id: encode(index.encoder, passage_tokens(p)) for p in corpus}
-    sparse = {p.id: encode_passage(p, index.bm25.stats, index.bm25.params) for p in corpus}
+    stats = compute_stats(corpus)
+    sparse = {p.id: encode_passage(p, stats, index.bm25.params) for p in corpus}
     depth = cfg.run_depth
     for q in load_queries(queries):
         assert runs["hybrid"][q.id] == _pairs(hybrid_retrieve(index, q, depth))

@@ -255,7 +255,9 @@ def test_build_lists_exactly_one_positive_and_window():
         labels = [it.label for it in cl.items]
         assert sum(1 for y in labels if y > 0) == 1
         assert labels[0] > 0 and len(cl.items) == 11
-        assert [it.rank for it in cl.items] == list(range(1, 12))
+        # the positive takes position 1 and the negatives follow in run order
+        negatives = [it.retriever_rank for it in cl.items[1:]]
+        assert negatives == sorted(negatives)
         assert len(set(cl.passage_ids())) == len(cl.items)
         for it in cl.items[1:]:
             assert 0 < it.retriever_rank <= 25
@@ -347,7 +349,7 @@ def _toy_corpus_and_lists(n_lists=5, n_items=4, seed=0):
     for i in range(n_lists):
         picks = rng.choice(20, size=n_items, replace=False)
         items = [CandidateItem(passage_id=f"d{p}", score=float(n_items - j),
-                               rank=j + 1, label=1 if j == 0 else 0)
+                               label=1 if j == 0 else 0)
                  for j, p in enumerate(picks)]
         lists.append(CandidateList(query_id=f"q{i}", items=items))
     return corpus, queries, lists
@@ -595,7 +597,7 @@ def _ragged_corpus_and_lists(n_lists=7, seed=0, wide=False):
         queries.append(Query(f"q{n_lists}", " ".join(words[:9])))
         pools.append([f"long{i}" for i in range(12)] + ["d0", "d1", "d2"])
     lists = [CandidateList(query_id=q.id, items=[
-        CandidateItem(passage_id=pid, score=0.0, rank=j + 1, label=int(j == 0))
+        CandidateItem(passage_id=pid, score=0.0, label=int(j == 0))
         for j, pid in enumerate(pool)]) for q, pool in zip(queries, pools)]
     return Corpus(passages), queries, lists
 
@@ -684,7 +686,7 @@ def _unpadded_corpus_and_lists(seed=0):
                for i in range(5)]
     from hybridrank.results import CandidateItem, CandidateList
     lists = [CandidateList(query_id=q.id, items=[
-        CandidateItem(passage_id=f"d{p}", score=0.0, rank=j + 1, label=int(j == 0))
+        CandidateItem(passage_id=f"d{p}", score=0.0, label=int(j == 0))
         for j, p in enumerate(rng.choice(12, size=3, replace=False))])
         for q in queries]
     return Corpus(passages), queries, lists

@@ -120,8 +120,7 @@ def test_ranking_and_run_file_keep_the_calls_perfbench_makes():
     and ``==`` against a pair list from either side."""
     pairs = [("d9", 2.5), ("d4", 1.0), ("d1", -0.0)]
     run = RunFile("hybrid", {"q1": pairs, "q2": []})
-    items = [CandidateItem(pid, score, rank) for rank, (pid, score) in
-             enumerate(pairs, start=1)]
+    items = [CandidateItem(pid, score) for pid, score in pairs]
     from_lists = RunFile.from_candidates([CandidateList("q1", items),
                                           CandidateList("q2", [])], run_tag="hybrid")
     assert from_lists == run

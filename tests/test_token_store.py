@@ -135,8 +135,7 @@ def test_each_passage_is_tokenized_once_across_index_encoder_and_reranker(monkey
     queries = [Query(f"q{i}", f"query {i} " + " ".join(rng.choice(words, size=3)))
                for i in range(4)]
     ids = corpus.ids()
-    lists = [CandidateList(q.id, [CandidateItem(ids[(i + j) % 12], 0.0, j + 1,
-                                                label=int(j == 0))
+    lists = [CandidateList(q.id, [CandidateItem(ids[(i + j) % 12], 0.0, label=int(j == 0))
                                   for j in range(5)])
              for i, q in enumerate(queries)]
     run = RunFile("first", {q.id: [(pid, -float(j)) for j, pid in enumerate(ids)]
