@@ -9,7 +9,7 @@ import pytest
 from hybridrank.bm25 import Bm25Index, Bm25Params, encode_query
 from hybridrank.corpus import PASSAGE_LENGTH, VOCAB_SIZE, Corpus, Passage, Query, tokenize
 from hybridrank.dense import EncoderParams
-from hybridrank.hybrid import HybridIndex
+from hybridrank.hybrid import HybridIndex, load_hybrid_index, save_hybrid_index
 from hybridrank.results import ranked_list
 from oracles import compute_stats, dot, encode_passage
 
@@ -279,3 +279,25 @@ def test_index_postings_equal_passage_vectors():
         assert (np.diff(index.terms) > 0).all()
         for i in range(len(index.terms)):
             assert (np.diff(index.positions[index.indptr[i]:index.indptr[i + 1]]) > 0).all()
+
+
+def test_index_save_load_bitwise_scores(tmp_path):
+    # the BM25 index is saved inside the hybrid index file
+    rng = random.Random(9)
+    corpus = _random_corpus(rng, 40, WORDS)
+    index = Bm25Index(corpus)
+    hybrid = HybridIndex(index, EncoderParams(np.zeros((VOCAB_SIZE, 1)), 0),
+                         np.zeros((len(index), 1)), 0.0)
+    save_hybrid_index(hybrid, tmp_path / "hy")
+    loaded = load_hybrid_index(tmp_path / "hy").bm25
+    for i in range(8):
+        q = Query(f"q{i}", " ".join(rng.choices(WORDS, k=3)))
+        assert (index.scores(q) == loaded.scores(q)).all()
+        ra = retrieve(index, q, 10)
+        rb = retrieve(loaded, q, 10)
+        assert ra.items == rb.items
+    assert loaded.params == index.params
+    assert loaded.id_rank.tolist() == corpus.id_rank.tolist()
+    for name in ("terms", "indptr", "positions", "weights"):
+        a, b = getattr(index, name), getattr(loaded, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b)
