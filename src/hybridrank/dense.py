@@ -72,6 +72,10 @@ class DeTrainConfig:
     def __post_init__(self):
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if self.epochs < 0:
+            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
+        if self.dim < 1:
+            raise ValueError(f"dim must be >= 1, got {self.dim}")
         if self.temperature <= 0:
             raise ValueError("temperature must be > 0")
         if self.learning_rate <= 0:

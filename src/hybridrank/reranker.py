@@ -22,7 +22,9 @@ U x d key matrix E_u W_k is never formed and the backward pass needs only
 (query rows x d) products with W_k.  A stacked batch keeps passage positions
 before items, (B, P, n) for ids and (B, Lq, P, n) for attention, so the
 softmax over positions reduces across rows n wide rather than along a short
-innermost axis.  Masked positions point at a sentinel column of z_u whose
+innermost axis.  _stack is the one place that builds this layout, straight
+from the corpus token store: training stacks all its lists once, and rerank
+stacks each query's list as a batch of one.  Masked positions point at a sentinel column of z_u whose
 logit is _MASK_LOGIT and whose r is 0; it is dropped from every gradient sum.
 
 Training works in float32 on the embedding rows of the ids its lists use, a
@@ -38,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Corpus, QrelSet, Query, TokenStore, query_tokens
+from .corpus import Corpus, QrelSet, Query, query_tokens
 from .dense import row_norms, rows_at, vocabulary_table
 from .evaluation import RunFile
 from .npzio import deterministic_savez, load_npz
@@ -137,50 +139,6 @@ def init_reranker(embeddings: np.ndarray, seed: int = 0) -> RerankerParams:
     )
 
 
-def _score_padded(params: RerankerParams, qtok: np.ndarray, pidx: np.ndarray,
-                  pmask: np.ndarray) -> np.ndarray:
-    """Scores of padded passage rows against one query."""
-    scores, _ = _forward(params, qtok[None], np.ones((1, qtok.size), dtype=bool),
-                         pidx.T[None], pmask.T[None])
-    return scores[0]
-
-
-class _ListBatch:
-    """Pre-tokenized view of one candidate list."""
-
-    __slots__ = ("qtok", "pidx", "pmask", "labels")
-
-    def __init__(self, qtok, pidx, pmask, labels):
-        self.qtok = qtok
-        self.pidx = pidx
-        self.pmask = pmask
-        self.labels = labels
-
-
-def _stack_lists(blists: list[_ListBatch]):
-    """Pad lists to shared tensors: query ids and mask (B, Lq), passage ids and
-    mask (B, P, n) with positions before items, item mask and labels (B, n)."""
-    nb = len(blists)
-    n = max(b.pidx.shape[0] for b in blists)
-    w = max(b.pidx.shape[1] for b in blists)
-    lq = max(b.qtok.size for b in blists)
-    qidx = np.zeros((nb, lq), dtype=np.int32)
-    qmask = np.zeros((nb, lq), dtype=bool)
-    pidx = np.zeros((nb, w, n), dtype=np.int32)
-    pmask = np.zeros((nb, w, n), dtype=bool)
-    imask = np.zeros((nb, n), dtype=bool)
-    labels = np.zeros((nb, n), dtype=np.float64)
-    for i, b in enumerate(blists):
-        qidx[i, :b.qtok.size] = b.qtok
-        qmask[i, :b.qtok.size] = True
-        ni, wi = b.pidx.shape
-        pidx[i, :wi, :ni] = b.pidx.T
-        pmask[i, :wi, :ni] = b.pmask.T
-        imask[i, :ni] = True
-        labels[i, :ni] = b.labels
-    return qidx, qmask, pidx, pmask, imask, labels
-
-
 def _distinct(ids: np.ndarray, n_rows: int) -> tuple[np.ndarray, np.ndarray]:
     """(uniq, inv): the sorted distinct ids, and each id's row in uniq.
 
@@ -196,7 +154,7 @@ def _distinct(ids: np.ndarray, n_rows: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _forward(params: RerankerParams, qidx, qmask, pidx, pmask):
-    """Scores (B, n) of a stacked batch (layout of _stack_lists), worked per
+    """Scores (B, n) of a stacked batch (layout of _stack), worked per
     distinct token.
 
     Embedding rows and the value scalar r are taken once per distinct token id
@@ -301,45 +259,46 @@ def _batch_loss_grad(params: RerankerParams, qidx, qmask, pidx, pmask, imask,
     return float(losses.mean()), grads
 
 
-def _token_ids(query: Query) -> np.ndarray:
-    """int64 token ids of a query; ValueError naming it when empty."""
-    tok = np.asarray(query_tokens(query), dtype=np.int64)
+def _token_ids(by_id: dict[str, Query], query_id: str) -> np.ndarray:
+    """int64 token ids of query ``query_id``: KeyError when ``by_id`` has no
+    such query, ValueError naming it when it has no tokens."""
+    if query_id not in by_id:
+        raise KeyError(f"no query text for query id {query_id!r}")
+    tok = np.asarray(query_tokens(by_id[query_id]), dtype=np.int64)
     if tok.size == 0:
-        raise ValueError(f"query {query.id!r} has no tokens")
+        raise ValueError(f"query {query_id!r} has no tokens")
     return tok
 
 
-def _store_rows(store: TokenStore, corpus: Corpus,
-                passage_ids: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    """Padded token ids and mask of the passages, gathered from ``store`` at once.
+def _stack(qtoks: list[np.ndarray], passage_ids: list[list[str]], corpus: Corpus):
+    """One padded batch of B lists, gathered from ``corpus.token_store()``.
 
-    Raises ValueError naming the first passage that has no tokens.
+    Returns query ids and mask (B, Lq), passage ids and mask (B, P, n), with
+    positions before items, and the item mask (B, n); ids are int32, padding
+    is id 0.  Raises ValueError naming the first passage that has no tokens.
     """
-    pos = np.array([corpus.position(pid) for pid in passage_ids], dtype=np.int64)
+    store = corpus.token_store()
+    flat = [pid for pids in passage_ids for pid in pids]
+    pos = np.array([corpus.position(pid) for pid in flat], dtype=np.int64)
     start = store.indptr[pos]
     length = store.indptr[pos + 1] - start
     if not length.all():
-        raise ValueError(f"passage {passage_ids[int(np.argmin(length))]!r} has no tokens")
-    width = np.arange(length.max())
-    mask = width < length[:, None]
-    idx = np.zeros(mask.shape, dtype=np.int64)
-    idx[mask] = store.ids[(start[:, None] + width)[mask]]
-    return idx, mask
-
-
-def _prepare_lists(lists: list[CandidateList], queries: list[Query],
-                   corpus: Corpus) -> list[_ListBatch]:
-    by_id = {q.id: q for q in queries}
-    store = corpus.token_store()
-    out = []
-    for cl in lists:
-        if cl.query_id not in by_id:
-            raise KeyError(f"no query text for query id {cl.query_id!r}")
-        qtok = _token_ids(by_id[cl.query_id])
-        pidx, pmask = _store_rows(store, corpus, cl.passage_ids())
-        labels = np.asarray([it.label for it in cl.items], dtype=np.float64)
-        out.append(_ListBatch(qtok, pidx, pmask, labels))
-    return out
+        raise ValueError(f"passage {flat[int(np.argmin(length))]!r} has no tokens")
+    n_items = np.array([len(pids) for pids in passage_ids])
+    imask = np.arange(n_items.max()) < n_items[:, None]
+    starts = np.zeros(imask.shape, dtype=np.int64)
+    lengths = np.zeros(imask.shape, dtype=np.int64)
+    starts[imask] = start
+    lengths[imask] = length
+    width = np.arange(length.max())[:, None]                   # (P, 1)
+    pmask = width < lengths[:, None, :]                        # (B, P, n)
+    pidx = np.zeros(pmask.shape, dtype=np.int32)
+    pidx[pmask] = store.ids[(starts[:, None, :] + width)[pmask]]
+    q_len = np.array([tok.size for tok in qtoks])
+    qmask = np.arange(q_len.max()) < q_len[:, None]
+    qidx = np.zeros(qmask.shape, dtype=np.int32)
+    qidx[qmask] = np.concatenate(qtoks)
+    return qidx, qmask, pidx, pmask, imask
 
 
 def train_reranker(lists: list[CandidateList], queries: list[Query], corpus: Corpus,
@@ -356,30 +315,31 @@ def train_reranker(lists: list[CandidateList], queries: list[Query], corpus: Cor
         raise ValueError("lists must be nonempty")
     if config.steps == 0:
         return init.copy()
-    batches = _prepare_lists(lists, queries, corpus)
+    by_id = {q.id: q for q in queries}
+    qidx, qmask, pidx, pmask, imask = _stack(
+        [_token_ids(by_id, cl.query_id) for cl in lists],
+        [cl.passage_ids() for cl in lists], corpus)
+    labels = np.zeros(imask.shape, dtype=np.float64)
+    labels[imask] = [it.label for cl in lists for it in cl.items]
     # stacked once; each step slices its lists to their own widest Lq, P and n
-    qidx, qmask, pidx, pmask, imask, labels = _stack_lists(batches)
-    sizes = np.array([(b.qtok.size, b.pidx.shape[1], b.pidx.shape[0]) for b in batches])
+    sizes = np.stack([qmask.sum(1), pmask.any(2).sum(1), imask.sum(1)], axis=1)
     # only the rows of ids the lists use (padding id included) are trained,
     # renumbered in id order, so each step's distinct tokens, gathers and
     # gradient sums are those of the full table
-    seen = np.zeros(len(init.embeddings), dtype=bool)
-    seen[qidx] = True
-    seen[pidx] = True
-    used = np.flatnonzero(seen)
-    row = np.zeros(len(init.embeddings), dtype=np.int32)
-    row[used] = np.arange(used.size)
-    qidx, pidx = row[qidx], row[pidx]
+    used, row = _distinct(np.concatenate([qidx.ravel(), pidx.ravel()]),
+                          len(init.embeddings))
+    row = row.astype(np.int32)
+    qidx, pidx = row[:qidx.size].reshape(qidx.shape), row[qidx.size:].reshape(pidx.shape)
     rng = np.random.default_rng(config.seed)
-    order = rng.permutation(len(batches))
+    order = rng.permutation(len(lists))
     cursor = 0
     lr = config.learning_rate
     # training runs in float32 (deterministic; a default-config step takes about
     # 2/3 of its float64 time); stored params stay float64
     work = _with_dtype(init, np.float32, used)
     for step in range(config.steps):
-        if cursor + config.batch_size > len(batches):
-            order = rng.permutation(len(batches))
+        if cursor + config.batch_size > len(lists):
+            order = rng.permutation(len(lists))
             cursor = 0
         take = order[cursor:cursor + config.batch_size]
         cursor += config.batch_size
@@ -480,17 +440,15 @@ def rerank(params: RerankerParams, run: RunFile, queries: list[Query],
     if top_k < 1:
         raise ValueError(f"top_k must be >= 1, got {top_k}")
     by_id = {q.id: q for q in queries}
-    store = corpus.token_store()
     rankings: dict[str, Ranking] = {}
     for qid, ranking in run.rankings.items():
-        if qid not in by_id:
-            raise KeyError(f"no query text for query id {qid!r}")
-        if not ranking:  # nothing retrieved, nothing to rescore
+        # nothing retrieved, nothing to rescore; an unknown query raises below
+        if not ranking and qid in by_id:
             rankings[qid] = ranking
             continue
-        qtok = _token_ids(by_id[qid])
         pids = ranking.ids[:top_k]
-        scores = _score_padded(params, qtok, *_store_rows(store, corpus, pids))
+        qidx, qmask, pidx, pmask, _ = _stack([_token_ids(by_id, qid)], [pids], corpus)
+        scores = _forward(params, qidx, qmask, pidx, pmask)[0][0]
         order = np.argsort(-scores, kind="stable")
         tail = (float(scores.min()) - 1.0) - np.arange(len(ranking) - len(pids))
         rankings[qid] = Ranking(tuple(map(pids.__getitem__, order.tolist()))

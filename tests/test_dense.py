@@ -410,6 +410,11 @@ def test_de_train_config_validation():
         DeTrainConfig(temperature=0.0)
     with pytest.raises(ValueError):
         DeTrainConfig(learning_rate=0.0)
+    with pytest.raises(ValueError, match="epochs must be >= 0, got -1"):
+        DeTrainConfig(epochs=-1)
+    with pytest.raises(ValueError, match="dim must be >= 1, got 0"):
+        DeTrainConfig(dim=0)
+    DeTrainConfig(epochs=0, dim=1)
 
 
 # ---------------------------------------------------------------- retrieval

@@ -14,13 +14,13 @@ from hybridrank.bm25 import Bm25Index, encode_query
 from hybridrank.corpus import load_corpus, load_queries, passage_tokens, query_tokens, \
     tokenize
 from hybridrank.dense import DeTrainConfig, encode
-from hybridrank.evaluation import read_run
+from hybridrank.evaluation import read_run, write_run
 from hybridrank.hybrid import hybrid_retrieve, load_hybrid_index
 from hybridrank.pipeline import (FIRST_STAGES, ExperimentConfig, StageError,
                                  ablation_matrix, config_from_dict, config_to_dict,
                                  load_config, mix_training_data, run_experiment,
                                  save_config)
-from hybridrank.reranker import RerankTrainConfig, SamplingWindow
+from hybridrank.reranker import RerankTrainConfig, SamplingWindow, load_reranker, rerank
 from hybridrank.results import CandidateItem, CandidateList
 from hybridrank.synthetic import SyntheticCorpusSpec, make_synthetic_corpus, \
     save_synthetic_data
@@ -213,6 +213,8 @@ def test_config_rejects_what_is_not_a_config(data, match):
     ("lambda_grid", [math.nan], "^config: lambda grid values must be finite"),
     ("lambda_grid", "ab", "^config: lambda grid must be a nonempty list"),
     ("lambda_grid", [], "^config: lambda grid must be a nonempty list"),
+    ("de", {"epochs": -1}, "^config section 'de': epochs must be >= 0"),
+    ("de", {"dim": 0}, "^config section 'de': dim must be >= 1"),
 ])
 def test_config_turns_a_wrongly_typed_value_into_a_value_error(data_dir, tmp_path,
                                                                key, value, match):
@@ -278,6 +280,13 @@ def test_run_experiment_with_reranker(data_dir, tmp_path):
     # a train split holds only the run its lists are drawn from
     assert sorted(p for p in os.listdir(workdir) if p.endswith("_train.trec")) == \
         ["run_hybrid_train.trec"]
+    # the saved reranker, reloaded, reproduces the reranked run file byte for byte
+    again = rerank(load_reranker(workdir / "reranker_hybrid.npz"),
+                   read_run(workdir / "run_bm25_test.trec"), load_queries(cfg.test_queries),
+                   load_corpus(cfg.corpus), top_k=cfg.rerank_top_k, run_tag="rr-hybrid-on-bm25")
+    write_run(again, tmp_path / "again.trec")
+    assert (tmp_path / "again.trec").read_bytes() == \
+        (workdir / "run_rerank_hybrid_on_bm25.trec").read_bytes()
 
 
 def _pairs(candidates):

@@ -6,7 +6,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hybridrank.corpus import VOCAB_SIZE, Corpus, Passage, QrelSet, Query, tokenize
+from hybridrank.corpus import (
+    VOCAB_SIZE,
+    Corpus,
+    Passage,
+    QrelSet,
+    Query,
+    passage_tokens,
+    query_tokens,
+    tokenize,
+)
 from hybridrank import reranker
 from hybridrank.dense import init_params
 from hybridrank.evaluation import RunFile
@@ -14,13 +23,9 @@ from hybridrank.reranker import (
     RerankTrainConfig,
     RerankerParams,
     SamplingWindow,
-    _ListBatch,
     _batch_loss_grad,
     _forward,
-    _prepare_lists,
-    _score_padded,
-    _stack_lists,
-    _store_rows,
+    _stack,
     build_candidate_lists,
     init_reranker,
     load_candidate_lists,
@@ -108,12 +113,40 @@ def _pad_passages(ptoks) -> tuple[np.ndarray, np.ndarray]:
 
 
 def score_list(params, qtok, ptoks) -> np.ndarray:
-    """Scores of many passages against one query: a one-list batch."""
+    """Scores of many passages against one query: a one-list batch, padded
+    row by row and laid out (1, P, n) here."""
     if qtok.size == 0:
         raise ValueError("query has no tokens")
     if any(t.size == 0 for t in ptoks):
         raise ValueError("every passage needs at least one token")
-    return _score_padded(params, qtok, *_pad_passages(ptoks))
+    pidx, pmask = _pad_passages(ptoks)
+    scores, _ = _forward(params, qtok[None], np.ones((1, qtok.size), dtype=bool),
+                         pidx.T[None], pmask.T[None])
+    return scores[0]
+
+
+def _list_rows(cl, queries, corpus):
+    """One list's query ids, passage ids padded row by row (n, P) and their
+    mask, and labels: the reference view, tokenized without the token store."""
+    qtok = np.asarray(query_tokens({q.id: q for q in queries}[cl.query_id]),
+                      dtype=np.int64)
+    pidx, pmask = _pad_passages([np.asarray(passage_tokens(corpus.get(pid)), dtype=np.int64)
+                                 for pid in cl.passage_ids()])
+    labels = np.asarray([it.label for it in cl.items], dtype=np.float64)
+    return qtok, pidx, pmask, labels
+
+
+def _stacked(lists, queries, corpus):
+    """The lists through _stack, plus their labels (B, n): the arguments of
+    _batch_loss_grad after the params."""
+    by_id = {q.id: q for q in queries}
+    qidx, qmask, pidx, pmask, imask = _stack(
+        [np.asarray(query_tokens(by_id[cl.query_id]), dtype=np.int64) for cl in lists],
+        [cl.passage_ids() for cl in lists], corpus)
+    labels = np.zeros(imask.shape, dtype=np.float64)
+    for i, cl in enumerate(lists):
+        labels[i, :len(cl.items)] = [it.label for it in cl.items]
+    return qidx, qmask, pidx, pmask, imask, labels
 
 
 # ---------------------------------------------------------------- score_pair
@@ -414,8 +447,7 @@ def test_full_objective_gradient_matches_finite_differences():
 def _check_gradient_by_finite_differences(n_lists):
     corpus, queries, lists = _toy_corpus_and_lists(n_lists=max(2, n_lists), seed=3)
     params = _random_params(7)
-    batches = _prepare_lists(lists, queries, corpus)[:n_lists]
-    stacked = _stack_lists(batches)
+    stacked = _stacked(lists[:n_lists], queries, corpus)
     _, grads = _batch_loss_grad(params, *stacked)
     h = 1e-4
 
@@ -450,8 +482,8 @@ def _check_gradient_by_finite_differences(n_lists):
     # embedding rows, via the sparse (idx, rows) representation; probe the
     # smallest ids among the batch's real query and passage tokens
     dense = _dense_embedding_grad(params, grads)
-    touched = np.unique(np.concatenate(
-        [t for b in batches for t in (b.qtok, b.pidx[b.pmask])]))[:4]
+    qidx, qmask, pidx, pmask = stacked[:4]
+    touched = np.unique(np.concatenate([qidx[qmask], pidx[pmask]]))[:4]
     for t in touched:
         for j in range(0, DIM, 3):
             p2 = params.copy()
@@ -468,51 +500,61 @@ def _check_gradient_by_finite_differences(n_lists):
     assert grads["bias"] == pytest.approx(0.0, abs=1e-12)
 
 
-def _token_sharing_batches():
+# a word that tokenizes to each id below 12 (checked in _token_sharing_lists)
+_ID_WORDS = ("t9661", "t654", "t32503", "t11778", "t2256", "t6401", "t11318",
+             "t35209", "t16779", "t16809", "t68556", "t16368")
+
+
+def _token_sharing_lists():
     """Hand-built lists over ids 0..11 (0 is also the padding id): a token
     repeated within a passage, tokens shared across passages and lists, query
     tokens that also occur in passages, a real id 0, lists of unequal item
-    count and width, queries of unequal length and a one-item list."""
+    count and width, queries of unequal length and a one-item list.  Each id
+    is written as a word that tokenizes to it, so the lists reach _stack
+    through an ordinary corpus."""
+    assert [tokenize(w, 1) for w in _ID_WORDS] == [(i,) for i in range(12)]
     spec = [
         ([3, 0, 5], [[3, 3, 7, 0], [1, 2], [0, 5, 9, 9, 11]], [1, 0, 0]),
         ([7], [[4, 7, 4]], [1]),
         ([2, 8, 8, 1, 0], [[8], [2, 3], [6, 0, 6], [10, 1, 5, 2, 2, 4]], [0, 2, 1, 0]),
     ]
-    batches = []
-    for qtok, ptoks, labels in spec:
-        width = max(len(t) for t in ptoks)
-        pidx = np.zeros((len(ptoks), width), dtype=np.int64)
-        pmask = np.zeros((len(ptoks), width), dtype=bool)
-        for i, t in enumerate(ptoks):
-            pidx[i, :len(t)] = t
-            pmask[i, :len(t)] = True
-        batches.append(_ListBatch(np.asarray(qtok, dtype=np.int64), pidx, pmask,
-                                  np.asarray(labels, dtype=np.float64)))
-    return batches
+    from hybridrank.results import CandidateItem, CandidateList
+
+    def text(ids):
+        return " ".join(_ID_WORDS[i] for i in ids)
+
+    passages, queries, lists = [], [], []
+    for i, (qtok, ptoks, labels) in enumerate(spec):
+        queries.append(Query(f"q{i}", text(qtok)))
+        items = []
+        for j, (ptok, label) in enumerate(zip(ptoks, labels)):
+            passages.append(Passage(f"d{i}_{j}", "", text(ptok)))
+            items.append(CandidateItem(passage_id=f"d{i}_{j}", score=0.0, label=label))
+        lists.append(CandidateList(query_id=f"q{i}", items=items))
+    return Corpus(passages), queries, lists
 
 
-def _toy_batches():
-    corpus, queries, lists = _toy_corpus_and_lists(n_lists=6, n_items=5, seed=5)
-    return _prepare_lists(lists, queries, corpus)
+def _toy_lists():
+    return _toy_corpus_and_lists(n_lists=6, n_items=5, seed=5)
 
 
 def test_batched_gradient_equals_per_list_sum():
-    for batches in (_toy_batches(), _token_sharing_batches()):
-        _check_batch_equals_dense_reference(batches)
+    for corpus, queries, lists in (_toy_lists(), _token_sharing_lists()):
+        _check_batch_equals_dense_reference(corpus, queries, lists)
 
 
-def _check_batch_equals_dense_reference(batches):
+def _check_batch_equals_dense_reference(corpus, queries, lists):
     params = _random_params(8)
 
     losses = []
     acc = None
-    for b in batches:
-        loss, g = _dense_list_loss_grad(params, b.qtok, b.pidx, b.pmask, b.labels)
+    for cl in lists:
+        loss, g = _dense_list_loss_grad(params, *_list_rows(cl, queries, corpus))
         losses.append(loss)
         cur = {k: np.array(g[k]) for k in ("w_q", "w_k", "w_v", "readout", "emb")}
         acc = cur if acc is None else {k: acc[k] + cur[k] for k in cur}
 
-    stacked = _stack_lists(batches)
+    stacked = _stacked(lists, queries, corpus)
     fused_loss, fused = _batch_loss_grad(params, *stacked)
     assert fused_loss == pytest.approx(np.mean(losses), rel=1e-12)
     fused["emb"] = _dense_embedding_grad(params, fused)
@@ -527,11 +569,12 @@ def _check_batch_equals_dense_reference(batches):
 
 def test_scores_equal_dense_reference():
     params = _random_params(9)
-    for b in _token_sharing_batches() + _toy_batches():
-        dense, _ = _dense_forward_list(params, b.qtok, b.pidx, b.pmask)
-        ptoks = [row[m] for row, m in zip(b.pidx, b.pmask)]
-        fused = score_list(params, b.qtok, ptoks)
-        assert np.max(np.abs(fused - dense)) <= 1e-12 * max(np.max(np.abs(dense)), 1.0)
+    for corpus, queries, lists in (_token_sharing_lists(), _toy_lists()):
+        for cl in lists:
+            qtok, pidx, pmask, _ = _list_rows(cl, queries, corpus)
+            dense, _ = _dense_forward_list(params, qtok, pidx, pmask)
+            fused = score_list(params, qtok, [row[m] for row, m in zip(pidx, pmask)])
+            assert np.max(np.abs(fused - dense)) <= 1e-12 * max(np.max(np.abs(dense)), 1.0)
 
 
 # ---------------------------------------------------------------- training
@@ -556,8 +599,8 @@ def test_one_training_step_is_sgd_on_the_reference_gradient():
     cfg = RerankTrainConfig(steps=1, batch_size=4, learning_rate=lr, seed=5)
     out = train_reranker(lists, queries, corpus, cfg, init=init)
     acc = None
-    for b in _prepare_lists(lists, queries, corpus):
-        _, g = _dense_list_loss_grad(init, b.qtok, b.pidx, b.pmask, b.labels)
+    for cl in lists:
+        _, g = _dense_list_loss_grad(init, *_list_rows(cl, queries, corpus))
         acc = g if acc is None else {k: acc[k] + g[k] for k in acc}
     for name, key in (("embeddings", "emb"), ("w_q", "w_q"), ("w_k", "w_k"),
                       ("w_v", "w_v"), ("readout", "readout")):
@@ -609,19 +652,19 @@ def test_train_equals_stacking_each_step():
     init = _random_params(4)
     out = train_reranker(lists, queries, corpus, cfg, init=init)
 
-    batches = _prepare_lists(lists, queries, corpus)
-    assert len({(b.qtok.size, *b.pidx.shape) for b in batches}) > 3
+    rows = [_list_rows(cl, queries, corpus) for cl in lists]
+    assert len({(qtok.size, *pidx.shape) for qtok, pidx, _, _ in rows}) > 3
     rng = np.random.default_rng(cfg.seed)
-    order = rng.permutation(len(batches))
+    order = rng.permutation(len(lists))
     cursor = 0
     work = reranker._with_dtype(init, np.float32)
     for step in range(cfg.steps):
-        if cursor + cfg.batch_size > len(batches):
-            order = rng.permutation(len(batches))
+        if cursor + cfg.batch_size > len(lists):
+            order = rng.permutation(len(lists))
             cursor = 0
         take = order[cursor:cursor + cfg.batch_size]
         cursor += cfg.batch_size
-        _, g = _batch_loss_grad(work, *_stack_lists([batches[i] for i in take]))
+        _, g = _batch_loss_grad(work, *_stacked([lists[i] for i in take], queries, corpus))
         frac = np.float32(cfg.learning_rate * (1.0 - step / cfg.steps) / take.size)
         work.w_q -= frac * g["w_q"]
         work.w_k -= frac * g["w_k"]
@@ -637,18 +680,17 @@ def test_train_equals_stacking_each_step():
 
 def _train_full_table(lists, queries, corpus, cfg, init):
     """train_reranker's SGD loop over the whole float32 embedding table."""
-    batches = _prepare_lists(lists, queries, corpus)
     rng = np.random.default_rng(cfg.seed)
-    order = rng.permutation(len(batches))
+    order = rng.permutation(len(lists))
     cursor = 0
     work = reranker._with_dtype(init, np.float32)
     for step in range(cfg.steps):
-        if cursor + cfg.batch_size > len(batches):
-            order = rng.permutation(len(batches))
+        if cursor + cfg.batch_size > len(lists):
+            order = rng.permutation(len(lists))
             cursor = 0
         take = order[cursor:cursor + cfg.batch_size]
         cursor += cfg.batch_size
-        _, g = _batch_loss_grad(work, *_stack_lists([batches[i] for i in take]))
+        _, g = _batch_loss_grad(work, *_stacked([lists[i] for i in take], queries, corpus))
         frac = np.float32(cfg.learning_rate * (1.0 - step / cfg.steps) / take.size)
         work.w_q -= frac * g["w_q"]
         work.w_k -= frac * g["w_k"]
@@ -667,8 +709,8 @@ def test_train_leaves_unused_rows_at_their_float32_rounding():
     rounded = init.embeddings.astype(np.float32).astype(np.float64)
     # ids of the lists' real tokens, and rows neither they nor padding use
     used = np.unique(np.concatenate(
-        [t for b in _prepare_lists(lists, queries, corpus)
-         for t in (b.qtok, b.pidx[b.pmask])]))
+        [t for qtok, pidx, pmask, _ in (_list_rows(cl, queries, corpus) for cl in lists)
+         for t in (qtok, pidx[pmask])]))
     unused = np.setdiff1d(np.arange(VOCAB_SIZE), np.append(used, 0))
     assert unused.size > VOCAB_SIZE // 2
     assert np.array_equal(out.embeddings[unused], rounded[unused])
@@ -694,8 +736,7 @@ def _unpadded_corpus_and_lists(seed=0):
 
 def test_train_without_padding_or_id_zero_equals_full_table():
     corpus, queries, lists = _unpadded_corpus_and_lists(seed=3)
-    qidx, qmask, pidx, pmask, imask, _ = _stack_lists(
-        _prepare_lists(lists, queries, corpus))
+    qidx, qmask, pidx, pmask, imask, _ = _stacked(lists, queries, corpus)
     assert qmask.all() and pmask.all() and imask.all()
     assert 0 not in qidx and 0 not in pidx
     cfg = RerankTrainConfig(steps=9, batch_size=2, learning_rate=0.3, seed=6)
@@ -756,8 +797,8 @@ def test_train_steps_keep_their_own_batch_shapes(monkeypatch):
 def _mean_list_loss(params, lists, queries, corpus):
     """Mean listwise loss over the lists under fixed parameters, one list at a time."""
     total = 0.0
-    for b in _prepare_lists(lists, queries, corpus):
-        qidx, qmask, pidx, pmask, _, labels = _stack_lists([b])
+    for cl in lists:
+        qidx, qmask, pidx, pmask, _, labels = _stacked([cl], queries, corpus)
         scores, _ = _forward(params, qidx, qmask, pidx, pmask)
         total += listwise_loss(scores[0], labels[0])
     return total / len(lists)
@@ -810,6 +851,16 @@ def test_train_names_a_passage_without_tokens():
     lists[1].items[2].passage_id = "dots"
     cfg = RerankTrainConfig(steps=1)
     with pytest.raises(ValueError, match="passage 'dots' has no tokens"):
+        train_reranker(lists, queries, corpus, cfg, init=_init())
+
+
+def test_train_names_a_query_missing_or_without_tokens():
+    corpus, queries, lists = _toy_corpus_and_lists()
+    cfg = RerankTrainConfig(steps=1)
+    with pytest.raises(KeyError, match="no query text for query id 'q2'"):
+        train_reranker(lists, queries[:2] + queries[3:], corpus, cfg, init=_init())
+    queries[2] = Query("q2", "?! ...")
+    with pytest.raises(ValueError, match="query 'q2' has no tokens"):
         train_reranker(lists, queries, corpus, cfg, init=_init())
 
 
@@ -927,9 +978,14 @@ def test_rerank_scores_come_from_score_pair():
 
 
 def test_rerank_empty_ranking_stays_empty():
-    corpus, queries, run = _rerank_fixture(q0=[])
+    corpus, queries, run = _rerank_fixture(q0=[], punct=[])
+    queries = queries + [Query("punct", "?! ...")]
     out = rerank(_random_params(12), run, queries, corpus, top_k=5)
-    assert out.rankings["q0"] == []
+    # a query without tokens passes through too when nothing was retrieved
+    assert out.rankings["q0"] == [] and out.rankings["punct"] == []
+    run = RunFile("base", {**run.rankings, "punct": [("d1", 1.0)]})
+    with pytest.raises(ValueError, match="query 'punct' has no tokens"):
+        rerank(_random_params(12), run, queries, corpus, top_k=5)
 
 
 def test_rerank_unknown_passage_named():
@@ -950,22 +1006,35 @@ def test_rerank_names_a_passage_without_tokens():
         rerank(_random_params(13), run, queries, corpus, top_k=len(run.rankings["q0"]))
 
 
-def test_store_rows_equal_per_row_padding():
+def test_stack_equals_per_row_padding():
     corpus, _, _ = _toy_corpus_and_lists(seed=7)
     store = corpus.token_store()
-    pids = ["d3", "d0", "d19", "d3", "d7", "d12"]
-    idx, mask = _store_rows(store, corpus, pids)
-    ref_idx, ref_mask = _pad_passages([store[corpus.position(p)] for p in pids])
-    assert idx.dtype == ref_idx.dtype and np.array_equal(idx, ref_idx)
-    assert np.array_equal(mask, ref_mask)
+    qtoks = [np.array([5, 0, 9]), np.array([7]), np.array([1, 2, 3, 4])]
+    pids = [["d3", "d0", "d19", "d3", "d7", "d12"], ["d5"], ["d12", "d1"]]
+    qidx, qmask, pidx, pmask, imask = _stack(qtoks, pids, corpus)
+    assert qidx.dtype == pidx.dtype == store.ids.dtype
+    widths = [store[corpus.position(p)].size for ids in pids for p in ids]
+    assert pidx.shape == pmask.shape == (3, max(widths), 6)
+    assert qidx.shape == qmask.shape == (3, 4) and imask.shape == (3, 6)
+    for b, (qtok, ids) in enumerate(zip(qtoks, pids)):
+        assert np.array_equal(qmask[b], np.arange(4) < qtok.size)
+        assert np.array_equal(qidx[b], np.pad(qtok, (0, 4 - qtok.size)))
+        assert np.array_equal(imask[b], np.arange(6) < len(ids))
+        # the list's own (n, width) corner is its rows padded one by one;
+        # beyond it every id is 0 and masked out
+        ref_idx, ref_mask = _pad_passages([store[corpus.position(p)] for p in ids])
+        n, width = ref_idx.shape
+        want_idx = np.zeros((6, max(widths)), dtype=ref_idx.dtype)
+        want_mask = np.zeros((6, max(widths)), dtype=bool)
+        want_idx[:n, :width], want_mask[:n, :width] = ref_idx, ref_mask
+        assert np.array_equal(pidx[b].T, want_idx) and np.array_equal(pmask[b].T, want_mask)
 
 
-def test_store_rows_names_the_first_passage_without_tokens():
+def test_stack_names_the_first_passage_without_tokens():
     corpus, _, _ = _toy_corpus_and_lists()
     corpus = Corpus(list(corpus) + [Passage("dots", "", "..."), Passage("dash", "", "-")])
-    store = corpus.token_store()
     with pytest.raises(ValueError, match="passage 'dash' has no tokens"):
-        _store_rows(store, corpus, ["d1", "dash", "d2", "dots"])
+        _stack([np.array([1]), np.array([2])], [["d1", "dash", "d2"], ["dots"]], corpus)
 
 
 def test_rerank_order_and_tail_equal_per_item_reference(monkeypatch):
@@ -973,7 +1042,7 @@ def test_rerank_order_and_tail_equal_per_item_reference(monkeypatch):
     # unstable sort would reorder ties
     rng = np.random.default_rng(2)
     scores = rng.choice([0.5, 0.0, -0.0, -1.25, 2.0, 1e-300], size=60)
-    monkeypatch.setattr(reranker, "_score_padded", lambda *args: scores.copy())
+    monkeypatch.setattr(reranker, "_forward", lambda *args: (scores[None].copy(), None))
     words = [f"w{i}" for i in range(10)]
     corpus = Corpus([Passage(f"d{i:02d}", "", " ".join(rng.choice(words, size=3)))
                      for i in range(64)])
@@ -991,9 +1060,11 @@ def test_rerank_order_and_tail_equal_per_item_reference(monkeypatch):
 
 
 def test_rerank_missing_query_text_named():
-    corpus, queries, run = _rerank_fixture(mystery=[("d1", 1.0)])
-    with pytest.raises(KeyError, match="mystery"):
-        rerank(_random_params(14), run, queries, corpus, top_k=5)
+    # before an empty ranking passes through
+    for ranking in ([("d1", 1.0)], []):
+        corpus, queries, run = _rerank_fixture(mystery=ranking)
+        with pytest.raises(KeyError, match="no query text for query id 'mystery'"):
+            rerank(_random_params(14), run, queries, corpus, top_k=5)
 
 
 def test_rerank_rejects_bad_top_k():
