@@ -3,8 +3,10 @@
 Commands:
 
 - ``make-synth``: write a synthetic corpus with train/test queries and qrels.
-- ``run``: the full pipeline from a JSON experiment config.
-- ``ablate``: the reranker-training-source x first-stage matrix.
+- ``run``: the full pipeline from a JSON experiment config: the first stages
+  and the one (training source, first stage) cell the config names.
+- ``ablate``: every cell of the same experiment, rows by reranker training
+  source (none, bm25, de, hybrid, mixed) and columns by first stage.
 - ``eval``: score a TREC run file against qrels.
 
 Exit code 0 only on success; tables go to stdout and JSON artifacts to files.
@@ -19,7 +21,7 @@ from dataclasses import replace
 from .corpus import load_qrels
 from .evaluation import format_metric_table, read_run, reported_metrics
 from .npzio import write_json
-from .pipeline import ablation_matrix, load_config, run_experiment
+from .pipeline import TRAINING_SOURCES, ablation_matrix, load_config, run_experiment
 from .synthetic import SyntheticCorpusSpec, make_synthetic_corpus, save_synthetic_data
 
 
@@ -51,17 +53,12 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_ablate(args) -> int:
-    report = ablation_matrix(_experiment_config(args),
-                             include_mixed=not args.no_mixed)
+    rows = tuple(r for r in TRAINING_SOURCES if r != "mixed" or not args.no_mixed)
+    report = ablation_matrix(_experiment_config(args), rows)
     print(f"lambda = {report['lambda']}")
-    for metric in ("mrr", "ndcg"):
-        print(f"\n{metric}@10 (rows: reranker training source; "
-              f"columns: first stage)")
-        print(format_metric_table(report["matrix"][metric]))
-    if report["mixed"] is not None:
-        print("\nmixed 1:1 (bm25+de) reranker, mrr@10:")
-        print(format_metric_table(
-            {"mixed": {c: report["mixed"][c]["mrr@10"] for c in report["mixed"]}}))
+    for name, table in report["matrix"].items():
+        print(f"\n{name} (rows: reranker training source; columns: first stage)")
+        print(format_metric_table(table))
     return 0
 
 
@@ -109,10 +106,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_experiment_flags(p)
     p.set_defaults(func=_cmd_run)
 
-    p = sub.add_parser("ablate", help="reranker-source x first-stage matrix")
+    p = sub.add_parser("ablate", help="every (reranker training source, first stage) "
+                       "cell: rows none, bm25, de, hybrid and mixed")
     _add_experiment_flags(p)
     p.add_argument("--no-mixed", action="store_true",
-                   help="skip the 1:1 mixed-source baseline")
+                   help="leave out the mixed row, which trains a fourth reranker")
     p.set_defaults(func=_cmd_ablate)
 
     p = sub.add_parser("eval", help="score a run against qrels")

@@ -1,17 +1,23 @@
 """End-to-end experiment orchestration with a reproducibility manifest.
 
-A run goes: BM25 index -> dual encoder (supervised from train qrels) ->
-fusion-weight tuning -> first-stage runs -> candidate-list sampling ->
+An experiment goes: BM25 index -> dual encoder (supervised from train qrels)
+-> fusion-weight tuning -> first-stage runs -> candidate-list sampling ->
 reranker training -> rerank -> metrics.  Every file read or written lands in
 a manifest of content hashes; identical configs give identical manifests.
-Rerankers are named by the run their training lists were sampled from
-(bm25 / de / hybrid / mixed).
+
+Its results are cells (training source, first stage): a reranker trained on
+lists sampled from the source's train runs, applied to the first stage's test
+run.  The sources are bm25, de, hybrid, mixed (a 1:1 mix of bm25's and de's
+lists) and none, whose cell is the first stage itself.  ``run_experiment``
+computes the three "none" cells and at most one reranked cell,
+``ablation_matrix`` every row by every column, both through ``_run_cells``.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
@@ -22,7 +28,8 @@ from .bm25 import Bm25Index, Bm25Params
 from .corpus import load_corpus, load_qrels, load_queries
 from .dense import DeTrainConfig, EncoderParams, TrainPair, encode_corpus, \
     normalize_rows, save_params, train_de
-from .evaluation import RunFile, format_metric_table, reported_metrics, write_run
+from .evaluation import REPORTED_METRICS, MetricReport, RunFile, format_metric_table, \
+    reported_metrics, write_run
 from .hybrid import DEFAULT_LAMBDA_GRID, FIRST_STAGES, HybridIndex, lambda_grid, \
     save_hybrid_index, tune_lambda
 from .npzio import write_json
@@ -31,7 +38,10 @@ from .reranker import RerankerParams, RerankTrainConfig, SamplingWindow, \
     save_reranker, train_reranker
 from .results import CandidateList, Ranking
 
-TRAINING_SOURCES = ("bm25", "de", "hybrid", "mixed", "none")
+# training source -> the first stages whose train runs its lists come from
+_LIST_STAGES = {"none": (), "bm25": ("bm25",), "de": ("de",), "hybrid": ("hybrid",),
+                "mixed": ("bm25", "de")}
+TRAINING_SOURCES = tuple(_LIST_STAGES)
 
 # offsets mixed into config.seed so each stage gets its own stream
 _SEED_DE = 1
@@ -126,12 +136,15 @@ _FIELD_TYPES = {"int": int, "float": (int, float), "str": str}
 
 def _typed(cls, values: dict) -> dict:
     """``values``, after a TypeError naming the first whose field of ``cls``
-    is an int, float or str field that it does not fit."""
+    is an int, float or str field that it does not fit, or a ValueError naming
+    the first NaN or infinity given to a float field."""
     annotations = {f.name: f.type for f in fields(cls)}
     for key, value in values.items():
         want = _FIELD_TYPES.get(annotations[key])
         if want is not None and (isinstance(value, bool) or not isinstance(value, want)):
             raise TypeError(f"{key} must be {annotations[key]}, got {value!r}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{key} must be finite, got {value!r}")
     return values
 
 
@@ -139,7 +152,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     """Raises ValueError naming the config, or its section, when ``data`` is
     not an experiment config: not an object, a key unknown or missing, a value
     of the wrong type (an int field takes an int, a float field an int or a
-    float, a str field a str, and none takes a bool), a lambda grid that
+    finite float, a str field a str, and none takes a bool), a lambda grid that
     ``hybrid.lambda_grid`` rejects, or a value out of range."""
     if not isinstance(data, dict):
         raise ValueError(f"config must be a JSON object, got {type(data).__name__}")
@@ -207,41 +220,36 @@ def mix_training_data(lists_a: list[CandidateList], lists_b: list[CandidateList]
 
 
 class _Experiment:
-    """Lazily computed, cached experiment artifacts under one workdir."""
+    """The loaded data of one experiment, and its lazily computed, cached
+    artifacts under one workdir, for the given (training source, first stage)
+    cells."""
 
-    def __init__(self, config: ExperimentConfig):
+    def __init__(self, config: ExperimentConfig, cells: list[tuple[str, str]]):
         self.config = config
+        self._train_stages = tuple(stage for stage in FIRST_STAGES
+                                   if any(stage in _LIST_STAGES[s] for s, _ in cells))
         os.makedirs(config.workdir, exist_ok=True)
-        self._read: list[str] = []
         self._written: list[str] = []
         self._runs: dict[tuple[str, str], RunFile] = {}
         self._lists: dict[str, list[CandidateList]] = {}
         self._list_reports: dict[str, dict] = {}
         self._rerankers: dict[str, RerankerParams] = {}
-        self._rerank_runs: dict[tuple[str, str], RunFile] = {}
         self.encoder: EncoderParams | None = None
         self.hybrid_index: HybridIndex | None = None
-
-    # -- plumbing ---------------------------------------------------------
+        with _stage("load-data"):
+            self.corpus = load_corpus(config.corpus)
+            self.train_queries = load_queries(config.train_queries)
+            self.test_queries = load_queries(config.test_queries)
+            self.train_qrels = load_qrels(config.train_qrels)
+            self.test_qrels = load_qrels(config.test_qrels)
+            self._read = [config.corpus, config.train_queries, config.test_queries,
+                          config.train_qrels, config.test_qrels]
+            save_config(config, self._out("config.json"))
 
     def _out(self, name: str) -> str:
         path = os.path.join(self.config.workdir, name)
         self._written.append(path)
         return path
-
-    def load(self) -> None:
-        with _stage("load-data"):
-            c = self.config
-            self.corpus = load_corpus(c.corpus)
-            self.train_queries = load_queries(c.train_queries)
-            self.test_queries = load_queries(c.test_queries)
-            self.train_qrels = load_qrels(c.train_qrels)
-            self.test_qrels = load_qrels(c.test_qrels)
-            self._read = [c.corpus, c.train_queries, c.test_queries,
-                          c.train_qrels, c.test_qrels]
-            save_config(c, self._out("config.json"))
-
-    # -- stages -----------------------------------------------------------
 
     def train_encoder(self) -> EncoderParams:
         if self.encoder is None:
@@ -275,15 +283,15 @@ class _Experiment:
         return self.hybrid_index
 
     def run(self, first_stage: str, split: str) -> RunFile:
-        """One first stage's run on a split.  Each query is scored once; the
-        test split cuts every first stage from that pass, a train split only
-        the one asked for."""
+        """One first stage's run on a split.  Each query of a split is scored
+        once: the test split cuts every first stage from that pass, the train
+        split every first stage whose train run the cells' lists come from."""
         key = (first_stage, split)
         if key not in self._runs:
             index = self.build_hybrid()
             with _stage("retrieve"):
                 queries = self.train_queries if split == "train" else self.test_queries
-                stages = FIRST_STAGES if split == "test" else (first_stage,)
+                stages = FIRST_STAGES if split == "test" else self._train_stages
                 rankings = {stage: {} for stage in stages}
                 for q in queries:
                     components = index.score_components(q)
@@ -301,10 +309,10 @@ class _Experiment:
             with _stage("gen-train"):
                 c = self.config
                 if source == "mixed":
-                    lists = mix_training_data(self.training_lists("bm25"),
-                                              self.training_lists("de"),
+                    stages = _LIST_STAGES[source]
+                    lists = mix_training_data(*map(self.training_lists, stages),
                                               seed=_seeded(c.seed, _SEED_MIX))
-                    report = {"lists": len(lists), "sources": ["bm25", "de"]}
+                    report = {"lists": len(lists), "sources": list(stages)}
                 else:
                     run = self.run(source, "train")
                     lists, report = build_candidate_lists(
@@ -335,22 +343,14 @@ class _Experiment:
         return self._rerankers[source]
 
     def reranked_run(self, source: str, first_stage: str) -> RunFile:
-        key = (source, first_stage)
-        if key not in self._rerank_runs:
-            params = self.reranker(source)
-            base = self.run(first_stage, "test")
-            with _stage("rerank"):
-                c = self.config
-                out = rerank(params, base, self.test_queries, self.corpus,
-                             top_k=c.rerank_top_k, run_tag=f"rr-{source}-on-{first_stage}")
-                write_run(out, self._out(f"run_rerank_{source}_on_{first_stage}.trec"))
-                self._rerank_runs[key] = out
-        return self._rerank_runs[key]
-
-    def evaluate(self, run: RunFile) -> dict[str, float]:
-        with _stage("evaluate"):
-            return {name: report.mean
-                    for name, report in reported_metrics(run, self.test_qrels).items()}
+        params = self.reranker(source)
+        base = self.run(first_stage, "test")
+        with _stage("rerank"):
+            out = rerank(params, base, self.test_queries, self.corpus,
+                         top_k=self.config.rerank_top_k,
+                         run_tag=f"rr-{source}-on-{first_stage}")
+            write_run(out, self._out(f"run_rerank_{source}_on_{first_stage}.trec"))
+        return out
 
     def write_manifest(self) -> dict:
         with _stage("manifest"):
@@ -366,24 +366,39 @@ class _Experiment:
             return manifest
 
 
+def _run_name(source: str, first_stage: str) -> str:
+    return first_stage if source == "none" else f"rerank_{source}_on_{first_stage}"
+
+
+def _run_cells(config: ExperimentConfig, cells: list[tuple[str, str]]
+               ) -> tuple[_Experiment, dict[tuple[str, str], dict[str, MetricReport]]]:
+    """The reported metrics of each (training source, first stage) cell, from
+    one experiment under ``config.workdir``.  Source "none" is the first
+    stage's own test run; any other source's cell is that run reranked by the
+    reranker trained on the source's lists."""
+    exp = _Experiment(config, cells)
+    reports = {}
+    for source, first in cells:
+        run = exp.run(first, "test") if source == "none" else exp.reranked_run(source, first)
+        with _stage("evaluate"):
+            reports[(source, first)] = reported_metrics(run, exp.test_qrels)
+    return exp, reports
+
+
 def run_experiment(config: ExperimentConfig) -> dict:
-    """Execute the full pipeline; returns a report with metrics and manifest."""
-    exp = _Experiment(config)
-    exp.load()
-    exp.build_hybrid()
-    metrics: dict[str, dict[str, float]] = {}
-    for first in FIRST_STAGES:
-        metrics[first] = exp.evaluate(exp.run(first, "test"))
+    """Execute the full pipeline: every first stage's test run and, unless
+    ``training_source`` is "none", the one cell (``training_source``,
+    ``rerank_first_stage``); returns a report with metrics and manifest."""
     source = config.training_source
-    reranked_name = None
-    if source != "none":
-        run = exp.reranked_run(source, config.rerank_first_stage)
-        reranked_name = f"rerank_{source}_on_{config.rerank_first_stage}"
-        metrics[reranked_name] = exp.evaluate(run)
+    reranked = None if source == "none" else (source, config.rerank_first_stage)
+    cells = [("none", first) for first in FIRST_STAGES] + ([reranked] if reranked else [])
+    exp, reports = _run_cells(config, cells)
+    metrics = {_run_name(*cell): {name: r.mean for name, r in report.items()}
+               for cell, report in reports.items()}
     report = {
         "lambda": exp.hybrid_index.lam,
         "metrics": metrics,
-        "reranked_run": reranked_name,
+        "reranked_run": _run_name(*reranked) if reranked else None,
         "flagged_lists": {s: r.get("short_pool", [])
                           for s, r in exp._list_reports.items()},
     }
@@ -395,41 +410,22 @@ def run_experiment(config: ExperimentConfig) -> dict:
     return report
 
 
-ABLATION_ROWS = ("none", "bm25", "de", "hybrid")
+def ablation_matrix(config: ExperimentConfig,
+                    rows: tuple[str, ...] = TRAINING_SOURCES) -> dict:
+    """Every cell of rerankers by training source (``rows``) applied to each
+    first stage (columns); row "none" is the first stage itself.
 
-
-def ablation_matrix(config: ExperimentConfig, include_mixed: bool = True) -> dict:
-    """Rerankers by training source (rows) applied to each first stage (cols).
-
-    Row "none" is the raw retriever.  Returns {"matrix": {metric: {row: {col:
-    value}}}, "mixed": ..., "lambda": ...} and writes the same to the workdir.
+    Returns {"lambda": ..., "matrix": {metric: {row: {col: mean}}}}, one
+    matrix per reported metric, and writes the same to the workdir.
     """
-    exp = _Experiment(config)
-    exp.load()
-    exp.build_hybrid()
-    matrix: dict[str, dict[str, dict[str, float]]] = {"mrr": {}, "ndcg": {}}
-    rows: dict[str, dict[str, dict[str, float]]] = {}
-    for row in ABLATION_ROWS:
-        rows[row] = {}
-        for col in FIRST_STAGES:
-            if row == "none":
-                run = exp.run(col, "test")
-            else:
-                run = exp.reranked_run(row, col)
-            rows[row][col] = exp.evaluate(run)
-    for metric, key in (("mrr", "mrr@10"), ("ndcg", "ndcg@10")):
-        matrix[metric] = {row: {col: rows[row][col][key] for col in FIRST_STAGES}
-                          for row in ABLATION_ROWS}
-    mixed = None
-    if include_mixed:
-        mixed = {}
-        for col in FIRST_STAGES:
-            mixed[col] = exp.evaluate(exp.reranked_run("mixed", col))
-    report = {"lambda": exp.hybrid_index.lam, "matrix": matrix, "mixed": mixed}
+    exp, reports = _run_cells(config, [(row, col) for row in rows for col in FIRST_STAGES])
+    matrix = {name: {row: {col: reports[(row, col)][name].mean for col in FIRST_STAGES}
+                     for row in rows}
+              for name in REPORTED_METRICS}
+    report = {"lambda": exp.hybrid_index.lam, "matrix": matrix}
     write_json(report, exp._out("ablation.json"))
     with open(exp._out("ablation_table.txt"), "w", encoding="utf-8") as f:
-        for metric in ("mrr", "ndcg"):
-            f.write(f"{metric}@10\n")
-            f.write(format_metric_table(matrix[metric]) + "\n\n")
+        for name, table in matrix.items():
+            f.write(f"{name}\n{format_metric_table(table)}\n\n")
     report["manifest"] = exp.write_manifest()
     return report

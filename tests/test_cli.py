@@ -48,11 +48,16 @@ def test_make_synth_run_ablate_eval(tmp_path, capsys):
     assert "lambda = " in capsys.readouterr().out
 
     ablate_dir = tmp_path / "ablate"
-    assert main(["ablate", "--config", str(config), "--workdir", str(ablate_dir)]) == 0
+    assert main(["ablate", "--config", str(config), "--workdir", str(ablate_dir),
+                 "--no-mixed"]) == 0
     ablation = json.loads((ablate_dir / "ablation.json").read_text())
-    assert set(ablation["matrix"]["mrr"]) == {"none", "bm25", "de", "hybrid"}
-    assert set(ablation["mixed"]) == {"bm25", "de", "hybrid"}
-    assert "ablation.json" in json.loads((ablate_dir / "manifest.json").read_text())["files"]
+    assert list(ablation) == ["lambda", "matrix"]
+    out = capsys.readouterr().out
+    for name in ("mrr@10", "ndcg@10", "recall@100"):
+        assert sorted(ablation["matrix"][name]) == ["bm25", "de", "hybrid", "none"]
+        assert f"{name} (rows: reranker training source" in out
+    files = json.loads((ablate_dir / "manifest.json").read_text())["files"]
+    assert "ablation.json" in files and "reranker_mixed.npz" not in files
 
     report_path = tmp_path / "eval.json"
     assert main(["eval", "--run", str(run_dir / "run_hybrid_test.trec"),
@@ -83,8 +88,10 @@ def test_bad_config_path_returns_one(tmp_path, capsys):
 @pytest.mark.parametrize("change", [
     lambda config: {}, lambda config: [], lambda config: {**config, "seed": "3"},
     lambda config: {**config, "bm25": {"k": "x"}},
-    lambda config: {**config, "run_depth": 30.5}],
-    ids=["empty-object", "list", "string-seed", "string-bm25-k", "float-run-depth"])
+    lambda config: {**config, "run_depth": 30.5},
+    lambda config: {**config, "bm25": {"k": float("nan")}}],
+    ids=["empty-object", "list", "string-seed", "string-bm25-k", "float-run-depth",
+         "nan-bm25-k"])
 def test_malformed_config_returns_one_with_an_error_line(tmp_path, capsys, change):
     path = tmp_path / "config.json"
     _write_config(tmp_path, path, tmp_path / "w")

@@ -215,6 +215,12 @@ def test_config_rejects_what_is_not_a_config(data, match):
     ("lambda_grid", [], "^config: lambda grid must be a nonempty list"),
     ("de", {"epochs": -1}, "^config section 'de': epochs must be >= 0"),
     ("de", {"dim": 0}, "^config section 'de': dim must be >= 1"),
+    ("bm25", {"k": math.nan}, "^config section 'bm25': k must be finite, got nan"),
+    ("de", {"learning_rate": math.nan}, "^config section 'de': learning_rate must be finite"),
+    ("de", {"temperature": math.inf}, "^config section 'de': temperature must be finite"),
+    ("reranker", {"learning_rate": math.nan},
+     "^config section 'reranker': learning_rate must be finite"),
+    ("bm25", {"b": -math.inf}, "^config section 'bm25': b must be finite, got -inf"),
 ])
 def test_config_turns_a_wrongly_typed_value_into_a_value_error(data_dir, tmp_path,
                                                                key, value, match):
@@ -340,7 +346,9 @@ def test_test_split_runs_equal_single_query_retrieval(data_dir, tmp_path):
     assert all(s == 0.0 and math.copysign(1.0, s) == 1.0 for _, s in runs["de"]["q-punct"])
 
 
-def test_each_query_is_bm25_scored_once(data_dir, tmp_path, monkeypatch):
+@pytest.fixture
+def bm25_scored(monkeypatch):
+    """The id of each query ``Bm25Index.scores`` is called with, in call order."""
     scored = []
     scores = Bm25Index.scores
 
@@ -349,11 +357,28 @@ def test_each_query_is_bm25_scored_once(data_dir, tmp_path, monkeypatch):
         return scores(self, query)
 
     monkeypatch.setattr(Bm25Index, "scores", counted)
+    return scored
+
+
+def test_each_query_is_bm25_scored_once(data_dir, tmp_path, bm25_scored):
     cfg = _config(data_dir, tmp_path / "w", training_source="none")
     run_experiment(cfg)
     train, test = load_queries(cfg.train_queries), load_queries(cfg.test_queries)
-    assert len(scored) == len(train) + len(test)
-    assert sorted(scored) == sorted(q.id for q in train + test)
+    assert len(bm25_scored) == len(train) + len(test)
+    assert sorted(bm25_scored) == sorted(q.id for q in train + test)
+
+
+def test_a_reranker_scores_the_train_split_in_one_pass(data_dir, tmp_path, bm25_scored):
+    # λ tuning scores each train query once, and the cells' train runs, bm25's,
+    # de's and hybrid's alike, are cut from one more pass
+    cfg = _config(data_dir, tmp_path / "run")
+    train, test = load_queries(cfg.train_queries), load_queries(cfg.test_queries)
+    once = sorted(q.id for q in train + train + test)
+    run_experiment(cfg)
+    assert sorted(bm25_scored) == once
+    bm25_scored.clear()
+    ablation_matrix(dataclasses.replace(cfg, workdir=str(tmp_path / "ablate")))
+    assert sorted(bm25_scored) == once
 
 
 def test_manifest_covers_written_files_and_inputs(data_dir, tmp_path):
@@ -431,20 +456,45 @@ def test_non_finite_cosine_stops_at_tune_lambda(data_dir, tmp_path, monkeypatch)
 
 def test_ablation_matrix_shape(data_dir, tmp_path):
     cfg = _config(data_dir, tmp_path / "w")
-    report = ablation_matrix(cfg, include_mixed=True)
-    for metric in ("mrr", "ndcg"):
-        grid = report["matrix"][metric]
-        assert sorted(grid) == ["bm25", "de", "hybrid", "none"]
+    report = ablation_matrix(cfg)
+    assert list(report["matrix"]) == ["mrr@10", "ndcg@10", "recall@100"]
+    for grid in report["matrix"].values():
+        assert list(grid) == ["none", "bm25", "de", "hybrid", "mixed"]
         for row in grid.values():
-            assert sorted(row) == ["bm25", "de", "hybrid"]
+            assert list(row) == ["bm25", "de", "hybrid"]
             assert all(0.0 <= v <= 1.0 for v in row.values())
-    assert sorted(report["mixed"]) == ["bm25", "de", "hybrid"]
     workdir = tmp_path / "w"
-    assert (workdir / "ablation.json").exists()
-    assert "mrr@10" in (workdir / "ablation_table.txt").read_text()
+    assert json.loads((workdir / "ablation.json").read_text()) == \
+        {"lambda": report["lambda"], "matrix": report["matrix"]}
+    table = (workdir / "ablation_table.txt").read_text()
+    assert "mrr@10" in table and "recall@100" in table and "mixed" in table
 
 
 def test_ablation_matrix_without_mixed(data_dir, tmp_path):
     cfg = _config(data_dir, tmp_path / "w")
-    report = ablation_matrix(cfg, include_mixed=False)
-    assert report["mixed"] is None
+    report = ablation_matrix(cfg, rows=("none", "bm25", "de", "hybrid"))
+    for grid in report["matrix"].values():
+        assert list(grid) == ["none", "bm25", "de", "hybrid"]
+    assert not [name for name in report["manifest"]["files"] if "mixed" in name]
+
+
+def test_run_is_one_cell_of_ablate(data_dir, tmp_path):
+    # the same config gives the same bytes for every file both write, and
+    # run's metrics are ablate's cells
+    run_dir, ablate_dir = tmp_path / "run", tmp_path / "ablate"
+    cfg = _config(data_dir, run_dir, training_source="hybrid", rerank_first_stage="bm25")
+    metrics = run_experiment(cfg)["metrics"]
+    matrix = ablation_matrix(dataclasses.replace(cfg, workdir=str(ablate_dir)))["matrix"]
+    shared = (set(os.listdir(run_dir)) & set(os.listdir(ablate_dir))) - \
+        {"config.json", "manifest.json"}
+    assert shared >= {"run_bm25_test.trec", "run_de_test.trec", "run_hybrid_test.trec",
+                      "run_hybrid_train.trec", "run_rerank_hybrid_on_bm25.trec",
+                      "de_params.npz", "hybrid.npz", "lambda.json", "lists_hybrid.jsonl",
+                      "reranker_hybrid.npz"}
+    for name in sorted(shared):
+        assert (run_dir / name).read_bytes() == (ablate_dir / name).read_bytes(), name
+    cells = {"bm25": ("none", "bm25"), "de": ("none", "de"), "hybrid": ("none", "hybrid"),
+             "rerank_hybrid_on_bm25": ("hybrid", "bm25")}
+    assert list(metrics) == list(cells)
+    for run_name, (row, col) in cells.items():
+        assert metrics[run_name] == {name: matrix[name][row][col] for name in matrix}
