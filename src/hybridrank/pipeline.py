@@ -412,12 +412,16 @@ def run_experiment(config: ExperimentConfig) -> dict:
 
 def ablation_matrix(config: ExperimentConfig,
                     rows: tuple[str, ...] = TRAINING_SOURCES) -> dict:
-    """Every cell of rerankers by training source (``rows``) applied to each
-    first stage (columns); row "none" is the first stage itself.
+    """Every cell of rerankers by training source (``rows``, distinct names
+    from ``TRAINING_SOURCES``) applied to each first stage (columns); row
+    "none" is the first stage itself.
 
     Returns {"lambda": ..., "matrix": {metric: {row: {col: mean}}}}, one
     matrix per reported metric, and writes the same to the workdir.
     """
+    if not rows or len(set(rows)) != len(rows) or not set(rows) <= set(TRAINING_SOURCES):
+        raise ValueError(f"rows must be distinct training sources from "
+                         f"{TRAINING_SOURCES}, got {rows!r}")
     exp, reports = _run_cells(config, [(row, col) for row in rows for col in FIRST_STAGES])
     matrix = {name: {row: {col: reports[(row, col)][name].mean for col in FIRST_STAGES}
                      for row in rows}

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from hybridrank import cli
 from hybridrank.cli import main
 
 
@@ -48,16 +49,15 @@ def test_make_synth_run_ablate_eval(tmp_path, capsys):
     assert "lambda = " in capsys.readouterr().out
 
     ablate_dir = tmp_path / "ablate"
-    assert main(["ablate", "--config", str(config), "--workdir", str(ablate_dir),
-                 "--no-mixed"]) == 0
+    assert main(["ablate", "--config", str(config), "--workdir", str(ablate_dir)]) == 0
     ablation = json.loads((ablate_dir / "ablation.json").read_text())
     assert list(ablation) == ["lambda", "matrix"]
     out = capsys.readouterr().out
     for name in ("mrr@10", "ndcg@10", "recall@100"):
-        assert sorted(ablation["matrix"][name]) == ["bm25", "de", "hybrid", "none"]
+        assert sorted(ablation["matrix"][name]) == ["bm25", "de", "hybrid", "mixed", "none"]
         assert f"{name} (rows: reranker training source" in out
     files = json.loads((ablate_dir / "manifest.json").read_text())["files"]
-    assert "ablation.json" in files and "reranker_mixed.npz" not in files
+    assert "ablation.json" in files and "reranker_mixed.npz" in files
 
     report_path = tmp_path / "eval.json"
     assert main(["eval", "--run", str(run_dir / "run_hybrid_test.trec"),
@@ -69,6 +69,25 @@ def test_make_synth_run_ablate_eval(tmp_path, capsys):
     assert report["metrics"] == metrics
     assert set(report["per_query"]["mrr@10"]) == set(
         line.split()[0] for line in (data / "test_qrels.txt").read_text().splitlines())
+
+
+@pytest.mark.parametrize("flags, rows", [
+    ([], ("none", "bm25", "de", "hybrid", "mixed")),
+    (["--no-mixed"], ("none", "bm25", "de", "hybrid"))], ids=["default", "no-mixed"])
+def test_ablate_asks_for_every_row_unless_no_mixed(tmp_path, capsys, monkeypatch,
+                                                   flags, rows):
+    asked = []
+
+    def fake_ablation_matrix(config, rows):
+        asked.append(rows)
+        return {"lambda": 0.0, "matrix": {"mrr@10": {r: {"bm25": 0.5} for r in rows}}}
+
+    monkeypatch.setattr(cli, "ablation_matrix", fake_ablation_matrix)
+    config = tmp_path / "config.json"
+    _write_config(tmp_path, config, tmp_path / "w")
+    assert main(["ablate", "--config", str(config), *flags]) == 0
+    assert asked == [rows]
+    assert capsys.readouterr().out.splitlines()[-1].startswith(rows[-1])
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["make-synth", "--help"], ["run", "--help"],

@@ -478,6 +478,15 @@ def test_ablation_matrix_without_mixed(data_dir, tmp_path):
     assert not [name for name in report["manifest"]["files"] if "mixed" in name]
 
 
+@pytest.mark.parametrize("rows", [(), ("none", "qgen"), ("bm25", "de", "bm25")],
+                         ids=["empty", "unknown", "duplicate"])
+def test_ablation_matrix_rejects_rows_that_are_not_distinct_sources(data_dir, tmp_path,
+                                                                    rows):
+    with pytest.raises(ValueError, match="rows must be distinct training sources"):
+        ablation_matrix(_config(data_dir, tmp_path / "w"), rows)
+    assert not (tmp_path / "w").exists()
+
+
 def test_run_is_one_cell_of_ablate(data_dir, tmp_path):
     # the same config gives the same bytes for every file both write, and
     # run's metrics are ablate's cells
