@@ -7,7 +7,8 @@ Formats:
 
 This module is the one that knows how text becomes token ids: the vocabulary
 size ``VOCAB_SIZE`` and the truncation lengths.  A query keeps its first
-``QUERY_LENGTH`` tokens (``query_tokens``), a passage its first
+``QUERY_LENGTH`` tokens (``query_tokens``, kept on the Query object, so a
+query is tokenized once however many channels score it), a passage its first
 ``PASSAGE_LENGTH`` (``passage_tokens``).  Every other module asks for ids by
 query or passage alone, and sizes its tables by ``VOCAB_SIZE``.
 
@@ -74,7 +75,7 @@ class _WordIds(dict):
 _WORD_IDS = _WordIds()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Passage:
     id: str
     title: str
@@ -90,6 +91,12 @@ class Query:
     id: str
     text: str
 
+    @cached_property
+    def tokens(self) -> tuple[int, ...]:
+        """Token ids of the text, its first ``QUERY_LENGTH``: tokenized on
+        first use and kept, so each Query object is tokenized once."""
+        return tokenize(self.text, QUERY_LENGTH)
+
 
 def tokenize(text: str, max_length: int) -> tuple[int, ...]:
     """Ids of the first ``max_length`` words of ``text`` (see the module docstring).
@@ -102,8 +109,9 @@ def tokenize(text: str, max_length: int) -> tuple[int, ...]:
 
 
 def query_tokens(query: Query) -> tuple[int, ...]:
-    """Token ids of a query's text: its first ``QUERY_LENGTH`` tokens."""
-    return tokenize(query.text, QUERY_LENGTH)
+    """Token ids of a query's text: its first ``QUERY_LENGTH`` tokens,
+    ``query.tokens``."""
+    return query.tokens
 
 
 def passage_tokens(passage: Passage) -> tuple[int, ...]:

@@ -111,6 +111,12 @@ _CONFIG_SECTIONS = {f.name: type(f.default) for f in fields(ExperimentConfig)
                     if is_dataclass(f.default)}
 
 
+# the keys that pick run_experiment's one reranked cell; ablation_matrix
+# computes every cell, so it writes them at their defaults
+_CELL_CHOICE = {f.name: f.default for f in fields(ExperimentConfig)
+                if f.name in ("training_source", "rerank_first_stage")}
+
+
 def _section_keys(cls) -> tuple[str, ...]:
     """The fields a config file may set in a section: all but its seed, which
     the pipeline derives from the experiment's."""
@@ -417,12 +423,16 @@ def ablation_matrix(config: ExperimentConfig,
     "none" is the first stage itself.
 
     Returns {"lambda": ..., "matrix": {metric: {row: {col: mean}}}}, one
-    matrix per reported metric, and writes the same to the workdir.
+    matrix per reported metric, and writes the same to the workdir.  The
+    config's ``training_source`` and ``rerank_first_stage`` are ignored and
+    written to ``config.json`` at their defaults, so ablations that differ
+    only in them leave equal manifests.
     """
     if not rows or len(set(rows)) != len(rows) or not set(rows) <= set(TRAINING_SOURCES):
         raise ValueError(f"rows must be distinct training sources from "
                          f"{TRAINING_SOURCES}, got {rows!r}")
-    exp, reports = _run_cells(config, [(row, col) for row in rows for col in FIRST_STAGES])
+    exp, reports = _run_cells(replace(config, **_CELL_CHOICE),
+                              [(row, col) for row in rows for col in FIRST_STAGES])
     matrix = {name: {row: {col: reports[(row, col)][name].mean for col in FIRST_STAGES}
                      for row in rows}
               for name in REPORTED_METRICS}

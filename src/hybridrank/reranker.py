@@ -28,8 +28,11 @@ stacks each query's list as a batch of one.  Masked positions point at a sentine
 logit is _MASK_LOGIT and whose r is 0; it is dropped from every gradient sum.
 
 Training works in float32 on the embedding rows of the ids its lists use, a
-few hundred of the vocabulary's rows, renumbered in id order.  Every other row
-of the trained table is its init row rounded through float32.
+few hundred of the vocabulary's rows, renumbered in id order.  The trained
+table is float32: those rows as trained, every other row its init row cast to
+float32.  _forward computes in the dtype of w_q (float64 once trained) and
+casts the rows it gathers to it; the cast is exact, so scores are those of the
+same table held in float64.
 """
 
 from __future__ import annotations
@@ -48,13 +51,13 @@ from .results import CandidateItem, CandidateList, Ranking
 
 RERANKER_FORMAT = "hybridrank-reranker-v1"
 _MASK_LOGIT = -1e30
-_ROUND_ROWS = 4096  # rows per block in _float32_rounded
+_BLOCK_ENTRIES = 1 << 16  # index entries per block of lists in _stack and train_reranker
 _ATTENTION_SCALE = 3.0  # typical attention logits at init are about +-this
 
 
 @dataclass
 class RerankerParams:
-    embeddings: np.ndarray  # (VOCAB_SIZE, dim) float64
+    embeddings: np.ndarray  # (VOCAB_SIZE, dim); float32 once trained
     w_q: np.ndarray         # (dim, dim)
     w_k: np.ndarray         # (dim, dim)
     w_v: np.ndarray         # (dim, dim)
@@ -167,14 +170,14 @@ def _forward(params: RerankerParams, qidx, qmask, pidx, pmask):
     """
     nb, lq_max = qidx.shape
     d = params.dim
-    dtype = params.embeddings.dtype
+    dtype = params.w_q.dtype
     # sized by the table given: training passes only the rows its lists use
     uniq, inv = _distinct(np.concatenate([qidx.ravel(), pidx.ravel()]),
                           len(params.embeddings))
     nu = uniq.size                                             # the sentinel's column
     inv_q = inv[:qidx.size]                                    # (B·Lq,)
     inv_p = np.where(pmask, inv[qidx.size:].reshape(pidx.shape), nu)  # (B, P, n)
-    e_u = params.embeddings[uniq]                              # (U, d)
+    e_u = params.embeddings[uniq].astype(dtype, copy=False)    # (U, d)
     w = params.w_v @ params.readout                            # value path, (d,)
     r_u = np.zeros(nu + 1, dtype=dtype)
     r_u[:nu] = e_u @ w
@@ -213,7 +216,7 @@ def _batch_loss_grad(params: RerankerParams, qidx, qmask, pidx, pmask, imask,
     """
     nb, lq_max = qidx.shape
     d = params.dim
-    dtype = params.embeddings.dtype
+    dtype = params.w_q.dtype
     scores, (uniq, inv_q, inv_p, flat, e_u, w, r, e_q, q, qk, a, asum, lq) = \
         _forward(params, qidx, qmask, pidx, pmask)
     nu = uniq.size
@@ -259,6 +262,13 @@ def _batch_loss_grad(params: RerankerParams, qidx, qmask, pidx, pmask, imask,
     return float(losses.mean()), grads
 
 
+def _blocks(n_lists: int, per_list: int) -> list[slice]:
+    """Slices of consecutive lists, each about _BLOCK_ENTRIES index entries
+    wide for lists of ``per_list`` entries."""
+    step = max(1, _BLOCK_ENTRIES // max(per_list, 1))
+    return [slice(start, start + step) for start in range(0, n_lists, step)]
+
+
 def _token_ids(by_id: dict[str, Query], query_id: str) -> np.ndarray:
     """int64 token ids of query ``query_id``: KeyError when ``by_id`` has no
     such query, ValueError naming it when it has no tokens."""
@@ -276,6 +286,8 @@ def _stack(qtoks: list[np.ndarray], passage_ids: list[list[str]], corpus: Corpus
     Returns query ids and mask (B, Lq), passage ids and mask (B, P, n), with
     positions before items, and the item mask (B, n); ids are int32, padding
     is id 0.  Raises ValueError naming the first passage that has no tokens.
+    Passage ids are gathered one block of lists at a time, so no full-size
+    int64 index array is made.
     """
     store = corpus.token_store()
     flat = [pid for pids in passage_ids for pid in pids]
@@ -293,7 +305,8 @@ def _stack(qtoks: list[np.ndarray], passage_ids: list[list[str]], corpus: Corpus
     width = np.arange(length.max())[:, None]                   # (P, 1)
     pmask = width < lengths[:, None, :]                        # (B, P, n)
     pidx = np.zeros(pmask.shape, dtype=np.int32)
-    pidx[pmask] = store.ids[(starts[:, None, :] + width)[pmask]]
+    for blk in _blocks(len(pidx), pidx[0].size):
+        pidx[blk][pmask[blk]] = store.ids[(starts[blk, None, :] + width)[pmask[blk]]]
     q_len = np.array([tok.size for tok in qtoks])
     qmask = np.arange(q_len.max()) < q_len[:, None]
     qidx = np.zeros(qmask.shape, dtype=np.int32)
@@ -306,9 +319,10 @@ def train_reranker(lists: list[CandidateList], queries: list[Query], corpus: Cor
     """Mini-batch SGD over candidate lists from ``init``; deterministic under the seed.
 
     Training runs in float32 on a table of only the embedding rows whose ids
-    the lists use; the result is float64.  Its other rows are the init rows
-    rounded through float32, so it equals training the whole float32 table.
-    ``init`` is only read, and the result shares no array with it.
+    the lists use.  The result's table is float32: its other rows are the init
+    rows cast to float32, so it equals training the whole float32 table.  Its
+    w_q, w_k, w_v and readout are float64.  ``init`` is only read, and the
+    result shares no array with it.
     Raises ValueError naming the step whose batch loss is not finite.
     """
     if not lists:
@@ -325,17 +339,26 @@ def train_reranker(lists: list[CandidateList], queries: list[Query], corpus: Cor
     sizes = np.stack([qmask.sum(1), pmask.any(2).sum(1), imask.sum(1)], axis=1)
     # only the rows of ids the lists use (padding id included) are trained,
     # renumbered in id order, so each step's distinct tokens, gathers and
-    # gradient sums are those of the full table
-    used, row = _distinct(np.concatenate([qidx.ravel(), pidx.ravel()]),
-                          len(init.embeddings))
-    row = row.astype(np.int32)
-    qidx, pidx = row[:qidx.size].reshape(qidx.shape), row[qidx.size:].reshape(pidx.shape)
+    # gradient sums are those of the full table; ids are marked and renumbered
+    # in place one block of lists at a time
+    seen = np.zeros(len(init.embeddings), dtype=bool)
+    blocks = _blocks(len(lists), pidx[0].size)
+    for blk in blocks:
+        seen[qidx[blk]] = True
+        seen[pidx[blk]] = True
+    used = np.flatnonzero(seen)
+    row = np.zeros(len(seen), dtype=np.int32)
+    row[used] = np.arange(used.size)
+    for blk in blocks:
+        qidx[blk] = row[qidx[blk]]
+        pidx[blk] = row[pidx[blk]]
     rng = np.random.default_rng(config.seed)
     order = rng.permutation(len(lists))
     cursor = 0
     lr = config.learning_rate
     # training runs in float32 (deterministic; a default-config step takes about
-    # 2/3 of its float64 time); stored params stay float64
+    # 2/3 of its float64 time); the stored table stays float32, the other
+    # params go back to float64
     work = _with_dtype(init, np.float32, used)
     for step in range(config.steps):
         if cursor + config.batch_size > len(lists):
@@ -358,7 +381,7 @@ def train_reranker(lists: list[CandidateList], queries: list[Query], corpus: Cor
         work.bias -= float(frac * grads["bias"])
         work.embeddings[grads["emb_idx"]] -= frac * grads["emb_rows"]
     out = _with_dtype(work, np.float64)
-    out.embeddings = _float32_rounded(init.embeddings)
+    out.embeddings = init.embeddings.astype(np.float32)
     out.embeddings[used] = work.embeddings
     return out
 
@@ -370,15 +393,6 @@ def _with_dtype(params: RerankerParams, dtype, rows=slice(None)) -> RerankerPara
                           *(getattr(params, name).astype(dtype)
                             for name in ("w_q", "w_k", "w_v", "readout")),
                           float(params.bias), params.seed)
-
-
-def _float32_rounded(table: np.ndarray) -> np.ndarray:
-    """``table.astype(np.float32).astype(np.float64)``, cast in blocks of rows
-    so that no full float32 temporary exists."""
-    out = np.empty(table.shape, dtype=np.float64)
-    for start in range(0, len(table), _ROUND_ROWS):
-        out[start:start + _ROUND_ROWS] = table[start:start + _ROUND_ROWS].astype(np.float32)
-    return out
 
 
 def build_candidate_lists(run: RunFile, qrels: QrelSet, window: SamplingWindow,

@@ -70,7 +70,25 @@ def test_summarize_block_records_equality_and_served_counts():
     assert block["per_pair"]["run_s"] == [[11, 4.0, 4.2], [12, 4.4, 4.1]]
     assert block["equal_per_pair"] == [[11, True, True], [12, False, False]]
     assert block["all_hashes_equal"] is False and block["lambda_equal"] is False
+    assert block["differing_files_per_pair"] == [[11, []], [12, ["run.trec"]]]
+    assert block["differing_files"] == ["run.trec"]
     assert block["failed"] == {"parent": 0, "change": 1}
     assert block["served_per_pair"] == [[11, 2100, 2050], [12, 2200, 1990]]
     assert "served_per_pair" not in bench_pairs.summarize(
         [(1, _record(1.0, 1.0), _record(1.0, 1.0))], metrics)
+
+
+def test_differing_names_each_file_whose_hash_moved_or_is_on_one_side():
+    parent = {"run.trec": "ab", "manifest.json": "cd", "served.trec": "ef"}
+    change = {"run.trec": "ab", "manifest.json": "xx", "extra.trec": "gh"}
+    assert bench_pairs.differing(parent, change) == \
+        ["extra.trec", "manifest.json", "served.trec"]
+    assert bench_pairs.differing(parent, dict(parent)) == []
+    # a pair where only the manifest moved still counts as not all equal
+    metrics = [{"name": "run_s", "better": "lower", "bound": 0.25}]
+    moved = {"run.trec": "ab", "manifest.json": "xx"}
+    block = bench_pairs.summarize([(3, _record(1.0, 1.0), _record(1.0, 1.0, hashes=moved))],
+                                  metrics)
+    assert block["differing_files_per_pair"] == [[3, ["manifest.json"]]]
+    assert block["differing_files"] == ["manifest.json"]
+    assert block["equal_per_pair"] == [[3, False, True]]

@@ -2,15 +2,18 @@
 
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from hybridrank import bm25
 from hybridrank.bm25 import Bm25Index, Bm25Params, encode_query
 from hybridrank.corpus import PASSAGE_LENGTH, VOCAB_SIZE, Corpus, Passage, Query, tokenize
 from hybridrank.dense import EncoderParams
 from hybridrank.hybrid import HybridIndex, load_hybrid_index, save_hybrid_index
 from hybridrank.results import ranked_list
+from hybridrank.synthetic import SyntheticCorpusSpec, make_synthetic_corpus
 from oracles import compute_stats, dot, encode_passage
 
 
@@ -279,6 +282,50 @@ def test_index_postings_equal_passage_vectors():
         assert (np.diff(index.terms) > 0).all()
         for i in range(len(index.terms)):
             assert (np.diff(index.positions[index.indptr[i]:index.indptr[i + 1]]) > 0).all()
+
+
+@pytest.mark.parametrize("block_tokens, block_passages", [(7, 1 << 16), (1 << 16, 3), (1, 1)])
+def test_index_built_in_blocks_equals_one_block(monkeypatch, block_tokens, block_passages):
+    # blocks cut inside runs of tokenless passages and at passages longer than
+    # a block; the postings keep their bytes and dtypes
+    rng = random.Random(5)
+    texts = [" ".join(rng.choices(WORDS, k=rng.randint(1, 30))) for _ in range(40)]
+    texts[3:6] = ["...", "!", "w2 " * 20]
+    corpus = _corpus(texts + ["?"])
+    whole = Bm25Index(corpus)
+    monkeypatch.setattr(bm25, "_BLOCK_TOKENS", block_tokens)
+    monkeypatch.setattr(bm25, "_BLOCK_PASSAGES", block_passages)
+    blocked = Bm25Index(corpus)
+    for name, dtype in (("terms", np.int64), ("indptr", np.int64), ("positions", np.int64),
+                        ("weights", np.float64)):
+        assert getattr(whole, name).dtype == getattr(blocked, name).dtype == dtype
+        assert getattr(whole, name).tobytes() == getattr(blocked, name).tobytes(), name
+
+
+def test_passage_terms_cuts_blocks_before_int32_keys_overflow():
+    # 65,536 tokenless passages, then one with token 5: within one block the
+    # last passage's key would be 65,536 * VOCAB_SIZE + 5 > 2**31 - 1
+    indptr = np.zeros(bm25._BLOCK_PASSAGES + 2, dtype=np.int64)
+    indptr[-1] = 1
+    doc, term, cnt = bm25._passage_terms(indptr, np.array([5], dtype=np.int32))
+    assert (doc.tolist(), term.tolist(), cnt.tolist()) == ([bm25._BLOCK_PASSAGES], [5], [1])
+
+
+def test_index_build_peak_stays_near_its_postings():
+    # int32 blocks, weights in place and the order array reused as positions:
+    # the traced peak is under twice the postings plus four vocabulary-sized
+    # float64 tables; one int64 unique over the whole corpus peaks above five times
+    corpus = make_synthetic_corpus(SyntheticCorpusSpec(
+        n_passages=3000, n_train_queries=5, n_test_queries=5, seed=0)).corpus
+    corpus.token_store()
+    tracemalloc.start()
+    try:
+        index = Bm25Index(corpus)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    postings = sum(a.nbytes for a in index.fields()[1].values())
+    assert peak < 2 * postings + 4 * VOCAB_SIZE * 8
 
 
 def test_index_save_load_bitwise_scores(tmp_path):

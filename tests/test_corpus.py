@@ -123,6 +123,13 @@ def test_corpus_preserves_order_and_indexes_ids():
     assert "a" in c and "zzz" not in c
 
 
+def test_passage_carries_no_instance_dict():
+    # one per passage adds up on a 20k corpus; a query keeps one for its tokens
+    passage = Passage("d1", "T", "x")
+    assert not hasattr(passage, "__dict__")
+    assert passage == Passage("d1", "T", "x") and hash(passage) == hash(Passage("d1", "T", "x"))
+
+
 def test_corpus_rejects_duplicate_and_empty_ids():
     with pytest.raises(ValueError, match="d1"):
         Corpus([Passage("d1", "", "x"), Passage("d1", "", "y")])

@@ -487,6 +487,19 @@ def test_ablation_matrix_rejects_rows_that_are_not_distinct_sources(data_dir, tm
     assert not (tmp_path / "w").exists()
 
 
+def test_ablate_manifest_ignores_the_one_cell_choice(data_dir, tmp_path):
+    # ablate computes every cell, so training_source and rerank_first_stage
+    # are not its inputs: they are written at their defaults
+    manifests = []
+    for source, first in (("hybrid", "bm25"), ("de", "hybrid")):
+        ablation_matrix(_config(data_dir, tmp_path / "w", training_source=source,
+                                rerank_first_stage=first), rows=("none", "hybrid"))
+        manifests.append((tmp_path / "w" / "manifest.json").read_bytes())
+        written = load_config(tmp_path / "w" / "config.json")
+        assert (written.training_source, written.rerank_first_stage) == ("hybrid", "bm25")
+    assert manifests[0] == manifests[1]
+
+
 def test_run_is_one_cell_of_ablate(data_dir, tmp_path):
     # the same config gives the same bytes for every file both write, and
     # run's metrics are ablate's cells

@@ -751,8 +751,8 @@ def test_train_without_padding_or_id_zero_equals_full_table():
 
 
 def test_train_traced_peak_stays_near_one_table():
-    # default 32,768 x 64 table: the float64 result is the only full-size
-    # allocation; no full float32 copy of init is made
+    # default 32,768 x 64 table: the float32 result is the only full-size
+    # allocation; no float64 copy of init is made
     corpus, queries, lists = _toy_corpus_and_lists()
     init = _init(1, dim=64)
     corpus.token_store()
@@ -764,7 +764,8 @@ def test_train_traced_peak_stays_near_one_table():
     finally:
         tracemalloc.stop()
     assert out.embeddings.shape == init.embeddings.shape == (32768, 64)
-    assert peak < 1.2 * init.embeddings.nbytes
+    assert out.embeddings.nbytes == init.embeddings.nbytes // 2
+    assert peak < 1.2 * out.embeddings.nbytes
 
 
 def test_train_steps_keep_their_own_batch_shapes(monkeypatch):
@@ -822,13 +823,19 @@ def test_train_does_not_mutate_init():
     assert np.array_equal(init.embeddings, snap)
 
 
-def test_train_output_is_float64():
-    corpus, queries, lists = _toy_corpus_and_lists()
-    cfg = RerankTrainConfig(steps=5, seed=1)
-    out = train_reranker(lists, queries, corpus, cfg,
-                         init=_init(1))
-    for name in ("embeddings", "w_q", "w_k", "w_v", "readout"):
+def test_trained_table_is_the_float32_training_result():
+    # the table is float32 and equals the whole float32 table trained step by
+    # step, row for row; w_q, w_k, w_v and readout stay float64
+    corpus, queries, lists = _ragged_corpus_and_lists(seed=5)
+    cfg = RerankTrainConfig(steps=12, batch_size=3, learning_rate=0.2, seed=7)
+    init = _random_params(6)
+    out = train_reranker(lists, queries, corpus, cfg, init=init)
+    ref = _train_full_table(lists, queries, corpus, cfg, init)
+    assert out.embeddings.dtype == np.float32
+    assert out.embeddings.tobytes() == ref.embeddings.astype(np.float32).tobytes()
+    for name in ("w_q", "w_k", "w_v", "readout"):
         assert getattr(out, name).dtype == np.float64
+        assert np.array_equal(getattr(out, name), getattr(ref, name))
 
 
 def test_train_stops_on_non_finite_loss():
@@ -977,6 +984,26 @@ def test_rerank_scores_come_from_score_pair():
         assert score == pytest.approx(expected, rel=1e-12)
 
 
+def _assert_same_bytes(a: RunFile, b: RunFile) -> None:
+    """Equal ids and bit-equal scores, query by query."""
+    assert list(a.rankings) == list(b.rankings)
+    for qid in a.rankings:
+        assert a.rankings[qid].ids == b.rankings[qid].ids
+        assert a.rankings[qid].scores.tobytes() == b.rankings[qid].scores.tobytes()
+
+
+def test_rerank_float32_table_equals_its_float64_cast_bit_for_bit():
+    corpus, queries, run = _rerank_fixture(seed=6)
+    trained = train_reranker(_toy_corpus_and_lists(seed=6)[2], queries, corpus,
+                             RerankTrainConfig(steps=20, batch_size=2, seed=3),
+                             init=_init(3))
+    assert trained.embeddings.dtype == np.float32
+    wide = trained.copy()
+    wide.embeddings = trained.embeddings.astype(np.float64)
+    _assert_same_bytes(rerank(trained, run, queries, corpus, top_k=6),
+                       rerank(wide, run, queries, corpus, top_k=6))
+
+
 def test_rerank_empty_ranking_stays_empty():
     corpus, queries, run = _rerank_fixture(q0=[], punct=[])
     queries = queries + [Query("punct", "?! ...")]
@@ -1028,6 +1055,27 @@ def test_stack_equals_per_row_padding():
         want_mask = np.zeros((6, max(widths)), dtype=bool)
         want_idx[:n, :width], want_mask[:n, :width] = ref_idx, ref_mask
         assert np.array_equal(pidx[b].T, want_idx) and np.array_equal(pmask[b].T, want_mask)
+
+
+@pytest.mark.parametrize("block_entries", [1, 100])
+def test_stack_and_training_in_blocks_equal_one_block(monkeypatch, block_entries):
+    # a block per list, or three lists per block with a partial last block:
+    # the stacked batch and the trained params keep their bytes
+    corpus, queries, lists = _ragged_corpus_and_lists(seed=8)
+    cfg = RerankTrainConfig(steps=25, batch_size=3, learning_rate=0.2, seed=2)
+    whole = (_stacked(lists, queries, corpus),
+             train_reranker(lists, queries, corpus, cfg, init=_random_params(4)))
+    per_list = whole[0][2][0].size
+    assert len(reranker._blocks(len(lists), per_list)) == 1
+    monkeypatch.setattr(reranker, "_BLOCK_ENTRIES", block_entries)
+    assert len(reranker._blocks(len(lists), per_list)) > 2
+    blocked = (_stacked(lists, queries, corpus),
+               train_reranker(lists, queries, corpus, cfg, init=_random_params(4)))
+    for a, b in zip(whole[0], blocked[0]):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    for name in ("embeddings", "w_q", "w_k", "w_v", "readout"):
+        assert getattr(whole[1], name).tobytes() == getattr(blocked[1], name).tobytes()
+    assert whole[1].bias == blocked[1].bias
 
 
 def test_stack_names_the_first_passage_without_tokens():
@@ -1105,6 +1153,22 @@ def test_reranker_params_roundtrip(tmp_path):
     for name in ("embeddings", "w_q", "w_k", "w_v", "readout"):
         assert np.array_equal(getattr(loaded, name), getattr(p, name))
     assert loaded.bias == p.bias and loaded.seed == p.seed
+
+
+def test_saved_trained_reranker_keeps_its_dtype_and_scores(tmp_path):
+    corpus, queries, run = _rerank_fixture(seed=7)
+    trained = train_reranker(_toy_corpus_and_lists(seed=7)[2], queries, corpus,
+                             RerankTrainConfig(steps=20, batch_size=2, seed=4),
+                             init=_init(4))
+    path = tmp_path / "rr.npz"
+    save_reranker(trained, path)
+    loaded = load_reranker(path)
+    for name in ("embeddings", "w_q", "w_k", "w_v", "readout"):
+        assert getattr(loaded, name).dtype == getattr(trained, name).dtype
+        assert getattr(loaded, name).tobytes() == getattr(trained, name).tobytes()
+    assert loaded.embeddings.dtype == np.float32
+    _assert_same_bytes(rerank(trained, run, queries, corpus, top_k=6),
+                       rerank(loaded, run, queries, corpus, top_k=6))
 
 
 def test_load_reranker_rejects_other_formats(tmp_path):

@@ -154,3 +154,33 @@ def test_each_passage_is_tokenized_once_across_index_encoder_and_reranker(monkey
 
     assert {p.encoding_text(): texts[p.encoding_text()] for p in corpus} == \
            {p.encoding_text(): 1 for p in corpus}
+
+
+def test_each_query_is_tokenized_once_across_bm25_dense_and_reranker(monkeypatch):
+    rng = np.random.default_rng(1)
+    words = [f"w{i}" for i in range(40)]
+    corpus = Corpus([Passage(f"p{i}", "", " ".join(rng.choice(words, size=6)))
+                     for i in range(12)])
+    queries = [Query(f"q{i}", " ".join(rng.choice(words, size=3))) for i in range(4)]
+    ids = corpus.ids()
+    run = RunFile("first", {q.id: [(pid, -float(j)) for j, pid in enumerate(ids)]
+                            for q in queries})
+    index = hybridrank.bm25.Bm25Index(corpus)
+    encoder = hybridrank.dense.init_params(DIM)
+    rows = hybridrank.dense.normalize_rows(hybridrank.dense.encode_corpus(encoder, corpus))
+    rr = hybridrank.reranker
+    params = rr.init_reranker(encoder.embeddings)
+    texts: Counter = Counter()
+    real = hybridrank.corpus.tokenize
+
+    def counting(text, max_length):
+        texts[text] += 1
+        return real(text, max_length)
+
+    monkeypatch.setattr(hybridrank.corpus, "tokenize", counting)
+    for _ in range(2):
+        for q in queries:
+            index.scores(q)
+            hybridrank.dense.query_cosines(encoder, rows, q)
+        rr.rerank(params, run, queries, corpus, top_k=5)
+    assert texts == Counter(q.text for q in queries)

@@ -17,7 +17,8 @@ are kept.  Per metric it gives each side's quartiles, the parent's IQR, the
 median gap (positive when the change is better), change/parent of the
 medians and the number of pairs the change wins.  Per pair it records whether
 every run-file and manifest.json hash, and lambda, are equal on both sides,
-and on a serving workload the number of queries each side served.
+which hashed files differ, and on a serving workload the number of queries
+each side served.
 """
 
 from __future__ import annotations
@@ -64,6 +65,13 @@ def summarize_metric(pairs: list[tuple[int, float, float]], better: str,
     }
 
 
+def differing(parent: dict, change: dict) -> list[str]:
+    """Names of the hashed files whose sha256 differs between two file -> sha256
+    maps, or that only one of them has, sorted."""
+    return sorted(name for name in parent.keys() | change.keys()
+                  if parent.get(name) != change.get(name))
+
+
 def summarize(records: list[tuple[int, dict, dict]], metrics: list[dict]) -> dict:
     """One workload's block from (seed, parent record, change record) triples.
 
@@ -79,10 +87,14 @@ def summarize(records: list[tuple[int, dict, dict]], metrics: list[dict]) -> dic
                  for seed, p, c in records]
         block["metrics"][name] = summarize_metric(pairs, m["better"], m["bound"])
         block["per_pair"][name] = [[s, round(p, 4), round(c, 4)] for s, p, c in pairs]
-    equal = [[seed, p.get("hashes") == c.get("hashes") and bool(p.get("hashes")),
-              p.get("lambda") == c.get("lambda")] for seed, p, c in records]
+    diffs = [[seed, differing(p.get("hashes") or {}, c.get("hashes") or {})]
+             for seed, p, c in records]
+    equal = [[seed, not files and bool(p.get("hashes")), p.get("lambda") == c.get("lambda")]
+             for (seed, p, c), (_, files) in zip(records, diffs)]
     block["equal_per_pair"] = equal
     block["all_hashes_equal"] = all(h for _, h, _ in equal)
+    block["differing_files_per_pair"] = diffs
+    block["differing_files"] = sorted({name for _, files in diffs for name in files})
     block["lambda_equal"] = all(lam for _, _, lam in equal)
     block["failed"] = {"parent": sum(p["failed"] for _, p, _ in records),
                        "change": sum(c["failed"] for _, _, c in records)}
