@@ -25,7 +25,7 @@ from math import log
 
 import numpy as np
 
-from .corpus import PASSAGE_LENGTH, QUERY_LENGTH, VOCAB_SIZE, Corpus, Query, query_tokens
+from .corpus import PASSAGE_LENGTH, QUERY_LENGTH, VOCAB_SIZE, Corpus, Query
 from .results import id_rank
 
 # term-id -> weight, no explicit zero entries
@@ -80,7 +80,7 @@ def _passage_terms(indptr: np.ndarray, ids: np.ndarray):
 
 def encode_query(query: Query) -> SparseVector:
     """Query vector of raw term counts."""
-    counts = Counter(query_tokens(query))
+    counts = Counter(query.tokens)
     return {t: float(c) for t, c in counts.items()}
 
 

@@ -1,13 +1,13 @@
 r"""Data model and file formats for passages, queries and relevance judgments.
 
 Formats:
-    corpus   JSONL, one object per line: {"id": ..., "title": ..., "text": ...}
+    corpus   JSONL, one object per line: {"id": ..., "title": str, "text": str}
     queries  TSV: id<TAB>text
     qrels    TREC style, whitespace separated: qid 0 docid grade
 
 This module is the one that knows how text becomes token ids: the vocabulary
 size ``VOCAB_SIZE`` and the truncation lengths.  A query keeps its first
-``QUERY_LENGTH`` tokens (``query_tokens``, kept on the Query object, so a
+``QUERY_LENGTH`` tokens (``Query.tokens``, kept on the Query object, so a
 query is tokenized once however many channels score it), a passage its first
 ``PASSAGE_LENGTH`` (``passage_tokens``).  Every other module asks for ids by
 query or passage alone, and sizes its tables by ``VOCAB_SIZE``.
@@ -106,12 +106,6 @@ def tokenize(text: str, max_length: int) -> tuple[int, ...]:
     if max_length < 1:
         raise ValueError(f"max_length must be >= 1, got {max_length}")
     return tuple(map(_WORD_IDS.__getitem__, _words(text)[:max_length]))
-
-
-def query_tokens(query: Query) -> tuple[int, ...]:
-    """Token ids of a query's text: its first ``QUERY_LENGTH`` tokens,
-    ``query.tokens``."""
-    return query.tokens
 
 
 def passage_tokens(passage: Passage) -> tuple[int, ...]:
@@ -276,8 +270,11 @@ def load_corpus(path) -> Corpus:
                 continue
             try:
                 obj = json.loads(line)
-                passage = Passage(id=str(obj["id"]), title=str(obj.get("title", "")),
-                                  text=str(obj["text"]))
+                pid, title, text = str(obj["id"]), obj.get("title", ""), obj["text"]
+                for key, value in (("title", title), ("text", text)):
+                    if not isinstance(value, str):
+                        raise TypeError(f"{key} must be a string, got {value!r}")
+                passage = Passage(id=pid, title=title, text=text)
             except (json.JSONDecodeError, KeyError, TypeError) as exc:
                 raise ValueError(f"{path}: line {lineno}: malformed corpus record: {exc}") from exc
             passages.append(passage)
@@ -341,7 +338,10 @@ def load_qrels(path) -> QrelSet:
             except ValueError:
                 raise ValueError(
                     f"{path}: line {lineno}: non-integer grade {grade_s!r}") from None
-            qrels.set(qid, pid, grade)
+            try:
+                qrels.set(qid, pid, grade)
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {lineno}: {exc}") from None
     return qrels
 
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import VOCAB_SIZE, Corpus, Passage, Query, passage_tokens, query_tokens
+from .corpus import VOCAB_SIZE, Corpus, Passage, Query, passage_tokens
 from .npzio import deterministic_savez, load_npz
 from .results import CandidateList, ranked_list, top_k
 
@@ -132,7 +132,7 @@ def encode_corpus(params: EncoderParams, corpus: Corpus) -> np.ndarray:
 
 
 def _tokenize_pairs(pairs: list[TrainPair]) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    qtoks = [np.asarray(query_tokens(p.query), dtype=np.int64) for p in pairs]
+    qtoks = [np.asarray(p.query.tokens, dtype=np.int64) for p in pairs]
     ptoks = [np.asarray(passage_tokens(p.positive), dtype=np.int64) for p in pairs]
     return qtoks, ptoks
 
@@ -265,7 +265,7 @@ def query_cosines(params: EncoderParams, passage_matrix: np.ndarray,
 
     A query that encodes to the zero vector gets +0.0 throughout.
     """
-    qvec = encode(params, query_tokens(query))
+    qvec = encode(params, query.tokens)
     qn = np.linalg.norm(qvec)
     if qn == 0.0:
         return np.zeros(len(passage_matrix), dtype=np.float64)

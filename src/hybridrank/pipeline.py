@@ -30,8 +30,8 @@ from .dense import DeTrainConfig, EncoderParams, TrainPair, encode_corpus, \
     normalize_rows, save_params, train_de
 from .evaluation import REPORTED_METRICS, MetricReport, RunFile, format_metric_table, \
     reported_metrics, write_run
-from .hybrid import DEFAULT_LAMBDA_GRID, FIRST_STAGES, HybridIndex, lambda_grid, \
-    save_hybrid_index, tune_lambda
+from .hybrid import DEFAULT_LAMBDA_GRID, FIRST_STAGES, HybridIndex, save_hybrid_index, \
+    tune_lambda
 from .npzio import write_json
 from .reranker import RerankerParams, RerankTrainConfig, SamplingWindow, \
     build_candidate_lists, init_reranker, rerank, save_candidate_lists, \
@@ -83,7 +83,6 @@ class ExperimentConfig:
     de: DeTrainConfig = DeTrainConfig()
     reranker: RerankTrainConfig = RerankTrainConfig()
     window: SamplingWindow = SamplingWindow(skip=0, depth=250, n_negatives=50)
-    lambda_grid: tuple[float, ...] | None = None
     run_depth: int = 250
     rerank_top_k: int = 50
     training_source: str = "hybrid"
@@ -104,90 +103,64 @@ def _seeded(base: int, offset: int) -> int:
     return base * 1000 + offset
 
 
-_TOP_LEVEL_KEYS = tuple(f.name for f in fields(ExperimentConfig))
-_REQUIRED_KEYS = tuple(f.name for f in fields(ExperimentConfig) if f.default is MISSING)
-# section -> its type: the fields whose default is a dataclass
-_CONFIG_SECTIONS = {f.name: type(f.default) for f in fields(ExperimentConfig)
-                    if is_dataclass(f.default)}
-
-
 # the keys that pick run_experiment's one reranked cell; ablation_matrix
 # computes every cell, so it writes them at their defaults
 _CELL_CHOICE = {f.name: f.default for f in fields(ExperimentConfig)
                 if f.name in ("training_source", "rerank_first_stage")}
 
-
-def _section_keys(cls) -> tuple[str, ...]:
-    """The fields a config file may set in a section: all but its seed, which
-    the pipeline derives from the experiment's."""
-    return tuple(f.name for f in fields(cls) if f.name != "seed")
-
-
-def config_to_dict(config: ExperimentConfig) -> dict:
-    out = {}
-    for key in _TOP_LEVEL_KEYS:
-        value = getattr(config, key)
-        if key in _CONFIG_SECTIONS:
-            out[key] = {f: getattr(value, f) for f in _section_keys(_CONFIG_SECTIONS[key])}
-        elif key == "lambda_grid":
-            out[key] = list(value) if value is not None else None
-        else:
-            out[key] = value
-    return out
-
-
-# the JSON values a field of each annotated type takes; a bool takes none
+# the JSON values a leaf field of each annotated type takes; a bool takes none
 _FIELD_TYPES = {"int": int, "float": (int, float), "str": str}
 
 
-def _typed(cls, values: dict) -> dict:
-    """``values``, after a TypeError naming the first whose field of ``cls``
-    is an int, float or str field that it does not fit, or a ValueError naming
-    the first NaN or infinity given to a float field."""
-    annotations = {f.name: f.type for f in fields(cls)}
-    for key, value in values.items():
-        want = _FIELD_TYPES.get(annotations[key])
-        if want is not None and (isinstance(value, bool) or not isinstance(value, want)):
-            raise TypeError(f"{key} must be {annotations[key]}, got {value!r}")
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ValueError(f"{key} must be finite, got {value!r}")
-    return values
+def _file_fields(cls) -> list:
+    """The fields of ``cls`` in a config file: a section (a field whose default
+    is a dataclass) leaves out its seed, which derives from the experiment's."""
+    return [f for f in fields(cls) if cls is ExperimentConfig or f.name != "seed"]
+
+
+def config_to_dict(config) -> dict:
+    """``config`` as a config file holds it, each section a nested object."""
+    return {f.name: config_to_dict(getattr(config, f.name)) if is_dataclass(f.default)
+            else getattr(config, f.name) for f in _file_fields(type(config))}
+
+
+def _from_dict(cls, data, where: str):
+    """``data`` read as a ``cls``, each section by the same rules; errors
+    start with ``where``, the level they are about."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{where} must be a JSON object, got {type(data).__name__}")
+    known = _file_fields(cls)
+    unknown = set(data) - {f.name for f in known}
+    if unknown:
+        raise ValueError(f"{where}: unknown keys {sorted(unknown)}")
+    missing = [f.name for f in known if f.default is MISSING and f.name not in data]
+    if missing:
+        raise ValueError(f"{where}: missing required keys {missing}")
+    kwargs = {}
+    for f in known:
+        if f.name not in data:
+            continue
+        value = data[f.name]
+        if is_dataclass(f.default):
+            value = _from_dict(type(f.default), value, f"{where} section {f.name!r}")
+        elif isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[f.type]):
+            raise ValueError(f"{where}: {f.name} must be {f.type}, got {value!r}")
+        elif isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{where}: {f.name} must be finite, got {value!r}")
+        kwargs[f.name] = value
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
-    """Raises ValueError naming the config, or its section, when ``data`` is
-    not an experiment config: not an object, a key unknown or missing, a value
-    of the wrong type (an int field takes an int, a float field an int or a
-    finite float, a str field a str, and none takes a bool), a lambda grid that
-    ``hybrid.lambda_grid`` rejects, or a value out of range."""
-    if not isinstance(data, dict):
-        raise ValueError(f"config must be a JSON object, got {type(data).__name__}")
-    unknown = set(data) - set(_TOP_LEVEL_KEYS)
-    if unknown:
-        raise ValueError(f"config: unknown keys {sorted(unknown)}")
-    missing = [key for key in _REQUIRED_KEYS if key not in data]
-    if missing:
-        raise ValueError(f"config: missing required keys {missing}")
-    kwargs = dict(data)
-    for name, cls in _CONFIG_SECTIONS.items():
-        if name in kwargs:
-            section = kwargs[name]
-            if not isinstance(section, dict):
-                raise ValueError(f"config section {name!r} must be an object, "
-                                 f"got {section!r}")
-            unknown = set(section) - set(_section_keys(cls))
-            if unknown:
-                raise ValueError(f"config section {name!r}: unknown keys {sorted(unknown)}")
-            try:
-                kwargs[name] = cls(**_typed(cls, section))
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"config section {name!r}: {exc}") from None
-    try:
-        if kwargs.get("lambda_grid") is not None:
-            kwargs["lambda_grid"] = lambda_grid(kwargs["lambda_grid"])
-        return ExperimentConfig(**_typed(ExperimentConfig, kwargs))
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"config: {exc}") from None
+    """Raises ValueError naming the config, or its section, when a level of
+    ``data`` is not an object, has a key unknown or missing, has a value of
+    the wrong type (an int field takes an int, a float field an int or a
+    finite float, a str field a str, and none a bool), or has a value that
+    the level's dataclass rejects as out of range."""
+    return _from_dict(ExperimentConfig, data, "config")
 
 
 def load_config(path) -> ExperimentConfig:
@@ -280,12 +253,13 @@ class _Experiment:
             with _stage("tune-lambda"):
                 rows = normalize_rows(encode_corpus(encoder, self.corpus))
                 index = HybridIndex(bm25_index, encoder, rows, lam=0.0)
-                grid = c.lambda_grid if c.lambda_grid is not None else DEFAULT_LAMBDA_GRID
-                lam = tune_lambda(index, self.train_queries, self.train_qrels, grid=grid)
+                lam = tune_lambda(index, self.train_queries, self.train_qrels,
+                                  grid=DEFAULT_LAMBDA_GRID)
                 self.hybrid_index = index.with_lambda(lam)
                 self._written += save_hybrid_index(
                     self.hybrid_index, os.path.join(c.workdir, "hybrid"))
-                write_json({"lambda": lam, "grid": list(grid)}, self._out("lambda.json"))
+                write_json({"lambda": lam, "grid": list(DEFAULT_LAMBDA_GRID)},
+                           self._out("lambda.json"))
         return self.hybrid_index
 
     def run(self, first_stage: str, split: str) -> RunFile:

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Corpus, QrelSet, Query, query_tokens
+from .corpus import Corpus, QrelSet, Query
 from .dense import row_norms, rows_at, vocabulary_table
 from .evaluation import RunFile
 from .npzio import deterministic_savez, load_npz
@@ -274,7 +274,7 @@ def _token_ids(by_id: dict[str, Query], query_id: str) -> np.ndarray:
     such query, ValueError naming it when it has no tokens."""
     if query_id not in by_id:
         raise KeyError(f"no query text for query id {query_id!r}")
-    tok = np.asarray(query_tokens(by_id[query_id]), dtype=np.int64)
+    tok = np.asarray(by_id[query_id].tokens, dtype=np.int64)
     if tok.size == 0:
         raise ValueError(f"query {query_id!r} has no tokens")
     return tok

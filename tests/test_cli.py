@@ -19,7 +19,6 @@ def _write_config(data, path, workdir):
         "de": {"epochs": 2, "batch_size": 4, "dim": 16},
         "reranker": {"steps": 20, "batch_size": 4, "learning_rate": 0.05},
         "window": {"skip": 0, "depth": 20, "n_negatives": 6},
-        "lambda_grid": [0.0, 50.0, 300.0],
         "run_depth": 30,
         "rerank_top_k": 10,
     }

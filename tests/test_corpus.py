@@ -186,6 +186,17 @@ def test_load_corpus_malformed_line_number(tmp_path):
         load_corpus(path)
 
 
+def test_load_corpus_rejects_a_title_or_text_that_is_not_a_string(tmp_path):
+    # a JSON null is no text, not the word "None"
+    path = tmp_path / "c.jsonl"
+    for record, key in (('{"id": "d2", "title": null, "text": "alpha beta"}', "title"),
+                        ('{"id": "d2", "text": null}', "text")):
+        path.write_text('{"id": "d1", "text": "x"}\n' + record + "\n")
+        with pytest.raises(ValueError, match=rf"c\.jsonl: line 2: .*{key} must be a string, "
+                                             "got None"):
+            load_corpus(path)
+
+
 def test_load_corpus_empty_file(tmp_path):
     path = tmp_path / "c.jsonl"
     path.write_text("")
@@ -298,6 +309,14 @@ def test_load_qrels_non_integer_grade(tmp_path):
     path = tmp_path / "qrels.txt"
     path.write_text("q1 0 d1 high\n")
     with pytest.raises(ValueError, match="line 1"):
+        load_qrels(path)
+
+
+def test_load_qrels_negative_grade_names_file_and_line(tmp_path):
+    path = tmp_path / "qrels.txt"
+    path.write_text("q1 0 p0 1\nq1 0 p1 -1\n")
+    with pytest.raises(ValueError, match=r"qrels\.txt: line 2: grade must be >= 0, got -1 "
+                                         r"for \(q1, p1\)"):
         load_qrels(path)
 
 

@@ -9,8 +9,7 @@ import numpy as np
 import pytest
 
 from hybridrank import dense
-from hybridrank.corpus import PASSAGE_LENGTH, VOCAB_SIZE, Corpus, Passage, Query, query_tokens, \
-    tokenize
+from hybridrank.corpus import PASSAGE_LENGTH, VOCAB_SIZE, Corpus, Passage, Query, tokenize
 from hybridrank.dense import (
     PARAMS_FORMAT,
     DeTrainConfig,
@@ -102,7 +101,7 @@ def test_shared_towers_same_text_same_vector():
     # one embedding table serves both sides: identical token input,
     # identical vector, regardless of which "side" the caller has in mind
     p = init_params(8, seed=3)
-    q = encode(p, query_tokens(Query("q", "shared input text")))
+    q = encode(p, Query("q", "shared input text").tokens)
     d = encode_corpus(p, Corpus([Passage("d", "", "shared input text")]))[0]
     assert np.array_equal(q, d)
 

@@ -400,7 +400,7 @@ def test_write_run_bytes_equal_per_pair_writer_on_pipeline_runs(tmp_path, monkey
         de=DeTrainConfig(epochs=2, batch_size=4, dim=16),
         reranker=RerankTrainConfig(steps=20, batch_size=4, learning_rate=0.05),
         window=SamplingWindow(skip=0, depth=20, n_negatives=6),
-        lambda_grid=(0.0, 50.0, 300.0), run_depth=30, rerank_top_k=10)
+        run_depth=30, rerank_top_k=10)
     written = []
 
     def checked(run, path):

@@ -9,7 +9,7 @@ import pytest
 import hybridrank.hybrid
 from hybridrank.bm25 import Bm25Index, encode_query
 from hybridrank.corpus import PASSAGE_LENGTH, QUERY_LENGTH, VOCAB_SIZE, Corpus, Passage, \
-    QrelSet, Query, passage_tokens, query_tokens, tokenize
+    QrelSet, Query, passage_tokens, tokenize
 from hybridrank.dense import EncoderParams, de_retrieve, encode, encode_corpus, \
     init_params, normalize_rows
 from hybridrank.evaluation import RunFile, compute_metric
@@ -82,7 +82,7 @@ def test_hybrid_score_decomposition_identity():
     stats = compute_stats(corpus)
     for q in queries:
         qvec = encode_query(q)
-        qdense = encode(encoder, query_tokens(q))
+        qdense = encode(encoder, q.tokens)
         fused = _fused_scores(index, q)
         for p in corpus:
             pvec = encode_passage(p, stats, index.bm25.params)
@@ -102,7 +102,7 @@ def test_hybrid_score_direct_sum_example():
     index = _index(corpus, encoder, 2.0)
     q = Query("q", a)
     bm25_part = index.bm25.scores(q)
-    cos_part = cosine(encode(encoder, query_tokens(q)),
+    cos_part = cosine(encode(encoder, q.tokens),
                       encode(encoder, passage_tokens(corpus[0])))
     expected = float(bm25_part[0]) + 2.0 * cos_part
     assert _fused_scores(index, q)["p"] == pytest.approx(expected, abs=1e-12)
@@ -193,7 +193,7 @@ def test_hybrid_retrieve_matches_materialized_concatenation():
             qcat = np.zeros(VOCAB_SIZE + encoder.dim)
             for t, w in encode_query(q).items():
                 qcat[t] = w
-            qdense = encode(encoder, query_tokens(q))
+            qdense = encode(encoder, q.tokens)
             qcat[VOCAB_SIZE:] = lam * qdense / np.linalg.norm(qdense)
             brute = mats @ qcat
             got = hybrid_retrieve(idx, q, 10)

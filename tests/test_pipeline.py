@@ -11,11 +11,10 @@ import pytest
 
 from hybridrank import pipeline
 from hybridrank.bm25 import Bm25Index, encode_query
-from hybridrank.corpus import load_corpus, load_queries, passage_tokens, query_tokens, \
-    tokenize
+from hybridrank.corpus import load_corpus, load_queries, passage_tokens, tokenize
 from hybridrank.dense import DeTrainConfig, encode
 from hybridrank.evaluation import read_run, write_run
-from hybridrank.hybrid import hybrid_retrieve, load_hybrid_index
+from hybridrank.hybrid import DEFAULT_LAMBDA_GRID, hybrid_retrieve, load_hybrid_index
 from hybridrank.pipeline import (FIRST_STAGES, ExperimentConfig, StageError,
                                  ablation_matrix, config_from_dict, config_to_dict,
                                  load_config, mix_training_data, run_experiment,
@@ -49,7 +48,6 @@ def _config(data_dir, workdir, **overrides):
         de=DeTrainConfig(epochs=3, batch_size=8, dim=16),
         reranker=RerankTrainConfig(steps=30, batch_size=4, learning_rate=0.05),
         window=SamplingWindow(skip=0, depth=30, n_negatives=8),
-        lambda_grid=(0.0, 300.0, 600.0),
         run_depth=40,
         rerank_top_k=10,
     )
@@ -124,8 +122,6 @@ def _changed(value):
         return dataclasses.replace(value, **{field: _changed(getattr(value, field))})
     if isinstance(value, str):
         return {"hybrid": "de", "bm25": "hybrid"}.get(value, value + "-x")
-    if isinstance(value, tuple):
-        return value + (1234.0,)
     return value + 1
 
 
@@ -156,11 +152,11 @@ def test_config_rejects_unknown_keys(data_dir, tmp_path):
 
 
 @pytest.mark.parametrize("key", ["vocab_size", "query_max_length", "passage_max_length",
-                                 "qgen", "fixed_lambda", "tune_metric"])
+                                 "qgen", "fixed_lambda", "tune_metric", "lambda_grid"])
 def test_config_rejects_the_removed_tokenizer_keys(data_dir, tmp_path, key):
     # the vocabulary size and truncation lengths are the tokenizer's constants;
     # "qgen" configured the removed extractive query-generation loop, and
-    # λ is always tuned, by MRR@10
+    # λ is always tuned, by MRR@10, on hybrid.DEFAULT_LAMBDA_GRID
     d = config_to_dict(_config(data_dir, tmp_path / "w"))
     assert key not in d
     d[key] = 64
@@ -173,6 +169,16 @@ def test_config_rejects_unknown_section_keys(data_dir, tmp_path):
     d["bm25"]["k9"] = 1.0
     with pytest.raises(ValueError, match="k9"):
         config_from_dict(d)
+
+
+def test_config_rejects_a_seed_in_a_section(data_dir, tmp_path):
+    # a section's seed derives from the experiment's, so no file sets it
+    for section in ("de", "reranker"):
+        d = config_to_dict(_config(data_dir, tmp_path / "w"))
+        d[section]["seed"] = 1
+        with pytest.raises(ValueError, match=rf"^config section '{section}': unknown keys "
+                                             r"\['seed'\]"):
+            config_from_dict(d)
 
 
 @pytest.mark.parametrize("section", ["bm25", "de", "reranker", "window"])
@@ -195,10 +201,11 @@ def test_config_rejects_what_is_not_a_config(data, match):
         config_from_dict(data)
 
 
+# a row whose value is a dict is named by its position, so each row keeps its place
 @pytest.mark.parametrize("key, value, match", [
     ("seed", "3", "^config: "),
     ("run_depth", None, "^config: "),
-    ("lambda_grid", 5, "^config: "),
+    ("seed", {"k": 1}, r"^config: seed must be int, got \{'k': 1\}"),
     ("bm25", {"k": "x"}, "^config section 'bm25': "),
     ("window", {"depth": "250"}, "^config section 'window': "),
     ("run_depth", 30.5, "^config: run_depth "),
@@ -210,9 +217,9 @@ def test_config_rejects_what_is_not_a_config(data, match):
     ("window", {"skip": 0, "depth": 20.0, "n_negatives": 6},
      "^config section 'window': depth "),
     ("bm25", {"k": True}, "^config section 'bm25': k "),
-    ("lambda_grid", [math.nan], "^config: lambda grid values must be finite"),
-    ("lambda_grid", "ab", "^config: lambda grid must be a nonempty list"),
-    ("lambda_grid", [], "^config: lambda grid must be a nonempty list"),
+    ("de", {"epochs": {"k": 1}}, "^config section 'de': epochs must be int"),
+    ("training_source", 1, "^config: training_source must be str, got 1"),
+    ("window", {"n_negatives": None}, "^config section 'window': n_negatives must be int"),
     ("de", {"epochs": -1}, "^config section 'de': epochs must be >= 0"),
     ("de", {"dim": 0}, "^config section 'de': dim must be >= 1"),
     ("bm25", {"k": math.nan}, "^config section 'bm25': k must be finite, got nan"),
@@ -230,10 +237,19 @@ def test_config_turns_a_wrongly_typed_value_into_a_value_error(data_dir, tmp_pat
         config_from_dict(d)
 
 
-def test_config_grid_becomes_tuple(data_dir, tmp_path):
-    d = config_to_dict(_config(data_dir, tmp_path / "w"))
-    assert d["lambda_grid"] == [0.0, 300.0, 600.0]
-    assert config_from_dict(d).lambda_grid == (0.0, 300.0, 600.0)
+def test_every_leaf_config_field_is_an_int_float_or_str():
+    # the reader checks a leaf value by its field's annotation, so a field of
+    # any other type fails here instead of at load time
+    def leaves(cls):
+        for f in dataclasses.fields(cls):
+            if dataclasses.is_dataclass(f.default):
+                yield from leaves(type(f.default))
+            else:
+                yield f"{cls.__name__}.{f.name}", f.type
+
+    found = dict(leaves(ExperimentConfig))
+    assert "DeTrainConfig.dim" in found and "SamplingWindow.depth" in found
+    assert {name: t for name, t in found.items() if t not in ("int", "float", "str")} == {}
 
 
 def test_config_validation():
@@ -268,7 +284,7 @@ def test_run_experiment_without_reranker(data_dir, tmp_path):
     # the hybrid index is one file
     assert sorted(p for p in os.listdir(workdir) if p.startswith("hybrid")) == ["hybrid.npz"]
     lam = json.loads((workdir / "lambda.json").read_text())
-    assert lam == {"lambda": report["lambda"], "grid": [0.0, 300.0, 600.0]}
+    assert lam == {"lambda": report["lambda"], "grid": list(DEFAULT_LAMBDA_GRID)}
 
 
 def test_run_experiment_with_reranker(data_dir, tmp_path):
@@ -333,7 +349,7 @@ def test_test_split_runs_equal_single_query_retrieval(data_dir, tmp_path):
         assert runs["hybrid"][q.id] == _pairs(hybrid_retrieve(index, q, depth))
         lexical = _pairs(hybrid_retrieve(index.with_lambda(0.0), q, depth))
         assert runs["bm25"].get(q.id, []) == [(p, s) for p, s in lexical if s > 0]
-        qdense, qsparse = encode(index.encoder, query_tokens(q)), encode_query(q)
+        qdense, qsparse = encode(index.encoder, q.tokens), encode_query(q)
         cos = {pid: cosine(qdense, row) for pid, row in dense.items()}
         fused = {pid: dot(qsparse, sparse[pid]) + index.lam * c for pid, c in cos.items()}
         for stage, scores in (("de", cos), ("hybrid", fused)):

@@ -13,7 +13,6 @@ from hybridrank.corpus import (
     QrelSet,
     Query,
     passage_tokens,
-    query_tokens,
     tokenize,
 )
 from hybridrank import reranker
@@ -128,7 +127,7 @@ def score_list(params, qtok, ptoks) -> np.ndarray:
 def _list_rows(cl, queries, corpus):
     """One list's query ids, passage ids padded row by row (n, P) and their
     mask, and labels: the reference view, tokenized without the token store."""
-    qtok = np.asarray(query_tokens({q.id: q for q in queries}[cl.query_id]),
+    qtok = np.asarray({q.id: q for q in queries}[cl.query_id].tokens,
                       dtype=np.int64)
     pidx, pmask = _pad_passages([np.asarray(passage_tokens(corpus.get(pid)), dtype=np.int64)
                                  for pid in cl.passage_ids()])
@@ -141,7 +140,7 @@ def _stacked(lists, queries, corpus):
     _batch_loss_grad after the params."""
     by_id = {q.id: q for q in queries}
     qidx, qmask, pidx, pmask, imask = _stack(
-        [np.asarray(query_tokens(by_id[cl.query_id]), dtype=np.int64) for cl in lists],
+        [np.asarray(by_id[cl.query_id].tokens, dtype=np.int64) for cl in lists],
         [cl.passage_ids() for cl in lists], corpus)
     labels = np.zeros(imask.shape, dtype=np.float64)
     for i, cl in enumerate(lists):
