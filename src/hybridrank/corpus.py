@@ -270,8 +270,8 @@ def load_corpus(path) -> Corpus:
                 continue
             try:
                 obj = json.loads(line)
-                pid, title, text = str(obj["id"]), obj.get("title", ""), obj["text"]
-                for key, value in (("title", title), ("text", text)):
+                pid, title, text = obj["id"], obj.get("title", ""), obj["text"]
+                for key, value in (("id", pid), ("title", title), ("text", text)):
                     if not isinstance(value, str):
                         raise TypeError(f"{key} must be a string, got {value!r}")
                 passage = Passage(id=pid, title=title, text=text)

@@ -27,12 +27,11 @@ from the corpus token store: training stacks all its lists once, and rerank
 stacks each query's list as a batch of one.  Masked positions point at a sentinel column of z_u whose
 logit is _MASK_LOGIT and whose r is 0; it is dropped from every gradient sum.
 
-Training works in float32 on the embedding rows of the ids its lists use, a
-few hundred of the vocabulary's rows, renumbered in id order.  The trained
-table is float32: those rows as trained, every other row its init row cast to
-float32.  _forward computes in the dtype of w_q (float64 once trained) and
-casts the rows it gathers to it; the cast is exact, so scores are those of the
-same table held in float64.
+Training works in place on a float32 copy of the parameters, and the trained
+table is that float32 array; w_q, w_k, w_v and readout go back to float64.
+_forward computes in the dtype of w_q (float64 once trained) and casts the
+rows it gathers to it; the cast is exact, so scores are those of the same
+table held in float64.
 """
 
 from __future__ import annotations
@@ -51,7 +50,7 @@ from .results import CandidateItem, CandidateList, Ranking
 
 RERANKER_FORMAT = "hybridrank-reranker-v1"
 _MASK_LOGIT = -1e30
-_BLOCK_ENTRIES = 1 << 16  # index entries per block of lists in _stack and train_reranker
+_BLOCK_ENTRIES = 1 << 16  # index entries per block of lists in _stack
 _ATTENTION_SCALE = 3.0  # typical attention logits at init are about +-this
 
 
@@ -171,7 +170,6 @@ def _forward(params: RerankerParams, qidx, qmask, pidx, pmask):
     nb, lq_max = qidx.shape
     d = params.dim
     dtype = params.w_q.dtype
-    # sized by the table given: training passes only the rows its lists use
     uniq, inv = _distinct(np.concatenate([qidx.ravel(), pidx.ravel()]),
                           len(params.embeddings))
     nu = uniq.size                                             # the sentinel's column
@@ -318,11 +316,10 @@ def train_reranker(lists: list[CandidateList], queries: list[Query], corpus: Cor
                    config: RerankTrainConfig, init: RerankerParams) -> RerankerParams:
     """Mini-batch SGD over candidate lists from ``init``; deterministic under the seed.
 
-    Training runs in float32 on a table of only the embedding rows whose ids
-    the lists use.  The result's table is float32: its other rows are the init
-    rows cast to float32, so it equals training the whole float32 table.  Its
-    w_q, w_k, w_v and readout are float64.  ``init`` is only read, and the
-    result shares no array with it.
+    Training runs in place on a float32 copy of ``init``, and the result's
+    table is that float32 array; its w_q, w_k, w_v and readout are float64.
+    With steps=0 the result is a float64 copy of ``init``.  ``init`` is only
+    read, and the result shares no array with it.
     Raises ValueError naming the step whose batch loss is not finite.
     """
     if not lists:
@@ -337,21 +334,6 @@ def train_reranker(lists: list[CandidateList], queries: list[Query], corpus: Cor
     labels[imask] = [it.label for cl in lists for it in cl.items]
     # stacked once; each step slices its lists to their own widest Lq, P and n
     sizes = np.stack([qmask.sum(1), pmask.any(2).sum(1), imask.sum(1)], axis=1)
-    # only the rows of ids the lists use (padding id included) are trained,
-    # renumbered in id order, so each step's distinct tokens, gathers and
-    # gradient sums are those of the full table; ids are marked and renumbered
-    # in place one block of lists at a time
-    seen = np.zeros(len(init.embeddings), dtype=bool)
-    blocks = _blocks(len(lists), pidx[0].size)
-    for blk in blocks:
-        seen[qidx[blk]] = True
-        seen[pidx[blk]] = True
-    used = np.flatnonzero(seen)
-    row = np.zeros(len(seen), dtype=np.int32)
-    row[used] = np.arange(used.size)
-    for blk in blocks:
-        qidx[blk] = row[qidx[blk]]
-        pidx[blk] = row[pidx[blk]]
     rng = np.random.default_rng(config.seed)
     order = rng.permutation(len(lists))
     cursor = 0
@@ -359,7 +341,7 @@ def train_reranker(lists: list[CandidateList], queries: list[Query], corpus: Cor
     # training runs in float32 (deterministic; a default-config step takes about
     # 2/3 of its float64 time); the stored table stays float32, the other
     # params go back to float64
-    work = _with_dtype(init, np.float32, used)
+    work = _with_dtype(init, np.float32)
     for step in range(config.steps):
         if cursor + config.batch_size > len(lists):
             order = rng.permutation(len(lists))
@@ -380,16 +362,15 @@ def train_reranker(lists: list[CandidateList], queries: list[Query], corpus: Cor
         work.readout -= frac * grads["readout"]
         work.bias -= float(frac * grads["bias"])
         work.embeddings[grads["emb_idx"]] -= frac * grads["emb_rows"]
-    out = _with_dtype(work, np.float64)
-    out.embeddings = init.embeddings.astype(np.float32)
-    out.embeddings[used] = work.embeddings
-    return out
+    return RerankerParams(work.embeddings,
+                          *(getattr(work, name).astype(np.float64)
+                            for name in ("w_q", "w_k", "w_v", "readout")),
+                          work.bias, work.seed)
 
 
-def _with_dtype(params: RerankerParams, dtype, rows=slice(None)) -> RerankerParams:
-    """A copy of ``params`` with every array in ``dtype``, only the embedding
-    ``rows``, and a float bias."""
-    return RerankerParams(params.embeddings[rows].astype(dtype),
+def _with_dtype(params: RerankerParams, dtype) -> RerankerParams:
+    """A copy of ``params`` with every array in ``dtype`` and a float bias."""
+    return RerankerParams(params.embeddings.astype(dtype),
                           *(getattr(params, name).astype(dtype)
                             for name in ("w_q", "w_k", "w_v", "readout")),
                           float(params.bias), params.seed)

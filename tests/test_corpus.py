@@ -187,13 +187,16 @@ def test_load_corpus_malformed_line_number(tmp_path):
 
 
 def test_load_corpus_rejects_a_title_or_text_that_is_not_a_string(tmp_path):
-    # a JSON null is no text, not the word "None"
+    # a JSON null is no text, not the word "None"; save_corpus writes every id
+    # as a string, so a number is no id either
     path = tmp_path / "c.jsonl"
-    for record, key in (('{"id": "d2", "title": null, "text": "alpha beta"}', "title"),
-                        ('{"id": "d2", "text": null}', "text")):
+    for record, key, got in (('{"id": "d2", "title": null, "text": "alpha beta"}', "title", "None"),
+                             ('{"id": "d2", "text": null}', "text", "None"),
+                             ('{"id": null, "text": "alpha"}', "id", "None"),
+                             ('{"id": 7, "text": "alpha"}', "id", "7")):
         path.write_text('{"id": "d1", "text": "x"}\n' + record + "\n")
         with pytest.raises(ValueError, match=rf"c\.jsonl: line 2: .*{key} must be a string, "
-                                             "got None"):
+                                             rf"got {got}$"):
             load_corpus(path)
 
 

@@ -579,13 +579,19 @@ def test_scores_equal_dense_reference():
 # ---------------------------------------------------------------- training
 
 def test_train_zero_steps_returns_init_unchanged():
+    # no step runs, so nothing is rounded through float32 and an untrained
+    # reranker keeps init's scores: a float64 copy sharing no array with init
     corpus, queries, lists = _toy_corpus_and_lists()
     init = _init(3)
     cfg = RerankTrainConfig(steps=0, seed=3)
     out = train_reranker(lists, queries, corpus, cfg, init=init)
-    assert np.array_equal(out.embeddings, init.embeddings)
-    assert np.array_equal(out.w_q, init.w_q)
-    assert out.bias == init.bias
+    names = ("embeddings", "w_q", "w_k", "w_v", "readout")
+    for name in names:
+        value = getattr(out, name)
+        assert value.dtype == np.float64
+        assert value.tobytes() == getattr(init, name).tobytes()
+        assert not any(np.shares_memory(value, getattr(init, other)) for other in names)
+    assert (out.bias, out.seed) == (init.bias, init.seed)
 
 
 def test_one_training_step_is_sgd_on_the_reference_gradient():
