@@ -37,11 +37,8 @@ DEFAULT_DIM = 64
 INIT_SCALE = 0.05
 # bytes of the (rows, length, dim) gather _pooled averages at once
 _POOL_BYTES = 1 << 20
-# rows whose squares row_norms holds at once (2 MiB at dim 64, float64)
-_NORM_ROWS = 4096
-# rows normalize_rows divides at once: 0.5 MiB of squares at dim 64, float64,
-# a quarter of row_norms' block, so normalizing in place stays under 1 MiB
-_NORMALIZE_ROWS = 1024
+# rows whose squares row_norms holds at once (0.5 MiB at dim 64, float64)
+_NORM_ROWS = 1024
 
 
 @dataclass
@@ -114,15 +111,13 @@ def normalize_rows(matrix: np.ndarray) -> np.ndarray:
     zero rows stay zero.
 
     The bits equal ``matrix / np.where(norm == 0, 1, norm)`` with ``norm`` the
-    rows' ``np.linalg.norm``.  Rows are divided a block at a time, so no second
-    table is allocated: pass a table that nothing reads afterwards.
+    rows' ``np.linalg.norm``.  The norms come from row_norms and the rows are
+    divided in place, so no second table is allocated: pass a table that
+    nothing reads afterwards.
     """
-    for start in range(0, len(matrix), _NORMALIZE_ROWS):
-        block = matrix[start:start + _NORMALIZE_ROWS]
-        norms = np.linalg.norm(block, axis=1)[:, None]
-        norms[norms == 0.0] = 1.0
-        np.divide(block, norms, out=block)
-    return matrix
+    norms = row_norms(matrix)[:, None]
+    norms[norms == 0.0] = 1.0
+    return np.divide(matrix, norms, out=matrix)
 
 
 def encode_corpus(params: EncoderParams, corpus: Corpus) -> np.ndarray:

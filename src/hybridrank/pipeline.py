@@ -221,8 +221,8 @@ class _Experiment:
             self.test_queries = load_queries(config.test_queries)
             self.train_qrels = load_qrels(config.train_qrels)
             self.test_qrels = load_qrels(config.test_qrels)
-            self._read = [config.corpus, config.train_queries, config.test_queries,
-                          config.train_qrels, config.test_qrels]
+            self._read = {name: getattr(config, name) for name in (
+                "corpus", "train_queries", "test_queries", "train_qrels", "test_qrels")}
             save_config(config, self._out("config.json"))
 
     def _out(self, name: str) -> str:
@@ -336,8 +336,9 @@ class _Experiment:
         with _stage("manifest"):
             workdir = os.path.abspath(self.config.workdir)
             files = {}
-            for path in self._read:
-                files["input:" + os.path.basename(path)] = _sha256(path)
+            # keyed by config field, so inputs that share a basename stay apart
+            for name, path in self._read.items():
+                files["input:" + name] = _sha256(path)
             for path in sorted(set(self._written)):
                 rel = os.path.relpath(os.path.abspath(path), workdir)
                 files[rel.replace(os.sep, "/")] = _sha256(path)

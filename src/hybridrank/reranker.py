@@ -27,6 +27,9 @@ from the corpus token store: training stacks all its lists once, and rerank
 stacks each query's list as a batch of one.  Masked positions point at a sentinel column of z_u whose
 logit is _MASK_LOGIT and whose r is 0; it is dropped from every gradient sum.
 
+Text without tokens is an empty sum, as in BM25 and the dual encoder: a query
+or passage without tokens scores exactly ``bias``.
+
 Training works in place on a float32 copy of the parameters, and the trained
 table is that float32 array; w_q, w_k, w_v and readout go back to float64.
 _forward computes in the dtype of w_q (float64 once trained) and casts the
@@ -164,7 +167,8 @@ def _forward(params: RerankerParams, qidx, qmask, pidx, pmask):
     from z_u = (Q W_k^T) E_u^T, so keys are never formed.  z_u has one extra
     sentinel column, logit _MASK_LOGIT and r = 0, that every masked passage
     position points at.  Padded query rows and passage tokens contribute
-    exactly nothing; padded list items get finite scores that callers mask.
+    exactly nothing and Lq is at least 1, so text without tokens scores the
+    bias; padded list items get finite scores that callers mask.
     Also returns the intermediates that _batch_loss_grad's backward pass reuses.
     """
     nb, lq_max = qidx.shape
@@ -196,7 +200,7 @@ def _forward(params: RerankerParams, qidx, qmask, pidx, pmask):
     a /= a.sum(axis=2, keepdims=True)                          # (B, Lq, P, n)
 
     qm = qmask.astype(dtype)
-    lq = qm.sum(axis=1)                                        # (B,)
+    lq = np.maximum(qm.sum(axis=1), 1)                         # (B,), 1 for no tokens
     asum = np.einsum("bl,blpn->bpn", qm, a)                    # (B, P, n)
     scores = np.einsum("bpn,bpn->bn", asum, r) / lq[:, None] + params.bias
     return scores, (uniq, inv_q, inv_p, flat, e_u, w, r, e_q, q, qk, a, asum, lq)
@@ -268,14 +272,10 @@ def _blocks(n_lists: int, per_list: int) -> list[slice]:
 
 
 def _token_ids(by_id: dict[str, Query], query_id: str) -> np.ndarray:
-    """int64 token ids of query ``query_id``: KeyError when ``by_id`` has no
-    such query, ValueError naming it when it has no tokens."""
+    """int64 token ids of query ``query_id``, maybe none; KeyError if unknown."""
     if query_id not in by_id:
         raise KeyError(f"no query text for query id {query_id!r}")
-    tok = np.asarray(by_id[query_id].tokens, dtype=np.int64)
-    if tok.size == 0:
-        raise ValueError(f"query {query_id!r} has no tokens")
-    return tok
+    return np.asarray(by_id[query_id].tokens, dtype=np.int64)
 
 
 def _stack(qtoks: list[np.ndarray], passage_ids: list[list[str]], corpus: Corpus):
@@ -283,24 +283,21 @@ def _stack(qtoks: list[np.ndarray], passage_ids: list[list[str]], corpus: Corpus
 
     Returns query ids and mask (B, Lq), passage ids and mask (B, P, n), with
     positions before items, and the item mask (B, n); ids are int32, padding
-    is id 0.  Raises ValueError naming the first passage that has no tokens.
-    Passage ids are gathered one block of lists at a time, so no full-size
-    int64 index array is made.
+    is id 0.  P is at least 1, so a passage without tokens, or a list without
+    items, stacks as an all-false pmask.  Passage ids are gathered one block
+    of lists at a time, so no full-size int64 index array is made.
     """
     store = corpus.token_store()
-    flat = [pid for pids in passage_ids for pid in pids]
-    pos = np.array([corpus.position(pid) for pid in flat], dtype=np.int64)
+    pos = np.array([corpus.position(p) for pids in passage_ids for p in pids], dtype=np.int64)
     start = store.indptr[pos]
     length = store.indptr[pos + 1] - start
-    if not length.all():
-        raise ValueError(f"passage {flat[int(np.argmin(length))]!r} has no tokens")
     n_items = np.array([len(pids) for pids in passage_ids])
     imask = np.arange(n_items.max()) < n_items[:, None]
     starts = np.zeros(imask.shape, dtype=np.int64)
     lengths = np.zeros(imask.shape, dtype=np.int64)
     starts[imask] = start
     lengths[imask] = length
-    width = np.arange(length.max())[:, None]                   # (P, 1)
+    width = np.arange(length.max(initial=1))[:, None]          # (P, 1)
     pmask = width < lengths[:, None, :]                        # (B, P, n)
     pidx = np.zeros(pmask.shape, dtype=np.int32)
     for blk in _blocks(len(pidx), pidx[0].size):
@@ -430,22 +427,19 @@ def rerank(params: RerankerParams, run: RunFile, queries: list[Query],
 
     Ties keep the original retrieval order; the tail beyond top_k keeps its
     order below the rescored block, with synthetic descending scores so the
-    output stays a valid run.
+    output stays a valid run.  A query without tokens keeps its order; an empty
+    ranking stays empty, and a query missing from ``queries`` raises KeyError.
     """
     if top_k < 1:
         raise ValueError(f"top_k must be >= 1, got {top_k}")
     by_id = {q.id: q for q in queries}
     rankings: dict[str, Ranking] = {}
     for qid, ranking in run.rankings.items():
-        # nothing retrieved, nothing to rescore; an unknown query raises below
-        if not ranking and qid in by_id:
-            rankings[qid] = ranking
-            continue
         pids = ranking.ids[:top_k]
         qidx, qmask, pidx, pmask, _ = _stack([_token_ids(by_id, qid)], [pids], corpus)
         scores = _forward(params, qidx, qmask, pidx, pmask)[0][0]
         order = np.argsort(-scores, kind="stable")
-        tail = (float(scores.min()) - 1.0) - np.arange(len(ranking) - len(pids))
+        tail = float(scores.min(initial=np.inf)) - 1.0 - np.arange(len(ranking) - len(pids))
         rankings[qid] = Ranking(tuple(map(pids.__getitem__, order.tolist()))
                                 + ranking.ids[top_k:],
                                 np.concatenate([scores[order], tail]))

@@ -120,7 +120,10 @@ def _with_zero_rows(n, dtype):
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("n", [0, 1, _NORM_ROWS - 1, _NORM_ROWS, _NORM_ROWS + 1, 20_000])
+# one block and one row short or over, then four whole blocks and one row
+# short or over
+@pytest.mark.parametrize("n", [0, 1, _NORM_ROWS - 1, _NORM_ROWS, _NORM_ROWS + 1,
+                               4 * _NORM_ROWS - 1, 4 * _NORM_ROWS, 4 * _NORM_ROWS + 1, 20_000])
 def test_row_norms_bit_equal_to_full_norm(n, dtype):
     m = _with_zero_rows(n, dtype)
     out, ref = row_norms(m), np.linalg.norm(m, axis=1)
@@ -142,7 +145,7 @@ def test_normalize_rows_divides_in_place_without_a_second_table():
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("n", [0, _NORM_ROWS + 1])
+@pytest.mark.parametrize("n", [0, _NORM_ROWS + 1, 4 * _NORM_ROWS + 1])
 def test_normalize_rows_bit_equal_to_full_norm_quotient(n, dtype):
     m = _with_zero_rows(n, dtype)
     norm = np.linalg.norm(m, axis=1, keepdims=True)

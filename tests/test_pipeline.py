@@ -2,6 +2,7 @@
 training-data mixing, manifests."""
 
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -19,7 +20,8 @@ from hybridrank.pipeline import (FIRST_STAGES, ExperimentConfig, StageError,
                                  ablation_matrix, config_from_dict, config_to_dict,
                                  load_config, mix_training_data, run_experiment,
                                  save_config)
-from hybridrank.reranker import RerankTrainConfig, SamplingWindow, load_reranker, rerank
+from hybridrank.reranker import RerankTrainConfig, SamplingWindow, load_candidate_lists, \
+    load_reranker, rerank
 from hybridrank.results import CandidateItem, CandidateList
 from hybridrank.synthetic import SyntheticCorpusSpec, make_synthetic_corpus, \
     save_synthetic_data
@@ -398,17 +400,55 @@ def test_a_reranker_scores_the_train_split_in_one_pass(data_dir, tmp_path, bm25_
 
 
 def test_manifest_covers_written_files_and_inputs(data_dir, tmp_path):
-    cfg = _config(data_dir, tmp_path / "w", training_source="none")
-    report = run_experiment(cfg)
+    # train and test files share their basenames, so only the config field
+    # tells their hashes apart
+    base = _config(data_dir, tmp_path / "w", training_source="none")
+    inputs = {"corpus": tmp_path / "corpus.jsonl",
+              "train_queries": tmp_path / "a" / "queries.tsv",
+              "test_queries": tmp_path / "b" / "queries.tsv",
+              "train_qrels": tmp_path / "a" / "qrels.txt",
+              "test_qrels": tmp_path / "b" / "qrels.txt"}
+    for name, path in inputs.items():
+        path.parent.mkdir(exist_ok=True)
+        with open(getattr(base, name), "rb") as f:
+            path.write_bytes(f.read())
+    report = run_experiment(dataclasses.replace(
+        base, **{name: str(path) for name, path in inputs.items()}))
     files = report["manifest"]["files"]
-    inputs = [k for k in files if k.startswith("input:")]
-    assert sorted(inputs) == [
-        "input:corpus.jsonl", "input:test_qrels.txt", "input:test_queries.tsv",
-        "input:train_qrels.txt", "input:train_queries.tsv"]
+    assert {k: v for k, v in files.items() if k.startswith("input:")} == {
+        f"input:{name}": hashlib.sha256(path.read_bytes()).hexdigest()
+        for name, path in inputs.items()}
+    assert len({files[f"input:{name}"] for name in inputs}) == 5
     workdir = tmp_path / "w"
     on_disk = {p for p in os.listdir(workdir) if p != "manifest.json"}
     assert on_disk == {k for k in files if not k.startswith("input:")}
     assert all(len(h) == 64 for h in files.values())
+
+
+def test_text_without_tokens_runs_through_every_stage(data_dir, tmp_path):
+    """A corpus passage and a test query without tokens: the passage lands in
+    the hybrid training lists, and reranking the query's hybrid run keeps its
+    order, each rescored item scoring the reranker's bias."""
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text((data_dir / "corpus.jsonl").read_text()
+                      + json.dumps({"id": "dpunct", "text": "... !!"}) + "\n")
+    queries = tmp_path / "test_queries.tsv"
+    queries.write_text((data_dir / "test_queries.tsv").read_text() + "qpunct\t?!\n")
+    cfg = _config(data_dir, tmp_path / "w", corpus=str(corpus), test_queries=str(queries),
+                  rerank_first_stage="hybrid", run_depth=130,
+                  window=SamplingWindow(skip=0, depth=130, n_negatives=100))
+    run_experiment(cfg)
+    workdir = tmp_path / "w"
+    lists = load_candidate_lists(workdir / "lists_hybrid.jsonl")
+    assert any("dpunct" in cl.passage_ids() for cl in lists)
+    params = load_reranker(workdir / "reranker_hybrid.npz")
+    assert math.isfinite(params.bias)
+    assert all(np.isfinite(a).all() for a in (params.embeddings, params.w_q, params.w_k,
+                                              params.w_v, params.readout))
+    first = read_run(workdir / "run_hybrid_test.trec").rankings["qpunct"]
+    reranked = read_run(workdir / "run_rerank_hybrid_on_hybrid.trec").rankings["qpunct"]
+    assert reranked.ids == first.ids
+    assert reranked.scores[:cfg.rerank_top_k].tolist() == [params.bias] * cfg.rerank_top_k
 
 
 def test_rerun_same_workdir_reproduces_manifest(data_dir, tmp_path):

@@ -101,8 +101,9 @@ def listwise_loss_grad(scores, labels) -> tuple[float, np.ndarray]:
 
 
 def _pad_passages(ptoks) -> tuple[np.ndarray, np.ndarray]:
-    """Token id rows padded with id 0 to the longest, and their mask."""
-    width = max(t.size for t in ptoks)
+    """Token id rows padded with id 0 to the longest, at least one wide, and
+    their mask."""
+    width = max(1, *(t.size for t in ptoks))
     idx = np.zeros((len(ptoks), width), dtype=np.int64)
     mask = np.zeros((len(ptoks), width), dtype=bool)
     for i, t in enumerate(ptoks):
@@ -114,10 +115,6 @@ def _pad_passages(ptoks) -> tuple[np.ndarray, np.ndarray]:
 def score_list(params, qtok, ptoks) -> np.ndarray:
     """Scores of many passages against one query: a one-list batch, padded
     row by row and laid out (1, P, n) here."""
-    if qtok.size == 0:
-        raise ValueError("query has no tokens")
-    if any(t.size == 0 for t in ptoks):
-        raise ValueError("every passage needs at least one token")
     pidx, pmask = _pad_passages(ptoks)
     scores, _ = _forward(params, qtok[None], np.ones((1, qtok.size), dtype=bool),
                          pidx.T[None], pmask.T[None])
@@ -169,12 +166,11 @@ def test_score_pair_single_token_attention_is_identity():
     assert score_pair(p2, q, d) == pytest.approx(expected, rel=1e-12)
 
 
-def test_score_pair_rejects_empty_inputs():
+def test_score_pair_without_tokens_is_the_bias():
+    # text without tokens is an empty sum, as in BM25 and the dual encoder
     p = _random_params(2)
-    with pytest.raises(ValueError):
-        score_pair(p, _tok(""), _tok("passage text"))
-    with pytest.raises(ValueError):
-        score_pair(p, _tok("query"), _tok("..."))
+    for query, passage in (("", "passage text"), ("query", "..."), ("?!", "...")):
+        assert score_pair(p, _tok(query), _tok(passage)) == p.bias
 
 
 def test_score_pair_deterministic():
@@ -659,25 +655,7 @@ def test_train_equals_stacking_each_step():
 
     rows = [_list_rows(cl, queries, corpus) for cl in lists]
     assert len({(qtok.size, *pidx.shape) for qtok, pidx, _, _ in rows}) > 3
-    rng = np.random.default_rng(cfg.seed)
-    order = rng.permutation(len(lists))
-    cursor = 0
-    work = reranker._with_dtype(init, np.float32)
-    for step in range(cfg.steps):
-        if cursor + cfg.batch_size > len(lists):
-            order = rng.permutation(len(lists))
-            cursor = 0
-        take = order[cursor:cursor + cfg.batch_size]
-        cursor += cfg.batch_size
-        _, g = _batch_loss_grad(work, *_stacked([lists[i] for i in take], queries, corpus))
-        frac = np.float32(cfg.learning_rate * (1.0 - step / cfg.steps) / take.size)
-        work.w_q -= frac * g["w_q"]
-        work.w_k -= frac * g["w_k"]
-        work.w_v -= frac * g["w_v"]
-        work.readout -= frac * g["readout"]
-        work.bias -= float(frac * g["bias"])
-        work.embeddings[g["emb_idx"]] -= frac * g["emb_rows"]
-    ref = reranker._with_dtype(work, np.float64)
+    ref = _train_full_table(lists, queries, corpus, cfg, init)
     for name in ("embeddings", "w_q", "w_k", "w_v", "readout"):
         assert np.array_equal(getattr(out, name), getattr(ref, name))
     assert out.bias == ref.bias
@@ -857,23 +835,40 @@ def _with_tokenless_passage(corpus):
     return Corpus(list(corpus) + [Passage("dots", "", "...")])
 
 
-def test_train_names_a_passage_without_tokens():
+def _assert_finite(params):
+    assert math.isfinite(params.bias)
+    for name in ("embeddings", "w_q", "w_k", "w_v", "readout"):
+        assert np.isfinite(getattr(params, name)).all(), name
+
+
+def _list_scores(params, cl, queries, corpus):
+    """The scores of one list's items, stacked as training stacks it."""
+    qidx, qmask, pidx, pmask, _, _ = _stacked([cl], queries, corpus)
+    return _forward(params, qidx, qmask, pidx, pmask)[0][0]
+
+
+def test_train_scores_a_passage_without_tokens_as_the_bias():
     corpus, queries, lists = _toy_corpus_and_lists()
     corpus = _with_tokenless_passage(corpus)
     lists[1].items[2].passage_id = "dots"
-    cfg = RerankTrainConfig(steps=1)
-    with pytest.raises(ValueError, match="passage 'dots' has no tokens"):
-        train_reranker(lists, queries, corpus, cfg, init=_init())
+    cfg = RerankTrainConfig(steps=10, batch_size=2)
+    out = train_reranker(lists, queries, corpus, cfg, init=_init())
+    _assert_finite(out)
+    assert _list_scores(out, lists[1], queries, corpus)[2] == out.bias
 
 
-def test_train_names_a_query_missing_or_without_tokens():
+def test_train_names_a_missing_query_and_scores_one_without_tokens_as_the_bias():
     corpus, queries, lists = _toy_corpus_and_lists()
     cfg = RerankTrainConfig(steps=1)
     with pytest.raises(KeyError, match="no query text for query id 'q2'"):
         train_reranker(lists, queries[:2] + queries[3:], corpus, cfg, init=_init())
     queries[2] = Query("q2", "?! ...")
-    with pytest.raises(ValueError, match="query 'q2' has no tokens"):
-        train_reranker(lists, queries, corpus, cfg, init=_init())
+    # one list per step: one batch holds the tokenless query alone
+    cfg = RerankTrainConfig(steps=2 * len(lists), batch_size=1)
+    out = train_reranker(lists, queries, corpus, cfg, init=_init())
+    _assert_finite(out)
+    assert _list_scores(out, lists[2], queries, corpus).tolist() == \
+        [out.bias] * len(lists[2].items)
 
 
 def test_train_empty_lists_rejected():
@@ -1012,12 +1007,15 @@ def test_rerank_float32_table_equals_its_float64_cast_bit_for_bit():
 def test_rerank_empty_ranking_stays_empty():
     corpus, queries, run = _rerank_fixture(q0=[], punct=[])
     queries = queries + [Query("punct", "?! ...")]
-    out = rerank(_random_params(12), run, queries, corpus, top_k=5)
-    # a query without tokens passes through too when nothing was retrieved
+    params = _random_params(12)
+    out = rerank(params, run, queries, corpus, top_k=5)
     assert out.rankings["q0"] == [] and out.rankings["punct"] == []
-    run = RunFile("base", {**run.rankings, "punct": [("d1", 1.0)]})
-    with pytest.raises(ValueError, match="query 'punct' has no tokens"):
-        rerank(_random_params(12), run, queries, corpus, top_k=5)
+    # a query without tokens scores every item as the bias, so its order stays
+    ranking = [(f"d{i}", float(9 - i)) for i in range(8)]
+    run = RunFile("base", {**run.rankings, "punct": ranking})
+    out = rerank(params, run, queries, corpus, top_k=5)
+    assert out.rankings["punct"].ids == tuple(pid for pid, _ in ranking)
+    assert out.rankings["punct"].scores[:5].tolist() == [params.bias] * 5
 
 
 def test_rerank_unknown_passage_named():
@@ -1027,15 +1025,16 @@ def test_rerank_unknown_passage_named():
         rerank(_random_params(13), run, queries, corpus, top_k=5)
 
 
-def test_rerank_names_a_passage_without_tokens():
+def test_rerank_scores_a_passage_without_tokens_as_the_bias():
     corpus, queries, run = _rerank_fixture(
         q0=[(f"d{i}", float(10 - i)) for i in range(8)] + [("dots", -1.0)])
     corpus = _with_tokenless_passage(corpus)
+    params = _random_params(13)
     # below top_k it is not rescored
-    out = rerank(_random_params(13), run, queries, corpus, top_k=5)
+    out = rerank(params, run, queries, corpus, top_k=5)
     assert out.rankings["q0"][-1][0] == "dots"
-    with pytest.raises(ValueError, match="passage 'dots' has no tokens"):
-        rerank(_random_params(13), run, queries, corpus, top_k=len(run.rankings["q0"]))
+    out = rerank(params, run, queries, corpus, top_k=len(run.rankings["q0"]))
+    assert dict(out.rankings["q0"])["dots"] == params.bias
 
 
 def test_stack_equals_per_row_padding():
@@ -1083,11 +1082,21 @@ def test_stack_and_training_in_blocks_equal_one_block(monkeypatch, block_entries
     assert whole[1].bias == blocked[1].bias
 
 
-def test_stack_names_the_first_passage_without_tokens():
+def test_stack_masks_every_position_of_a_passage_without_tokens():
     corpus, _, _ = _toy_corpus_and_lists()
     corpus = Corpus(list(corpus) + [Passage("dots", "", "..."), Passage("dash", "", "-")])
-    with pytest.raises(ValueError, match="passage 'dash' has no tokens"):
-        _stack([np.array([1]), np.array([2])], [["d1", "dash", "d2"], ["dots"]], corpus)
+    _, _, _, pmask, imask = _stack([np.array([1]), np.array([2])],
+                                   [["d1", "dash", "d2"], ["dots"]], corpus)
+    assert imask.tolist() == [[True, True, True], [True, False, False]]
+    assert pmask[0, :, 0].any() and pmask[0, :, 2].any()
+    assert not pmask[0, :, 1].any() and not pmask[1].any()
+    # passages without tokens, or a list without items, still stack one
+    # position wide; a query without tokens stacks zero rows wide
+    none = np.array([], dtype=np.int64)
+    _, qmask, _, pmask, _ = _stack([none], [["dots"]], corpus)
+    assert qmask.shape == (1, 0) and pmask.shape == (1, 1, 1) and not pmask.any()
+    _, _, _, pmask, imask = _stack([np.array([1])], [[]], corpus)
+    assert pmask.shape == (1, 1, 0) and imask.shape == (1, 0)
 
 
 def test_rerank_order_and_tail_equal_per_item_reference(monkeypatch):
