@@ -225,17 +225,13 @@ def read_run(path) -> RunFile:
 
 
 def format_metric_table(rows: dict[str, dict[str, float]]) -> str:
-    """Aligned text table: row label -> {column label -> value}."""
-    columns: list[str] = []
-    for values in rows.values():
-        for c in values:
-            if c not in columns:
-                columns.append(c)
+    """Aligned text table: row label -> {column label -> value}; every row
+    has the first row's columns."""
+    columns = list(next(iter(rows.values())))
     label_w = max([len(r) for r in rows] + [4])
     col_w = max([len(c) for c in columns] + [8])
     lines = [" " * label_w + "  " + "  ".join(c.rjust(col_w) for c in columns)]
     for label, values in rows.items():
-        cells = [f"{values[c]:.4f}".rjust(col_w) if c in values else "-".rjust(col_w)
-                 for c in columns]
+        cells = [f"{values[c]:.4f}".rjust(col_w) for c in columns]
         lines.append(label.ljust(label_w) + "  " + "  ".join(cells))
     return "\n".join(lines)

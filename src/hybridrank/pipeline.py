@@ -17,10 +17,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import os
+import sys
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -38,16 +39,13 @@ from .reranker import RerankerParams, RerankTrainConfig, SamplingWindow, \
     save_reranker, train_reranker
 from .results import CandidateList, Ranking
 
-# training source -> the first stages whose train runs its lists come from
-_LIST_STAGES = {"none": (), "bm25": ("bm25",), "de": ("de",), "hybrid": ("hybrid",),
-                "mixed": ("bm25", "de")}
-TRAINING_SOURCES = tuple(_LIST_STAGES)
-
-# offsets mixed into config.seed so each stage gets its own stream
-_SEED_DE = 1
-_SEED_MIX = 6
-_SEED_SAMPLE = {"bm25": 3, "de": 4, "hybrid": 5}
-_SEED_RERANKER = {"bm25": 11, "de": 12, "hybrid": 13, "mixed": 14}
+# training source -> (the first stages whose train runs its lists come from,
+# the seed offsets of its lists and of its reranker); offsets are mixed into
+# config.seed so each stage gets its own stream
+_SOURCES = {"none": ((), None, None), "bm25": (("bm25",), 3, 11), "de": (("de",), 4, 12),
+            "hybrid": (("hybrid",), 5, 13), "mixed": (("bm25", "de"), 6, 14)}
+TRAINING_SOURCES = tuple(_SOURCES)
+_SEED_DE = 1  # the dual encoder's offset
 
 
 class StageError(RuntimeError):
@@ -60,10 +58,9 @@ class StageError(RuntimeError):
 
 @contextmanager
 def _stage(name: str):
+    """Names a failure inside as stage ``name``'s; no stage opens inside another."""
     try:
         yield
-    except StageError:
-        raise
     except Exception as exc:
         raise StageError(name, exc) from exc
 
@@ -145,7 +142,7 @@ def _from_dict(cls, data, where: str):
             value = _from_dict(type(f.default), value, f"{where} section {f.name!r}")
         elif isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[f.type]):
             raise ValueError(f"{where}: {f.name} must be {f.type}, got {value!r}")
-        elif isinstance(value, float) and not math.isfinite(value):
+        elif f.type == "float" and not abs(value) <= sys.float_info.max:
             raise ValueError(f"{where}: {f.name} must be finite, got {value!r}")
         kwargs[f.name] = value
     try:
@@ -157,9 +154,9 @@ def _from_dict(cls, data, where: str):
 def config_from_dict(data: dict) -> ExperimentConfig:
     """Raises ValueError naming the config, or its section, when a level of
     ``data`` is not an object, has a key unknown or missing, has a value of
-    the wrong type (an int field takes an int, a float field an int or a
-    finite float, a str field a str, and none a bool), or has a value that
-    the level's dataclass rejects as out of range."""
+    the wrong type (an int field takes an int, a float field an int or float
+    that is finite as a float, a str field a str, and none a bool), or has a
+    value that the level's dataclass rejects as out of range."""
     return _from_dict(ExperimentConfig, data, "config")
 
 
@@ -206,15 +203,13 @@ class _Experiment:
     def __init__(self, config: ExperimentConfig, cells: list[tuple[str, str]]):
         self.config = config
         self._train_stages = tuple(stage for stage in FIRST_STAGES
-                                   if any(stage in _LIST_STAGES[s] for s, _ in cells))
+                                   if any(stage in _SOURCES[s][0] for s, _ in cells))
         os.makedirs(config.workdir, exist_ok=True)
         self._written: list[str] = []
         self._runs: dict[tuple[str, str], RunFile] = {}
-        self._lists: dict[str, list[CandidateList]] = {}
-        self._list_reports: dict[str, dict] = {}
+        # training source -> its lists and their report
+        self._lists: dict[str, tuple[list[CandidateList], dict]] = {}
         self._rerankers: dict[str, RerankerParams] = {}
-        self.encoder: EncoderParams | None = None
-        self.hybrid_index: HybridIndex | None = None
         with _stage("load-data"):
             self.corpus = load_corpus(config.corpus)
             self.train_queries = load_queries(config.train_queries)
@@ -230,37 +225,35 @@ class _Experiment:
         self._written.append(path)
         return path
 
-    def train_encoder(self) -> EncoderParams:
-        if self.encoder is None:
-            with _stage("train-de"):
-                c = self.config
-                pairs = []
-                for q in self.train_queries:
-                    for pid in sorted(self.train_qrels.relevant(q.id)):
-                        pairs.append(TrainPair(query=q, positive=self.corpus.get(pid)))
-                if not pairs:
-                    raise ValueError("no supervised (query, passage) pairs in train qrels")
-                self.encoder = train_de(pairs, replace(c.de, seed=_seeded(c.seed, _SEED_DE)))
-                save_params(self.encoder, self._out("de_params.npz"))
-        return self.encoder
-
-    def build_hybrid(self) -> HybridIndex:
-        if self.hybrid_index is None:
+    @cached_property
+    def encoder(self) -> EncoderParams:
+        with _stage("train-de"):
             c = self.config
-            with _stage("index"):
-                bm25_index = Bm25Index(self.corpus, params=c.bm25)
-            encoder = self.train_encoder()
-            with _stage("tune-lambda"):
-                rows = normalize_rows(encode_corpus(encoder, self.corpus))
-                index = HybridIndex(bm25_index, encoder, rows, lam=0.0)
-                lam = tune_lambda(index, self.train_queries, self.train_qrels,
-                                  grid=DEFAULT_LAMBDA_GRID)
-                self.hybrid_index = index.with_lambda(lam)
-                self._written += save_hybrid_index(
-                    self.hybrid_index, os.path.join(c.workdir, "hybrid"))
-                write_json({"lambda": lam, "grid": list(DEFAULT_LAMBDA_GRID)},
-                           self._out("lambda.json"))
-        return self.hybrid_index
+            pairs = []
+            for q in self.train_queries:
+                for pid in sorted(self.train_qrels.relevant(q.id)):
+                    pairs.append(TrainPair(query=q, positive=self.corpus.get(pid)))
+            if not pairs:
+                raise ValueError("no supervised (query, passage) pairs in train qrels")
+            encoder = train_de(pairs, replace(c.de, seed=_seeded(c.seed, _SEED_DE)))
+            save_params(encoder, self._out("de_params.npz"))
+            return encoder
+
+    @cached_property
+    def hybrid_index(self) -> HybridIndex:
+        c = self.config
+        with _stage("index"):
+            bm25_index = Bm25Index(self.corpus, params=c.bm25)
+        encoder = self.encoder
+        with _stage("tune-lambda"):
+            rows = normalize_rows(encode_corpus(encoder, self.corpus))
+            index = HybridIndex(bm25_index, encoder, rows, lam=0.0)
+            lam = tune_lambda(index, self.train_queries, self.train_qrels)
+            index = index.with_lambda(lam)
+            self._written += save_hybrid_index(index, os.path.join(c.workdir, "hybrid"))
+            write_json({"lambda": lam, "grid": list(DEFAULT_LAMBDA_GRID)},
+                       self._out("lambda.json"))
+            return index
 
     def run(self, first_stage: str, split: str) -> RunFile:
         """One first stage's run on a split.  Each query of a split is scored
@@ -268,7 +261,7 @@ class _Experiment:
         split every first stage whose train run the cells' lists come from."""
         key = (first_stage, split)
         if key not in self._runs:
-            index = self.build_hybrid()
+            index = self.hybrid_index
             with _stage("retrieve"):
                 queries = self.train_queries if split == "train" else self.test_queries
                 stages = FIRST_STAGES if split == "test" else self._train_stages
@@ -286,35 +279,36 @@ class _Experiment:
 
     def training_lists(self, source: str) -> list[CandidateList]:
         if source not in self._lists:
+            c = self.config
+            stages, offset, _ = _SOURCES[source]
+            seed = _seeded(c.seed, offset)
+            # what the lists come from is built before 'gen-train' opens: the
+            # source's train run, or for "mixed" its sources' lists
+            drawn = ([self.training_lists(stage) for stage in stages] if source == "mixed"
+                     else self.run(source, "train"))
             with _stage("gen-train"):
-                c = self.config
                 if source == "mixed":
-                    stages = _LIST_STAGES[source]
-                    lists = mix_training_data(*map(self.training_lists, stages),
-                                              seed=_seeded(c.seed, _SEED_MIX))
+                    lists = mix_training_data(*drawn, seed=seed)
                     report = {"lists": len(lists), "sources": list(stages)}
                 else:
-                    run = self.run(source, "train")
-                    lists, report = build_candidate_lists(
-                        run, self.train_qrels, c.window,
-                        seed=_seeded(c.seed, _SEED_SAMPLE[source]))
+                    lists, report = build_candidate_lists(drawn, self.train_qrels, c.window,
+                                                          seed=seed)
                     if not lists:
                         raise ValueError(
                             f"no training lists from source {source!r}: no train "
                             "query has a judged-relevant passage")
                 save_candidate_lists(lists, self._out(f"lists_{source}.jsonl"))
                 write_json(report, self._out(f"lists_{source}_report.json"))
-                self._lists[source] = lists
-                self._list_reports[source] = report
-        return self._lists[source]
+                self._lists[source] = (lists, report)
+        return self._lists[source][0]
 
     def reranker(self, source: str) -> RerankerParams:
         if source not in self._rerankers:
             lists = self.training_lists(source)
-            encoder = self.train_encoder()
+            encoder = self.encoder
             with _stage("train-reranker"):
                 c = self.config
-                seed = _seeded(c.seed, _SEED_RERANKER[source])
+                seed = _seeded(c.seed, _SOURCES[source][2])
                 init = init_reranker(seed=seed, embeddings=encoder.embeddings)
                 params = train_reranker(lists, self.train_queries, self.corpus,
                                         replace(c.reranker, seed=seed), init=init)
@@ -380,8 +374,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
         "lambda": exp.hybrid_index.lam,
         "metrics": metrics,
         "reranked_run": _run_name(*reranked) if reranked else None,
-        "flagged_lists": {s: r.get("short_pool", [])
-                          for s, r in exp._list_reports.items()},
+        "flagged_lists": {s: r.get("short_pool", []) for s, (_, r) in exp._lists.items()},
     }
     write_json(metrics, exp._out("metrics.json"))
     with open(exp._out("metrics_table.txt"), "w", encoding="utf-8") as f:

@@ -445,9 +445,10 @@ def test_write_run_errors_equal_per_pair_writer(tmp_path, rankings):
 
 def test_format_metric_table_alignment():
     rows = {"bm25": {"mrr@10": 0.5, "ndcg@10": 0.6},
-            "hybrid": {"mrr@10": 0.75}}
+            "hybrid": {"mrr@10": 0.75, "ndcg@10": 0.8}}
     table = format_metric_table(rows)
     lines = table.splitlines()
     assert "mrr@10" in lines[0] and "ndcg@10" in lines[0]
     assert lines[1].startswith("bm25")
-    assert "0.7500" in lines[2] and lines[2].rstrip().endswith("-")
+    assert "0.7500" in lines[2] and lines[2].endswith("0.8000")
+    assert len({len(line) for line in lines}) == 1

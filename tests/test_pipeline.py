@@ -1,6 +1,7 @@
 """End-to-end pipeline tests at toy scale: orchestration, config round-trips,
 training-data mixing, manifests."""
 
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -230,6 +231,10 @@ def test_config_rejects_what_is_not_a_config(data, match):
     ("reranker", {"learning_rate": math.nan},
      "^config section 'reranker': learning_rate must be finite"),
     ("bm25", {"b": -math.inf}, "^config section 'bm25': b must be finite, got -inf"),
+    # an int too large for a float, which would stop the run at its first use
+    ("bm25", {"k": 10**400}, "^config section 'bm25': k must be finite, got 1000"),
+    ("reranker", {"learning_rate": 10**400},
+     "^config section 'reranker': learning_rate must be finite, got 1000"),
 ])
 def test_config_turns_a_wrongly_typed_value_into_a_value_error(data_dir, tmp_path,
                                                                key, value, match):
@@ -532,6 +537,48 @@ def test_ablation_matrix_without_mixed(data_dir, tmp_path):
     for grid in report["matrix"].values():
         assert list(grid) == ["none", "bm25", "de", "hybrid"]
     assert not [name for name in report["manifest"]["files"] if "mixed" in name]
+
+
+def test_stages_never_nest(data_dir, tmp_path, monkeypatch):
+    # each stage's inputs are built before it opens, so a stage's time is its
+    # own: "mixed"'s lists are mixed from bm25's and de's, each sampled from a
+    # train run
+    open_stages, opened, nested = [], set(), []
+    stage = pipeline._stage
+
+    @contextlib.contextmanager
+    def spied(name):
+        nested.extend((outer, name) for outer in open_stages)
+        open_stages.append(name)
+        opened.add(name)
+        try:
+            with stage(name):
+                yield
+        finally:
+            open_stages.pop()
+
+    monkeypatch.setattr(pipeline, "_stage", spied)
+    ablation_matrix(_config(data_dir, tmp_path / "w"))
+    assert opened == {"load-data", "index", "train-de", "tune-lambda", "retrieve",
+                      "gen-train", "train-reranker", "rerank", "evaluate", "manifest"}
+    assert nested == []
+
+
+def test_each_source_keeps_its_seeds(data_dir, tmp_path, monkeypatch):
+    # config seed 3: lists, mix and rerankers each draw from their own offset
+    # (perfbench/workloads.py copies hybrid's, 5 and 13)
+    seeds = {}
+    for name in ("build_candidate_lists", "mix_training_data", "init_reranker"):
+        def spy(*args, _name=name, _call=getattr(pipeline, name), **kwargs):
+            seeds.setdefault(_name, []).append(kwargs["seed"])
+            return _call(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, name, spy)
+    ablation_matrix(_config(data_dir, tmp_path / "w"))
+    assert {name: sorted(s) for name, s in seeds.items()} == {
+        "build_candidate_lists": [3003, 3004, 3005],
+        "mix_training_data": [3006],
+        "init_reranker": [3011, 3012, 3013, 3014]}
 
 
 @pytest.mark.parametrize("rows", [(), ("none", "qgen"), ("bm25", "de", "bm25")],
