@@ -25,16 +25,14 @@ from math import log
 
 import numpy as np
 
+from . import results
 from .corpus import PASSAGE_LENGTH, QUERY_LENGTH, VOCAB_SIZE, Corpus, Query
-from .results import id_rank
 
 # term-id -> weight, no explicit zero entries
 SparseVector = dict[int, float]
 
 _POSTINGS = ("terms", "indptr", "positions", "weights")
-# the index build's blocks of passages: tokens per block, and at most this
-# many passages, so that (passage in block) * VOCAB_SIZE + term fits int32
-_BLOCK_TOKENS = 1 << 16
+# passages per index-build block at most, so that block keys fit int32
 _BLOCK_PASSAGES = 2**31 // VOCAB_SIZE
 
 
@@ -54,15 +52,15 @@ def _passage_terms(indptr: np.ndarray, ids: np.ndarray):
     """(passage, term, count), int32: one row per distinct term of each
     passage of a CSR token store, by passage, then term.
 
-    Passages are taken in blocks of about ``_BLOCK_TOKENS`` tokens, each keyed
-    by (passage in block) * VOCAB_SIZE + term, so every temporary is the size
-    of one block and its keys fit int32.
+    Passages are taken in blocks of about ``results.BLOCK_ENTRIES`` tokens,
+    each keyed by (passage in block) * VOCAB_SIZE + term, so every temporary
+    is the size of one block and its keys fit int32.
     """
     docs, terms, counts = [], [], []
     n = len(indptr) - 1
     start = 0
     while start < n:
-        stop = int(np.searchsorted(indptr, indptr[start] + _BLOCK_TOKENS, side="right")) - 1
+        stop = int(np.searchsorted(indptr, indptr[start] + results.BLOCK_ENTRIES, side="right")) - 1
         stop = min(max(stop, start + 1), start + _BLOCK_PASSAGES, n)
         keys = np.repeat(np.arange(stop - start, dtype=np.int32),
                          np.diff(indptr[start:stop + 1]))
@@ -172,7 +170,7 @@ class Bm25Index:
         index.ids = list(header["ids"])
         for name in _POSTINGS:
             setattr(index, name, arrays[name])
-        index.id_rank = id_rank(index.ids)
+        index.id_rank = results.id_rank(index.ids)
         return index
 
     def scores(self, query: Query) -> np.ndarray:

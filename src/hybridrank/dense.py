@@ -30,15 +30,11 @@ import numpy as np
 
 from .corpus import VOCAB_SIZE, Corpus, Passage, Query, passage_tokens
 from .npzio import deterministic_savez, load_npz
-from .results import CandidateList, ranked_list, top_k
+from .results import CandidateList, blocks, ranked_list, top_k
 
 PARAMS_FORMAT = "hybridrank-dense-v1"
 DEFAULT_DIM = 64
 INIT_SCALE = 0.05
-# bytes of the (rows, length, dim) gather _pooled averages at once
-_POOL_BYTES = 1 << 20
-# rows whose squares row_norms holds at once (0.5 MiB at dim 64, float64)
-_NORM_ROWS = 1024
 
 
 @dataclass
@@ -100,10 +96,8 @@ def row_norms(matrix: np.ndarray) -> np.ndarray:
     Each row reduces on its own, so the result is bit-equal to the full call,
     but the squared temporary holds one block instead of the whole table.
     """
-    if len(matrix) <= _NORM_ROWS:
-        return np.linalg.norm(matrix, axis=1)
-    return np.concatenate([np.linalg.norm(matrix[start:start + _NORM_ROWS], axis=1)
-                           for start in range(0, len(matrix), _NORM_ROWS)])
+    return np.concatenate([np.linalg.norm(matrix[blk], axis=1)
+                           for blk in blocks(len(matrix), matrix.shape[1])])
 
 
 def normalize_rows(matrix: np.ndarray) -> np.ndarray:
@@ -135,10 +129,10 @@ def _tokenize_pairs(pairs: list[TrainPair]) -> tuple[list[np.ndarray], list[np.n
 def _pooled(emb: np.ndarray, ids: np.ndarray, indptr: np.ndarray) -> np.ndarray:
     """Mean embedding row of each CSR row ``ids[indptr[i]:indptr[i + 1]]``; 0 if empty.
 
-    Rows of equal length are averaged together, gathered in chunks of about
-    ``_POOL_BYTES``.  ``mean(axis=1)`` over a (rows, length, dim) gather adds
-    the length axis in order, so each row equals ``emb[row].mean(axis=0)``
-    bit for bit.
+    Rows of equal length are averaged together, one ``results.blocks`` block
+    of rows at a time.  ``mean(axis=1)`` over a (rows, length, dim) gather
+    adds the length axis in order, so each row equals
+    ``emb[row].mean(axis=0)`` bit for bit.
     """
     lengths = np.diff(indptr)
     out = np.zeros((lengths.size, emb.shape[1]), dtype=np.float64)
@@ -147,9 +141,8 @@ def _pooled(emb: np.ndarray, ids: np.ndarray, indptr: np.ndarray) -> np.ndarray:
     for length, rows in zip(sizes.tolist(), np.split(by_length, first[1:])):
         if length == 0:
             continue
-        step = max(1, _POOL_BYTES // (length * emb.shape[1] * emb.itemsize))
-        for lo in range(0, rows.size, step):
-            chunk = rows[lo:lo + step]
+        for blk in blocks(rows.size, length * emb.shape[1]):
+            chunk = rows[blk]
             out[chunk] = emb[ids[indptr[chunk, None] + np.arange(length)]].mean(axis=1)
     return out
 

@@ -94,6 +94,9 @@ class ExperimentConfig:
             raise ValueError(f"rerank_first_stage must be one of {FIRST_STAGES}")
         if self.run_depth < 1 or self.rerank_top_k < 1:
             raise ValueError("run_depth and rerank_top_k must be >= 1")
+        if self.window.depth > self.run_depth:
+            raise ValueError(f"window.depth ({self.window.depth}) must be <= run_depth "
+                             f"({self.run_depth}), the ranks a train run holds")
 
 
 def _seeded(base: int, offset: int) -> int:
@@ -191,7 +194,7 @@ def mix_training_data(lists_a: list[CandidateList], lists_b: list[CandidateList]
         if qid in by_a and qid in by_b:
             mixed.append(by_a[qid] if int(rng.integers(0, 2)) == 0 else by_b[qid])
         else:
-            mixed.append(by_a.get(qid) or by_b[qid])
+            mixed.append(by_a[qid] if qid in by_a else by_b[qid])
     return mixed
 
 

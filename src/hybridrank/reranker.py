@@ -49,11 +49,10 @@ from .corpus import Corpus, QrelSet, Query
 from .dense import row_norms, rows_at, vocabulary_table
 from .evaluation import RunFile
 from .npzio import deterministic_savez, load_npz
-from .results import CandidateItem, CandidateList, Ranking
+from .results import CandidateItem, CandidateList, Ranking, blocks
 
 RERANKER_FORMAT = "hybridrank-reranker-v1"
 _MASK_LOGIT = -1e30
-_BLOCK_ENTRIES = 1 << 16  # index entries per block of lists in _stack
 _ATTENTION_SCALE = 3.0  # typical attention logits at init are about +-this
 
 
@@ -264,13 +263,6 @@ def _batch_loss_grad(params: RerankerParams, qidx, qmask, pidx, pmask, imask,
     return float(losses.mean()), grads
 
 
-def _blocks(n_lists: int, per_list: int) -> list[slice]:
-    """Slices of consecutive lists, each about _BLOCK_ENTRIES index entries
-    wide for lists of ``per_list`` entries."""
-    step = max(1, _BLOCK_ENTRIES // max(per_list, 1))
-    return [slice(start, start + step) for start in range(0, n_lists, step)]
-
-
 def _token_ids(by_id: dict[str, Query], query_id: str) -> np.ndarray:
     """int64 token ids of query ``query_id``, maybe none; KeyError if unknown."""
     if query_id not in by_id:
@@ -300,7 +292,7 @@ def _stack(qtoks: list[np.ndarray], passage_ids: list[list[str]], corpus: Corpus
     width = np.arange(length.max(initial=1))[:, None]          # (P, 1)
     pmask = width < lengths[:, None, :]                        # (B, P, n)
     pidx = np.zeros(pmask.shape, dtype=np.int32)
-    for blk in _blocks(len(pidx), pidx[0].size):
+    for blk in blocks(len(pidx), pidx[0].size):
         pidx[blk][pmask[blk]] = store.ids[(starts[blk, None, :] + width)[pmask[blk]]]
     q_len = np.array([tok.size for tok in qtoks])
     qmask = np.arange(q_len.max()) < q_len[:, None]

@@ -13,6 +13,10 @@ from operator import eq
 
 import numpy as np
 
+# entries a table-sized temporary holds at once: peak RSS keeps freed heap,
+# so a whole-table temporary would cost its size for the rest of the run
+BLOCK_ENTRIES = 1 << 16
+
 
 class Ranking(Sequence):
     """One query's ranked (passage_id, score) pairs, as two columns.
@@ -88,6 +92,13 @@ class CandidateList:
 
     def passage_ids(self) -> list[str]:
         return [it.passage_id for it in self.items]
+
+
+def blocks(n_rows: int, row_entries: int) -> list[slice]:
+    """Slices of consecutive rows, each about BLOCK_ENTRIES entries and at
+    least one row of ``row_entries`` entries; zero rows give one empty slice."""
+    step = max(1, BLOCK_ENTRIES // max(row_entries, 1))
+    return [slice(start, start + step) for start in range(0, max(n_rows, 1), step)]
 
 
 def ranked_list(query_id: str, ids: list[str], scores: np.ndarray) -> CandidateList:

@@ -36,7 +36,9 @@ def test_summarize_metric_lower_is_better():
                  "parent_iqr": 1.5,
                  "median_gap": 2.5,
                  "change_over_parent": round(9.0 / 11.5, 4),
-                 "change_better_pairs": 3}
+                 "change_better_pairs": 3,
+                 "within_bound": True,
+                 "unresolved": False}
 
 
 def test_summarize_metric_higher_is_better_and_ties_count_for_neither():
@@ -44,6 +46,16 @@ def test_summarize_metric_higher_is_better_and_ties_count_for_neither():
     s = bench_pairs.summarize_metric(pairs, "higher", 0.25)
     assert s["median_gap"] == 0.0 and s["change_better_pairs"] == 1
     assert s["change_over_parent"] == 1.0
+    # the parent's IQR (1.0) is wider than 0.25 of its median (2.0): a median
+    # inside the bound is unresolved, unless every change run beats every
+    # parent run
+    assert s["within_bound"] and s["unresolved"]
+    s = bench_pairs.summarize_metric([(1, 2.0, 5.0), (2, 2.0, 6.0), (3, 4.0, 4.5)],
+                                     "higher", 0.25)
+    assert s["within_bound"] and not s["unresolved"]
+    s = bench_pairs.summarize_metric([(1, 2.0, 1.0), (2, 2.0, 1.5), (3, 2.2, 1.0)],
+                                     "higher", 0.25)
+    assert not s["within_bound"] and not s["unresolved"]
 
 
 def _record(peak, run_s, lam=50.0, hashes=None, failed=0, served=None):

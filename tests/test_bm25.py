@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hybridrank import bm25
+from hybridrank import bm25, results
 from hybridrank.bm25 import Bm25Index, Bm25Params, encode_query
 from hybridrank.corpus import PASSAGE_LENGTH, VOCAB_SIZE, Corpus, Passage, Query, tokenize
 from hybridrank.dense import EncoderParams
@@ -293,7 +293,7 @@ def test_index_built_in_blocks_equals_one_block(monkeypatch, block_tokens, block
     texts[3:6] = ["...", "!", "w2 " * 20]
     corpus = _corpus(texts + ["?"])
     whole = Bm25Index(corpus)
-    monkeypatch.setattr(bm25, "_BLOCK_TOKENS", block_tokens)
+    monkeypatch.setattr(results, "BLOCK_ENTRIES", block_tokens)
     monkeypatch.setattr(bm25, "_BLOCK_PASSAGES", block_passages)
     blocked = Bm25Index(corpus)
     for name, dtype in (("terms", np.int64), ("indptr", np.int64), ("positions", np.int64),

@@ -15,8 +15,6 @@ from hybridrank.dense import (
     DeTrainConfig,
     EncoderParams,
     TrainPair,
-    _NORM_ROWS,
-    _POOL_BYTES,
     _batch_loss_grad,
     _pooled,
     _scatter_rows,
@@ -33,6 +31,7 @@ from hybridrank.dense import (
     train_de,
 )
 from hybridrank.npzio import deterministic_savez
+from hybridrank.results import BLOCK_ENTRIES
 from oracles import cosine
 
 
@@ -113,6 +112,9 @@ def test_normalize_rows_keeps_zero_rows():
     assert np.array_equal(out[1], [0.0, 0.0])
 
 
+NORM_ROWS = BLOCK_ENTRIES // 64  # rows per row_norms block at dim 64
+
+
 def _with_zero_rows(n, dtype):
     m = np.random.default_rng(n).normal(size=(n, 64)).astype(dtype)
     m[::7] = 0.0
@@ -122,8 +124,8 @@ def _with_zero_rows(n, dtype):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 # one block and one row short or over, then four whole blocks and one row
 # short or over
-@pytest.mark.parametrize("n", [0, 1, _NORM_ROWS - 1, _NORM_ROWS, _NORM_ROWS + 1,
-                               4 * _NORM_ROWS - 1, 4 * _NORM_ROWS, 4 * _NORM_ROWS + 1, 20_000])
+@pytest.mark.parametrize("n", [0, 1, NORM_ROWS - 1, NORM_ROWS, NORM_ROWS + 1,
+                               4 * NORM_ROWS - 1, 4 * NORM_ROWS, 4 * NORM_ROWS + 1, 20_000])
 def test_row_norms_bit_equal_to_full_norm(n, dtype):
     m = _with_zero_rows(n, dtype)
     out, ref = row_norms(m), np.linalg.norm(m, axis=1)
@@ -145,7 +147,7 @@ def test_normalize_rows_divides_in_place_without_a_second_table():
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("n", [0, _NORM_ROWS + 1, 4 * _NORM_ROWS + 1])
+@pytest.mark.parametrize("n", [0, NORM_ROWS + 1, 4 * NORM_ROWS + 1])
 def test_normalize_rows_bit_equal_to_full_norm_quotient(n, dtype):
     m = _with_zero_rows(n, dtype)
     norm = np.linalg.norm(m, axis=1, keepdims=True)
@@ -184,7 +186,7 @@ def test_pooled_length_group_larger_than_one_chunk():
     emb = rng.normal(size=(VOCAB_SIZE, 64))
     rows = [rng.integers(0, VOCAB_SIZE, size=600) for _ in range(8)]
     rows.insert(3, rng.integers(0, VOCAB_SIZE, size=3))
-    assert 8 * 600 * 64 * emb.itemsize > 2 * _POOL_BYTES  # the 600 group spans 3 chunks
+    assert 8 * 600 * 64 > 2 * BLOCK_ENTRIES  # the 600 group spans at least 3 blocks
     assert np.array_equal(_pooled(emb, *_csr(rows)), _per_row_mean(emb, rows))
 
 

@@ -11,7 +11,7 @@ import os
 import numpy as np
 import pytest
 
-from hybridrank import pipeline
+from hybridrank import pipeline, results
 from hybridrank.bm25 import Bm25Index, encode_query
 from hybridrank.corpus import load_corpus, load_queries, passage_tokens, tokenize
 from hybridrank.dense import DeTrainConfig, encode
@@ -87,6 +87,9 @@ def test_mix_passes_through_one_sided_queries():
     assert sorted(mixed) == ["q1", "q2", "q9"]
     assert mixed["q1"].items[0].passage_id.startswith("a-")
     assert mixed["q9"].items[0].passage_id.startswith("b-")
+    # a one-sided list without items passes through too
+    empty, full = CandidateList("q1", []), _lists(["q2"], "b")[0]
+    assert mix_training_data([empty], [full]) == [empty, full]
 
 
 def test_mix_deterministic_and_seed_sensitive():
@@ -270,6 +273,9 @@ def test_config_validation():
         ExperimentConfig(**kwargs, seed=-1)
     with pytest.raises(ValueError):
         ExperimentConfig(**kwargs, rerank_top_k=0)
+    # the default window samples ranks up to 250, deeper than a run of 100
+    with pytest.raises(ValueError, match="window.depth"):
+        ExperimentConfig(**kwargs, run_depth=100)
 
 
 # ------------------------------------------------------------- experiments
@@ -461,6 +467,15 @@ def test_rerun_same_workdir_reproduces_manifest(data_dir, tmp_path):
     first = run_experiment(cfg)["manifest"]
     second = run_experiment(cfg)["manifest"]
     assert first == second
+
+
+def test_block_budget_does_not_change_outputs(data_dir, tmp_path, monkeypatch):
+    # 97 entries cut the BM25 build, pooling, row norms and the stacked lists
+    # into many blocks; every file keeps its bytes
+    cfg = _config(data_dir, tmp_path / "w", training_source="hybrid")
+    whole = run_experiment(cfg)["manifest"]
+    monkeypatch.setattr(results, "BLOCK_ENTRIES", 97)
+    assert run_experiment(cfg)["manifest"] == whole
 
 
 def test_stage_error_names_failing_stage(data_dir, tmp_path):

@@ -15,7 +15,7 @@ from hybridrank.corpus import (
     passage_tokens,
     tokenize,
 )
-from hybridrank import reranker
+from hybridrank import reranker, results
 from hybridrank.dense import init_params
 from hybridrank.evaluation import RunFile
 from hybridrank.reranker import (
@@ -1070,9 +1070,9 @@ def test_stack_and_training_in_blocks_equal_one_block(monkeypatch, block_entries
     whole = (_stacked(lists, queries, corpus),
              train_reranker(lists, queries, corpus, cfg, init=_random_params(4)))
     per_list = whole[0][2][0].size
-    assert len(reranker._blocks(len(lists), per_list)) == 1
-    monkeypatch.setattr(reranker, "_BLOCK_ENTRIES", block_entries)
-    assert len(reranker._blocks(len(lists), per_list)) > 2
+    assert len(results.blocks(len(lists), per_list)) == 1
+    monkeypatch.setattr(results, "BLOCK_ENTRIES", block_entries)
+    assert len(results.blocks(len(lists), per_list)) > 2
     blocked = (_stacked(lists, queries, corpus),
                train_reranker(lists, queries, corpus, cfg, init=_random_params(4)))
     for a, b in zip(whole[0], blocked[0]):

@@ -15,7 +15,10 @@ The summary goes into the ``end_to_end`` block of ``BENCH_<label>.json`` in
 the current directory, one entry per workload; other keys of an existing file
 are kept.  Per metric it gives each side's quartiles, the parent's IQR, the
 median gap (positive when the change is better), change/parent of the
-medians and the number of pairs the change wins.  Per pair it records whether
+medians and the number of pairs the change wins.  ``within_bound`` says the
+change's median is no worse than the parent's by more than bound x the
+parent's median; ``unresolved`` says the parent's IQR is wider than that,
+unless every change run beats every parent run.  Per pair it records whether
 every run-file and manifest.json hash, and lambda, are equal on both sides,
 which hashed files differ, and on a serving workload the number of queries
 each side served.
@@ -54,6 +57,8 @@ def summarize_metric(pairs: list[tuple[int, float, float]], better: str,
     change = [c for _, _, c in pairs]
     pq, cq = quartiles(parent), quartiles(change)
     sign = 1.0 if better == "lower" else -1.0
+    allowed = bound * pq[1]
+    clear_win = all(sign * (p - c) > 0 for p in parent for c in change)
     return {
         "bound": bound,
         "parent_quartiles": [round(v, 4) for v in pq],
@@ -62,6 +67,8 @@ def summarize_metric(pairs: list[tuple[int, float, float]], better: str,
         "median_gap": round(sign * (pq[1] - cq[1]), 4),
         "change_over_parent": round(cq[1] / pq[1], 4) if pq[1] else None,
         "change_better_pairs": sum(sign * (p - c) > 0 for _, p, c in pairs),
+        "within_bound": sign * (cq[1] - pq[1]) <= allowed,
+        "unresolved": pq[2] - pq[0] > allowed and not clear_win,
     }
 
 
@@ -167,7 +174,8 @@ def main(argv=None) -> int:
             print(f"{name:16s} {metric:12s} parent {s['parent_quartiles'][1]:10.4f} "
                   f"change {s['change_quartiles'][1]:10.4f} gap {s['median_gap']:9.4f} "
                   f"iqr {s['parent_iqr']:8.4f} better {s['change_better_pairs']}/"
-                  f"{end_to_end[name]['pairs']}")
+                  f"{end_to_end[name]['pairs']} within_bound {s['within_bound']!s:5s} "
+                  f"unresolved {s['unresolved']}")
     return 0
 
 
