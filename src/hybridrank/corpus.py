@@ -263,7 +263,7 @@ class QrelSet:
 def load_corpus(path) -> Corpus:
     """Load a JSONL corpus. Errors name the offending line or duplicate id."""
     passages = []
-    with open(path, encoding="utf-8") as f:
+    with open(path, encoding="utf-8-sig") as f:
         for lineno, line in enumerate(f, start=1):
             line = line.strip()
             if not line:
@@ -296,7 +296,7 @@ def load_queries(path) -> list[Query]:
     """
     queries: list[Query] = []
     seen: set[str] = set()
-    with open(path, encoding="utf-8") as f:
+    with open(path, encoding="utf-8-sig") as f:
         for lineno, line in enumerate(f, start=1):
             line = line.rstrip("\n")
             if not line:
@@ -325,7 +325,7 @@ def save_queries(queries: list[Query], path) -> None:
 def load_qrels(path) -> QrelSet:
     """Load TREC qrels. Later duplicate (qid, docid) lines overwrite earlier ones."""
     qrels = QrelSet()
-    with open(path, encoding="utf-8") as f:
+    with open(path, encoding="utf-8-sig") as f:
         for lineno, line in enumerate(f, start=1):
             parts = line.split()
             if not parts:

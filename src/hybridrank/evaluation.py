@@ -185,7 +185,7 @@ def read_run(path) -> RunFile:
     resumed: dict[str, set[str]] = {}
     current = None
     run_tag = "run"
-    with open(path, encoding="utf-8") as f:
+    with open(path, encoding="utf-8-sig") as f:
         for lineno, line in enumerate(f, start=1):
             parts = line.split()
             if not parts:

@@ -12,10 +12,10 @@ BM25 scores (``Bm25Index.scores``) and cosines (``dense.query_cosines``).
 keeps only passages that score > 0, which are exactly the passages sharing a
 term with the query; de and hybrid rank every passage.
 
-``tune_lambda`` picks the weight from a grid by MRR@10 on judged queries,
-counting, not ranking: per weight it needs only the rank of each relevant
-passage, which is one plus the passages that score above it or tie it with a
-smaller id (``lambda_curve``).
+``tune_lambda`` picks the weight from ``DEFAULT_LAMBDA_GRID``, the one grid,
+by MRR@10 on judged queries, counting, not ranking: per weight it needs only
+the rank of each relevant passage, which is one plus the passages that score
+above it or tie it with a smaller id (``lambda_curve``).
 
 ``save_hybrid_index`` writes the index as one ``<prefix>.npz`` (``npzio``
 layout, format ``hybridrank-hybrid-v2``) holding what scoring reads.  Its
@@ -28,7 +28,6 @@ sizes); its arrays are the four BM25 posting arrays, the encoder's
 from __future__ import annotations
 
 import math
-from numbers import Real
 
 import numpy as np
 
@@ -41,6 +40,7 @@ from .results import CandidateList, ranked_list, top_k
 
 HYBRID_FORMAT = "hybridrank-hybrid-v2"
 FIRST_STAGES = ("bm25", "de", "hybrid")
+# the weights tune_lambda tries: ascending, distinct, finite and >= 0
 DEFAULT_LAMBDA_GRID = tuple(float(v) for v in range(50, 751, 50))
 
 
@@ -152,21 +152,11 @@ def _relevant_ranks(index: HybridIndex, query: Query, rel: np.ndarray,
     return 1 + ahead.sum(axis=1)
 
 
-def lambda_grid(grid) -> tuple[float, ...]:
-    """``grid``'s weights as floats, in its order.  Raises ValueError unless
-    it is a nonempty list or tuple of finite numbers >= 0 (not bools)."""
-    if not isinstance(grid, (list, tuple)) or not grid:
-        raise ValueError(f"lambda grid must be a nonempty list of weights, got {grid!r}")
-    for lam in grid:
-        if isinstance(lam, bool) or not isinstance(lam, Real) or not 0 <= lam < math.inf:
-            raise ValueError(f"lambda grid values must be finite and >= 0, got {lam!r}")
-    return tuple(float(lam) for lam in grid)
-
-
-def lambda_curve(index: HybridIndex, queries: list[Query], qrels: QrelSet,
-                 grid: tuple[float, ...]) -> dict[float, float]:
-    """Mean MRR@10 of the fused ranking at each grid weight, ascending, over
-    the ``queries`` that have a relevant judgment.
+def lambda_curve(index: HybridIndex, queries: list[Query],
+                 qrels: QrelSet) -> dict[float, float]:
+    """Mean MRR@10 of the fused ranking at each weight of
+    ``DEFAULT_LAMBDA_GRID``, in its order, over the ``queries`` that have a
+    relevant judgment.
 
     The means are those of ranking every passage at each weight
     (``top_k_order``) and scoring the lists with ``compute_metric`` against
@@ -175,13 +165,12 @@ def lambda_curve(index: HybridIndex, queries: list[Query], qrels: QrelSet,
     (``_relevant_ranks``); a judged passage absent from the corpus is never
     ranked.
     """
-    values = sorted(set(lambda_grid(grid)))
+    lams = np.asarray(DEFAULT_LAMBDA_GRID)
     by_id = {q.id: q for q in queries}
     judged = sorted(qid for qid in by_id if qrels.relevant(qid))
     if not judged:
         raise ValueError("no judged queries: no query has a relevant passage in the qrels")
     position = {pid: i for i, pid in enumerate(index.ids)}
-    lams = np.asarray(values)
     rows = []
     for qid in judged:
         grades = qrels.relevant(qid)
@@ -192,14 +181,13 @@ def lambda_curve(index: HybridIndex, queries: list[Query], qrels: QrelSet,
         rows.append([query_metric("mrr", 10, list(grades.values()),
                                   [(rank, grades[pid]) for rank, pid in zip(row, rel)])
                      for row in ranks.tolist()])
-    return {lam: sum(row[j] for row in rows) / len(rows) for j, lam in enumerate(values)}
+    return {lam: sum(col) / len(rows) for lam, col in zip(lams.tolist(), zip(*rows))}
 
 
-def tune_lambda(index: HybridIndex, queries: list[Query], qrels: QrelSet,
-                grid: tuple[float, ...] = DEFAULT_LAMBDA_GRID) -> float:
+def tune_lambda(index: HybridIndex, queries: list[Query], qrels: QrelSet) -> float:
     """The grid weight with the best ``lambda_curve`` mean; exact ties go to
     the smallest weight."""
-    curve = lambda_curve(index, queries, qrels, grid)
+    curve = lambda_curve(index, queries, qrels)
     return max(curve, key=curve.get)
 
 

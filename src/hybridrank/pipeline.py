@@ -31,8 +31,8 @@ from .dense import DeTrainConfig, EncoderParams, TrainPair, encode_corpus, \
     normalize_rows, save_params, train_de
 from .evaluation import REPORTED_METRICS, MetricReport, RunFile, format_metric_table, \
     reported_metrics, write_run
-from .hybrid import DEFAULT_LAMBDA_GRID, FIRST_STAGES, HybridIndex, save_hybrid_index, \
-    tune_lambda
+from . import hybrid
+from .hybrid import FIRST_STAGES, HybridIndex, save_hybrid_index, tune_lambda
 from .npzio import write_json
 from .reranker import RerankerParams, RerankTrainConfig, SamplingWindow, \
     build_candidate_lists, init_reranker, rerank, save_candidate_lists, \
@@ -254,7 +254,7 @@ class _Experiment:
             lam = tune_lambda(index, self.train_queries, self.train_qrels)
             index = index.with_lambda(lam)
             self._written += save_hybrid_index(index, os.path.join(c.workdir, "hybrid"))
-            write_json({"lambda": lam, "grid": list(DEFAULT_LAMBDA_GRID)},
+            write_json({"lambda": lam, "grid": list(hybrid.DEFAULT_LAMBDA_GRID)},
                        self._out("lambda.json"))
             return index
 

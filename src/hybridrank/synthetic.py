@@ -82,16 +82,18 @@ def _word_pools(table_size: int) -> tuple[list[str], list[str], list[str]]:
     syl = _syllables()
     used_hashes: set[int] = set()
     words: list[str] = []
-    i = 0
     need = 2 * table_size + FILLER_POOL_SIZE
-    while len(words) < need:
-        w = syl[(i // len(syl)) % len(syl)] + syl[i % len(syl)] + syl[(i * 7 + 3) % len(syl)]
-        i += 1
+    for i in range(len(syl) ** 2):  # the words repeat after that
+        if len(words) == need:
+            break
+        w = syl[i // len(syl)] + syl[i % len(syl)] + syl[(i * 7 + 3) % len(syl)]
         h = tokenize(w, 1)[0]
-        if h in used_hashes:
-            continue
-        used_hashes.add(h)
-        words.append(w)
+        if h not in used_hashes:
+            used_hashes.add(h)
+            words.append(w)
+    if len(words) < need:
+        raise ValueError(f"synonym_table_size {table_size} needs {need} distinct words, "
+                         f"but only {len(words)} can be made")
     return (words[:table_size], words[table_size:2 * table_size],
             words[2 * table_size:need])
 

@@ -170,6 +170,9 @@ def test_load_corpus_roundtrip(tmp_path):
     loaded = load_corpus(path)
     assert loaded.ids() == ["d1", "d2"]
     assert loaded.get("d1").title == "T"
+    # a UTF-8 byte-order mark is not part of the first record
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    assert load_corpus(path).ids() == ["d1", "d2"]
 
 
 def test_load_corpus_duplicate_id_names_offender(tmp_path):
@@ -211,6 +214,9 @@ def test_load_corpus_empty_file(tmp_path):
 def test_load_queries_basic(tmp_path):
     path = tmp_path / "q.tsv"
     path.write_text("q1\twhat is bm25\n")
+    assert load_queries(path) == [Query("q1", "what is bm25")]
+    # a UTF-8 byte-order mark is not part of the first id
+    path.write_text("\ufeffq1\twhat is bm25\n", encoding="utf-8")
     assert load_queries(path) == [Query("q1", "what is bm25")]
 
 
@@ -291,6 +297,9 @@ def test_load_qrels_single_line(tmp_path):
     qrels = load_qrels(path)
     assert qrels.judgments == {("q1", "d1"): 1}
     assert qrels.relevant("q1") == {"d1": 1}
+    # a UTF-8 byte-order mark is not part of the first id
+    path.write_text("\ufeffq1 0 d1 1\n", encoding="utf-8")
+    assert load_qrels(path) == qrels
 
 
 def test_load_qrels_zero_grade_is_nonrelevant(tmp_path):

@@ -290,6 +290,9 @@ def test_read_run_interleaved_queries_read_as_grouped(tmp_path):
     a.write_text("\n".join(grouped) + "\n")
     b.write_text("\n".join(interleaved) + "\n")
     assert read_run(b).rankings == read_run(a).rankings
+    # a UTF-8 byte-order mark is not part of the first query id
+    b.write_text("\ufeff" + "\n".join(grouped) + "\n", encoding="utf-8")
+    assert read_run(b).rankings == read_run(a).rankings
 
 
 def test_read_run_duplicate_in_a_resumed_query_names_its_line(tmp_path):

@@ -70,6 +70,14 @@ def test_defaults():
     assert DEFAULT_LAMBDA_GRID == tuple(float(v) for v in range(50, 751, 50))
 
 
+def test_default_grid_is_ascending_distinct_finite_and_nonnegative():
+    # _contenders reads the end weights and ties go to the first best weight
+    grid = np.asarray(DEFAULT_LAMBDA_GRID)
+    assert grid.size and grid.dtype == np.float64
+    assert np.all(np.isfinite(grid)) and np.all(grid >= 0)
+    assert np.all(np.diff(grid) > 0)
+
+
 def _fused_scores(index, query):
     """passage id -> fused score, from a retrieval over the whole index."""
     items = hybrid_retrieve(index, query, len(index)).items
@@ -225,21 +233,28 @@ def test_rank_monotonicity_equal_bm25():
 
 # ---------------------------------------------------------------- tuning
 
-def test_tune_lambda_single_value_grid():
+def _set_grid(monkeypatch, grid):
+    """Tune on ``grid`` (ascending, distinct) in place of the default grid."""
+    monkeypatch.setattr(hybridrank.hybrid, "DEFAULT_LAMBDA_GRID", tuple(grid))
+
+
+def test_tune_lambda_single_value_grid(monkeypatch):
     corpus, encoder, index, queries = _random_setup(6)
     qrels = QrelSet({(queries[0].id, corpus.ids()[0]): 1})
-    assert tune_lambda(index, [queries[0]], qrels, grid=(123.0,)) == 123.0
+    _set_grid(monkeypatch, (123.0,))
+    assert tune_lambda(index, [queries[0]], qrels) == 123.0
 
 
-def test_tune_lambda_all_zero_dense_ties_to_smallest():
+def test_tune_lambda_all_zero_dense_ties_to_smallest(monkeypatch):
     corpus, _, _, queries = _random_setup(7)
     encoder = EncoderParams(embeddings=np.zeros((VOCAB_SIZE, 4)), seed=0)
     index = _index(corpus, encoder, 1.0)
     qrels = QrelSet({(q.id, corpus.ids()[i]): 1 for i, q in enumerate(queries)})
-    assert tune_lambda(index, queries, qrels, grid=(300.0, 50.0, 150.0)) == 50.0
+    _set_grid(monkeypatch, (50.0, 150.0, 300.0))
+    assert tune_lambda(index, queries, qrels) == 50.0
 
 
-def test_tune_lambda_beats_endpoints_when_both_channels_matter():
+def test_tune_lambda_beats_endpoints_when_both_channels_matter(monkeypatch):
     """Mixed lexical/semantic relevance: tuned weight >= both grid endpoints."""
     rng = np.random.default_rng(8)
     words = _distinct_words(30)
@@ -263,7 +278,8 @@ def test_tune_lambda_beats_endpoints_when_both_channels_matter():
     encoder = EncoderParams(embeddings=emb, seed=0)
     index = _index(corpus, encoder, 1.0)
     grid = (0.0, 0.5, 1.0, 2.0, 4.0, 8.0)
-    best = tune_lambda(index, queries, qrels, grid=grid)
+    _set_grid(monkeypatch, grid)
+    best = tune_lambda(index, queries, qrels)
 
     def mean_mrr(lam):
         from hybridrank.evaluation import RunFile, compute_metric
@@ -293,22 +309,24 @@ def _tune_lambda_per_lambda(index, queries, qrels, grid):
     return best_lam
 
 
-def test_tune_lambda_agrees_with_per_lambda_retrieval():
+def test_tune_lambda_agrees_with_per_lambda_retrieval(monkeypatch):
     corpus, encoder, index, queries = _random_setup(9)
     qrels = QrelSet({(q.id, corpus.ids()[i]): 1 for i, q in enumerate(queries)})
     grid = (0.0, 1.0, 5.0)
-    fast = tune_lambda(index, queries, qrels, grid=grid)
+    _set_grid(monkeypatch, grid)
+    fast = tune_lambda(index, queries, qrels)
     slow = _tune_lambda_per_lambda(index, queries, qrels, grid)
     assert fast == slow
 
 
-def test_tune_lambda_streamed_agrees_with_per_lambda_retrieval_on_tie_heavy_grid():
+def test_tune_lambda_streamed_agrees_with_per_lambda_retrieval_on_tie_heavy_grid(monkeypatch):
     # Passages repeat four texts and most embedding rows are zero, so fused
     # scores tie within a query and metrics tie across grid points.  Ids are
     # shuffled, so the id tie-break is not corpus order.
     words = _distinct_words(8)
     texts = [" ".join(words[i:i + 3]) for i in (0, 2, 4, 5)]
-    grid = (0.0, 1e-9, 0.5, 1.0, 1.0, 2.0, 4.0, 1e6)
+    grid = (0.0, 1e-9, 0.5, 1.0, 2.0, 4.0, 1e6)
+    _set_grid(monkeypatch, grid)
     for seed in range(10):
         rng = np.random.default_rng(seed)
         corpus = Corpus([Passage(f"d{j:03d}", "", texts[int(rng.integers(4))])
@@ -321,7 +339,7 @@ def test_tune_lambda_streamed_agrees_with_per_lambda_retrieval_on_tie_heavy_grid
         queries = [Query(f"q{i}", " ".join(rng.choice(words, size=2))) for i in range(8)]
         ids = corpus.ids()
         qrels = QrelSet({(q.id, ids[int(rng.integers(len(ids)))]): 1 for q in queries})
-        fast = tune_lambda(index, queries, qrels, grid=grid)
+        fast = tune_lambda(index, queries, qrels)
         slow = _tune_lambda_per_lambda(index, queries, qrels, grid)
         assert fast == slow, seed
 
@@ -360,8 +378,9 @@ def _oracle_curve(index, queries, qrels, grid):
     return curve
 
 
-def _assert_curves_match(index, queries, qrels, grid):
-    got = lambda_curve(index, queries, qrels, grid)
+def _assert_curves_match(monkeypatch, index, queries, qrels, grid):
+    _set_grid(monkeypatch, grid)
+    got = lambda_curve(index, queries, qrels)
     expected = _oracle_curve(index, queries, qrels, grid)
     assert list(got) == list(expected)
     assert got == expected
@@ -401,33 +420,34 @@ def _scored_fixture(rng, n, bm25_pool, cos_pool, n_queries=6):
     return index, queries[:-1], qrels
 
 
-def test_sweep_tie_heavy_random_scores():
+def test_sweep_tie_heavy_random_scores(monkeypatch):
     rng = np.random.default_rng(8)
     for _ in range(40):
         index, queries, qrels = _scored_fixture(
             rng, int(rng.integers(2, 40)), [0.0, -0.0, 1.0, 2.0, 3.0],
             [0.0, -0.0, 0.5, -0.5, 1.0])
         grid = rng.choice([0.0, 0.5, 1.0, 2.0, 4.0], size=4, replace=False)
-        _assert_curves_match(index, queries, qrels, tuple(grid.tolist()))
+        _assert_curves_match(monkeypatch, index, queries, qrels, sorted(grid.tolist()))
 
 
-def test_sweep_corpus_no_larger_than_cutoff():
+def test_sweep_corpus_no_larger_than_cutoff(monkeypatch):
     rng = np.random.default_rng(3)
     for n in (1, 3, 5):
         index, queries, qrels = _scored_fixture(rng, n, [0.0, -0.0, 1.0, 2.5],
                                                 [0.0, -0.0, 0.5, -1.0])
-        _assert_curves_match(index, queries, qrels, (0.0, 1.0, 2.0, 1e6))
+        _assert_curves_match(monkeypatch, index, queries, qrels, (0.0, 1.0, 2.0, 1e6))
 
 
-def test_sweep_keeps_a_score_exactly_at_the_floor():
+def test_sweep_keeps_a_score_exactly_at_the_floor(monkeypatch):
     # p0002 (passage 1) is relevant.  At lam 1 passage 2 scores exactly its
     # 2.0, the filter's floor there, so it is kept; it wins the tie by id,
     # and the relevant passage drops from rank 2 to rank 3
     index = _Scored({"q": (np.array([3.0, 2.0, 1.0, 0.0]), np.array([0.0, 0.0, 1.0, 0.5]))},
                     [0, 2, 1, 3])
     queries, qrels = [Query("q", "x")], QrelSet({("q", "p0002"): 1})
-    assert lambda_curve(index, queries, qrels, (1.0, 0.0)) == {0.0: 0.5, 1.0: 1 / 3}
-    _assert_curves_match(index, queries, qrels, (0.0, 1.0))
+    _set_grid(monkeypatch, (0.0, 1.0))
+    assert lambda_curve(index, queries, qrels) == {0.0: 0.5, 1.0: 1 / 3}
+    _assert_curves_match(monkeypatch, index, queries, qrels, (0.0, 1.0))
 
 
 def test_sweep_counts_few_passages_per_query(monkeypatch):
@@ -441,7 +461,7 @@ def test_sweep_counts_few_passages_per_query(monkeypatch):
             rng, n, np.concatenate([[0.0], rng.gamma(2.0, 3.0, size=5)]),
             rng.uniform(-0.4, 0.9, size=8), n_queries=2)
         kept.clear()
-        _assert_curves_match(index, queries, qrels, DEFAULT_LAMBDA_GRID)
+        _assert_curves_match(monkeypatch, index, queries, qrels, DEFAULT_LAMBDA_GRID)
         assert kept and all(k.size < n for k in kept)
 
 
@@ -457,13 +477,13 @@ def test_sweep_keeps_a_passage_exactly_on_the_slack_edge(monkeypatch):
     cos = np.array([0.0, 0.0, 0.0, -1.0, 1.0, -0.25])
     index = _Scored({"q": (bm25_scores, cos)}, [0, 1, 2, 3, 4, 5])
     queries, qrels = [Query("q", "x")], QrelSet({("q", "p0000"): 1})
-    assert lambda_curve(index, queries, qrels, (0.0, 1.0, 4.0)) == \
-        {0.0: 0.5, 1.0: 0.5, 4.0: 1.0}
+    _set_grid(monkeypatch, (0.0, 1.0, 4.0))
+    assert lambda_curve(index, queries, qrels) == {0.0: 0.5, 1.0: 0.5, 4.0: 1.0}
     assert kept[0].tolist() == [0, 1, 4, 5]
-    _assert_curves_match(index, queries, qrels, (0.0, 1.0, 4.0))
+    _assert_curves_match(monkeypatch, index, queries, qrels, (0.0, 1.0, 4.0))
 
 
-def test_sweep_on_a_real_index():
+def test_sweep_on_a_real_index(monkeypatch):
     corpus, encoder, index, queries = _random_setup(15)
     rng = np.random.default_rng(15)
     ids = corpus.ids()
@@ -472,42 +492,27 @@ def test_sweep_on_a_real_index():
         for pid in rng.choice(ids, size=int(rng.integers(1, 4)), replace=False):
             qrels.set(q.id, str(pid), int(rng.integers(1, 4)))
     qrels.set(queries[1].id, "not-in-corpus", 1)
-    _assert_curves_match(index, queries[:-1], qrels, (0.0, 0.5, 1.0, 5.0, 600.0))
+    _assert_curves_match(monkeypatch, index, queries[:-1], qrels, (0.0, 0.5, 1.0, 5.0, 600.0))
 
 
-@pytest.mark.parametrize("bad", [math.inf, math.nan])
-def test_tune_lambda_rejects_non_finite_weights(bad):
-    corpus, encoder, index, queries = _random_setup(20, n_passages=8)
-    qrels = QrelSet({(q.id, corpus.ids()[i]): 1 for i, q in enumerate(queries)})
-    with pytest.raises(ValueError, match="finite"):
-        tune_lambda(index, queries, qrels, grid=(0.0, 1.0, bad))
-
-
-def test_tune_lambda_stops_at_a_non_finite_cosine_naming_the_query():
+def test_tune_lambda_stops_at_a_non_finite_cosine_naming_the_query(monkeypatch):
     corpus, encoder, _, queries = _random_setup(21)
     emb = encoder.embeddings.copy()
     emb[tokenize("zzzunseen", 4)[0]] = np.nan
     index = _index(corpus, EncoderParams(emb, 0), 1.0)
     queries = queries + [Query("qnan", queries[0].text + " zzzunseen")]
     qrels = QrelSet({(q.id, corpus.ids()[i]): 1 for i, q in enumerate(queries)})
+    _set_grid(monkeypatch, (0.0, 1.0))
     with pytest.raises(ValueError, match="'qnan'.*not finite"):
-        tune_lambda(index, queries, qrels, grid=(0.0, 1.0))
-    assert tune_lambda(index, queries[:-1], qrels, grid=(0.0, 1.0)) in (0.0, 1.0)
+        tune_lambda(index, queries, qrels)
+    assert tune_lambda(index, queries[:-1], qrels) in (0.0, 1.0)
 
 
-def test_tune_lambda_no_judged_queries_rejected():
+def test_tune_lambda_no_judged_queries_rejected(monkeypatch):
     _, _, index, queries = _random_setup(10)
+    _set_grid(monkeypatch, (1.0,))
     with pytest.raises(ValueError):
-        tune_lambda(index, queries, QrelSet(), grid=(1.0,))
-
-
-def test_tune_lambda_validates_grid():
-    _, _, index, queries = _random_setup(11)
-    qrels = QrelSet({(queries[0].id, index.ids[0]): 1})
-    with pytest.raises(ValueError):
-        tune_lambda(index, queries, qrels, grid=())
-    with pytest.raises(ValueError):
-        tune_lambda(index, queries, qrels, grid=(-1.0,))
+        tune_lambda(index, queries, QrelSet())
 
 
 # ---------------------------------------------------------------- validation / io

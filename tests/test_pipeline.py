@@ -11,7 +11,7 @@ import os
 import numpy as np
 import pytest
 
-from hybridrank import pipeline, results
+from hybridrank import hybrid, pipeline, results
 from hybridrank.bm25 import Bm25Index, encode_query
 from hybridrank.corpus import load_corpus, load_queries, passage_tokens, tokenize
 from hybridrank.dense import DeTrainConfig, encode
@@ -298,6 +298,14 @@ def test_run_experiment_without_reranker(data_dir, tmp_path):
     assert sorted(p for p in os.listdir(workdir) if p.startswith("hybrid")) == ["hybrid.npz"]
     lam = json.loads((workdir / "lambda.json").read_text())
     assert lam == {"lambda": report["lambda"], "grid": list(DEFAULT_LAMBDA_GRID)}
+
+
+def test_lambda_json_records_the_grid_tuned_on(data_dir, tmp_path, monkeypatch):
+    # the tuner and lambda.json both read hybrid.DEFAULT_LAMBDA_GRID when called
+    monkeypatch.setattr(hybrid, "DEFAULT_LAMBDA_GRID", (0.0, 10.0))
+    report = run_experiment(_config(data_dir, tmp_path / "w", training_source="none"))
+    lam = json.loads((tmp_path / "w" / "lambda.json").read_text())
+    assert lam == {"lambda": report["lambda"], "grid": [0.0, 10.0]}
 
 
 def test_run_experiment_with_reranker(data_dir, tmp_path):

@@ -111,11 +111,14 @@ def test_render_passage_equals_array_split_reference():
 
 
 def test_word_pools_are_hash_disjoint():
-    doc, syn, filler = _word_pools(200)
-    all_words = doc + syn + filler
-    assert len(set(all_words)) == len(all_words)
-    hashes = [tokenize(w, 1)[0] for w in all_words]
-    assert len(set(hashes)) == len(hashes)
+    # 3,370 synonyms is the most the syllable words can hold
+    for table_size in (200, 3370):
+        doc, syn, filler = _word_pools(table_size)
+        assert len(doc) == len(syn) == table_size
+        all_words = doc + syn + filler
+        assert len(set(all_words)) == len(all_words)
+        hashes = [tokenize(w, 1)[0] for w in all_words]
+        assert len(set(hashes)) == len(hashes)
 
 
 def test_lexical_queries_share_two_surface_words_with_target():
@@ -174,6 +177,9 @@ def test_spec_validation():
         SyntheticCorpusSpec(synonym_table_size=3)
     with pytest.raises(ValueError):
         SyntheticCorpusSpec(n_passages=100, n_train_queries=60, n_test_queries=10)
+    # the spec takes it, but the words run out: an error, not an endless loop
+    with pytest.raises(ValueError, match="synonym_table_size 3371 needs 7142"):
+        make_synthetic_corpus(SyntheticCorpusSpec(synonym_table_size=3371))
 
 
 def test_save_round_trip(tmp_path):
