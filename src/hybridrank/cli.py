@@ -21,7 +21,7 @@ from dataclasses import replace
 from .corpus import load_qrels
 from .evaluation import format_metric_table, read_run, reported_metrics
 from .npzio import write_json
-from .pipeline import TRAINING_SOURCES, ablation_matrix, load_config, run_experiment
+from .pipeline import ablation_matrix, load_config, run_experiment
 from .synthetic import SyntheticCorpusSpec, make_synthetic_corpus, save_synthetic_data
 
 
@@ -53,8 +53,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_ablate(args) -> int:
-    rows = tuple(r for r in TRAINING_SOURCES if r != "mixed" or not args.no_mixed)
-    report = ablation_matrix(_experiment_config(args), rows)
+    report = ablation_matrix(_experiment_config(args))
     print(f"lambda = {report['lambda']}")
     for name, table in report["matrix"].items():
         print(f"\n{name} (rows: reranker training source; columns: first stage)")
@@ -109,8 +108,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ablate", help="every (reranker training source, first stage) "
                        "cell: rows none, bm25, de, hybrid and mixed")
     _add_experiment_flags(p)
-    p.add_argument("--no-mixed", action="store_true",
-                   help="leave out the mixed row, which trains a fourth reranker")
     p.set_defaults(func=_cmd_ablate)
 
     p = sub.add_parser("eval", help="score a run against qrels")

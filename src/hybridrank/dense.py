@@ -270,7 +270,7 @@ def de_retrieve(params: EncoderParams, corpus: Corpus, query: Query, k_results: 
     if k_results < 1:
         raise ValueError(f"k_results must be >= 1, got {k_results}")
     scores = query_cosines(params, passage_matrix, query)
-    return ranked_list(query.id, *top_k(scores, corpus.id_rank, corpus.ids(), k_results))
+    return ranked_list(query.id, top_k(scores, corpus.id_rank, corpus.ids(), k_results))
 
 
 def save_params(params: EncoderParams, path) -> None:

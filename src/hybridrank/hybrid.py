@@ -36,7 +36,7 @@ from .corpus import QrelSet, Query
 from .dense import EncoderParams, query_cosines, row_norms, vocabulary_table
 from .evaluation import query_metric
 from .npzio import deterministic_savez, load_npz
-from .results import CandidateList, ranked_list, top_k
+from .results import CandidateList, Ranking, ranked_list, top_k
 
 HYBRID_FORMAT = "hybridrank-hybrid-v2"
 FIRST_STAGES = ("bm25", "de", "hybrid")
@@ -76,10 +76,9 @@ class HybridIndex:
         return (self.bm25.scores(query),
                 query_cosines(self.encoder, self.dense_rows, query))
 
-    def cut(self, stage: str, bm25_scores: np.ndarray, cos: np.ndarray,
-            k: int) -> tuple[list[str], np.ndarray]:
-        """Ids and scores of the top k of ``stage`` (one of ``FIRST_STAGES``),
-        from a query's score components."""
+    def cut(self, stage: str, bm25_scores: np.ndarray, cos: np.ndarray, k: int) -> Ranking:
+        """The top k of ``stage`` (one of ``FIRST_STAGES``), from a query's
+        score components."""
         if stage == "bm25":
             # a passage scores > 0 exactly when it shares a term with the query
             scores, k = bm25_scores, min(k, int(np.count_nonzero(bm25_scores > 0)))
@@ -94,8 +93,8 @@ def hybrid_retrieve(index: HybridIndex, query: Query, k_results: int) -> Candida
     """Exhaustive top-k by fused score over every passage in the index."""
     if k_results < 1:
         raise ValueError(f"k_results must be >= 1, got {k_results}")
-    return ranked_list(query.id, *index.cut("hybrid", *index.score_components(query),
-                                            k_results))
+    return ranked_list(query.id, index.cut("hybrid", *index.score_components(query),
+                                           k_results))
 
 
 def _contenders(bm25_scores: np.ndarray, cos: np.ndarray, rel: np.ndarray,

@@ -37,7 +37,7 @@ from .npzio import write_json
 from .reranker import RerankerParams, RerankTrainConfig, SamplingWindow, \
     build_candidate_lists, init_reranker, rerank, save_candidate_lists, \
     save_reranker, train_reranker
-from .results import CandidateList, Ranking
+from .results import CandidateList
 
 # training source -> (the first stages whose train runs its lists come from,
 # the seed offsets of its lists and of its reranker); offsets are mixed into
@@ -164,7 +164,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
-    with open(path, encoding="utf-8") as f:
+    with open(path, encoding="utf-8-sig") as f:
         return config_from_dict(json.load(f))
 
 
@@ -272,8 +272,8 @@ class _Experiment:
                 for q in queries:
                     components = index.score_components(q)
                     for stage in stages:
-                        rankings[stage][q.id] = Ranking(
-                            *index.cut(stage, *components, self.config.run_depth))
+                        rankings[stage][q.id] = index.cut(stage, *components,
+                                                          self.config.run_depth)
                 for stage in stages:
                     run = RunFile(stage, rankings[stage])
                     write_run(run, self._out(f"run_{stage}_{split}.trec"))
@@ -387,11 +387,10 @@ def run_experiment(config: ExperimentConfig) -> dict:
     return report
 
 
-def ablation_matrix(config: ExperimentConfig,
-                    rows: tuple[str, ...] = TRAINING_SOURCES) -> dict:
-    """Every cell of rerankers by training source (``rows``, distinct names
-    from ``TRAINING_SOURCES``) applied to each first stage (columns); row
-    "none" is the first stage itself.
+def ablation_matrix(config: ExperimentConfig) -> dict:
+    """Every cell of rerankers by training source (rows, ``TRAINING_SOURCES``)
+    applied to each first stage (columns); row "none" is the first stage
+    itself.
 
     Returns {"lambda": ..., "matrix": {metric: {row: {col: mean}}}}, one
     matrix per reported metric, and writes the same to the workdir.  The
@@ -399,13 +398,10 @@ def ablation_matrix(config: ExperimentConfig,
     written to ``config.json`` at their defaults, so ablations that differ
     only in them leave equal manifests.
     """
-    if not rows or len(set(rows)) != len(rows) or not set(rows) <= set(TRAINING_SOURCES):
-        raise ValueError(f"rows must be distinct training sources from "
-                         f"{TRAINING_SOURCES}, got {rows!r}")
-    exp, reports = _run_cells(replace(config, **_CELL_CHOICE),
-                              [(row, col) for row in rows for col in FIRST_STAGES])
+    cells = [(row, col) for row in TRAINING_SOURCES for col in FIRST_STAGES]
+    exp, reports = _run_cells(replace(config, **_CELL_CHOICE), cells)
     matrix = {name: {row: {col: reports[(row, col)][name].mean for col in FIRST_STAGES}
-                     for row in rows}
+                     for row in TRAINING_SOURCES}
               for name in REPORTED_METRICS}
     report = {"lambda": exp.hybrid_index.lam, "matrix": matrix}
     write_json(report, exp._out("ablation.json"))

@@ -389,7 +389,7 @@ def build_candidate_lists(run: RunFile, qrels: QrelSet, window: SamplingWindow,
             continue
         best_grade = max(relevant.values())
         positive_id = min(p for p, g in relevant.items() if g == best_grade)
-        ids, scores = ranking.ids, ranking.scores
+        ids = ranking.ids
         positive_rank = ids.index(positive_id) + 1 if positive_id in ids else 0
         pool = [rank for rank in range(window.skip + 1, min(window.depth, len(ids)) + 1)
                 if relevant.get(ids[rank - 1], 0) == 0]
@@ -399,14 +399,11 @@ def build_candidate_lists(run: RunFile, qrels: QrelSet, window: SamplingWindow,
         else:
             chosen = sorted(rng.choice(len(pool), size=window.n_negatives,
                                        replace=False).tolist())
-        pos_score = float(scores[positive_rank - 1]) if positive_rank else 0.0
-        items = [CandidateItem(passage_id=positive_id, score=pos_score,
-                               label=relevant[positive_id], retriever_rank=positive_rank)]
+        items = [CandidateItem(passage_id=positive_id, label=relevant[positive_id],
+                               retriever_rank=positive_rank)]
         for c in chosen:
             rank = pool[c]
-            items.append(CandidateItem(passage_id=ids[rank - 1],
-                                       score=float(scores[rank - 1]),
-                                       label=0, retriever_rank=rank))
+            items.append(CandidateItem(passage_id=ids[rank - 1], label=0, retriever_rank=rank))
         lists.append(CandidateList(query_id=qid, items=items))
     report = {"lists": len(lists), "dropped_no_positive": dropped,
               "short_pool": short}
@@ -451,15 +448,14 @@ def save_candidate_lists(lists: list[CandidateList], path) -> None:
 
 def load_candidate_lists(path) -> list[CandidateList]:
     lists = []
-    with open(path, encoding="utf-8") as f:
+    with open(path, encoding="utf-8-sig") as f:
         for lineno, line in enumerate(f, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
                 row = json.loads(line)
-                items = [CandidateItem(passage_id=it["passage_id"], score=0.0,
-                                       label=int(it["label"]),
+                items = [CandidateItem(passage_id=it["passage_id"], label=int(it["label"]),
                                        retriever_rank=int(it["retriever_rank"]))
                          for it in row["items"]]
                 lists.append(CandidateList(query_id=row["query_id"], items=items))

@@ -74,7 +74,7 @@ class Ranking(Sequence):
 @dataclass
 class CandidateItem:
     passage_id: str
-    score: float
+    score: float = 0.0
     label: int = 0
     # rank in the retriever run this item was sampled from; 0 = not retrieved
     retriever_rank: int = 0
@@ -87,9 +87,6 @@ class CandidateList:
     query_id: str
     items: list[CandidateItem] = field(default_factory=list)
 
-    def __len__(self) -> int:
-        return len(self.items)
-
     def passage_ids(self) -> list[str]:
         return [it.passage_id for it in self.items]
 
@@ -101,21 +98,20 @@ def blocks(n_rows: int, row_entries: int) -> list[slice]:
     return [slice(start, start + step) for start in range(0, max(n_rows, 1), step)]
 
 
-def ranked_list(query_id: str, ids: list[str], scores: np.ndarray) -> CandidateList:
-    """The candidates ``ids``, in rank order, each with its entry of ``scores``."""
+def ranked_list(query_id: str, ranking: Ranking) -> CandidateList:
+    """``ranking``'s passages as one query's candidates, in rank order."""
     # positional fields (passage_id, score): about half the cost of keywords
-    return CandidateList(query_id, list(map(CandidateItem, ids, scores.tolist())))
+    return CandidateList(query_id, list(map(CandidateItem, ranking.ids,
+                                            ranking.scores.tolist())))
 
 
-def top_k(scores: np.ndarray, id_rank: np.ndarray, ids: list[str],
-          k: int) -> tuple[list[str], np.ndarray]:
-    """Ids and scores of the k best entries of ``scores``, in ``top_k_order``.
+def top_k(scores: np.ndarray, id_rank: np.ndarray, ids: list[str], k: int) -> Ranking:
+    """The k best entries of ``scores``, in ``top_k_order``.
 
-    ``ids[i]`` and ``id_rank[i]`` belong to ``scores[i]``; the scores are a
-    new array, ``scores[order]``.
+    ``ids[i]`` and ``id_rank[i]`` belong to ``scores[i]``.
     """
     order = top_k_order(scores, id_rank, k)
-    return [ids[i] for i in order.tolist()], scores[order]
+    return Ranking(map(ids.__getitem__, order.tolist()), scores[order])
 
 
 def id_rank(ids) -> np.ndarray:

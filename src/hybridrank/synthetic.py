@@ -34,6 +34,9 @@ MIN_FILLER = 4
 MAX_FILLER = 8
 SENTENCES_PER_PASSAGE = 3
 FILLER_POOL_SIZE = 400
+# the most synonyms _word_pools can make: its syllable words, less hash
+# collisions, hold 2 * 3370 + FILLER_POOL_SIZE distinct words
+MAX_SYNONYM_TABLE = 3370
 
 
 @dataclass(frozen=True)
@@ -48,9 +51,9 @@ class SyntheticCorpusSpec:
     def __post_init__(self):
         if min(self.n_passages, self.n_train_queries, self.n_test_queries) < 1:
             raise ValueError("passage and query counts must be >= 1")
-        if self.synonym_table_size < CONCEPTS_PER_PASSAGE:
-            raise ValueError(
-                f"synonym_table_size must be >= {CONCEPTS_PER_PASSAGE}")
+        if not CONCEPTS_PER_PASSAGE <= self.synonym_table_size <= MAX_SYNONYM_TABLE:
+            raise ValueError(f"synonym_table_size must be in "
+                             f"[{CONCEPTS_PER_PASSAGE}, {MAX_SYNONYM_TABLE}]")
         if not 0.0 <= self.lexical_fraction <= 1.0:
             raise ValueError("lexical_fraction must be in [0, 1]")
         half = self.n_passages // 2

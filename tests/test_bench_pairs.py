@@ -1,6 +1,7 @@
 """Summary math of tools/bench_pairs.py, the parent/change pair runner."""
 
 import importlib.util
+import json
 import os
 
 import pytest
@@ -104,3 +105,30 @@ def test_differing_names_each_file_whose_hash_moved_or_is_on_one_side():
     assert block["differing_files_per_pair"] == [[3, ["manifest.json"]]]
     assert block["differing_files"] == ["manifest.json"]
     assert block["equal_per_pair"] == [[3, False, True]]
+
+
+def test_a_run_without_a_result_is_listed_and_the_other_pairs_are_kept(tmp_path,
+                                                                      monkeypatch):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for checkout in (parent, change):
+        (checkout / "perfbench" / "results").mkdir(parents=True)
+    (change / "BENCHMARK.json").write_text(json.dumps({
+        "run_seconds": 1, "workloads": [{"name": "w"}],
+        "end_to_end": [{"name": "run_s", "better": "lower", "bound": 0.25}]}))
+
+    def fake_run(checkout, workload, seed, seconds):
+        # the change's run on seed 2 dies before it writes its result
+        if checkout == str(change) and seed == 2:
+            return
+        path = os.path.join(checkout, "perfbench", "results", f"w-seed{seed}-trace0.json")
+        with open(path, "w", encoding="utf-8") as f:
+            json.dump(_record(1.0, float(seed)), f)
+
+    monkeypatch.setattr(bench_pairs, "_run", fake_run)
+    monkeypatch.chdir(tmp_path)
+    assert bench_pairs.main(["--parent", str(parent), "--change", str(change),
+                             "--workload", "all", "--seeds", "1-3", "--label", "x"]) == 1
+    block = json.loads((tmp_path / "BENCH_x.json").read_text())["end_to_end"]["w"]
+    assert block["missing_runs"] == [[2, "change"]]
+    assert block["pairs"] == 2
+    assert block["per_pair"]["run_s"] == [[1, 1.0, 1.0], [3, 3.0, 3.0]]

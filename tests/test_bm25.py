@@ -34,7 +34,7 @@ def retrieve(index, query, k):
     """The bm25 first stage's top k, cut the way the pipeline cuts it."""
     hybrid = HybridIndex(index, EncoderParams(np.zeros((VOCAB_SIZE, 1)), 0),
                          np.zeros((len(index), 1)), 0.0)
-    return ranked_list(query.id, *hybrid.cut("bm25", *hybrid.score_components(query), k))
+    return ranked_list(query.id, hybrid.cut("bm25", *hybrid.score_components(query), k))
 
 
 # ---------------------------------------------------------------- stats / idf

@@ -70,22 +70,19 @@ def test_make_synth_run_ablate_eval(tmp_path, capsys):
         line.split()[0] for line in (data / "test_qrels.txt").read_text().splitlines())
 
 
-@pytest.mark.parametrize("flags, rows", [
-    ([], ("none", "bm25", "de", "hybrid", "mixed")),
-    (["--no-mixed"], ("none", "bm25", "de", "hybrid"))], ids=["default", "no-mixed"])
-def test_ablate_asks_for_every_row_unless_no_mixed(tmp_path, capsys, monkeypatch,
-                                                   flags, rows):
+def test_ablate_asks_for_every_row(tmp_path, capsys, monkeypatch):
+    rows = ("none", "bm25", "de", "hybrid", "mixed")
     asked = []
 
-    def fake_ablation_matrix(config, rows):
-        asked.append(rows)
+    def fake_ablation_matrix(config):
+        asked.append(config.workdir)
         return {"lambda": 0.0, "matrix": {"mrr@10": {r: {"bm25": 0.5} for r in rows}}}
 
     monkeypatch.setattr(cli, "ablation_matrix", fake_ablation_matrix)
     config = tmp_path / "config.json"
     _write_config(tmp_path, config, tmp_path / "w")
-    assert main(["ablate", "--config", str(config), *flags]) == 0
-    assert asked == [rows]
+    assert main(["ablate", "--config", str(config)]) == 0
+    assert asked == [str(tmp_path / "w")]
     assert capsys.readouterr().out.splitlines()[-1].startswith(rows[-1])
 
 

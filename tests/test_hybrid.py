@@ -49,7 +49,7 @@ def _index(corpus, encoder, lam):
 
 
 def _bm25_list(index, query, k):
-    return ranked_list(query.id, *index.cut("bm25", *index.score_components(query), k))
+    return ranked_list(query.id, index.cut("bm25", *index.score_components(query), k))
 
 
 def _random_setup(seed, n_passages=30):
@@ -550,8 +550,8 @@ def test_hybrid_save_load_bit_exact_scores(tmp_path):
         for part, loaded_part in zip(index.score_components(q), loaded.score_components(q)):
             assert part.tobytes() == loaded_part.tobytes()
         for stage in ("bm25", "de", "hybrid"):
-            a = ranked_list(q.id, *index.cut(stage, *index.score_components(q), 5))
-            b = ranked_list(q.id, *loaded.cut(stage, *loaded.score_components(q), 5))
+            a = ranked_list(q.id, index.cut(stage, *index.score_components(q), 5))
+            b = ranked_list(q.id, loaded.cut(stage, *loaded.score_components(q), 5))
             assert a.items == b.items
 
 

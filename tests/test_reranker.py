@@ -1142,13 +1142,10 @@ def test_candidate_lists_roundtrip(tmp_path):
     lists, _ = build_candidate_lists(run, qrels, SamplingWindow(0, 25, 10), seed=2)
     path = tmp_path / "lists.jsonl"
     save_candidate_lists(lists, path)
-    loaded = load_candidate_lists(path)
-    assert [(cl.query_id,
-             [(it.passage_id, it.label, it.retriever_rank) for it in cl.items])
-            for cl in loaded] == \
-           [(cl.query_id,
-             [(it.passage_id, it.label, it.retriever_rank) for it in cl.items])
-            for cl in lists]
+    assert load_candidate_lists(path) == lists
+    bom = tmp_path / "bom.jsonl"
+    bom.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    assert load_candidate_lists(bom) == lists
 
 
 def test_load_candidate_lists_error_position(tmp_path):

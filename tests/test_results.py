@@ -172,7 +172,7 @@ def test_run_from_top_k_holds_under_24_bytes_per_entry():
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        run = RunFile("t", {f"q{i}": Ranking(*top_k(s, ranks, ids, 250))
+        run = RunFile("t", {f"q{i}": top_k(s, ranks, ids, 250)
                             for i, s in enumerate(scores)})
         held = tracemalloc.get_traced_memory()[0] - before
     finally:

@@ -10,6 +10,7 @@ from hybridrank.corpus import VOCAB_SIZE, load_corpus, load_qrels, \
 from hybridrank.dense import EncoderParams
 from hybridrank.hybrid import HybridIndex
 from hybridrank.synthetic import (CONCEPT_REPEATS, CONCEPTS_PER_PASSAGE, MAX_FILLER,
+                                  MAX_SYNONYM_TABLE,
                                   MIN_FILLER, SENTENCES_PER_PASSAGE, SyntheticCorpusSpec,
                                   SyntheticData, _render_passage, _word_pools,
                                   make_synthetic_corpus, save_synthetic_data)
@@ -22,7 +23,7 @@ def _bm25_top10(index, query):
     """Ids of the bm25 first stage's top 10, cut the way the pipeline cuts it."""
     hybrid = HybridIndex(index, EncoderParams(np.zeros((VOCAB_SIZE, 1)), 0),
                          np.zeros((len(index), 1)), 0.0)
-    return hybrid.cut("bm25", *hybrid.score_components(query), 10)[0]
+    return hybrid.cut("bm25", *hybrid.score_components(query), 10).ids
 
 
 def _snapshot(data: SyntheticData):
@@ -111,8 +112,10 @@ def test_render_passage_equals_array_split_reference():
 
 
 def test_word_pools_are_hash_disjoint():
-    # 3,370 synonyms is the most the syllable words can hold
-    for table_size in (200, 3370):
+    # MAX_SYNONYM_TABLE synonyms is the most the syllable words can hold
+    with pytest.raises(ValueError, match=f"synonym_table_size {MAX_SYNONYM_TABLE + 1} needs"):
+        _word_pools(MAX_SYNONYM_TABLE + 1)
+    for table_size in (200, MAX_SYNONYM_TABLE):
         doc, syn, filler = _word_pools(table_size)
         assert len(doc) == len(syn) == table_size
         all_words = doc + syn + filler
@@ -175,11 +178,11 @@ def test_spec_validation():
         SyntheticCorpusSpec(lexical_fraction=1.5)
     with pytest.raises(ValueError):
         SyntheticCorpusSpec(synonym_table_size=3)
+    # more synonyms than the words can make: rejected before any is generated
+    with pytest.raises(ValueError, match="synonym_table_size must be in"):
+        SyntheticCorpusSpec(synonym_table_size=MAX_SYNONYM_TABLE + 1)
     with pytest.raises(ValueError):
         SyntheticCorpusSpec(n_passages=100, n_train_queries=60, n_test_queries=10)
-    # the spec takes it, but the words run out: an error, not an endless loop
-    with pytest.raises(ValueError, match="synonym_table_size 3371 needs 7142"):
-        make_synthetic_corpus(SyntheticCorpusSpec(synonym_table_size=3371))
 
 
 def test_save_round_trip(tmp_path):

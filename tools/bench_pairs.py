@@ -22,6 +22,10 @@ unless every change run beats every parent run.  Per pair it records whether
 every run-file and manifest.json hash, and lambda, are equal on both sides,
 which hashed files differ, and on a serving workload the number of queries
 each side served.
+
+A run that writes no result (perfbench died) is listed as ``[seed, side]``
+under the workload's ``missing_runs``, and its pair is left out of the
+summary; the script goes on with the next seed, writes the file and exits 1.
 """
 
 from __future__ import annotations
@@ -121,9 +125,12 @@ def _run(checkout: str, workload: str, seed: int, seconds: float) -> None:
         print(proc.stdout[-2000:] + proc.stderr[-2000:], file=sys.stderr)
 
 
-def _result(checkout: str, workload: str, seed: int) -> dict:
+def _result(checkout: str, workload: str, seed: int) -> dict | None:
+    """That run's perfbench result, or None if it wrote none."""
     path = os.path.join(checkout, "perfbench", "results",
                         f"{workload}-seed{seed}-trace0.json")
+    if not os.path.exists(path):
+        return None
     with open(path, encoding="utf-8") as f:
         return json.load(f)
 
@@ -143,6 +150,7 @@ def main(argv=None) -> int:
              else [args.workload])
     sides = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
     records: dict[str, list] = {name: [] for name in names}
+    missing: dict[str, list] = {name: [] for name in names}
     for i, seed in enumerate(parse_seeds(args.seeds)):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         got = {}
@@ -156,7 +164,10 @@ def main(argv=None) -> int:
             _run(sides[side], args.workload, seed, bench["run_seconds"])
             got[side] = {name: _result(sides[side], name, seed) for name in names}
         for name in names:
-            records[name].append((seed, got["parent"][name], got["change"][name]))
+            lost = [[seed, side] for side in sides if got[side][name] is None]
+            missing[name] += lost
+            if not lost:
+                records[name].append((seed, got["parent"][name], got["change"][name]))
 
     out_path = f"BENCH_{args.label}.json"
     out = {"label": args.label}
@@ -165,18 +176,22 @@ def main(argv=None) -> int:
             out = json.load(f)
     end_to_end = out.setdefault("end_to_end", {})
     for name in names:
-        end_to_end[name] = summarize(records[name], bench["end_to_end"])
+        block = summarize(records[name], bench["end_to_end"]) if records[name] else {"pairs": 0}
+        block["missing_runs"] = missing[name]
+        end_to_end[name] = block
     with open(out_path, "w", encoding="utf-8") as f:
         json.dump(out, f, indent=2)
         f.write("\n")
     for name in names:
-        for metric, s in end_to_end[name]["metrics"].items():
+        for metric, s in end_to_end[name].get("metrics", {}).items():
             print(f"{name:16s} {metric:12s} parent {s['parent_quartiles'][1]:10.4f} "
                   f"change {s['change_quartiles'][1]:10.4f} gap {s['median_gap']:9.4f} "
                   f"iqr {s['parent_iqr']:8.4f} better {s['change_better_pairs']}/"
                   f"{end_to_end[name]['pairs']} within_bound {s['within_bound']!s:5s} "
                   f"unresolved {s['unresolved']}")
-    return 0
+        if missing[name]:
+            print(f"{name:16s} missing runs {missing[name]}", file=sys.stderr)
+    return 1 if any(missing.values()) else 0
 
 
 if __name__ == "__main__":
