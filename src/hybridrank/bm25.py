@@ -1,6 +1,7 @@
 """BM25 as a sparse vector model, held as the inverted index that scores it.
 
-Passage weights follow the standard saturation form
+Passage weights follow the standard saturation form, with k and b the module
+constants ``K`` and ``B``, read when an index is built,
 
     weight(t) = IDF(t) * cnt * (k + 1) / (cnt + k * (1 - b + b * m / m_avg))
 
@@ -12,15 +13,15 @@ term with the query.  ``Bm25Index.scores`` gives the score vector; the bm25
 first stage is cut from it in ``hybrid``, the one place a query is scored.
 
 The index is saved inside the hybrid index file (``hybrid.save_hybrid_index``):
-``Bm25Index.fields`` gives its header fields (the passage ids, ``k``, ``b`` and
-the tokenizer's ``vocab_size``, ``max_length`` and ``query_max_length``) and its
-four posting arrays, and ``Bm25Index.from_fields`` rebuilds it from them.
+``Bm25Index.fields`` gives its header fields (the passage ids, the ``k`` and
+``b`` its weights were built with, and the tokenizer's ``vocab_size``,
+``max_length`` and ``query_max_length``) and its four posting arrays, and
+``Bm25Index.from_fields`` rebuilds it from them.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from math import log
 
 import numpy as np
@@ -31,21 +32,11 @@ from .corpus import PASSAGE_LENGTH, QUERY_LENGTH, VOCAB_SIZE, Corpus, Query
 # term-id -> weight, no explicit zero entries
 SparseVector = dict[int, float]
 
+K = 0.9  # term-frequency saturation, >= 0
+B = 0.8  # length normalization, in [0, 1]
 _POSTINGS = ("terms", "indptr", "positions", "weights")
 # passages per index-build block at most, so that block keys fit int32
 _BLOCK_PASSAGES = 2**31 // VOCAB_SIZE
-
-
-@dataclass(frozen=True)
-class Bm25Params:
-    k: float = 0.9
-    b: float = 0.8
-
-    def __post_init__(self):
-        if self.k < 0:
-            raise ValueError(f"k must be >= 0, got {self.k}")
-        if not 0 <= self.b <= 1:
-            raise ValueError(f"b must be in [0, 1], got {self.b}")
 
 
 def _passage_terms(indptr: np.ndarray, ids: np.ndarray):
@@ -99,8 +90,7 @@ class Bm25Index:
     postings.
     """
 
-    def __init__(self, corpus: Corpus, params: Bm25Params | None = None):
-        params = params or Bm25Params()
+    def __init__(self, corpus: Corpus):
         n = len(corpus)
         if n == 0:
             raise ValueError("cannot compute BM25 statistics over an empty corpus")
@@ -118,10 +108,11 @@ class Bm25Index:
         idf_of = np.zeros(VOCAB_SIZE, dtype=np.float64)
         idf_of[self.terms] = idf
         avg_length = int(lengths.sum()) / n
-        norm = params.k * (1.0 - params.b + params.b * lengths / avg_length)
+        self.k, self.b = K, B
+        norm = self.k * (1.0 - self.b + self.b * lengths / avg_length)
         w = idf_of[term]
         w *= cnt
-        w *= params.k + 1.0
+        w *= self.k + 1.0
         den = norm[doc]
         den += cnt
         del cnt
@@ -133,7 +124,6 @@ class Bm25Index:
         del w
         order[:] = doc[order]  # the int64 order array becomes the positions
         self.positions = order
-        self.params = params
         self.ids = corpus.ids()
         self.id_rank = corpus.id_rank
 
@@ -144,20 +134,21 @@ class Bm25Index:
         """(JSON header fields, arrays) that ``from_fields`` rebuilds this index
         from, so that reloaded scoring is bit-for-bit identical.
 
-        The header records the vocabulary size and truncation lengths the
-        index was built with, so a file whose tokens were hashed or cut
-        differently is rejected.
+        The header records the k and b the weights were built with, and the
+        vocabulary size and truncation lengths, so a file whose tokens were
+        hashed or cut differently is rejected.
         """
-        header = {"ids": self.ids, "k": self.params.k, "b": self.params.b,
+        header = {"ids": self.ids, "k": self.k, "b": self.b,
                   "vocab_size": VOCAB_SIZE, "max_length": PASSAGE_LENGTH,
                   "query_max_length": QUERY_LENGTH}
         return header, {name: getattr(self, name) for name in _POSTINGS}
 
     @classmethod
     def from_fields(cls, header: dict, arrays: dict[str, np.ndarray], path) -> "Bm25Index":
-        """The index ``fields`` gave ``header`` and ``arrays``; other keys are
-        ignored.  Raises ValueError naming ``path`` unless the header's
-        vocabulary size and truncation lengths are the tokenizer's."""
+        """The index ``fields`` gave ``header`` and ``arrays``, k and b included,
+        which need not be ``K`` and ``B`` (scores come from the stored weights);
+        other keys are ignored.  Raises ValueError naming ``path`` unless the
+        header's vocabulary size and truncation lengths are the tokenizer's."""
         sizes = (header["vocab_size"], header["max_length"], header["query_max_length"])
         if sizes != (VOCAB_SIZE, PASSAGE_LENGTH, QUERY_LENGTH):
             raise ValueError(
@@ -166,7 +157,7 @@ class Bm25Index:
                 f"{VOCAB_SIZE}, PASSAGE_LENGTH is {PASSAGE_LENGTH} and QUERY_LENGTH is "
                 f"{QUERY_LENGTH}")
         index = cls.__new__(cls)
-        index.params = Bm25Params(k=header["k"], b=header["b"])
+        index.k, index.b = header["k"], header["b"]
         index.ids = list(header["ids"])
         for name in _POSTINGS:
             setattr(index, name, arrays[name])

@@ -6,8 +6,8 @@ cosine similarity. Training minimizes the in-batch sampled softmax loss
 
     L = mean_i -log( exp(sim(q_i, p_i)/tau) / sum_j exp(sim(q_i, p_j)/tau) )
 
-with plain mini-batch SGD so runs are deterministic for a fixed seed.
-Gradients flow through the cosine normalization (full quotient rule).
+with tau = ``TEMPERATURE``, by plain mini-batch SGD (deterministic for a fixed
+seed). Gradients flow through the cosine normalization (full quotient rule).
 
 ``query_cosines`` is the one place a query becomes cosines against the
 passage rows; ``hybrid`` cuts the de first stage from it, and
@@ -35,6 +35,7 @@ from .results import CandidateList, blocks, ranked_list, top_k
 PARAMS_FORMAT = "hybridrank-dense-v1"
 DEFAULT_DIM = 64
 INIT_SCALE = 0.05
+TEMPERATURE = 0.05  # tau of the training loss, > 0
 
 
 @dataclass
@@ -58,7 +59,6 @@ class DeTrainConfig:
     batch_size: int = 64
     epochs: int = 20
     learning_rate: float = 0.5
-    temperature: float = 0.05
     seed: int = 0
     dim: int = DEFAULT_DIM
 
@@ -69,8 +69,6 @@ class DeTrainConfig:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
         if self.dim < 1:
             raise ValueError(f"dim must be >= 1, got {self.dim}")
-        if self.temperature <= 0:
-            raise ValueError("temperature must be > 0")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be > 0")
 
@@ -227,7 +225,7 @@ def train_de(pairs: list[TrainPair], config: DeTrainConfig) -> EncoderParams:
             sel = perm[start:start + config.batch_size]
             bq = [qtoks[i] for i in sel]
             bp = [ptoks[i] for i in sel]
-            loss, idx, rows = _batch_loss_grad(emb, bq, bp, config.temperature)
+            loss, idx, rows = _batch_loss_grad(emb, bq, bp, TEMPERATURE)
             if idx.size:
                 rows_at(np.subtract, emb, idx, config.learning_rate * rows)
             losses.append(loss)

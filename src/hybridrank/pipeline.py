@@ -25,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .bm25 import Bm25Index, Bm25Params
+from .bm25 import Bm25Index
 from .corpus import load_corpus, load_qrels, load_queries
 from .dense import DeTrainConfig, EncoderParams, TrainPair, encode_corpus, \
     normalize_rows, save_params, train_de
@@ -76,7 +76,6 @@ class ExperimentConfig:
     test_qrels: str
     workdir: str
     seed: int = 0
-    bm25: Bm25Params = Bm25Params()
     de: DeTrainConfig = DeTrainConfig()
     reranker: RerankTrainConfig = RerankTrainConfig()
     window: SamplingWindow = SamplingWindow(skip=0, depth=250, n_negatives=50)
@@ -246,7 +245,7 @@ class _Experiment:
     def hybrid_index(self) -> HybridIndex:
         c = self.config
         with _stage("index"):
-            bm25_index = Bm25Index(self.corpus, params=c.bm25)
+            bm25_index = Bm25Index(self.corpus)
         encoder = self.encoder
         with _stage("tune-lambda"):
             rows = normalize_rows(encode_corpus(encoder, self.corpus))

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from hybridrank.bm25 import Bm25Params, SparseVector
+from hybridrank.bm25 import SparseVector
 from hybridrank.corpus import Corpus, Passage, passage_tokens
 
 
@@ -40,17 +40,18 @@ def compute_stats(corpus: Corpus) -> Bm25Stats:
     return Bm25Stats(doc_count=n, idf=idf, avg_length=avg_length, lengths=lengths)
 
 
-def encode_passage(passage: Passage, stats: Bm25Stats, params: Bm25Params) -> SparseVector:
-    """Sparse passage vector whose dot product with a query vector is BM25."""
+def encode_passage(passage: Passage, stats: Bm25Stats, k: float, b: float) -> SparseVector:
+    """Sparse passage vector whose dot product with a query vector is BM25
+    with parameters ``k`` and ``b``."""
     counts = Counter(passage_tokens(passage))
     m = sum(counts.values())
     if m == 0:
         return {}
-    norm = params.k * (1.0 - params.b + params.b * m / stats.avg_length)
+    norm = k * (1.0 - b + b * m / stats.avg_length)
     vec: SparseVector = {}
     for t, cnt in counts.items():
         idf = stats.idf.get(t, 0.0)
-        w = idf * cnt * (params.k + 1.0) / (cnt + norm)
+        w = idf * cnt * (k + 1.0) / (cnt + norm)
         if w != 0.0:
             vec[t] = w
     return vec

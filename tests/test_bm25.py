@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 
 from hybridrank import bm25, results
-from hybridrank.bm25 import Bm25Index, Bm25Params, encode_query
+from hybridrank.bm25 import Bm25Index, encode_query
 from hybridrank.corpus import PASSAGE_LENGTH, VOCAB_SIZE, Corpus, Passage, Query, tokenize
 from hybridrank.dense import EncoderParams
-from hybridrank.hybrid import HybridIndex, load_hybrid_index, save_hybrid_index
+from hybridrank.hybrid import HYBRID_FORMAT, HybridIndex, load_hybrid_index, save_hybrid_index
+from hybridrank.npzio import load_npz
 from hybridrank.results import ranked_list
 from hybridrank.synthetic import SyntheticCorpusSpec, make_synthetic_corpus
 from oracles import compute_stats, dot, encode_passage
@@ -81,7 +82,7 @@ def test_encode_passage_hand_weight():
                       "g1 g2 g3 g4 g5 g6 g7 g8 g9 g10"])
     stats = compute_stats(corpus)
     term = tokenize("t", 8)[0]
-    vec = encode_passage(corpus.get("d0"), stats, Bm25Params(k=0.9, b=0.8))
+    vec = encode_passage(corpus.get("d0"), stats, 0.9, 0.8)
     expected = stats.idf[term] * 2 * 1.9 / 2.9
     assert vec[term] == pytest.approx(expected, rel=1e-12)
     # the spec's worked value assumes idf = 1; check the saturation factor alone
@@ -92,7 +93,7 @@ def test_encode_passage_b_zero_ignores_length():
     short = _corpus(["term", "x " * 9])  # very different lengths
     stats = compute_stats(short)
     term = tokenize("term", 8)[0]
-    vec = encode_passage(short.get("d0"), stats, Bm25Params(k=0.9, b=0.0))
+    vec = encode_passage(short.get("d0"), stats, 0.9, 0.0)
     assert vec[term] == pytest.approx(stats.idf[term] * 1.9 / 1.9, rel=1e-12)
 
 
@@ -100,7 +101,7 @@ def test_encode_passage_empty_text_gives_empty_vector():
     corpus = _corpus(["real text here"])
     stats = compute_stats(corpus)
     ghost = Passage("ghost", "", "!!! ...")  # tokenizes to nothing
-    assert encode_passage(ghost, stats, Bm25Params()) == {}
+    assert encode_passage(ghost, stats, bm25.K, bm25.B) == {}
 
 
 def test_encode_query_term_counts():
@@ -141,7 +142,7 @@ def test_dot_identity_matches_direct_formula():
     """dot(query_vec, passage_vec) == summed BM25 formula, pair by pair."""
     rng = random.Random(11)
     corpus = _random_corpus(rng, 40, WORDS)
-    params = Bm25Params()
+    k, b = bm25.K, bm25.B
     stats = compute_stats(corpus)
     queries = [Query(f"q{i}", " ".join(rng.choices(WORDS, k=rng.randint(1, 6))))
                for i in range(15)]
@@ -157,9 +158,9 @@ def test_dot_identity_matches_direct_formula():
                 cnt = pcounts.get(t, 0)
                 if cnt == 0:
                     continue
-                norm = params.k * (1 - params.b + params.b * m / stats.avg_length)
-                direct += qc * stats.idf[t] * cnt * (params.k + 1) / (cnt + norm)
-            vec = encode_passage(p, stats, params)
+                norm = k * (1 - b + b * m / stats.avg_length)
+                direct += qc * stats.idf[t] * cnt * (k + 1) / (cnt + norm)
+            vec = encode_passage(p, stats, k, b)
             assert abs(dot(qcounts, vec) - direct) <= 1e-9
 
 
@@ -168,15 +169,14 @@ def test_passage_weights_nonnegative():
     corpus = _random_corpus(rng, 30, WORDS)
     stats = compute_stats(corpus)
     for p in corpus:
-        vec = encode_passage(p, stats, Bm25Params())
+        vec = encode_passage(p, stats, bm25.K, bm25.B)
         assert all(w >= 0.0 for w in vec.values())
 
 
 def test_query_count_monotonicity():
     corpus = _corpus(["target word appears here", "unrelated filler text"])
     stats = compute_stats(corpus)
-    params = Bm25Params()
-    vec = encode_passage(corpus.get("d0"), stats, params)
+    vec = encode_passage(corpus.get("d0"), stats, bm25.K, bm25.B)
     s1 = dot(encode_query(Query("q", "target")), vec)
     s2 = dot(encode_query(Query("q", "target target")), vec)
     assert s2 >= s1 > 0
@@ -213,10 +213,9 @@ def test_retrieve_matches_bruteforce_oracle():
     """Inverted-index retrieval equals exhaustive dot-product ranking."""
     rng = random.Random(5)
     corpus = _random_corpus(rng, 80, WORDS)
-    params = Bm25Params()
     stats = compute_stats(corpus)
-    index = Bm25Index(corpus, params=params)
-    vecs = {p.id: encode_passage(p, stats, params) for p in corpus}
+    index = Bm25Index(corpus)
+    vecs = {p.id: encode_passage(p, stats, bm25.K, bm25.B) for p in corpus}
     for i in range(15):
         q = Query(f"q{i}", " ".join(rng.choices(WORDS, k=rng.randint(1, 5))))
         qvec = encode_query(q)
@@ -231,14 +230,16 @@ def test_retrieve_matches_bruteforce_oracle():
         assert index.scores(q).tolist() == [dot(qvec, vecs[p.id]) for p in corpus]
 
 
-@pytest.mark.parametrize("params", [Bm25Params(k=0.0), Bm25Params(b=0.0), Bm25Params(b=1.0)])
-def test_bm25_list_is_the_passages_sharing_a_query_term(params):
+@pytest.mark.parametrize("params", [{"K": 0.0}, {"B": 0.0}, {"B": 1.0}])
+def test_bm25_list_is_the_passages_sharing_a_query_term(monkeypatch, params):
     """Every posting weight (Lucene IDF > 0) and query term count is > 0, so a
     passage scores > 0 exactly when it shares a term with the query."""
+    for name, value in params.items():
+        monkeypatch.setattr(bm25, name, value)
     rng = random.Random(31)
     for trial in range(5):
         corpus = _random_corpus(rng, 40, WORDS)
-        index = Bm25Index(corpus, params=params)
+        index = Bm25Index(corpus)
         for i in range(10):
             words = rng.choices(WORDS + ["unseen1", "unseen2"], k=rng.randint(1, 3))
             q = Query(f"q{trial}-{i}", " ".join(words))
@@ -256,28 +257,29 @@ def test_retrieve_fewer_matches_than_k():
 
 # ---------------------------------------------------------------- params
 
-def test_params_validation():
-    with pytest.raises(ValueError):
-        Bm25Params(k=-0.1)
-    with pytest.raises(ValueError):
-        Bm25Params(b=1.5)
+def test_k_and_b_are_in_range():
+    assert math.isfinite(bm25.K) and bm25.K >= 0
+    assert math.isfinite(bm25.B) and 0 <= bm25.B <= 1
 
 
-def test_index_postings_equal_passage_vectors():
+def test_index_postings_equal_passage_vectors(monkeypatch):
     rng = random.Random(12)
     # "..." has no tokens, so its vector is empty and it posts nowhere
     corpus = _corpus(["...", "w1 w1 w1"] + [" ".join(rng.choices(WORDS, k=rng.randint(1, 30)))
                                            for _ in range(30)])
     stats = compute_stats(corpus)
-    for params in (Bm25Params(k=1.2, b=0.6), Bm25Params(k=0.0, b=1.0), Bm25Params(b=0.0)):
-        index = Bm25Index(corpus, params=params)
+    for k, b in ((1.2, 0.6), (0.0, 1.0), (0.9, 0.0)):
+        monkeypatch.setattr(bm25, "K", k)
+        monkeypatch.setattr(bm25, "B", b)
+        index = Bm25Index(corpus)
+        assert (index.k, index.b) == (k, b)
         from_postings = [dict() for _ in corpus]
         for i, t in enumerate(index.terms.tolist()):
             row = slice(index.indptr[i], index.indptr[i + 1])
             for pos, w in zip(index.positions[row].tolist(), index.weights[row].tolist()):
                 from_postings[pos][t] = w
         # equal floats: the index does encode_passage's arithmetic in its order
-        assert from_postings == [encode_passage(p, stats, params) for p in corpus]
+        assert from_postings == [encode_passage(p, stats, k, b) for p in corpus]
         # CSR: terms ascending, each term's passages ascending
         assert (np.diff(index.terms) > 0).all()
         for i in range(len(index.terms)):
@@ -343,8 +345,27 @@ def test_index_save_load_bitwise_scores(tmp_path):
         ra = retrieve(index, q, 10)
         rb = retrieve(loaded, q, 10)
         assert ra.items == rb.items
-    assert loaded.params == index.params
+    assert (loaded.k, loaded.b) == (index.k, index.b) == (bm25.K, bm25.B)
     assert loaded.id_rank.tolist() == corpus.id_rank.tolist()
     for name in ("terms", "indptr", "positions", "weights"):
         a, b = getattr(index, name), getattr(loaded, name)
         assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def test_an_index_keeps_the_k_and_b_its_weights_were_built_with(monkeypatch, tmp_path):
+    # built under other constants, saved, then reloaded and saved again under
+    # the defaults: the header and the loaded index keep the build's k and b
+    corpus = _random_corpus(random.Random(4), 20, WORDS)
+    monkeypatch.setattr(bm25, "K", 1.5)
+    monkeypatch.setattr(bm25, "B", 0.25)
+    index = Bm25Index(corpus)
+    monkeypatch.undo()
+    hybrid = HybridIndex(index, EncoderParams(np.zeros((VOCAB_SIZE, 1)), 0),
+                         np.zeros((len(index), 1)), 0.0)
+    save_hybrid_index(hybrid, tmp_path / "hy")
+    header = load_npz(tmp_path / "hy.npz", HYBRID_FORMAT)[0]
+    assert (header["k"], header["b"]) == (1.5, 0.25)
+    loaded = load_hybrid_index(tmp_path / "hy")
+    assert (loaded.bm25.k, loaded.bm25.b) == (1.5, 0.25)
+    save_hybrid_index(loaded, tmp_path / "again")
+    assert (tmp_path / "again.npz").read_bytes() == (tmp_path / "hy.npz").read_bytes()

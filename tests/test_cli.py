@@ -100,17 +100,23 @@ def test_bad_config_path_returns_one(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("change", [
-    lambda config: {}, lambda config: [], lambda config: {**config, "seed": "3"},
-    lambda config: {**config, "bm25": {"k": "x"}},
-    lambda config: {**config, "run_depth": 30.5},
-    lambda config: {**config, "bm25": {"k": float("nan")}}],
-    ids=["empty-object", "list", "string-seed", "string-bm25-k", "float-run-depth",
-         "nan-bm25-k"])
-def test_malformed_config_returns_one_with_an_error_line(tmp_path, capsys, change):
+@pytest.mark.parametrize("change, error", [
+    (lambda config: {}, "config: missing required keys"),
+    (lambda config: [], "config must be a JSON object"),
+    (lambda config: {**config, "seed": "3"}, "config: seed must be int"),
+    (lambda config: {**config, "de": {**config["de"], "learning_rate": "x"}},
+     "config section 'de': learning_rate must be float"),
+    (lambda config: {**config, "run_depth": 30.5}, "config: run_depth must be int"),
+    (lambda config: {**config, "de": {**config["de"], "learning_rate": float("nan")}},
+     "config section 'de': learning_rate must be finite"),
+    # BM25's k and b are bm25.K and bm25.B
+    (lambda config: {**config, "bm25": {"k": 1.2}}, "config: unknown keys ['bm25']")],
+    ids=["empty-object", "list", "string-seed", "string-de-learning-rate", "float-run-depth",
+         "nan-de-learning-rate", "bm25-section"])
+def test_malformed_config_returns_one_with_an_error_line(tmp_path, capsys, change, error):
     path = tmp_path / "config.json"
     _write_config(tmp_path, path, tmp_path / "w")
     path.write_text(json.dumps(change(json.loads(path.read_text()))))
     assert main(["run", "--config", str(path)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: config") and "Traceback" not in err
+    assert err.startswith(f"error: {error}") and "Traceback" not in err

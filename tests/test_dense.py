@@ -350,9 +350,9 @@ def test_train_de_deterministic():
 def test_train_de_improves_loss():
     _, pairs = _toy_training_pairs(24)
     cfg = DeTrainConfig(epochs=10, batch_size=8, dim=16, seed=1)
-    before = in_batch_loss(init_params(16, seed=1), pairs, cfg.temperature)
+    before = in_batch_loss(init_params(16, seed=1), pairs, dense.TEMPERATURE)
     trained = train_de(pairs, cfg)
-    after = in_batch_loss(trained, pairs, cfg.temperature)
+    after = in_batch_loss(trained, pairs, dense.TEMPERATURE)
     assert after < before
 
 
@@ -411,14 +411,16 @@ def test_de_train_config_validation():
     with pytest.raises(ValueError):
         DeTrainConfig(batch_size=0)
     with pytest.raises(ValueError):
-        DeTrainConfig(temperature=0.0)
-    with pytest.raises(ValueError):
         DeTrainConfig(learning_rate=0.0)
     with pytest.raises(ValueError, match="epochs must be >= 0, got -1"):
         DeTrainConfig(epochs=-1)
     with pytest.raises(ValueError, match="dim must be >= 1, got 0"):
         DeTrainConfig(dim=0)
     DeTrainConfig(epochs=0, dim=1)
+
+
+def test_temperature_is_finite_and_positive():
+    assert math.isfinite(dense.TEMPERATURE) and dense.TEMPERATURE > 0
 
 
 # ---------------------------------------------------------------- retrieval

@@ -93,7 +93,7 @@ def test_hybrid_score_decomposition_identity():
         qdense = encode(encoder, q.tokens)
         fused = _fused_scores(index, q)
         for p in corpus:
-            pvec = encode_passage(p, stats, index.bm25.params)
+            pvec = encode_passage(p, stats, index.bm25.k, index.bm25.b)
             pdense = encode(encoder, passage_tokens(p))
             expected = dot(qvec, pvec) + index.lam * cosine(qdense, pdense)
             assert abs(fused[p.id] - expected) <= 1e-9
@@ -194,7 +194,7 @@ def test_hybrid_retrieve_matches_materialized_concatenation():
         # materialize [sparse | dense] per passage; dense rows are unit norm
         mats = np.zeros((n, VOCAB_SIZE + encoder.dim))
         for i, p in enumerate(corpus):
-            for t, w in encode_passage(p, stats, idx.bm25.params).items():
+            for t, w in encode_passage(p, stats, idx.bm25.k, idx.bm25.b).items():
                 mats[i, t] = w
             mats[i, VOCAB_SIZE:] = idx.dense_rows[i]
         for q in queries:
@@ -537,7 +537,7 @@ def test_hybrid_save_load_bit_exact_scores(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["hy.npz"]
     loaded = load_hybrid_index(prefix)
     assert loaded.lam == index.lam and loaded.ids == index.ids
-    assert loaded.bm25.params == index.bm25.params
+    assert (loaded.bm25.k, loaded.bm25.b) == (index.bm25.k, index.bm25.b)
     assert loaded.bm25.id_rank.tolist() == corpus.id_rank.tolist()
     assert loaded.encoder.seed == encoder.seed
     for a, b in ((index.bm25.terms, loaded.bm25.terms), (index.bm25.indptr, loaded.bm25.indptr),

@@ -142,7 +142,7 @@ def test_every_config_field_round_trips_through_a_file(data_dir, tmp_path):
     base = _config(data_dir, tmp_path / "w")
     d = config_to_dict(base)
     assert list(d) == [f.name for f in dataclasses.fields(ExperimentConfig)]
-    for name in ("bm25", "de", "reranker", "window"):
+    for name in ("de", "reranker", "window"):
         section = getattr(base, name)
         assert list(d[name]) == [f.name for f in dataclasses.fields(section)
                                  if f.name != "seed"]
@@ -176,8 +176,13 @@ def test_config_rejects_the_removed_tokenizer_keys(data_dir, tmp_path, key):
 
 def test_config_rejects_unknown_section_keys(data_dir, tmp_path):
     d = config_to_dict(_config(data_dir, tmp_path / "w"))
-    d["bm25"]["k9"] = 1.0
+    d["de"]["k9"] = 1.0
     with pytest.raises(ValueError, match="k9"):
+        config_from_dict(d)
+    # the encoder's τ is dense.TEMPERATURE
+    d = config_to_dict(_config(data_dir, tmp_path / "w"))
+    d["de"]["temperature"] = 0.05
+    with pytest.raises(ValueError, match=r"^config section 'de': unknown keys \['temperature'\]"):
         config_from_dict(d)
 
 
@@ -191,7 +196,7 @@ def test_config_rejects_a_seed_in_a_section(data_dir, tmp_path):
             config_from_dict(d)
 
 
-@pytest.mark.parametrize("section", ["bm25", "de", "reranker", "window"])
+@pytest.mark.parametrize("section", ["de", "reranker", "window"])
 def test_config_rejects_a_section_that_is_not_an_object(data_dir, tmp_path, section):
     d = config_to_dict(_config(data_dir, tmp_path / "w"))
     for bad in (None, [], 1):
@@ -216,7 +221,7 @@ def test_config_rejects_what_is_not_a_config(data, match):
     ("seed", "3", "^config: "),
     ("run_depth", None, "^config: "),
     ("seed", {"k": 1}, r"^config: seed must be int, got \{'k': 1\}"),
-    ("bm25", {"k": "x"}, "^config section 'bm25': "),
+    ("reranker", {"learning_rate": "x"}, "^config section 'reranker': "),
     ("window", {"depth": "250"}, "^config section 'window': "),
     ("run_depth", 30.5, "^config: run_depth "),
     ("seed", 2.5, "^config: seed "),
@@ -226,20 +231,22 @@ def test_config_rejects_what_is_not_a_config(data, match):
     ("reranker", {"steps": 1.5}, "^config section 'reranker': steps "),
     ("window", {"skip": 0, "depth": 20.0, "n_negatives": 6},
      "^config section 'window': depth "),
-    ("bm25", {"k": True}, "^config section 'bm25': k "),
+    ("de", {"learning_rate": True}, "^config section 'de': learning_rate "),
     ("de", {"epochs": {"k": 1}}, "^config section 'de': epochs must be int"),
     ("training_source", 1, "^config: training_source must be str, got 1"),
     ("window", {"n_negatives": None}, "^config section 'window': n_negatives must be int"),
     ("de", {"epochs": -1}, "^config section 'de': epochs must be >= 0"),
     ("de", {"dim": 0}, "^config section 'de': dim must be >= 1"),
-    ("bm25", {"k": math.nan}, "^config section 'bm25': k must be finite, got nan"),
+    ("reranker", {"steps": math.nan}, "^config section 'reranker': steps must be int, got nan"),
     ("de", {"learning_rate": math.nan}, "^config section 'de': learning_rate must be finite"),
-    ("de", {"temperature": math.inf}, "^config section 'de': temperature must be finite"),
+    ("de", {"learning_rate": math.inf}, "^config section 'de': learning_rate must be finite"),
     ("reranker", {"learning_rate": math.nan},
      "^config section 'reranker': learning_rate must be finite"),
-    ("bm25", {"b": -math.inf}, "^config section 'bm25': b must be finite, got -inf"),
+    ("reranker", {"learning_rate": -math.inf},
+     "^config section 'reranker': learning_rate must be finite, got -inf"),
     # an int too large for a float, which would stop the run at its first use
-    ("bm25", {"k": 10**400}, "^config section 'bm25': k must be finite, got 1000"),
+    ("de", {"learning_rate": 10**400},
+     "^config section 'de': learning_rate must be finite, got 1000"),
     ("reranker", {"learning_rate": 10**400},
      "^config section 'reranker': learning_rate must be finite, got 1000"),
 ])
@@ -368,7 +375,7 @@ def test_test_split_runs_equal_single_query_retrieval(data_dir, tmp_path):
     corpus = load_corpus(cfg.corpus)
     dense = {p.id: encode(index.encoder, passage_tokens(p)) for p in corpus}
     stats = compute_stats(corpus)
-    sparse = {p.id: encode_passage(p, stats, index.bm25.params) for p in corpus}
+    sparse = {p.id: encode_passage(p, stats, index.bm25.k, index.bm25.b) for p in corpus}
     depth = cfg.run_depth
     for q in load_queries(queries):
         assert runs["hybrid"][q.id] == _pairs(hybrid_retrieve(index, q, depth))
